@@ -44,6 +44,7 @@ from .report import (
     FIG_CASE,
     TRACE_COLUMNS,
     FigureSeries,
+    emit_case_v_csv,
     emit_csv,
     emit_figure_csv,
     emit_trace_csv,
@@ -53,8 +54,6 @@ from .report import (
 from .sim import (
     Decision,
     MisbehaviorStats,
-    Network,
-    NodeSnapshot,
     NodeState,
     Packet,
     PacketClass,
@@ -65,7 +64,6 @@ from .sim import (
     Trace,
     TraceRecord,
     WindowRatio,
-    build_network,
     classify_misbehavior,
     config_from_dict,
     ctc_split,

@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import CtcSimError
 from .experiments import CASE_IDS, case_spec, derive_case_v, run_case
 from .model import ForwardingParams, TimeBudget, prob_batch, throughput, time_components
-from .report import emit_csv, emit_figure_csv, emit_trace_csv, figure_series
+from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
 from .sim import Policy, load_config, run
 from .utilization import PacketCounters, utilization_node, utilization_node_factored
 
@@ -115,7 +115,7 @@ def _cmd_sim_run(args) -> int:
     trace = run(config)
     written = emit_trace_csv(trace, args.out)
     if trace.records:
-        target = trace.records[-1].nodes[0]
+        target = trace.records[-1]
         print(f"epochs                {len(trace.records)}")
         print(f"drop_ratio_self       {target.drop_ratio_self:.6f}")
         print(f"drop_ratio_neighbor   {target.drop_ratio_neighbor:.6f}")
@@ -157,12 +157,7 @@ def _cmd_exp_all(args) -> int:
         print(f"fig_{figure_id}.csv: {sum(len(s.points) for s in series)} points")
     # Per-case derived curves, for inspection alongside the pooled figures.
     for case_id in CASE_IDS:
-        curves = derive_case_v([tables[case_id]])
-        lines = ["algorithm,bucket_lower,mean_malicious,rows"]
-        for curve in curves:
-            for bucket in curve.buckets:
-                lines.append(f"{curve.algorithm},{bucket.lower:.6f},{bucket.mean_malicious:.6f},{bucket.rows}")
-        (out_dir / f"case_v_{case_id}.csv").write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        emit_case_v_csv(derive_case_v([tables[case_id]]), out_dir / f"case_v_{case_id}.csv")
     print(f"wrote {out_dir}")
     return 0
 

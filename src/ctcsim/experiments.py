@@ -169,15 +169,14 @@ def _summarize(case_id: str, algorithm: Policy, sweep_value: int, config: SimCon
     dropped_self = dropped_nbr = 0
     t_pp_total = t_np_total = 0.0
     for record in trace.records:
-        target = record.nodes[0]
-        offered_self += target.offered_self
-        offered_nbr += target.offered_neighbor
-        forwarded_self += target.forwarded_self
-        forwarded_nbr += target.forwarded_neighbor
-        dropped_self += target.dropped_self
-        dropped_nbr += target.dropped_neighbor
-        t_pp_total += target.t_pp
-        t_np_total += target.t_np
+        offered_self += record.offered_self
+        offered_nbr += record.offered_neighbor
+        forwarded_self += record.forwarded_self
+        forwarded_nbr += record.forwarded_neighbor
+        dropped_self += record.dropped_self
+        dropped_nbr += record.dropped_neighbor
+        t_pp_total += record.t_pp
+        t_np_total += record.t_np
 
     drop_ratio = dropped_nbr / offered_nbr if offered_nbr > 0 else 0.0
     malicious = classify_misbehavior(trace).malicious_fraction

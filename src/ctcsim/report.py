@@ -9,13 +9,14 @@ out pushing it through a float format).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
 
 from .errors import InvalidParameterError, MissingCaseError
 from .experiments import CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
-from .sim import Trace
+from .sim import Trace, source_split
 
 __all__ = [
     "CSV_COLUMNS",
@@ -26,6 +27,7 @@ __all__ = [
     "FigureSeries",
     "figure_series",
     "emit_figure_csv",
+    "emit_case_v_csv",
     "emit_trace_csv",
 ]
 
@@ -80,14 +82,19 @@ def _cell(column: str, value) -> str:
     return str(int(value))
 
 
+def _write_lines(lines: list[str], dest: str | Path) -> int:
+    """Write lines as one UTF-8 file with a final newline; returns bytes written."""
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(dest).write_bytes(payload)
+    return len(payload)
+
+
 def emit_csv(table: ResultTable, dest: str | Path) -> int:
     """Write a result table; returns the number of bytes written."""
     lines = [",".join(CSV_COLUMNS)]
     for row in table.rows:
         lines.append(",".join(_cell(c, getattr(row, c)) for c in CSV_COLUMNS))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(dest).write_bytes(payload)
-    return len(payload)
+    return _write_lines(lines, dest)
 
 
 def read_csv(path: str | Path) -> ResultTable:
@@ -113,24 +120,12 @@ def read_csv(path: str | Path) -> ResultTable:
     return ResultTable(rows=tuple(rows))
 
 
+@dataclass(frozen=True)
 class FigureSeries:
     """One plotted line: an algorithm and its (x, y) points."""
 
-    __slots__ = ("algorithm", "points")
-
-    def __init__(self, algorithm: str, points: Sequence[tuple[float, float]]):
-        self.algorithm = algorithm
-        self.points = tuple((float(x), float(y)) for x, y in points)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FigureSeries)
-            and self.algorithm == other.algorithm
-            and self.points == other.points
-        )
-
-    def __repr__(self):
-        return f"FigureSeries(algorithm={self.algorithm!r}, points={self.points!r})"
+    algorithm: str
+    points: tuple[tuple[float, float], ...]
 
 
 def _case_rows(tables: Sequence[ResultTable], case_id: str) -> list[ResultRow]:
@@ -147,7 +142,7 @@ def _sweep_series(tables: Sequence[ResultTable], case_id: str) -> list[FigureSer
         grouped.setdefault(row.algorithm, {}).setdefault(row.sweep_value, []).append(row.drop_ratio)
     series = []
     for algorithm in sorted(grouped):
-        points = [(float(v), fmean(ratios)) for v, ratios in sorted(grouped[algorithm].items())]
+        points = tuple((float(v), fmean(ratios)) for v, ratios in sorted(grouped[algorithm].items()))
         series.append(FigureSeries(algorithm, points))
     return series
 
@@ -175,7 +170,7 @@ def _derived_series(tables: Sequence[ResultTable], smooth: bool) -> list[FigureS
         shared = set(buckets) if shared is None else shared & set(buckets)
     series = []
     for algorithm in sorted(per_algo):
-        points = [(lower, per_algo[algorithm][lower]) for lower in sorted(shared or ())]
+        points = tuple((lower, per_algo[algorithm][lower]) for lower in sorted(shared or ()))
         series.append(FigureSeries(algorithm, points))
     return series
 
@@ -203,36 +198,35 @@ def emit_figure_csv(series: Sequence[FigureSeries], dest: str | Path) -> int:
     for entry in series:
         for x, y in entry.points:
             lines.append(f"{entry.algorithm},{x:.6f},{y:.6f}")
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(dest).write_bytes(payload)
-    return len(payload)
+    return _write_lines(lines, dest)
+
+
+def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
+    """Write derived-curve buckets as ``algorithm,bucket_lower,mean_malicious,rows``; returns bytes written."""
+    lines = ["algorithm,bucket_lower,mean_malicious,rows"]
+    for curve in curves:
+        for bucket in curve.buckets:
+            lines.append(f"{curve.algorithm},{bucket.lower:.6f},{bucket.mean_malicious:.6f},{bucket.rows}")
+    return _write_lines(lines, dest)
 
 
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
-    """Write one row per (epoch, node) of a trace; returns bytes written."""
+    """Write one row per (epoch, node) of a trace; returns bytes written.
+
+    Node 0 is the simulated target. Sources 1..neighbor_count are derived:
+    each sends its ``source_split`` share of the epoch's neighbor arrivals,
+    forwards all of it at once, relays nothing, and spends the whole epoch
+    on its own traffic.
+    """
+    config = trace.config
+    source_tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000"
     lines = [",".join(TRACE_COLUMNS)]
-    for record in trace.records:
-        for snap in record.nodes:
-            lines.append(
-                ",".join(
-                    [
-                        str(record.epoch),
-                        str(snap.node_id),
-                        str(snap.offered_self),
-                        str(snap.offered_neighbor),
-                        str(snap.forwarded_self),
-                        str(snap.forwarded_neighbor),
-                        str(snap.dropped_self),
-                        str(snap.dropped_neighbor),
-                        str(snap.queued_self),
-                        str(snap.queued_neighbor),
-                        f"{snap.t_pp:.6f}",
-                        f"{snap.t_np:.6f}",
-                        f"{snap.drop_ratio_self:.6f}",
-                        f"{snap.drop_ratio_neighbor:.6f}",
-                    ]
-                )
-            )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(dest).write_bytes(payload)
-    return len(payload)
+    for r in trace.records:
+        lines.append(
+            f"{r.epoch},0,{r.offered_self},{r.offered_neighbor},{r.forwarded_self},{r.forwarded_neighbor},"
+            f"{r.dropped_self},{r.dropped_neighbor},{r.queued_self},{r.queued_neighbor},"
+            f"{r.t_pp:.6f},{r.t_np:.6f},{r.drop_ratio_self:.6f},{r.drop_ratio_neighbor:.6f}"
+        )
+        for node_id, sent in enumerate(source_split(r.offered_neighbor, config.neighbor_count), start=1):
+            lines.append(f"{r.epoch},{node_id},{sent},0,{sent}{source_tail}")
+    return _write_lines(lines, dest)

@@ -4,7 +4,11 @@ One target node sits at the center of a star of traffic sources. Each epoch
 the target discards packets past their deadline, takes in new arrivals (own
 traffic into its self queue, source traffic into its neighbor queue), serves
 both queues under the active policy, and flips one ambient-loss coin per
-transmitted packet:
+transmitted packet. Only the target is simulated: a source never queues,
+drops, relays or draws a random number, so its per-epoch row is a function
+of the target's neighbor arrivals (see ``source_split``).
+
+The two policies:
 
 - ``ctc`` splits service capacity between the two queues in proportion to
   their backlogs, clamped so neither class can be starved below a minimum
@@ -46,15 +50,13 @@ __all__ = [
     "load_config",
     "Packet",
     "NodeState",
-    "Network",
-    "build_network",
     "ctc_split",
     "dsr_decide",
+    "source_split",
     "step",
     "run",
     "Trace",
     "TraceRecord",
-    "NodeSnapshot",
     "MisbehaviorStats",
     "WindowRatio",
     "classify_misbehavior",
@@ -101,6 +103,8 @@ class RateFunction:
     slope: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.base) and math.isfinite(self.slope)):
+            raise InvalidConfigError(f"rate parameters must be finite, got {self}")
         if self.base < 0 or self.slope < 0:
             raise InvalidConfigError(f"rate parameters must be >= 0, got {self}")
 
@@ -169,9 +173,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         checks = [
             (self.epochs >= 0, "epochs must be >= 0"),
+            (math.isfinite(self.epoch_length), "epoch_length must be finite"),
             (self.epoch_length > 0, "epoch_length must be > 0"),
             (self.neighbor_count >= 1, "neighbor_count must be >= 1"),
+            (math.isfinite(self.data_rate), "data_rate must be finite"),
             (self.data_rate > 0, "data_rate must be > 0"),
+            (
+                math.isfinite(self.data_rate * self.epoch_length),
+                "per-epoch capacity data_rate * epoch_length must be finite",
+            ),
             (0.0 <= self.base_drop_prob < 1.0, "base_drop_prob must be in [0, 1)"),
             (self.energy_budget >= 0, "energy_budget must be >= 0"),
             (self.deadline_epochs >= 1, "deadline_epochs must be >= 1"),
@@ -242,16 +252,16 @@ def config_from_dict(raw: dict) -> SimConfig:
         else:  # rate functions
             if not isinstance(value, str):
                 raise InvalidConfigError(f"{key} must be a rate-function string, got {value!r}")
-            kwargs[key] = RateFunction.parse(value)
+            try:
+                kwargs[key] = RateFunction.parse(value)
+            except InvalidConfigError as exc:
+                raise InvalidConfigError(f"{key}: {exc}") from None
     return SimConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> SimConfig:
     """Read a flat JSON config file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -280,14 +290,13 @@ class ClassCounters:
 
 @dataclass
 class NodeState:
-    """Queues, energy and counters for one node.
+    """Queues, energy and counters of the target node.
 
     Queue entries in the engine are cohorts ``[created_epoch, count]`` in FIFO
     order; ``self_backlog``/``neighbor_backlog`` report the packet totals, so
     policy code does not care about the representation.
     """
 
-    node_id: int
     energy_remaining: int
     self_queue: Deque[list] = field(default_factory=deque)
     neighbor_queue: Deque[list] = field(default_factory=deque)
@@ -301,24 +310,6 @@ class NodeState:
     @property
     def neighbor_backlog(self) -> int:
         return sum(c[1] for c in self.neighbor_queue)
-
-
-@dataclass
-class Network:
-    """A built simulation: star topology with node 0 as the target."""
-
-    config: SimConfig
-    nodes: list[NodeState]
-    links: list[tuple[int, int]]
-    rng: np.random.Generator
-    next_packet_id: int = 0
-
-
-def build_network(config: SimConfig) -> Network:
-    """Star of ``neighbor_count`` sources around one target, PRNG seeded."""
-    nodes = [NodeState(node_id=i, energy_remaining=config.energy_budget) for i in range(config.neighbor_count + 1)]
-    links = [(0, i) for i in range(1, config.neighbor_count + 1)]
-    return Network(config=config, nodes=nodes, links=links, rng=np.random.default_rng(config.seed))
 
 
 def ctc_split(node: NodeState, epoch_length: float, min_share_fraction: float) -> TimeBudget:
@@ -353,10 +344,10 @@ def dsr_decide(node: NodeState, packet: Packet) -> Decision:
 
 
 @dataclass(frozen=True)
-class NodeSnapshot:
-    """Per-epoch view of one node: this-epoch deltas plus cumulative ratios."""
+class TraceRecord:
+    """One epoch at the target: this-epoch deltas plus cumulative ratios."""
 
-    node_id: int
+    epoch: int
     offered_self: int
     offered_neighbor: int
     forwarded_self: int
@@ -369,12 +360,6 @@ class NodeSnapshot:
     t_np: float
     drop_ratio_self: float
     drop_ratio_neighbor: float
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    epoch: int
-    nodes: tuple[NodeSnapshot, ...]
 
 
 @dataclass(frozen=True)
@@ -409,19 +394,25 @@ def _ratio(dropped: int, offered: int) -> float:
     return dropped / offered if offered > 0 else 0.0
 
 
-def step(network: Network, policy: Policy, epoch_index: int, rng: np.random.Generator) -> TraceRecord:
-    """Advance the network one epoch and snapshot it.
+def source_split(arrivals: int, neighbor_count: int) -> list[int]:
+    """Per-source share of one epoch's neighbor arrivals, sources 1..n in order.
+
+    Round-robin: every source sends ``arrivals // neighbor_count`` packets and
+    the first ``arrivals % neighbor_count`` sources send one more.
+    """
+    base, extra = divmod(arrivals, neighbor_count)
+    return [base + 1] * extra + [base] * (neighbor_count - extra)
+
+
+def step(target: NodeState, config: SimConfig, epoch_index: int, rng: np.random.Generator) -> TraceRecord:
+    """Advance the target one epoch and record it.
 
     Fixed phase order: (a) deadline discard, (b) arrivals, (c) service split
     per policy, (d) ambient loss on every transmitted packet, (e) counter
-    update and conservation check. Nodes are visited in ascending id; only
-    the target consumes randomness (two binomial draws per epoch, always in
+    update and conservation check. Two binomial draws per epoch, always in
     the same order and also when the attempt count is zero, so the stream
-    position never depends on load or policy).
+    position never depends on load or policy.
     """
-    config = network.config
-    target = network.nodes[0]
-    sources = network.nodes[1:]
     epoch_t = config.epoch_length
 
     # (a) deadline discard: a cohort created at c is gone once
@@ -430,9 +421,8 @@ def step(network: Network, policy: Policy, epoch_index: int, rng: np.random.Gene
     expired_self = _discard_expired(target.self_queue, cutoff)
     expired_nbr = _discard_expired(target.neighbor_queue, cutoff)
 
-    # (b) arrivals. Self traffic goes straight into the target's self queue;
-    # source traffic is generated at the leaves (counted there as their own
-    # output) and lands in the target's neighbor queue.
+    # (b) arrivals. Self traffic goes straight into the self queue; source
+    # traffic lands in the neighbor queue.
     arrivals_self = int(round(config.self_rate_fn.rate(epoch_index)))
     arrivals_nbr = int(round(config.neighbor_rate_fn.rate(epoch_index)))
     if arrivals_self > 0:
@@ -441,18 +431,11 @@ def step(network: Network, policy: Policy, epoch_index: int, rng: np.random.Gene
     if arrivals_nbr > 0:
         target.neighbor_queue.append([epoch_index, arrivals_nbr])
     target.neighbor_stats.offered += arrivals_nbr
-    network.next_packet_id += arrivals_self + arrivals_nbr
-    per_source = [arrivals_nbr // len(sources)] * len(sources)
-    for i in range(arrivals_nbr % len(sources)):
-        per_source[i] += 1
-    for src, n in zip(sources, per_source):
-        src.self_stats.offered += n
-        src.self_stats.forwarded += n
 
     # (c) service. Capacity is data_rate packets/second over the epoch.
     capacity = int(round(config.data_rate * epoch_t))
     gate_dropped = 0
-    if policy is Policy.CTC:
+    if config.policy is Policy.CTC:
         budget = ctc_split(target, epoch_t, config.min_share_fraction)
         share_np = budget.t_np / epoch_t
         cap_self = math.floor((1.0 - share_np) * capacity)
@@ -481,62 +464,46 @@ def step(network: Network, policy: Policy, epoch_index: int, rng: np.random.Gene
     lost_nbr = int(rng.binomial(attempts_nbr, config.base_drop_prob))
 
     # (e) counters.
-    target.self_stats.forwarded += serviced_self - lost_self
-    target.self_stats.dropped += expired_self + lost_self
-    target.neighbor_stats.forwarded += attempts_nbr - lost_nbr
-    target.neighbor_stats.dropped += expired_nbr + gate_dropped + lost_nbr
-
-    snapshots = []
-    for node in network.nodes:
-        if node is target:
-            node_t_pp, node_t_np = t_pp, t_np
-            d_self = (arrivals_self, serviced_self - lost_self, expired_self + lost_self)
-            d_nbr = (arrivals_nbr, attempts_nbr - lost_nbr, expired_nbr + gate_dropped + lost_nbr)
-        else:
-            # Sources spend the whole epoch on their own traffic.
-            node_t_pp, node_t_np = epoch_t, 0.0
-            idx = node.node_id - 1
-            d_self = (per_source[idx], per_source[idx], 0)
-            d_nbr = (0, 0, 0)
-        queued_self = node.self_backlog
-        queued_nbr = node.neighbor_backlog
-        stats_s, stats_n = node.self_stats, node.neighbor_stats
-        if stats_s.offered != stats_s.forwarded + stats_s.dropped + queued_self:
-            raise RuntimeError(f"self-class conservation violated at node {node.node_id}, epoch {epoch_index}")
-        if stats_n.offered != stats_n.forwarded + stats_n.dropped + queued_nbr:
-            raise RuntimeError(f"neighbor-class conservation violated at node {node.node_id}, epoch {epoch_index}")
-        snapshots.append(
-            NodeSnapshot(
-                node_id=node.node_id,
-                offered_self=d_self[0],
-                offered_neighbor=d_nbr[0],
-                forwarded_self=d_self[1],
-                forwarded_neighbor=d_nbr[1],
-                dropped_self=d_self[2],
-                dropped_neighbor=d_nbr[2],
-                queued_self=queued_self,
-                queued_neighbor=queued_nbr,
-                t_pp=node_t_pp,
-                t_np=node_t_np,
-                drop_ratio_self=_ratio(stats_s.dropped, stats_s.offered),
-                drop_ratio_neighbor=_ratio(stats_n.dropped, stats_n.offered),
-            )
-        )
-    return TraceRecord(epoch=epoch_index, nodes=tuple(snapshots))
+    stats_s, stats_n = target.self_stats, target.neighbor_stats
+    stats_s.forwarded += serviced_self - lost_self
+    stats_s.dropped += expired_self + lost_self
+    stats_n.forwarded += attempts_nbr - lost_nbr
+    stats_n.dropped += expired_nbr + gate_dropped + lost_nbr
+    queued_self = target.self_backlog
+    queued_nbr = target.neighbor_backlog
+    if stats_s.offered != stats_s.forwarded + stats_s.dropped + queued_self:
+        raise RuntimeError(f"self-class conservation violated at the target, epoch {epoch_index}")
+    if stats_n.offered != stats_n.forwarded + stats_n.dropped + queued_nbr:
+        raise RuntimeError(f"neighbor-class conservation violated at the target, epoch {epoch_index}")
+    return TraceRecord(
+        epoch=epoch_index,
+        offered_self=arrivals_self,
+        offered_neighbor=arrivals_nbr,
+        forwarded_self=serviced_self - lost_self,
+        forwarded_neighbor=attempts_nbr - lost_nbr,
+        dropped_self=expired_self + lost_self,
+        dropped_neighbor=expired_nbr + gate_dropped + lost_nbr,
+        queued_self=queued_self,
+        queued_neighbor=queued_nbr,
+        t_pp=t_pp,
+        t_np=t_np,
+        drop_ratio_self=_ratio(stats_s.dropped, stats_s.offered),
+        drop_ratio_neighbor=_ratio(stats_n.dropped, stats_n.offered),
+    )
 
 
 def run(config: SimConfig) -> Trace:
-    """Run the configured number of epochs from a fresh network."""
-    network = build_network(config)
-    records = tuple(step(network, config.policy, e, network.rng) for e in range(config.epochs))
+    """Run the configured number of epochs from a fresh target."""
+    target = NodeState(energy_remaining=config.energy_budget)
+    rng = np.random.default_rng(config.seed)
+    records = tuple(step(target, config, e, rng) for e in range(config.epochs))
     return Trace(config=config, records=records)
 
 
 @dataclass(frozen=True)
 class WindowRatio:
-    """Neighbor-class drop ratio of one node over one classification window."""
+    """Neighbor-class drop ratio of the target over one classification window."""
 
-    node_id: int
     window_index: int
     offered: int
     dropped: int
@@ -546,19 +513,20 @@ class WindowRatio:
 
 @dataclass(frozen=True)
 class MisbehaviorStats:
-    """Share of qualifying node-windows whose drop ratio exceeded the threshold."""
+    """Share of qualifying windows whose drop ratio exceeded the threshold."""
 
     malicious_fraction: float
     window_ratios: tuple[WindowRatio, ...]
 
 
 def classify_misbehavior(trace: Trace, threshold: float | None = None, window: int | None = None) -> MisbehaviorStats:
-    """Windowed misbehavior classification over a trace.
+    """Windowed misbehavior classification of the target over a trace.
 
     Epochs are split into consecutive windows of ``window`` epochs (trailing
-    partial window included). Every (node, window) pair that was offered
-    neighbor packets qualifies; a pair is flagged when its neighbor drop
-    ratio exceeds ``threshold``. Defaults come from the trace's config.
+    partial window included). Every window in which the target was offered
+    neighbor packets qualifies; it is flagged when its neighbor drop ratio
+    exceeds ``threshold``. Sources are never offered relay traffic, so they
+    never qualify. Defaults come from the trace's config.
     """
     if not trace.records:
         raise EmptyTraceError("cannot classify an empty trace")
@@ -569,30 +537,19 @@ def classify_misbehavior(trace: Trace, threshold: float | None = None, window: i
     if w < 1:
         raise InvalidConfigError(f"window must be >= 1, got {w}")
 
-    node_ids = [snap.node_id for snap in trace.records[0].nodes]
     ratios: list[WindowRatio] = []
     flagged = 0
-    qualifying = 0
     for w_index, start in enumerate(range(0, len(trace.records), w)):
         chunk = trace.records[start : start + w]
-        for position, node_id in enumerate(node_ids):
-            offered = sum(r.nodes[position].offered_neighbor for r in chunk)
-            if offered == 0:
-                continue
-            dropped = sum(r.nodes[position].dropped_neighbor for r in chunk)
-            ratio = dropped / offered
-            is_flagged = ratio > theta
-            qualifying += 1
-            flagged += is_flagged
-            ratios.append(
-                WindowRatio(
-                    node_id=node_id,
-                    window_index=w_index,
-                    offered=offered,
-                    dropped=dropped,
-                    ratio=ratio,
-                    flagged=is_flagged,
-                )
-            )
-    fraction = flagged / qualifying if qualifying else 0.0
+        offered = sum(r.offered_neighbor for r in chunk)
+        if offered == 0:
+            continue
+        dropped = sum(r.dropped_neighbor for r in chunk)
+        ratio = dropped / offered
+        is_flagged = ratio > theta
+        flagged += is_flagged
+        ratios.append(
+            WindowRatio(window_index=w_index, offered=offered, dropped=dropped, ratio=ratio, flagged=is_flagged)
+        )
+    fraction = flagged / len(ratios) if ratios else 0.0
     return MisbehaviorStats(malicious_fraction=fraction, window_ratios=tuple(ratios))

@@ -37,6 +37,11 @@ def tables():
     return {case_id: run_case(case_spec(case_id)) for case_id in CASE_IDS}
 
 
+def trace_csv_rows(path):
+    """Rows of an emitted trace CSV as lists of cells, header dropped."""
+    return [line.split(",") for line in path.read_text(encoding="utf-8").split("\n")[1:-1]]
+
+
 def seed_means(table, algorithm):
     grouped = {}
     for row in table.rows:
@@ -92,7 +97,7 @@ def test_criterion_2_utilization_forms_agree():
     assert elapsed < 1.0, f"criterion 2 took {elapsed:.2f}s (budget 1s)"
 
 
-def test_criterion_3_time_split_is_exact():
+def test_criterion_3_time_split_is_exact(tmp_path):
     start = time.perf_counter()
     rng = random.Random(8283)
     model_exact = True
@@ -110,10 +115,16 @@ def test_criterion_3_time_split_is_exact():
         neighbor_rate_fn=constant(40),
         seed=1,
     )
+    trace = run(config)
     worst = 0.0
-    for record in run(config).records:
-        for snap in record.nodes:
-            worst = max(worst, abs(snap.t_pp + snap.t_np - config.epoch_length))
+    for record in trace.records:
+        worst = max(worst, abs(record.t_pp + record.t_np - config.epoch_length))
+    # Source rows are derived at emission; read them back from the trace CSV.
+    dest = tmp_path / "trace.csv"
+    emit_trace_csv(trace, dest)
+    for row in trace_csv_rows(dest):
+        if row[1] != "0":
+            worst = max(worst, abs(float(row[10]) + float(row[11]) - config.epoch_length))
     elapsed = time.perf_counter() - start
     check(
         3,
@@ -229,20 +240,22 @@ def test_criterion_8_determinism_and_conservation(tmp_path):
     emit_trace_csv(run(config), tb)
     traces_identical = ta.read_bytes() == tb.read_bytes()
 
-    balanced = True
-    trace = run(config)
-    node_count = len(trace.records[0].nodes)
+    # Accounting of every node, target and derived sources, from the trace CSV.
+    rows = trace_csv_rows(ta)
+    node_count = config.neighbor_count + 1
+    balanced = len(rows) == config.epochs * node_count
     cum = [[0, 0, 0, 0, 0, 0] for _ in range(node_count)]  # offered/fwd/dropped per class
-    for record in trace.records:
-        for i, snap in enumerate(record.nodes):
-            cum[i][0] += snap.offered_self
-            cum[i][1] += snap.forwarded_self
-            cum[i][2] += snap.dropped_self
-            cum[i][3] += snap.offered_neighbor
-            cum[i][4] += snap.forwarded_neighbor
-            cum[i][5] += snap.dropped_neighbor
-            balanced = balanced and cum[i][0] == cum[i][1] + cum[i][2] + snap.queued_self
-            balanced = balanced and cum[i][3] == cum[i][4] + cum[i][5] + snap.queued_neighbor
+    for row in rows:
+        off_s, off_n, fwd_s, fwd_n, drop_s, drop_n, queued_s, queued_n = map(int, row[2:10])
+        c = cum[int(row[1])]
+        c[0] += off_s
+        c[1] += fwd_s
+        c[2] += drop_s
+        c[3] += off_n
+        c[4] += fwd_n
+        c[5] += drop_n
+        balanced = balanced and c[0] == c[1] + c[2] + queued_s
+        balanced = balanced and c[3] == c[4] + c[5] + queued_n
     check(
         8,
         "identical config and seed give byte-identical CSVs; packet accounting balances every epoch",
@@ -273,9 +286,8 @@ def test_criterion_9_loss_floor_realized():
     )
     dropped = offered = 0
     for record in run(config).records:
-        target = record.nodes[0]
-        dropped += target.dropped_self + target.dropped_neighbor
-        offered += target.offered_self + target.offered_neighbor
+        dropped += record.dropped_self + record.dropped_neighbor
+        offered += record.offered_self + record.offered_neighbor
     realized = dropped / offered
     tolerance = 3.0 * (config.base_drop_prob * (1.0 - config.base_drop_prob) / offered) ** 0.5
     floor_ok = abs(realized - config.base_drop_prob) <= tolerance

@@ -111,6 +111,14 @@ def test_sim_run_unknown_config_key_exits_2(tmp_path, capsys):
     assert "epohcs" in err
 
 
+def test_sim_run_non_finite_config_exits_2_naming_field(tmp_path, capsys):
+    config = tmp_path / "inf.json"
+    config.write_text('{"epochs": 3, "data_rate": Infinity}', encoding="utf-8")
+    code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
+    assert code == 2
+    assert "data_rate" in err
+
+
 def test_sim_run_missing_config_exits_1(tmp_path, capsys):
     code, _, err = run_cli(
         "sim", "run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "t.csv"), capsys=capsys

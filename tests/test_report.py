@@ -228,7 +228,7 @@ def test_figure_series_bad_id():
 
 def test_emit_figure_csv_exact_bytes(tmp_path):
     dest = tmp_path / "fig.csv"
-    emit_figure_csv([FigureSeries("ctc", [(100.0, 0.3)]), FigureSeries("dsr", [(100.0, 0.1)])], dest)
+    emit_figure_csv([FigureSeries("ctc", ((100.0, 0.3),)), FigureSeries("dsr", ((100.0, 0.1),))], dest)
     assert dest.read_text(encoding="utf-8") == (
         "algorithm,x,y\nctc,100.000000,0.300000\ndsr,100.000000,0.100000\n"
     )

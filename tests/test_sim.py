@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcsim.errors import EmptyTraceError, InvalidConfigError
+from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
     Decision,
-    NodeSnapshot,
     NodeState,
     Packet,
     PacketClass,
@@ -25,13 +25,13 @@ from ctcsim.sim import (
     SimConfig,
     Trace,
     TraceRecord,
-    build_network,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
     dsr_decide,
     load_config,
     run,
+    source_split,
 )
 
 from reference_engine import run_reference
@@ -39,6 +39,13 @@ from reference_engine import run_reference
 
 def constant(value):
     return RateFunction(RateKind.CONSTANT, value)
+
+
+def trace_rows(trace, tmp_path):
+    """Emitted trace CSV rows as lists of cells, header dropped."""
+    dest = tmp_path / "trace.csv"
+    emit_trace_csv(trace, dest)
+    return [line.split(",") for line in dest.read_text(encoding="utf-8").split("\n")[1:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,24 @@ def test_config_from_dict_rejects_non_integer_and_bool():
         config_from_dict(["epochs", 2])
 
 
+@pytest.mark.parametrize(
+    "raw, field_name",
+    [
+        ({"self_rate_fn": "constant:inf"}, "self_rate_fn"),
+        ({"neighbor_rate_fn": "constant:nan"}, "neighbor_rate_fn"),
+        ({"neighbor_rate_fn": "linear_increasing:0:inf"}, "neighbor_rate_fn"),
+        ({"data_rate": float("inf")}, "data_rate"),
+        ({"epoch_length": float("nan")}, "epoch_length"),
+        ({"epoch_length": 1e308}, "epoch_length"),
+    ],
+)
+def test_config_from_dict_rejects_non_finite_naming_the_field(raw, field_name):
+    # Each of these used to pass validation and fail mid-run with "cannot
+    # convert float infinity to integer", naming no field.
+    with pytest.raises(InvalidConfigError, match=field_name):
+        config_from_dict({"epochs": 3, **raw})
+
+
 def test_config_from_dict_accepts_integral_float():
     assert config_from_dict({"epochs": 3.0}).epochs == 3
 
@@ -220,31 +245,11 @@ def test_load_config_missing_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# network construction
-
-
-def test_build_network_star_shape():
-    net = build_network(SimConfig(epochs=1, neighbor_count=1))
-    assert len(net.nodes) == 2
-    assert net.links == [(0, 1)]
-
-    net = build_network(SimConfig(epochs=1))
-    assert len(net.nodes) == 9
-    assert net.links == [(0, i) for i in range(1, 9)]
-    for node in net.nodes:
-        assert node.energy_remaining == 1000
-        assert node.self_backlog == 0
-        assert node.neighbor_backlog == 0
-        assert node.self_stats.offered == 0
-        assert node.neighbor_stats.forwarded == 0
-
-
-# ---------------------------------------------------------------------------
 # policy pieces
 
 
 def test_ctc_split_starved_self_clamps():
-    node = NodeState(node_id=0, energy_remaining=0)
+    node = NodeState(energy_remaining=0)
     node.neighbor_queue.append([0, 40])
     budget = ctc_split(node, 1.0, 0.05)
     assert budget.t_np == 0.95
@@ -253,7 +258,7 @@ def test_ctc_split_starved_self_clamps():
 
 
 def test_ctc_split_even_backlogs():
-    node = NodeState(node_id=0, energy_remaining=0)
+    node = NodeState(energy_remaining=0)
     node.self_queue.append([0, 30])
     node.neighbor_queue.append([0, 30])
     budget = ctc_split(node, 1.0, 0.05)
@@ -262,7 +267,7 @@ def test_ctc_split_even_backlogs():
 
 
 def test_ctc_split_proportional_with_scaled_epoch():
-    node = NodeState(node_id=0, energy_remaining=0)
+    node = NodeState(energy_remaining=0)
     node.self_queue.append([0, 10])
     node.neighbor_queue.append([0, 30])
     budget = ctc_split(node, 2.0, 0.05)
@@ -271,21 +276,21 @@ def test_ctc_split_proportional_with_scaled_epoch():
 
 
 def test_ctc_split_empty_queues_even_split():
-    node = NodeState(node_id=0, energy_remaining=0)
+    node = NodeState(energy_remaining=0)
     budget = ctc_split(node, 1.0, 0.05)
     assert budget.t_pp == 0.5
     assert budget.t_np == 0.5
 
 
 def test_dsr_decide_self_always_forwards():
-    node = NodeState(node_id=0, energy_remaining=0)
+    node = NodeState(energy_remaining=0)
     packet = Packet(0, PacketClass.SELF, 0, 2)
     assert dsr_decide(node, packet) is Decision.FORWARD
     assert node.energy_remaining == 0
 
 
 def test_dsr_decide_neighbor_spends_energy_then_drops():
-    node = NodeState(node_id=0, energy_remaining=2)
+    node = NodeState(energy_remaining=2)
     packet = Packet(0, PacketClass.NEIGHBOR, 0, 2)
     assert dsr_decide(node, packet) is Decision.FORWARD
     assert dsr_decide(node, packet) is Decision.FORWARD
@@ -303,16 +308,20 @@ def test_run_zero_epochs_is_empty():
     assert trace.records == ()
 
 
-def test_run_zero_rates_all_counters_zero():
+def test_run_zero_rates_all_counters_zero(tmp_path):
     trace = run(SimConfig(epochs=5, base_drop_prob=0.0))
     for record in trace.records:
-        for snap in record.nodes:
-            assert snap.offered_self == snap.offered_neighbor == 0
-            assert snap.forwarded_self == snap.forwarded_neighbor == 0
-            assert snap.dropped_self == snap.dropped_neighbor == 0
-            assert snap.queued_self == snap.queued_neighbor == 0
-            assert snap.drop_ratio_self == 0.0
-            assert snap.drop_ratio_neighbor == 0.0
+        assert record.offered_self == record.offered_neighbor == 0
+        assert record.forwarded_self == record.forwarded_neighbor == 0
+        assert record.dropped_self == record.dropped_neighbor == 0
+        assert record.queued_self == record.queued_neighbor == 0
+        assert record.drop_ratio_self == 0.0
+        assert record.drop_ratio_neighbor == 0.0
+    rows = trace_rows(trace, tmp_path)
+    assert len(rows) == 5 * 9
+    for row in rows:
+        assert row[2:10] == ["0"] * 8
+        assert row[12:] == ["0.000000", "0.000000"]
 
 
 def test_run_single_epoch_small_load():
@@ -324,7 +333,7 @@ def test_run_single_epoch_small_load():
         self_rate_fn=constant(10),
         neighbor_rate_fn=constant(10),
     )
-    target = run(cfg).records[0].nodes[0]
+    target = run(cfg).records[0]
     assert target.offered_self == 10
     assert target.offered_neighbor == 10
     assert target.forwarded_self == 10
@@ -345,7 +354,7 @@ def test_run_ctc_burst_backlog_and_deadline_drop():
         neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 2000.0, 2000.0),
     )
     trace = run(cfg)
-    t0, t1, t2 = (record.nodes[0] for record in trace.records)
+    t0, t1, t2 = trace.records
 
     assert t0.offered_neighbor == 2000
     assert t0.forwarded_neighbor == 950
@@ -363,8 +372,8 @@ def test_run_ctc_burst_backlog_and_deadline_drop():
     assert t2.queued_neighbor == 0
     assert t2.drop_ratio_neighbor == pytest.approx(100 / 2000)
 
-    total_fwd = sum(r.nodes[0].forwarded_neighbor for r in trace.records)
-    total_drop = sum(r.nodes[0].dropped_neighbor for r in trace.records)
+    total_fwd = sum(r.forwarded_neighbor for r in trace.records)
+    total_drop = sum(r.dropped_neighbor for r in trace.records)
     assert total_fwd == 1900
     assert total_drop == 100
 
@@ -381,20 +390,19 @@ def test_run_dsr_energy_exhaustion_timeline():
         neighbor_rate_fn=constant(160),
     )
     trace = run(cfg)
-    per_epoch = [(r.nodes[0].forwarded_neighbor, r.nodes[0].dropped_neighbor) for r in trace.records]
+    per_epoch = [(r.forwarded_neighbor, r.dropped_neighbor) for r in trace.records]
     assert per_epoch[:6] == [(160, 0)] * 6
     assert per_epoch[6] == (40, 120)
     assert per_epoch[7] == (0, 160)
     assert per_epoch[8] == (0, 160)
     for record in trace.records:
-        target = record.nodes[0]
-        assert target.forwarded_self == 100
-        assert target.dropped_self == 0
-        assert target.t_pp == pytest.approx(0.1)
-        assert target.t_np == pytest.approx(0.9)
+        assert record.forwarded_self == 100
+        assert record.dropped_self == 0
+        assert record.t_pp == pytest.approx(0.1)
+        assert record.t_np == pytest.approx(0.9)
 
 
-def test_time_split_sums_to_epoch_everywhere():
+def test_time_split_sums_to_epoch_everywhere(tmp_path):
     cfg = SimConfig(
         epochs=30,
         data_rate=50.0,
@@ -403,22 +411,36 @@ def test_time_split_sums_to_epoch_everywhere():
         neighbor_rate_fn=constant(30),
         seed=3,
     )
-    for record in run(cfg).records:
-        for snap in record.nodes:
-            assert abs(snap.t_pp + snap.t_np - 1.0) <= 1e-12
-            if snap.node_id != 0:
-                assert snap.t_pp == 1.0
-                assert snap.t_np == 0.0
+    trace = run(cfg)
+    for record in trace.records:
+        assert abs(record.t_pp + record.t_np - 1.0) <= 1e-12
+    source_rows = [row for row in trace_rows(trace, tmp_path) if row[1] != "0"]
+    assert len(source_rows) == 30 * 8
+    for row in source_rows:
+        assert float(row[10]) == 1.0
+        assert float(row[11]) == 0.0
 
 
-def test_sources_report_generated_traffic():
+def test_sources_report_generated_traffic(tmp_path):
     # 13 neighbor packets over 4 sources in one epoch: round-robin gives
-    # 4,3,3,3 and sources forward their own output immediately.
-    cfg = SimConfig(epochs=1, neighbor_count=4, base_drop_prob=0.0, neighbor_rate_fn=constant(13))
-    record = run(cfg).records[0]
-    source_counts = [(s.offered_self, s.forwarded_self) for s in record.nodes[1:]]
+    # 4,3,3,3 and sources forward their own output immediately, relay
+    # nothing, hold no queue and spend the whole epoch on their own traffic.
+    cfg = SimConfig(
+        epochs=1, epoch_length=0.5, neighbor_count=4, base_drop_prob=0.0, neighbor_rate_fn=constant(13)
+    )
+    trace = run(cfg)
+    assert trace.records[0].offered_neighbor == 13
+    assert source_split(13, 4) == [4, 3, 3, 3]
+    rows = trace_rows(trace, tmp_path)
+    assert [row[1] for row in rows] == ["0", "1", "2", "3", "4"]
+    source_counts = [(int(row[2]), int(row[4])) for row in rows[1:]]
     assert source_counts == [(4, 4), (3, 3), (3, 3), (3, 3)]
-    assert record.nodes[0].offered_neighbor == 13
+    for row in rows[1:]:
+        assert row[3] == row[5] == "0"  # no relay traffic offered or forwarded
+        assert row[6] == row[7] == "0"  # no drops
+        assert row[8] == row[9] == "0"  # empty queues
+        assert float(row[10]) == cfg.epoch_length
+        assert float(row[11]) == 0.0
 
 
 def test_run_is_deterministic_for_equal_configs():
@@ -443,7 +465,7 @@ def test_run_seed_changes_ambient_losses():
     )
     a = run(SimConfig(seed=1, **cfg))
     b = run(SimConfig(seed=2, **cfg))
-    fwd = lambda t: sum(r.nodes[0].forwarded_self for r in t.records)
+    fwd = lambda t: sum(r.forwarded_self for r in t.records)
     assert fwd(a) != fwd(b)
 
 
@@ -471,10 +493,10 @@ def test_conservation_random_configs(policy, seed, data_rate, self_rate, nbr_rat
         neighbor_rate_fn=constant(nbr_rate),
     )
     trace = run(cfg)
-    last = trace.records[-1].nodes[0]
-    offered = sum(r.nodes[0].offered_neighbor for r in trace.records)
-    forwarded = sum(r.nodes[0].forwarded_neighbor for r in trace.records)
-    dropped = sum(r.nodes[0].dropped_neighbor for r in trace.records)
+    last = trace.records[-1]
+    offered = sum(r.offered_neighbor for r in trace.records)
+    forwarded = sum(r.forwarded_neighbor for r in trace.records)
+    dropped = sum(r.dropped_neighbor for r in trace.records)
     assert offered == forwarded + dropped + last.queued_neighbor
 
 
@@ -498,8 +520,7 @@ def test_engine_matches_packet_level_reference(policy, seed):
     trace = run(cfg)
     ref_node, ref_epochs = run_reference(cfg)
     assert len(trace.records) == len(ref_epochs)
-    for record, ref in zip(trace.records, ref_epochs):
-        snap = record.nodes[0]
+    for snap, ref in zip(trace.records, ref_epochs):
         assert snap.offered_self == ref.offered_self
         assert snap.offered_neighbor == ref.offered_neighbor
         assert snap.forwarded_self == ref.forwarded_self
@@ -510,7 +531,7 @@ def test_engine_matches_packet_level_reference(policy, seed):
         assert snap.queued_neighbor == ref.queued_neighbor
         assert snap.t_pp == ref.t_pp
         assert snap.t_np == ref.t_np
-    last = trace.records[-1].nodes[0]
+    last = trace.records[-1]
     assert last.drop_ratio_neighbor == pytest.approx(
         ref_node.dropped_neighbor / ref_node.offered_neighbor
     )
@@ -531,8 +552,7 @@ def test_engine_matches_reference_under_ramps(policy):
     )
     trace = run(cfg)
     ref_node, ref_epochs = run_reference(cfg)
-    for record, ref in zip(trace.records, ref_epochs):
-        snap = record.nodes[0]
+    for snap, ref in zip(trace.records, ref_epochs):
         assert (snap.forwarded_self, snap.forwarded_neighbor) == (ref.forwarded_self, ref.forwarded_neighbor)
         assert (snap.dropped_self, snap.dropped_neighbor) == (ref.dropped_self, ref.dropped_neighbor)
         assert (snap.queued_self, snap.queued_neighbor) == (ref.queued_self, ref.queued_neighbor)
@@ -543,7 +563,7 @@ def test_engine_matches_reference_under_ramps(policy):
 
 
 def _synthetic_trace(offered_dropped, window_epochs=10, threshold=0.5):
-    """One-node trace with one record per (offered, dropped) pair."""
+    """Trace with one record per (offered, dropped) pair."""
     cfg = SimConfig(
         epochs=len(offered_dropped),
         neighbor_count=1,
@@ -556,8 +576,8 @@ def _synthetic_trace(offered_dropped, window_epochs=10, threshold=0.5):
     for epoch, (offered, dropped) in enumerate(offered_dropped):
         cum_offered += offered
         cum_dropped += dropped
-        snap = NodeSnapshot(
-            node_id=0,
+        record = TraceRecord(
+            epoch=epoch,
             offered_self=0,
             offered_neighbor=offered,
             forwarded_self=0,
@@ -571,7 +591,7 @@ def _synthetic_trace(offered_dropped, window_epochs=10, threshold=0.5):
             drop_ratio_self=0.0,
             drop_ratio_neighbor=cum_dropped / cum_offered if cum_offered else 0.0,
         )
-        records.append(TraceRecord(epoch=epoch, nodes=(snap,)))
+        records.append(record)
     return Trace(config=cfg, records=tuple(records))
 
 
