@@ -60,16 +60,18 @@ from .sim import (
     Policy,
     RateFunction,
     RateKind,
+    Schedule,
     SimConfig,
     Trace,
-    TraceRecord,
     WindowRatio,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
     dsr_decide,
     load_config,
+    realize,
     run,
+    schedule,
     step,
 )
 from .utilization import (

@@ -114,13 +114,10 @@ def _cmd_sim_run(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     trace = run(config)
     written = emit_trace_csv(trace, args.out)
-    if trace.records:
-        target = trace.records[-1]
-        print(f"epochs                {len(trace.records)}")
-        print(f"drop_ratio_self       {target.drop_ratio_self:.6f}")
-        print(f"drop_ratio_neighbor   {target.drop_ratio_neighbor:.6f}")
-    else:
-        print("epochs                0")
+    print(f"epochs                {config.epochs}")
+    if config.epochs:
+        print(f"drop_ratio_self       {trace.drop_ratio_self[-1]:.6f}")
+        print(f"drop_ratio_neighbor   {trace.drop_ratio_neighbor[-1]:.6f}")
     print(f"wrote {args.out} ({written} bytes)")
     return 0
 

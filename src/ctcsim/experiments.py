@@ -33,9 +33,11 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
-from .sim import Policy, RateFunction, RateKind, SimConfig, classify_misbehavior, run
+from .sim import Policy, RateFunction, RateKind, SimConfig, Trace, classify_misbehavior, realize, schedule
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -162,21 +164,21 @@ class ResultTable:
     rows: tuple[ResultRow, ...]
 
 
-def _summarize(case_id: str, algorithm: Policy, sweep_value: int, config: SimConfig) -> ResultRow:
-    trace = run(config)
-    offered_self = offered_nbr = 0
-    forwarded_self = forwarded_nbr = 0
-    dropped_self = dropped_nbr = 0
-    t_pp_total = t_np_total = 0.0
-    for record in trace.records:
-        offered_self += record.offered_self
-        offered_nbr += record.offered_neighbor
-        forwarded_self += record.forwarded_self
-        forwarded_nbr += record.forwarded_neighbor
-        dropped_self += record.dropped_self
-        dropped_nbr += record.dropped_neighbor
-        t_pp_total += record.t_pp
-        t_np_total += record.t_np
+def _running_total(column) -> float:
+    """Sum in epoch order; utilization bytes depend on float summation order."""
+    return float(np.cumsum(column)[-1]) if column.size else 0.0
+
+
+def _summarize(case_id: str, algorithm: Policy, sweep_value: int, trace: Trace) -> ResultRow:
+    config = trace.config
+    offered_self = int(trace.offered_self.sum())
+    offered_nbr = int(trace.offered_neighbor.sum())
+    forwarded_self = int(trace.forwarded_self.sum())
+    forwarded_nbr = int(trace.forwarded_neighbor.sum())
+    dropped_self = int(trace.dropped_self.sum())
+    dropped_nbr = int(trace.dropped_neighbor.sum())
+    t_pp_total = _running_total(trace.t_pp)
+    t_np_total = _running_total(trace.t_np)
 
     drop_ratio = dropped_nbr / offered_nbr if offered_nbr > 0 else 0.0
     malicious = classify_misbehavior(trace).malicious_fraction
@@ -214,8 +216,10 @@ def run_case(spec: CaseSpec) -> ResultTable:
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
-            for seed in spec.seeds:
-                config = SimConfig(
+            # The queue pass does not depend on the seed: run it once per
+            # grid point and draw only the losses per seed.
+            plan = schedule(
+                SimConfig(
                     epochs=params.epochs,
                     data_rate=params.service_rate,
                     base_drop_prob=params.ambient_drop,
@@ -223,11 +227,12 @@ def run_case(spec: CaseSpec) -> ResultTable:
                     misbehavior_threshold=params.misbehavior_threshold,
                     window_epochs=params.window,
                     policy=algorithm,
-                    seed=seed,
                     self_rate_fn=spec.self_rate_fn(sweep_value),
                     neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
                 )
-                rows.append(_summarize(spec.case_id, algorithm, sweep_value, config))
+            )
+            for seed in spec.seeds:
+                rows.append(_summarize(spec.case_id, algorithm, sweep_value, realize(plan, seed)))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))
 

@@ -221,12 +221,13 @@ def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
     config = trace.config
     source_tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000"
     lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.records:
+    # After epoch and node_id, the CSV columns are the Trace fields in order.
+    rows = zip(*(getattr(trace, name).tolist() for name in TRACE_COLUMNS[2:]))
+    for epoch, (off_s, off_n, fwd_s, fwd_n, drop_s, drop_n, q_s, q_n, t_pp, t_np, ratio_s, ratio_n) in enumerate(rows):
         lines.append(
-            f"{r.epoch},0,{r.offered_self},{r.offered_neighbor},{r.forwarded_self},{r.forwarded_neighbor},"
-            f"{r.dropped_self},{r.dropped_neighbor},{r.queued_self},{r.queued_neighbor},"
-            f"{r.t_pp:.6f},{r.t_np:.6f},{r.drop_ratio_self:.6f},{r.drop_ratio_neighbor:.6f}"
+            f"{epoch},0,{off_s},{off_n},{fwd_s},{fwd_n},{drop_s},{drop_n},{q_s},{q_n},"
+            f"{t_pp:.6f},{t_np:.6f},{ratio_s:.6f},{ratio_n:.6f}"
         )
-        for node_id, sent in enumerate(source_split(r.offered_neighbor, config.neighbor_count), start=1):
-            lines.append(f"{r.epoch},{node_id},{sent},0,{sent}{source_tail}")
+        for node_id, sent in enumerate(source_split(off_n, config.neighbor_count), start=1):
+            lines.append(f"{epoch},{node_id},{sent},0,{sent}{source_tail}")
     return _write_lines(lines, dest)

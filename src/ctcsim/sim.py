@@ -17,6 +17,19 @@ The two policies:
   leftover capacity only while it has energy credits; once the budget is
   spent, every serviced neighbor packet is dropped.
 
+A run has two stages. ``schedule`` steps the target through every epoch
+without a random number: deadline discard, arrivals, the ``ctc`` split,
+``dsr`` energy use and gate drops. ``realize`` then draws the ambient losses
+of a whole run in one ``binomial`` call and derives the forwarded, dropped
+and cumulative-ratio columns with array operations. The split is exact
+because a lost packet has already left its queue: loss moves a transmitted
+packet from "forwarded" to "dropped" and feeds back into nothing the next
+epoch reads (queues, backlogs, energy). So one schedule serves every seed of
+a grid point. The draw array interleaves ``[serviced_self[e],
+attempts_neighbor[e]]`` per epoch, the order in which one scalar draw per
+class per epoch would consume the generator's stream, also when a count is
+zero, so the stream position never depends on load or policy.
+
 Determinism contract: a run is a pure function of its config, including the
 seed. The engine queues cohorts ``[created_epoch, count]`` instead of packet
 objects so epochs cost O(1); the per-packet semantics live in ``Packet``,
@@ -30,7 +43,7 @@ import enum
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Deque
 
@@ -54,9 +67,11 @@ __all__ = [
     "dsr_decide",
     "source_split",
     "step",
+    "Schedule",
+    "schedule",
+    "realize",
     "run",
     "Trace",
-    "TraceRecord",
     "MisbehaviorStats",
     "WindowRatio",
     "classify_misbehavior",
@@ -144,6 +159,7 @@ class RateFunction:
 
 
 _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -195,6 +211,18 @@ class SimConfig:
                 raise InvalidConfigError(message)
         if not isinstance(self.policy, Policy):
             raise InvalidConfigError(f"policy must be a Policy, got {self.policy!r}")
+        # The trace keeps per-epoch counts and their running sums in int64,
+        # and numpy's binomial takes int64 counts: bound both here rather
+        # than let them wrap or fail mid-run.
+        if round(self.data_rate * self.epoch_length) > _INT64_MAX:
+            raise InvalidConfigError("per-epoch capacity data_rate * epoch_length must fit in a signed 64-bit integer")
+        for name in ("self_rate_fn", "neighbor_rate_fn"):
+            fn = getattr(self, name)
+            peak = fn.rate(max(self.epochs - 1, 0) if fn.kind is RateKind.LINEAR_INCREASING else 0)
+            if not math.isfinite(peak) or round(peak) * self.epochs > _INT64_MAX:
+                raise InvalidConfigError(
+                    f"{name}: {self.epochs} epochs at up to {peak:g} packets each overflow a signed 64-bit count"
+                )
 
 
 _CONFIG_FIELDS = {
@@ -235,13 +263,20 @@ def config_from_dict(raw: dict) -> SimConfig:
     kwargs: dict = {}
     for key, value in raw.items():
         if key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or (isinstance(value, float) and not value.is_integer())
+            ):
                 raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
             kwargs[key] = int(value)
         elif key in _FLOAT_FIELDS:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidConfigError(f"{key} must be a number, got {value!r}")
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = float(value)
+            except OverflowError:
+                raise InvalidConfigError(f"{key} is too large for a float") from None
         elif key == "policy":
             if not isinstance(value, str):
                 raise InvalidConfigError(f"policy must be a string, got {value!r}")
@@ -280,17 +315,8 @@ class Packet:
 
 
 @dataclass
-class ClassCounters:
-    """Cumulative per-class accounting for one node."""
-
-    offered: int = 0
-    forwarded: int = 0
-    dropped: int = 0
-
-
-@dataclass
 class NodeState:
-    """Queues, energy and counters of the target node.
+    """Queues and energy of the target node.
 
     Queue entries in the engine are cohorts ``[created_epoch, count]`` in FIFO
     order; ``self_backlog``/``neighbor_backlog`` report the packet totals, so
@@ -300,8 +326,6 @@ class NodeState:
     energy_remaining: int
     self_queue: Deque[list] = field(default_factory=deque)
     neighbor_queue: Deque[list] = field(default_factory=deque)
-    self_stats: ClassCounters = field(default_factory=ClassCounters)
-    neighbor_stats: ClassCounters = field(default_factory=ClassCounters)
 
     @property
     def self_backlog(self) -> int:
@@ -343,31 +367,6 @@ def dsr_decide(node: NodeState, packet: Packet) -> Decision:
     return Decision.DROP
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One epoch at the target: this-epoch deltas plus cumulative ratios."""
-
-    epoch: int
-    offered_self: int
-    offered_neighbor: int
-    forwarded_self: int
-    forwarded_neighbor: int
-    dropped_self: int
-    dropped_neighbor: int
-    queued_self: int
-    queued_neighbor: int
-    t_pp: float
-    t_np: float
-    drop_ratio_self: float
-    drop_ratio_neighbor: float
-
-
-@dataclass(frozen=True)
-class Trace:
-    config: SimConfig
-    records: tuple[TraceRecord, ...]
-
-
 def _pop_fifo(queue: Deque[list], count: int) -> int:
     """Remove up to ``count`` packets from the cohort queue, oldest first."""
     taken = 0
@@ -390,10 +389,6 @@ def _discard_expired(queue: Deque[list], cutoff: int) -> int:
     return dropped
 
 
-def _ratio(dropped: int, offered: int) -> float:
-    return dropped / offered if offered > 0 else 0.0
-
-
 def source_split(arrivals: int, neighbor_count: int) -> list[int]:
     """Per-source share of one epoch's neighbor arrivals, sources 1..n in order.
 
@@ -404,14 +399,65 @@ def source_split(arrivals: int, neighbor_count: int) -> list[int]:
     return [base + 1] * extra + [base] * (neighbor_count - extra)
 
 
-def step(target: NodeState, config: SimConfig, epoch_index: int, rng: np.random.Generator) -> TraceRecord:
-    """Advance the target one epoch and record it.
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """The seed-free part of a run: one entry per epoch at the target.
+
+    ``serviced_self`` and ``attempts_neighbor`` are the packets transmitted,
+    each facing one ambient-loss coin. ``dropped_before_loss_*`` are the
+    drops decided before the coin: deadline expiry, plus ``dsr`` gate drops
+    on the neighbor side. Counts are int64, times float64.
+    """
+
+    config: SimConfig
+    offered_self: np.ndarray
+    offered_neighbor: np.ndarray
+    serviced_self: np.ndarray
+    attempts_neighbor: np.ndarray
+    dropped_before_loss_self: np.ndarray
+    dropped_before_loss_neighbor: np.ndarray
+    queued_self: np.ndarray
+    queued_neighbor: np.ndarray
+    t_pp: np.ndarray
+    t_np: np.ndarray
+
+    def __post_init__(self) -> None:
+        # One schedule serves every seed of a grid point, and its traces
+        # share its arrays: freeze them.
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One run at the target as per-epoch columns, indexed by epoch.
+
+    Counts are this-epoch deltas (queues: end-of-epoch depth) in int64;
+    ``t_pp``/``t_np`` and the cumulative drop ratios are float64.
+    """
+
+    config: SimConfig
+    offered_self: np.ndarray
+    offered_neighbor: np.ndarray
+    forwarded_self: np.ndarray
+    forwarded_neighbor: np.ndarray
+    dropped_self: np.ndarray
+    dropped_neighbor: np.ndarray
+    queued_self: np.ndarray
+    queued_neighbor: np.ndarray
+    t_pp: np.ndarray
+    t_np: np.ndarray
+    drop_ratio_self: np.ndarray
+    drop_ratio_neighbor: np.ndarray
+
+
+def step(target: NodeState, config: SimConfig, epoch_index: int) -> tuple:
+    """Advance the target one epoch, up to the ambient-loss coin.
 
     Fixed phase order: (a) deadline discard, (b) arrivals, (c) service split
-    per policy, (d) ambient loss on every transmitted packet, (e) counter
-    update and conservation check. Two binomial draws per epoch, always in
-    the same order and also when the attempt count is zero, so the stream
-    position never depends on load or policy.
+    per policy. Returns the epoch's ``Schedule`` fields in field order:
+    offered per class, ``serviced_self``, ``attempts_neighbor``, drops before
+    loss per class, end-of-epoch queue depth per class, ``t_pp``, ``t_np``.
     """
     epoch_t = config.epoch_length
 
@@ -427,10 +473,8 @@ def step(target: NodeState, config: SimConfig, epoch_index: int, rng: np.random.
     arrivals_nbr = int(round(config.neighbor_rate_fn.rate(epoch_index)))
     if arrivals_self > 0:
         target.self_queue.append([epoch_index, arrivals_self])
-    target.self_stats.offered += arrivals_self
     if arrivals_nbr > 0:
         target.neighbor_queue.append([epoch_index, arrivals_nbr])
-    target.neighbor_stats.offered += arrivals_nbr
 
     # (c) service. Capacity is data_rate packets/second over the epoch.
     capacity = int(round(config.data_rate * epoch_t))
@@ -440,14 +484,12 @@ def step(target: NodeState, config: SimConfig, epoch_index: int, rng: np.random.
         share_np = budget.t_np / epoch_t
         cap_self = math.floor((1.0 - share_np) * capacity)
         cap_nbr = math.floor(share_np * capacity)
-        serviced_self = _pop_fifo(target.self_queue, min(cap_self, target.self_backlog))
-        serviced_nbr = _pop_fifo(target.neighbor_queue, min(cap_nbr, target.neighbor_backlog))
-        attempts_nbr = serviced_nbr
+        serviced_self = _pop_fifo(target.self_queue, cap_self)
+        attempts_nbr = _pop_fifo(target.neighbor_queue, cap_nbr)
         t_pp, t_np = budget.t_pp, budget.t_np
     else:
-        serviced_self = _pop_fifo(target.self_queue, min(capacity, target.self_backlog))
-        remaining = capacity - serviced_self
-        serviced_nbr = _pop_fifo(target.neighbor_queue, min(remaining, target.neighbor_backlog))
+        serviced_self = _pop_fifo(target.self_queue, capacity)
+        serviced_nbr = _pop_fifo(target.neighbor_queue, capacity - serviced_self)
         # Bulk form of dsr_decide over the serviced neighbor packets: forward
         # while credits last, drop the rest.
         attempts_nbr = min(serviced_nbr, target.energy_remaining)
@@ -458,46 +500,90 @@ def step(target: NodeState, config: SimConfig, epoch_index: int, rng: np.random.
         t_pp = epoch_t * (serviced_self / capacity) if capacity > 0 else 0.0
         t_np = epoch_t - t_pp
 
-    # (d) ambient loss: one coin per transmitted packet, drawn as a binomial
-    # per class. Both draws always happen to keep the stream aligned.
-    lost_self = int(rng.binomial(serviced_self, config.base_drop_prob))
-    lost_nbr = int(rng.binomial(attempts_nbr, config.base_drop_prob))
+    return (
+        arrivals_self,
+        arrivals_nbr,
+        serviced_self,
+        attempts_nbr,
+        expired_self,
+        expired_nbr + gate_dropped,
+        target.self_backlog,
+        target.neighbor_backlog,
+        t_pp,
+        t_np,
+    )
 
-    # (e) counters.
-    stats_s, stats_n = target.self_stats, target.neighbor_stats
-    stats_s.forwarded += serviced_self - lost_self
-    stats_s.dropped += expired_self + lost_self
-    stats_n.forwarded += attempts_nbr - lost_nbr
-    stats_n.dropped += expired_nbr + gate_dropped + lost_nbr
-    queued_self = target.self_backlog
-    queued_nbr = target.neighbor_backlog
-    if stats_s.offered != stats_s.forwarded + stats_s.dropped + queued_self:
-        raise RuntimeError(f"self-class conservation violated at the target, epoch {epoch_index}")
-    if stats_n.offered != stats_n.forwarded + stats_n.dropped + queued_nbr:
-        raise RuntimeError(f"neighbor-class conservation violated at the target, epoch {epoch_index}")
-    return TraceRecord(
-        epoch=epoch_index,
-        offered_self=arrivals_self,
-        offered_neighbor=arrivals_nbr,
-        forwarded_self=serviced_self - lost_self,
-        forwarded_neighbor=attempts_nbr - lost_nbr,
-        dropped_self=expired_self + lost_self,
-        dropped_neighbor=expired_nbr + gate_dropped + lost_nbr,
-        queued_self=queued_self,
-        queued_neighbor=queued_nbr,
-        t_pp=t_pp,
-        t_np=t_np,
-        drop_ratio_self=_ratio(stats_s.dropped, stats_s.offered),
-        drop_ratio_neighbor=_ratio(stats_n.dropped, stats_n.offered),
+
+def schedule(config: SimConfig) -> Schedule:
+    """Step a fresh target through every epoch; no random number is drawn."""
+    target = NodeState(energy_remaining=config.energy_budget)
+    rows = [step(target, config, e) for e in range(config.epochs)]
+    *counts, t_pp, t_np = zip(*rows) if rows else [()] * 10
+    return Schedule(
+        config,
+        *(np.array(c, dtype=np.int64) for c in counts),
+        np.array(t_pp, dtype=np.float64),
+        np.array(t_np, dtype=np.float64),
+    )
+
+
+def _realize_class(offered, sent, dropped_before_loss, queued, lost):
+    """Forwarded, dropped and cumulative drop-ratio columns of one class.
+
+    Also returns the epochs at which cumulative conservation (offered =
+    forwarded + dropped + queued) fails, as a boolean mask.
+    """
+    forwarded = sent - lost
+    dropped = dropped_before_loss + lost
+    cum_offered = np.cumsum(offered)
+    cum_dropped = np.cumsum(dropped)
+    broken = cum_offered != np.cumsum(forwarded) + cum_dropped + queued
+    # int64 sums below 2**53 convert to float64 exactly, so this matches
+    # Python's int / int there.
+    ratio = np.divide(cum_dropped, cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
+    return forwarded, dropped, ratio, broken
+
+
+def realize(plan: Schedule, seed: int) -> Trace:
+    """Draw the ambient losses of one run over a schedule and build its trace."""
+    config = replace(plan.config, seed=seed)
+    # One coin per transmitted packet, drawn as one binomial per class per
+    # epoch, self first; the array draw consumes the stream in that order.
+    sent = np.empty(2 * config.epochs, dtype=np.int64)
+    sent[0::2] = plan.serviced_self
+    sent[1::2] = plan.attempts_neighbor
+    lost = np.random.default_rng(seed).binomial(sent, config.base_drop_prob)
+    fwd_s, drop_s, ratio_s, broken_s = _realize_class(
+        plan.offered_self, plan.serviced_self, plan.dropped_before_loss_self, plan.queued_self, lost[0::2]
+    )
+    fwd_n, drop_n, ratio_n, broken_n = _realize_class(
+        plan.offered_neighbor, plan.attempts_neighbor, plan.dropped_before_loss_neighbor, plan.queued_neighbor, lost[1::2]
+    )
+    broken = np.flatnonzero(broken_s | broken_n)
+    if broken.size:
+        epoch = int(broken[0])
+        name = "self" if broken_s[epoch] else "neighbor"
+        raise RuntimeError(f"{name}-class conservation violated at the target, epoch {epoch}")
+    return Trace(
+        config=config,
+        offered_self=plan.offered_self,
+        offered_neighbor=plan.offered_neighbor,
+        forwarded_self=fwd_s,
+        forwarded_neighbor=fwd_n,
+        dropped_self=drop_s,
+        dropped_neighbor=drop_n,
+        queued_self=plan.queued_self,
+        queued_neighbor=plan.queued_neighbor,
+        t_pp=plan.t_pp,
+        t_np=plan.t_np,
+        drop_ratio_self=ratio_s,
+        drop_ratio_neighbor=ratio_n,
     )
 
 
 def run(config: SimConfig) -> Trace:
     """Run the configured number of epochs from a fresh target."""
-    target = NodeState(energy_remaining=config.energy_budget)
-    rng = np.random.default_rng(config.seed)
-    records = tuple(step(target, config, e, rng) for e in range(config.epochs))
-    return Trace(config=config, records=records)
+    return realize(schedule(config), config.seed)
 
 
 @dataclass(frozen=True)
@@ -528,7 +614,8 @@ def classify_misbehavior(trace: Trace, threshold: float | None = None, window: i
     exceeds ``threshold``. Sources are never offered relay traffic, so they
     never qualify. Defaults come from the trace's config.
     """
-    if not trace.records:
+    epochs = trace.offered_neighbor.size
+    if epochs == 0:
         raise EmptyTraceError("cannot classify an empty trace")
     theta = trace.config.misbehavior_threshold if threshold is None else threshold
     w = trace.config.window_epochs if window is None else window
@@ -537,14 +624,14 @@ def classify_misbehavior(trace: Trace, threshold: float | None = None, window: i
     if w < 1:
         raise InvalidConfigError(f"window must be >= 1, got {w}")
 
+    starts = np.arange(0, epochs, w)
+    offered_sums = np.add.reduceat(trace.offered_neighbor, starts).tolist()
+    dropped_sums = np.add.reduceat(trace.dropped_neighbor, starts).tolist()
     ratios: list[WindowRatio] = []
     flagged = 0
-    for w_index, start in enumerate(range(0, len(trace.records), w)):
-        chunk = trace.records[start : start + w]
-        offered = sum(r.offered_neighbor for r in chunk)
+    for w_index, (offered, dropped) in enumerate(zip(offered_sums, dropped_sums)):
         if offered == 0:
             continue
-        dropped = sum(r.dropped_neighbor for r in chunk)
         ratio = dropped / offered
         is_flagged = ratio > theta
         flagged += is_flagged

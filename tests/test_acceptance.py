@@ -117,8 +117,8 @@ def test_criterion_3_time_split_is_exact(tmp_path):
     )
     trace = run(config)
     worst = 0.0
-    for record in trace.records:
-        worst = max(worst, abs(record.t_pp + record.t_np - config.epoch_length))
+    for t_pp, t_np in zip(trace.t_pp.tolist(), trace.t_np.tolist()):
+        worst = max(worst, abs(t_pp + t_np - config.epoch_length))
     # Source rows are derived at emission; read them back from the trace CSV.
     dest = tmp_path / "trace.csv"
     emit_trace_csv(trace, dest)
@@ -284,10 +284,9 @@ def test_criterion_9_loss_floor_realized():
         neighbor_rate_fn=constant(400),
         seed=0,
     )
-    dropped = offered = 0
-    for record in run(config).records:
-        dropped += record.dropped_self + record.dropped_neighbor
-        offered += record.offered_self + record.offered_neighbor
+    trace = run(config)
+    dropped = int(trace.dropped_self.sum() + trace.dropped_neighbor.sum())
+    offered = int(trace.offered_self.sum() + trace.offered_neighbor.sum())
     realized = dropped / offered
     tolerance = 3.0 * (config.base_drop_prob * (1.0 - config.base_drop_prob) / offered) ** 0.5
     floor_ok = abs(realized - config.base_drop_prob) <= tolerance

@@ -1,6 +1,8 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,11 +114,18 @@ def test_sim_run_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_sim_run_non_finite_config_exits_2_naming_field(tmp_path, capsys):
-    config = tmp_path / "inf.json"
-    config.write_text('{"epochs": 3, "data_rate": Infinity}', encoding="utf-8")
-    code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
-    assert code == 2
-    assert "data_rate" in err
+    config = tmp_path / "bad.json"
+    for text, field_name in [
+        ('{"epochs": 3, "data_rate": Infinity}', "data_rate"),
+        ('{"epochs": 100, "neighbor_rate_fn": "linear_increasing:0:1e307"}', "neighbor_rate_fn"),
+        ('{"epochs": 3, "self_rate_fn": "constant:1e19"}', "self_rate_fn"),
+        ('{"epochs": 3, "data_rate": 1e19}', "data_rate"),
+        ('{"epochs": 3, "data_rate": 1' + "0" * 400 + "}", "data_rate"),
+    ]:
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
+        assert code == 2, text
+        assert field_name in err, text
 
 
 def test_sim_run_missing_config_exits_1(tmp_path, capsys):
@@ -199,3 +208,14 @@ def test_exp_all_writes_every_artifact(tmp_path, capsys):
     assert len(fig1) == 1 + 32  # 16 sweep points x 2 algorithms
     case_v = (out_dir / "case_v_I.csv").read_text(encoding="utf-8").strip().split("\n")
     assert case_v[0] == "algorithm,bucket_lower,mean_malicious,rows"
+
+
+def test_exp_all_default_grid_matches_recorded_sha256(tmp_path, capsys):
+    # The figure artifact must not change by a byte: hold the ten-seed grid
+    # to the digests the benchmark records for its default seed.
+    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "expected_sha256.json"
+    expected = json.loads(recorded.read_text(encoding="utf-8"))["grid"]
+    code, _, _ = run_cli("exp", "all", "--out-dir", str(tmp_path), "--seeds", "10", "--seed", "0", capsys=capsys)
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == expected

@@ -6,8 +6,10 @@ engine is additionally held to a naive per-packet reference implementation
 for exact counter agreement.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,13 +26,14 @@ from ctcsim.sim import (
     RateKind,
     SimConfig,
     Trace,
-    TraceRecord,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
     dsr_decide,
     load_config,
+    realize,
     run,
+    schedule,
     source_split,
 )
 
@@ -39,6 +42,10 @@ from reference_engine import run_reference
 
 def constant(value):
     return RateFunction(RateKind.CONSTANT, value)
+
+
+# Every per-epoch column of a Trace, in field order.
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(Trace) if f.name != "config")
 
 
 def trace_rows(trace, tmp_path):
@@ -207,13 +214,30 @@ def test_config_from_dict_rejects_non_integer_and_bool():
         ({"data_rate": float("inf")}, "data_rate"),
         ({"epoch_length": float("nan")}, "epoch_length"),
         ({"epoch_length": 1e308}, "epoch_length"),
+        ({"epochs": 100, "neighbor_rate_fn": "linear_increasing:0:1e307"}, "neighbor_rate_fn"),
+        ({"self_rate_fn": "constant:1e19"}, "self_rate_fn"),
+        ({"data_rate": 1e19}, "data_rate"),
+        ({"data_rate": 10**400}, "data_rate"),
+        ({"epochs": float("inf")}, "epochs"),
     ],
 )
 def test_config_from_dict_rejects_non_finite_naming_the_field(raw, field_name):
-    # Each of these used to pass validation and fail mid-run with "cannot
-    # convert float infinity to integer", naming no field.
+    # Each of these used to pass validation and fail mid-run (or in the
+    # int/float conversion) with a Python conversion error naming no field:
+    # non-finite values, counts past int64, and JSON integers past a float.
     with pytest.raises(InvalidConfigError, match=field_name):
         config_from_dict({"epochs": 3, **raw})
+
+
+def test_config_int64_bound_on_run_arrivals():
+    # Peak arrivals times epochs must fit int64: 9 * 1e18 does, 10 * 1e18
+    # does not. Increasing ramps peak on the last epoch.
+    SimConfig(epochs=9, self_rate_fn=constant(1e18))
+    with pytest.raises(InvalidConfigError, match="self_rate_fn"):
+        SimConfig(epochs=10, self_rate_fn=constant(1e18))
+    SimConfig(epochs=3, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 1.5e18))
+    with pytest.raises(InvalidConfigError, match="neighbor_rate_fn"):
+        SimConfig(epochs=4, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 1.5e18))
 
 
 def test_config_from_dict_accepts_integral_float():
@@ -305,18 +329,15 @@ def test_dsr_decide_neighbor_spends_energy_then_drops():
 
 def test_run_zero_epochs_is_empty():
     trace = run(SimConfig(epochs=0))
-    assert trace.records == ()
+    for name in TRACE_FIELDS:
+        assert getattr(trace, name).shape == (0,), name
 
 
 def test_run_zero_rates_all_counters_zero(tmp_path):
     trace = run(SimConfig(epochs=5, base_drop_prob=0.0))
-    for record in trace.records:
-        assert record.offered_self == record.offered_neighbor == 0
-        assert record.forwarded_self == record.forwarded_neighbor == 0
-        assert record.dropped_self == record.dropped_neighbor == 0
-        assert record.queued_self == record.queued_neighbor == 0
-        assert record.drop_ratio_self == 0.0
-        assert record.drop_ratio_neighbor == 0.0
+    for name in TRACE_FIELDS:
+        if name not in ("t_pp", "t_np"):
+            assert getattr(trace, name).tolist() == [0] * 5, name
     rows = trace_rows(trace, tmp_path)
     assert len(rows) == 5 * 9
     for row in rows:
@@ -333,15 +354,11 @@ def test_run_single_epoch_small_load():
         self_rate_fn=constant(10),
         neighbor_rate_fn=constant(10),
     )
-    target = run(cfg).records[0]
-    assert target.offered_self == 10
-    assert target.offered_neighbor == 10
-    assert target.forwarded_self == 10
-    assert target.forwarded_neighbor == 10
-    assert target.dropped_self == 0
-    assert target.dropped_neighbor == 0
-    assert target.queued_self == 0
-    assert target.queued_neighbor == 0
+    trace = run(cfg)
+    assert trace.offered_self.tolist() == trace.offered_neighbor.tolist() == [10]
+    assert trace.forwarded_self.tolist() == trace.forwarded_neighbor.tolist() == [10]
+    assert trace.dropped_self.tolist() == trace.dropped_neighbor.tolist() == [0]
+    assert trace.queued_self.tolist() == trace.queued_neighbor.tolist() == [0]
 
 
 def test_run_ctc_burst_backlog_and_deadline_drop():
@@ -354,28 +371,17 @@ def test_run_ctc_burst_backlog_and_deadline_drop():
         neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 2000.0, 2000.0),
     )
     trace = run(cfg)
-    t0, t1, t2 = trace.records
 
-    assert t0.offered_neighbor == 2000
-    assert t0.forwarded_neighbor == 950
-    assert t0.dropped_neighbor == 0
-    assert t0.queued_neighbor == 1050
-    assert t0.t_np == 0.95
-    assert t0.t_pp == pytest.approx(0.05)
+    assert trace.offered_neighbor.tolist() == [2000, 0, 0]
+    assert trace.forwarded_neighbor.tolist() == [950, 950, 0]
+    assert trace.dropped_neighbor.tolist() == [0, 0, 100]
+    assert trace.queued_neighbor.tolist() == [1050, 100, 0]
+    assert trace.t_np[0] == 0.95
+    assert trace.t_pp[0] == pytest.approx(0.05)
+    assert trace.drop_ratio_neighbor[2] == pytest.approx(100 / 2000)
 
-    assert t1.forwarded_neighbor == 950
-    assert t1.queued_neighbor == 100
-
-    assert t2.offered_neighbor == 0
-    assert t2.forwarded_neighbor == 0
-    assert t2.dropped_neighbor == 100
-    assert t2.queued_neighbor == 0
-    assert t2.drop_ratio_neighbor == pytest.approx(100 / 2000)
-
-    total_fwd = sum(r.forwarded_neighbor for r in trace.records)
-    total_drop = sum(r.dropped_neighbor for r in trace.records)
-    assert total_fwd == 1900
-    assert total_drop == 100
+    assert trace.forwarded_neighbor.sum() == 1900
+    assert trace.dropped_neighbor.sum() == 100
 
 
 def test_run_dsr_energy_exhaustion_timeline():
@@ -390,16 +396,15 @@ def test_run_dsr_energy_exhaustion_timeline():
         neighbor_rate_fn=constant(160),
     )
     trace = run(cfg)
-    per_epoch = [(r.forwarded_neighbor, r.dropped_neighbor) for r in trace.records]
+    per_epoch = list(zip(trace.forwarded_neighbor.tolist(), trace.dropped_neighbor.tolist()))
     assert per_epoch[:6] == [(160, 0)] * 6
     assert per_epoch[6] == (40, 120)
     assert per_epoch[7] == (0, 160)
     assert per_epoch[8] == (0, 160)
-    for record in trace.records:
-        assert record.forwarded_self == 100
-        assert record.dropped_self == 0
-        assert record.t_pp == pytest.approx(0.1)
-        assert record.t_np == pytest.approx(0.9)
+    assert trace.forwarded_self.tolist() == [100] * 9
+    assert trace.dropped_self.tolist() == [0] * 9
+    assert trace.t_pp.tolist() == pytest.approx([0.1] * 9)
+    assert trace.t_np.tolist() == pytest.approx([0.9] * 9)
 
 
 def test_time_split_sums_to_epoch_everywhere(tmp_path):
@@ -412,8 +417,8 @@ def test_time_split_sums_to_epoch_everywhere(tmp_path):
         seed=3,
     )
     trace = run(cfg)
-    for record in trace.records:
-        assert abs(record.t_pp + record.t_np - 1.0) <= 1e-12
+    for t_pp, t_np in zip(trace.t_pp.tolist(), trace.t_np.tolist()):
+        assert abs(t_pp + t_np - 1.0) <= 1e-12
     source_rows = [row for row in trace_rows(trace, tmp_path) if row[1] != "0"]
     assert len(source_rows) == 30 * 8
     for row in source_rows:
@@ -429,7 +434,7 @@ def test_sources_report_generated_traffic(tmp_path):
         epochs=1, epoch_length=0.5, neighbor_count=4, base_drop_prob=0.0, neighbor_rate_fn=constant(13)
     )
     trace = run(cfg)
-    assert trace.records[0].offered_neighbor == 13
+    assert trace.offered_neighbor.tolist() == [13]
     assert source_split(13, 4) == [4, 3, 3, 3]
     rows = trace_rows(trace, tmp_path)
     assert [row[1] for row in rows] == ["0", "1", "2", "3", "4"]
@@ -452,7 +457,10 @@ def test_run_is_deterministic_for_equal_configs():
         neighbor_rate_fn=constant(30),
         seed=42,
     )
-    assert run(cfg) == run(cfg)
+    a, b = run(cfg), run(cfg)
+    assert a.config == b.config
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_run_seed_changes_ambient_losses():
@@ -465,8 +473,7 @@ def test_run_seed_changes_ambient_losses():
     )
     a = run(SimConfig(seed=1, **cfg))
     b = run(SimConfig(seed=2, **cfg))
-    fwd = lambda t: sum(r.forwarded_self for r in t.records)
-    assert fwd(a) != fwd(b)
+    assert a.forwarded_self.sum() != b.forwarded_self.sum()
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,15 +500,47 @@ def test_conservation_random_configs(policy, seed, data_rate, self_rate, nbr_rat
         neighbor_rate_fn=constant(nbr_rate),
     )
     trace = run(cfg)
-    last = trace.records[-1]
-    offered = sum(r.offered_neighbor for r in trace.records)
-    forwarded = sum(r.forwarded_neighbor for r in trace.records)
-    dropped = sum(r.dropped_neighbor for r in trace.records)
-    assert offered == forwarded + dropped + last.queued_neighbor
+    offered = trace.offered_neighbor.sum()
+    forwarded = trace.forwarded_neighbor.sum()
+    dropped = trace.dropped_neighbor.sum()
+    assert offered == forwarded + dropped + trace.queued_neighbor[-1]
 
 
 # ---------------------------------------------------------------------------
-# per-packet reference agreement
+# seed-free schedule, array loss draws
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.15, 0.3, 0.5, 0.8])
+def test_binomial_array_draw_matches_scalar_draws(p):
+    # realize() draws a whole run's losses in one array call where the
+    # per-packet reference draws one scalar per class per epoch; the two
+    # must consume the stream identically. Zeros, small counts (n*p < 30,
+    # inversion) and large ones (n*p >= 30, BTPE) are interleaved so the
+    # sampler switches branch and cached state between neighbours.
+    counts = np.array([0, 3, 1200, 0, 0, 17, 5000, 1, 250, 0, 80, 99_000, 2, 2, 640, 0] * 8, dtype=np.int64)
+    for seed in (0, 1, 2**63 + 5):
+        array_draw = np.random.default_rng(seed).binomial(counts, p)
+        scalar_rng = np.random.default_rng(seed)
+        scalar_draws = [int(scalar_rng.binomial(int(n), p)) for n in counts]
+        assert array_draw.tolist() == scalar_draws
+
+
+def assert_matches_reference(trace, cfg):
+    """Every per-epoch column equals the per-packet reference engine's."""
+    _, ref_epochs = run_reference(cfg)
+    assert trace.config == cfg
+    expected = {name: [] for name in TRACE_FIELDS}
+    cum = {"offered_self": 0, "dropped_self": 0, "offered_neighbor": 0, "dropped_neighbor": 0}
+    for ref in ref_epochs:
+        for name in TRACE_FIELDS[:10]:
+            expected[name].append(getattr(ref, name))
+        for name in cum:
+            cum[name] += getattr(ref, name)
+        for cls in ("self", "neighbor"):
+            offered = cum[f"offered_{cls}"]
+            expected[f"drop_ratio_{cls}"].append(cum[f"dropped_{cls}"] / offered if offered else 0.0)
+    for name in TRACE_FIELDS:
+        assert getattr(trace, name).tolist() == expected[name], name
 
 
 @pytest.mark.parametrize("policy", [Policy.CTC, Policy.DSR])
@@ -517,24 +556,7 @@ def test_engine_matches_packet_level_reference(policy, seed):
         self_rate_fn=constant(5),
         neighbor_rate_fn=constant(9),
     )
-    trace = run(cfg)
-    ref_node, ref_epochs = run_reference(cfg)
-    assert len(trace.records) == len(ref_epochs)
-    for snap, ref in zip(trace.records, ref_epochs):
-        assert snap.offered_self == ref.offered_self
-        assert snap.offered_neighbor == ref.offered_neighbor
-        assert snap.forwarded_self == ref.forwarded_self
-        assert snap.forwarded_neighbor == ref.forwarded_neighbor
-        assert snap.dropped_self == ref.dropped_self
-        assert snap.dropped_neighbor == ref.dropped_neighbor
-        assert snap.queued_self == ref.queued_self
-        assert snap.queued_neighbor == ref.queued_neighbor
-        assert snap.t_pp == ref.t_pp
-        assert snap.t_np == ref.t_np
-    last = trace.records[-1]
-    assert last.drop_ratio_neighbor == pytest.approx(
-        ref_node.dropped_neighbor / ref_node.offered_neighbor
-    )
+    assert_matches_reference(run(cfg), cfg)
 
 
 @pytest.mark.parametrize("policy", [Policy.CTC, Policy.DSR])
@@ -550,12 +572,52 @@ def test_engine_matches_reference_under_ramps(policy):
         self_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 1.0, 0.7),
         neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 20.0, 0.5),
     )
-    trace = run(cfg)
-    ref_node, ref_epochs = run_reference(cfg)
-    for snap, ref in zip(trace.records, ref_epochs):
-        assert (snap.forwarded_self, snap.forwarded_neighbor) == (ref.forwarded_self, ref.forwarded_neighbor)
-        assert (snap.dropped_self, snap.dropped_neighbor) == (ref.dropped_self, ref.dropped_neighbor)
-        assert (snap.queued_self, snap.queued_neighbor) == (ref.queued_self, ref.queued_neighbor)
+    assert_matches_reference(run(cfg), cfg)
+
+
+rate_functions = st.one_of(
+    st.builds(constant, st.floats(0.0, 40.0)),
+    st.builds(
+        RateFunction, st.just(RateKind.LINEAR_INCREASING), st.floats(0.0, 20.0), st.floats(0.0, 2.0)
+    ),
+    st.builds(
+        RateFunction, st.just(RateKind.LINEAR_DECREASING), st.floats(0.0, 60.0), st.floats(0.0, 3.0)
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    policy=st.sampled_from([Policy.CTC, Policy.DSR]),
+    self_rate_fn=rate_functions,
+    neighbor_rate_fn=rate_functions,
+    data_rate=st.floats(1.0, 60.0),
+    deadline_epochs=st.integers(1, 5),
+    energy_budget=st.integers(0, 400),
+    base_drop_prob=st.floats(0.0, 0.9),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
+    epochs=st.integers(0, 60),
+)
+def test_engine_matches_reference_random_configs(seeds, **config_fields):
+    # One schedule realized at two seeds, as run_case does per grid point;
+    # each realization must match the reference run at its own seed.
+    cfg = SimConfig(**config_fields)
+    plan = schedule(cfg)
+    for seed in seeds:
+        seeded = dataclasses.replace(cfg, seed=seed)
+        trace = realize(plan, seed)
+        assert_matches_reference(trace, seeded)
+        assert_matches_reference(run(seeded), seeded)
+
+
+def test_realize_names_first_epoch_that_breaks_conservation():
+    cfg = SimConfig(epochs=6, data_rate=10.0, self_rate_fn=constant(4), neighbor_rate_fn=constant(30))
+    plan = schedule(cfg)
+    queued = plan.queued_neighbor.copy()
+    queued[3:] += 1
+    broken = dataclasses.replace(plan, queued_neighbor=queued)
+    with pytest.raises(RuntimeError, match="neighbor-class conservation violated at the target, epoch 3"):
+        realize(broken, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,36 +625,33 @@ def test_engine_matches_reference_under_ramps(policy):
 
 
 def _synthetic_trace(offered_dropped, window_epochs=10, threshold=0.5):
-    """Trace with one record per (offered, dropped) pair."""
+    """Trace with one epoch per (offered, dropped) pair."""
     cfg = SimConfig(
         epochs=len(offered_dropped),
         neighbor_count=1,
         misbehavior_threshold=threshold,
         window_epochs=window_epochs,
     )
-    records = []
-    cum_offered = 0
-    cum_dropped = 0
-    for epoch, (offered, dropped) in enumerate(offered_dropped):
-        cum_offered += offered
-        cum_dropped += dropped
-        record = TraceRecord(
-            epoch=epoch,
-            offered_self=0,
-            offered_neighbor=offered,
-            forwarded_self=0,
-            forwarded_neighbor=offered - dropped,
-            dropped_self=0,
-            dropped_neighbor=dropped,
-            queued_self=0,
-            queued_neighbor=0,
-            t_pp=0.5,
-            t_np=0.5,
-            drop_ratio_self=0.0,
-            drop_ratio_neighbor=cum_dropped / cum_offered if cum_offered else 0.0,
-        )
-        records.append(record)
-    return Trace(config=cfg, records=tuple(records))
+    offered, dropped = (np.array(column, dtype=np.int64) for column in zip(*offered_dropped))
+    zeros = np.zeros_like(offered)
+    halves = np.full(offered.size, 0.5)
+    cum_offered = np.cumsum(offered)
+    drop_ratio_neighbor = np.divide(np.cumsum(dropped), cum_offered, out=np.zeros(offered.size), where=cum_offered > 0)
+    return Trace(
+        config=cfg,
+        offered_self=zeros,
+        offered_neighbor=offered,
+        forwarded_self=zeros,
+        forwarded_neighbor=offered - dropped,
+        dropped_self=zeros,
+        dropped_neighbor=dropped,
+        queued_self=zeros,
+        queued_neighbor=zeros,
+        t_pp=halves,
+        t_np=halves,
+        drop_ratio_self=np.zeros(offered.size),
+        drop_ratio_neighbor=drop_ratio_neighbor,
+    )
 
 
 def test_classify_half_of_windows_flagged():
