@@ -18,6 +18,7 @@ from .errors import (
     EmptyTraceError,
     InvalidConfigError,
     InvalidParameterError,
+    InvariantError,
     MissingCaseError,
     NoInputError,
     NonPositiveTimeError,
@@ -52,6 +53,8 @@ from .report import (
     read_csv,
 )
 from .sim import (
+    MAX_EPOCHS,
+    MAX_NEIGHBOR_COUNT,
     Decision,
     MisbehaviorStats,
     NodeState,
@@ -72,7 +75,6 @@ from .sim import (
     realize,
     run,
     schedule,
-    step,
 )
 from .utilization import (
     PacketCounters,

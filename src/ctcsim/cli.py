@@ -9,7 +9,8 @@ Subcommand tree:
 - ``exp all``      all cases plus the six figure CSVs and per-case derived
                    curves into a directory
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 1 I/O failure.
+Exit codes: 0 success, 2 invalid configuration or parameters, 1 I/O failure,
+3 an internal invariant failed (a program fault, e.g. packet conservation).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .errors import CtcSimError
+from .errors import CtcSimError, InvariantError
 from .experiments import CASE_IDS, case_spec, derive_case_v, run_case
 from .model import ForwardingParams, TimeBudget, prob_batch, throughput, time_components
 from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers can catch broadly, while the CLI
-and tests can still distinguish the specific failure.
+Input errors derive from ValueError so callers can catch broadly, while the
+CLI and tests can still distinguish the specific failure. ``InvariantError``
+is the exception: a failed internal check is a fault in the program, not in
+its input, so it is a RuntimeError.
 """
 
 
@@ -47,3 +49,7 @@ class EmptyInputError(CtcSimError):
 
 class MissingCaseError(CtcSimError):
     """A figure was requested from tables that do not cover its case(s)."""
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a program fault, not bad input."""

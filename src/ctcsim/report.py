@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError, MissingCaseError
 from .experiments import CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
@@ -82,11 +82,18 @@ def _cell(column: str, value) -> str:
     return str(int(value))
 
 
+def _write_chunks(chunks: Iterable[str], dest: str | Path) -> int:
+    """Write text chunks, in order, to one UTF-8 file; returns bytes written."""
+    written = 0
+    with open(dest, "wb") as handle:
+        for chunk in chunks:
+            written += handle.write(chunk.encode("utf-8"))
+    return written
+
+
 def _write_lines(lines: list[str], dest: str | Path) -> int:
     """Write lines as one UTF-8 file with a final newline; returns bytes written."""
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(dest).write_bytes(payload)
-    return len(payload)
+    return _write_chunks(["\n".join(lines) + "\n"], dest)
 
 
 def emit_csv(table: ResultTable, dest: str | Path) -> int:
@@ -210,24 +217,47 @@ def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
     return _write_lines(lines, dest)
 
 
+# Rows per write of a trace: a chunk holds whole epochs, as many as fit.
+_TRACE_CHUNK_ROWS = 1 << 16
+
+# The target row; after epoch and node_id, the Trace fields in order.
+_TARGET_ROW = "%d,0,%d,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f\n"
+
+
+def _trace_chunks(trace: Trace) -> Iterator[str]:
+    """The trace CSV text: the header, then runs of whole epochs."""
+    config = trace.config
+    nodes = config.neighbor_count
+    source_tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
+    yield ",".join(TRACE_COLUMNS) + "\n"
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS[2:]]
+    epochs = trace.offered_neighbor.size
+    per_chunk = max(1, _TRACE_CHUNK_ROWS // (nodes + 1))
+    for start in range(0, epochs, per_chunk):
+        stop = min(start + per_chunk, epochs)
+        # An epoch's source rows depend on the epoch only through their first
+        # field: keep one block per neighbor-arrival count, cut at the epoch,
+        # and join it on each epoch that has that count.
+        blocks: dict[int, list[str]] = {}
+        parts = []
+        for row in zip(range(start, stop), *(column[start:stop].tolist() for column in columns)):
+            parts.append(_TARGET_ROW % row)
+            epoch, arrivals = row[0], row[2]
+            block = blocks.get(arrivals)
+            if block is None:
+                shares = enumerate(source_split(arrivals, nodes), start=1)
+                block = blocks[arrivals] = [""] + [f",{node_id},{sent},0,{sent}{source_tail}" for node_id, sent in shares]
+            parts.append(str(epoch).join(block))
+        yield "".join(parts)
+
+
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
     """Write one row per (epoch, node) of a trace; returns bytes written.
 
     Node 0 is the simulated target. Sources 1..neighbor_count are derived:
     each sends its ``source_split`` share of the epoch's neighbor arrivals,
     forwards all of it at once, relays nothing, and spends the whole epoch
-    on its own traffic.
+    on its own traffic. The file is written in chunks of whole epochs, so
+    memory stays bounded however long the trace.
     """
-    config = trace.config
-    source_tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000"
-    lines = [",".join(TRACE_COLUMNS)]
-    # After epoch and node_id, the CSV columns are the Trace fields in order.
-    rows = zip(*(getattr(trace, name).tolist() for name in TRACE_COLUMNS[2:]))
-    for epoch, (off_s, off_n, fwd_s, fwd_n, drop_s, drop_n, q_s, q_n, t_pp, t_np, ratio_s, ratio_n) in enumerate(rows):
-        lines.append(
-            f"{epoch},0,{off_s},{off_n},{fwd_s},{fwd_n},{drop_s},{drop_n},{q_s},{q_n},"
-            f"{t_pp:.6f},{t_np:.6f},{ratio_s:.6f},{ratio_n:.6f}"
-        )
-        for node_id, sent in enumerate(source_split(off_n, config.neighbor_count), start=1):
-            lines.append(f"{epoch},{node_id},{sent},0,{sent}{source_tail}")
-    return _write_lines(lines, dest)
+    return _write_chunks(_trace_chunks(trace), dest)

@@ -17,24 +17,26 @@ The two policies:
   leftover capacity only while it has energy credits; once the budget is
   spent, every serviced neighbor packet is dropped.
 
-A run has two stages. ``schedule`` steps the target through every epoch
-without a random number: deadline discard, arrivals, the ``ctc`` split,
-``dsr`` energy use and gate drops. ``realize`` then draws the ambient losses
-of a whole run in one ``binomial`` call and derives the forwarded, dropped
-and cumulative-ratio columns with array operations. The split is exact
-because a lost packet has already left its queue: loss moves a transmitted
-packet from "forwarded" to "dropped" and feeds back into nothing the next
-epoch reads (queues, backlogs, energy). So one schedule serves every seed of
-a grid point. The draw array interleaves ``[serviced_self[e],
+A run has two stages. ``schedule`` takes the target through every epoch in
+one pass, without a random number: deadline discard, arrivals, the ``ctc``
+split, ``dsr`` energy use and gate drops. ``realize`` then draws the ambient
+losses of a whole run in one ``binomial`` call and derives the forwarded,
+dropped and cumulative-ratio columns with array operations. The split is
+exact because a lost packet has already left its queue: loss moves a
+transmitted packet from "forwarded" to "dropped" and feeds back into nothing
+the next epoch reads (queues, backlogs, energy). So one schedule serves every
+seed of a grid point. The draw array interleaves ``[serviced_self[e],
 attempts_neighbor[e]]`` per epoch, the order in which one scalar draw per
 class per epoch would consume the generator's stream, also when a count is
 zero, so the stream position never depends on load or policy.
 
 Determinism contract: a run is a pure function of its config, including the
-seed. The engine queues cohorts ``[created_epoch, count]`` instead of packet
-objects so epochs cost O(1); the per-packet semantics live in ``Packet``,
-``ctc_split`` and ``dsr_decide``, and the test suite holds a packet-level
-reference engine to the same counters.
+seed. The engine never materializes a packet: all packets arriving in one
+epoch form one cohort, so a FIFO queue is the window of epochs ``[head,
+now]`` of its arrival column, with only the head cohort partly served, and
+its backlog is a running count. The per-packet semantics live in
+``Packet``, ``ctc_split`` and ``dsr_decide``, and the test suite holds a
+packet-level reference engine to the same counters.
 """
 
 from __future__ import annotations
@@ -42,15 +44,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Deque
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidConfigError
-from .model import TimeBudget
+from .errors import EmptyTraceError, InvalidConfigError, InvariantError
 
 __all__ = [
     "Policy",
@@ -58,6 +57,8 @@ __all__ = [
     "Decision",
     "RateKind",
     "RateFunction",
+    "MAX_EPOCHS",
+    "MAX_NEIGHBOR_COUNT",
     "SimConfig",
     "config_from_dict",
     "load_config",
@@ -66,7 +67,6 @@ __all__ = [
     "ctc_split",
     "dsr_decide",
     "source_split",
-    "step",
     "Schedule",
     "schedule",
     "realize",
@@ -123,12 +123,18 @@ class RateFunction:
         if self.base < 0 or self.slope < 0:
             raise InvalidConfigError(f"rate parameters must be >= 0, got {self}")
 
-    def rate(self, epoch: int) -> float:
+    def rate(self, epoch):
+        """Rate at ``epoch``; elementwise when ``epoch`` is an integer array."""
         if self.kind is RateKind.CONSTANT:
-            return self.base
+            # Adding 0.0 * epoch gives the result the shape of ``epoch``.
+            return self.base + 0.0 * epoch
         if self.kind is RateKind.LINEAR_INCREASING:
             return self.base + self.slope * epoch
-        return max(0.0, self.base - self.slope * epoch)
+        return np.maximum(0.0, self.base - self.slope * epoch)
+
+    def arrivals(self, epochs: int) -> np.ndarray:
+        """Whole packets arriving at epochs ``0 .. epochs-1``: ``rate`` rounded half to even, as int64."""
+        return np.rint(self.rate(np.arange(epochs))).astype(np.int64)
 
     def encode(self) -> str:
         """Compact config-file form, e.g. ``linear_increasing:0:3.2``.
@@ -161,6 +167,16 @@ class RateFunction:
 _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
 _INT64_MAX = 2**63 - 1
 
+# Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
+# memory, about 180 bytes per epoch at the peak (in ``realize``), so 10**7
+# epochs need near 2 GiB; a larger value is rejected by name at validation
+# instead of failing in an allocation.
+MAX_EPOCHS = 10**7
+# Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
+# epoch's source rows in memory, a few hundred bytes per source: about
+# 36 MiB at the bound.
+MAX_NEIGHBOR_COUNT = 10**5
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -189,9 +205,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         checks = [
             (self.epochs >= 0, "epochs must be >= 0"),
+            (self.epochs <= MAX_EPOCHS, f"epochs must be <= {MAX_EPOCHS}"),
             (math.isfinite(self.epoch_length), "epoch_length must be finite"),
             (self.epoch_length > 0, "epoch_length must be > 0"),
             (self.neighbor_count >= 1, "neighbor_count must be >= 1"),
+            (self.neighbor_count <= MAX_NEIGHBOR_COUNT, f"neighbor_count must be <= {MAX_NEIGHBOR_COUNT}"),
             (math.isfinite(self.data_rate), "data_rate must be finite"),
             (self.data_rate > 0, "data_rate must be > 0"),
             (
@@ -316,40 +334,29 @@ class Packet:
 
 @dataclass
 class NodeState:
-    """Queues and energy of the target node.
-
-    Queue entries in the engine are cohorts ``[created_epoch, count]`` in FIFO
-    order; ``self_backlog``/``neighbor_backlog`` report the packet totals, so
-    policy code does not care about the representation.
-    """
+    """Energy credits of the target, as the per-packet ``dsr_decide`` sees them."""
 
     energy_remaining: int
-    self_queue: Deque[list] = field(default_factory=deque)
-    neighbor_queue: Deque[list] = field(default_factory=deque)
-
-    @property
-    def self_backlog(self) -> int:
-        return sum(c[1] for c in self.self_queue)
-
-    @property
-    def neighbor_backlog(self) -> int:
-        return sum(c[1] for c in self.neighbor_queue)
 
 
-def ctc_split(node: NodeState, epoch_length: float, min_share_fraction: float) -> TimeBudget:
+def ctc_split(
+    self_backlog: int, neighbor_backlog: int, epoch_length: float, min_share_fraction: float, capacity: int
+) -> tuple[float, float, int, int]:
     """Backlog-proportional time split with a minimum share per class.
 
     The neighbor share is B_nbr / (B_self + B_nbr), 0.5 when both queues are
-    empty, clamped to [min_share_fraction, 1 - min_share_fraction]. The self
-    component is the exact complement so the budget always sums to the epoch.
+    empty, clamped to [min_share_fraction, 1 - min_share_fraction]. Returns
+    ``(t_pp, t_np, cap_self, cap_nbr)``: the self time is the exact
+    complement so the two always sum to the epoch, and each class may serve
+    up to the floor of its share of ``capacity`` packets, the share read
+    back from the time split.
     """
-    b_self = node.self_backlog
-    b_nbr = node.neighbor_backlog
-    total = b_self + b_nbr
-    share_np = 0.5 if total == 0 else b_nbr / total
+    total = self_backlog + neighbor_backlog
+    share_np = 0.5 if total == 0 else neighbor_backlog / total
     share_np = min(max(share_np, min_share_fraction), 1.0 - min_share_fraction)
     t_np = share_np * epoch_length
-    return TimeBudget(t_pp=epoch_length - t_np, t_np=t_np)
+    share_np = t_np / epoch_length
+    return epoch_length - t_np, t_np, math.floor((1.0 - share_np) * capacity), math.floor(share_np * capacity)
 
 
 def dsr_decide(node: NodeState, packet: Packet) -> Decision:
@@ -365,28 +372,6 @@ def dsr_decide(node: NodeState, packet: Packet) -> Decision:
         node.energy_remaining -= 1
         return Decision.FORWARD
     return Decision.DROP
-
-
-def _pop_fifo(queue: Deque[list], count: int) -> int:
-    """Remove up to ``count`` packets from the cohort queue, oldest first."""
-    taken = 0
-    while count > 0 and queue:
-        head = queue[0]
-        grab = min(head[1], count)
-        head[1] -= grab
-        taken += grab
-        count -= grab
-        if head[1] == 0:
-            queue.popleft()
-    return taken
-
-
-def _discard_expired(queue: Deque[list], cutoff: int) -> int:
-    """Drop whole cohorts created at or before the cutoff epoch."""
-    dropped = 0
-    while queue and queue[0][0] <= cutoff:
-        dropped += queue.popleft()[1]
-    return dropped
 
 
 def source_split(arrivals: int, neighbor_count: int) -> list[int]:
@@ -451,80 +436,108 @@ class Trace:
     drop_ratio_neighbor: np.ndarray
 
 
-def step(target: NodeState, config: SimConfig, epoch_index: int) -> tuple:
-    """Advance the target one epoch, up to the ambient-loss coin.
-
-    Fixed phase order: (a) deadline discard, (b) arrivals, (c) service split
-    per policy. Returns the epoch's ``Schedule`` fields in field order:
-    offered per class, ``serviced_self``, ``attempts_neighbor``, drops before
-    loss per class, end-of-epoch queue depth per class, ``t_pp``, ``t_np``.
-    """
-    epoch_t = config.epoch_length
-
-    # (a) deadline discard: a cohort created at c is gone once
-    # c + deadline_epochs <= now.
-    cutoff = epoch_index - config.deadline_epochs
-    expired_self = _discard_expired(target.self_queue, cutoff)
-    expired_nbr = _discard_expired(target.neighbor_queue, cutoff)
-
-    # (b) arrivals. Self traffic goes straight into the self queue; source
-    # traffic lands in the neighbor queue.
-    arrivals_self = int(round(config.self_rate_fn.rate(epoch_index)))
-    arrivals_nbr = int(round(config.neighbor_rate_fn.rate(epoch_index)))
-    if arrivals_self > 0:
-        target.self_queue.append([epoch_index, arrivals_self])
-    if arrivals_nbr > 0:
-        target.neighbor_queue.append([epoch_index, arrivals_nbr])
-
-    # (c) service. Capacity is data_rate packets/second over the epoch.
-    capacity = int(round(config.data_rate * epoch_t))
-    gate_dropped = 0
-    if config.policy is Policy.CTC:
-        budget = ctc_split(target, epoch_t, config.min_share_fraction)
-        share_np = budget.t_np / epoch_t
-        cap_self = math.floor((1.0 - share_np) * capacity)
-        cap_nbr = math.floor(share_np * capacity)
-        serviced_self = _pop_fifo(target.self_queue, cap_self)
-        attempts_nbr = _pop_fifo(target.neighbor_queue, cap_nbr)
-        t_pp, t_np = budget.t_pp, budget.t_np
-    else:
-        serviced_self = _pop_fifo(target.self_queue, capacity)
-        serviced_nbr = _pop_fifo(target.neighbor_queue, capacity - serviced_self)
-        # Bulk form of dsr_decide over the serviced neighbor packets: forward
-        # while credits last, drop the rest.
-        attempts_nbr = min(serviced_nbr, target.energy_remaining)
-        target.energy_remaining -= attempts_nbr
-        gate_dropped = serviced_nbr - attempts_nbr
-        # Realized time: the self-service fraction of the epoch, the rest
-        # (neighbor service plus idle) on the neighbor side.
-        t_pp = epoch_t * (serviced_self / capacity) if capacity > 0 else 0.0
-        t_np = epoch_t - t_pp
-
-    return (
-        arrivals_self,
-        arrivals_nbr,
-        serviced_self,
-        attempts_nbr,
-        expired_self,
-        expired_nbr + gate_dropped,
-        target.self_backlog,
-        target.neighbor_backlog,
-        t_pp,
-        t_np,
-    )
-
-
 def schedule(config: SimConfig) -> Schedule:
-    """Step a fresh target through every epoch; no random number is drawn."""
-    target = NodeState(energy_remaining=config.energy_budget)
-    rows = [step(target, config, e) for e in range(config.epochs)]
-    *counts, t_pp, t_np = zip(*rows) if rows else [()] * 10
-    return Schedule(
-        config,
-        *(np.array(c, dtype=np.int64) for c in counts),
-        np.array(t_pp, dtype=np.float64),
-        np.array(t_np, dtype=np.float64),
-    )
+    """Take a fresh target through every epoch in one pass; no random number is drawn.
+
+    Fixed phase order per epoch: (a) deadline discard, (b) arrivals, (c)
+    service split per policy. Each class's queue is the window ``[head, e]``
+    of its arrival list, oldest first; ``arrived[head]`` is what is left of
+    the head cohort, and the backlog is the window's running total.
+    """
+    epochs = config.epochs
+    deadline = config.deadline_epochs
+    epoch_t = config.epoch_length
+    min_share = config.min_share_fraction
+    is_ctc = config.policy is Policy.CTC
+    energy = config.energy_budget
+    # Capacity is data_rate packets/second over the epoch.
+    capacity = int(round(config.data_rate * epoch_t))
+    offered_self = config.self_rate_fn.arrivals(epochs)
+    offered_nbr = config.neighbor_rate_fn.arrivals(epochs)
+    arrived_self = offered_self.tolist()
+    arrived_nbr = offered_nbr.tolist()
+    head_self = head_nbr = 0
+    backlog_self = backlog_nbr = 0
+
+    # The per-epoch columns, written through memoryviews: a store is as
+    # cheap as a list's, at 8 bytes per value.
+    counts = np.zeros((6, epochs), dtype=np.int64)
+    times = np.zeros((2, epochs), dtype=np.float64)
+    serviced_self, attempts_nbr, expired_self, dropped_nbr, queued_self, queued_nbr = (c.data for c in counts)
+    t_pp, t_np = (c.data for c in times)
+
+    for e in range(epochs):
+        # (a) deadline discard: the cohort created at c is gone once
+        # c + deadline <= e. Heads never lag the cutoff, so at most the head
+        # cohort expires.
+        if head_self == e - deadline:
+            expired_self[e] = arrived_self[head_self]
+            backlog_self -= arrived_self[head_self]
+            head_self += 1
+        expired_nbr = 0
+        if head_nbr == e - deadline:
+            expired_nbr = arrived_nbr[head_nbr]
+            backlog_nbr -= expired_nbr
+            head_nbr += 1
+
+        # (b) arrivals join the tail of each window.
+        backlog_self += arrived_self[e]
+        backlog_nbr += arrived_nbr[e]
+
+        # (c) service. Minimums are spelled as conditionals: a builtin
+        # ``min`` call costs as much as the rest of the epoch.
+        if is_ctc:
+            t_pp[e], t_np[e], take_self, take_nbr = ctc_split(backlog_self, backlog_nbr, epoch_t, min_share, capacity)
+            take_self = take_self if take_self < backlog_self else backlog_self
+            take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
+            attempts = take_nbr
+        else:
+            take_self = capacity if capacity < backlog_self else backlog_self
+            take_nbr = capacity - take_self
+            take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
+            # Bulk form of dsr_decide over the serviced neighbor packets:
+            # forward while credits last, drop the rest.
+            attempts = take_nbr if take_nbr < energy else energy
+            energy -= attempts
+            # Realized time: the self-service fraction of the epoch, the rest
+            # (neighbor service plus idle) on the neighbor side.
+            t_self = epoch_t * (take_self / capacity) if capacity > 0 else 0.0
+            t_pp[e] = t_self
+            t_np[e] = epoch_t - t_self
+
+        # Serve each window from its head, oldest first.
+        if take_self == backlog_self:
+            head_self = e + 1
+        else:
+            left = take_self
+            while left:
+                count = arrived_self[head_self]
+                if count > left:
+                    arrived_self[head_self] = count - left
+                    break
+                left -= count
+                head_self += 1
+        if take_nbr == backlog_nbr:
+            head_nbr = e + 1
+        else:
+            left = take_nbr
+            while left:
+                count = arrived_nbr[head_nbr]
+                if count > left:
+                    arrived_nbr[head_nbr] = count - left
+                    break
+                left -= count
+                head_nbr += 1
+        backlog_self -= take_self
+        backlog_nbr -= take_nbr
+
+        serviced_self[e] = take_self
+        attempts_nbr[e] = attempts
+        dropped_nbr[e] = expired_nbr + take_nbr - attempts
+        queued_self[e] = backlog_self
+        queued_nbr[e] = backlog_nbr
+
+    return Schedule(config, offered_self, offered_nbr, *counts, *times)
 
 
 def _realize_class(offered, sent, dropped_before_loss, queued, lost):
@@ -563,7 +576,7 @@ def realize(plan: Schedule, seed: int) -> Trace:
     if broken.size:
         epoch = int(broken[0])
         name = "self" if broken_s[epoch] else "neighbor"
-        raise RuntimeError(f"{name}-class conservation violated at the target, epoch {epoch}")
+        raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
     return Trace(
         config=config,
         offered_self=plan.offered_self,

@@ -13,7 +13,6 @@ independent check rather than a restatement of the production code.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -102,10 +101,9 @@ def run_reference(config: SimConfig) -> tuple[RefNode, list[RefEpoch]]:
         # (c) service.
         gate_dropped = 0
         if config.policy is Policy.CTC:
-            budget = ctc_split(target, epoch_t, config.min_share_fraction)
-            share_np = budget.t_np / epoch_t
-            cap_self = math.floor((1.0 - share_np) * capacity)
-            cap_nbr = math.floor(share_np * capacity)
+            t_pp, t_np, cap_self, cap_nbr = ctc_split(
+                target.self_backlog, target.neighbor_backlog, epoch_t, config.min_share_fraction, capacity
+            )
             serviced_self = 0
             while serviced_self < cap_self and target.self_queue:
                 target.self_queue.popleft()
@@ -114,7 +112,6 @@ def run_reference(config: SimConfig) -> tuple[RefNode, list[RefEpoch]]:
             while attempts_nbr < cap_nbr and target.neighbor_queue:
                 target.neighbor_queue.popleft()
                 attempts_nbr += 1
-            t_pp, t_np = budget.t_pp, budget.t_np
         else:
             serviced_self = 0
             while serviced_self < capacity and target.self_queue:

@@ -1,13 +1,17 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from ctcsim import sim
 from ctcsim.cli import main
-from ctcsim.report import CSV_COLUMNS
+from ctcsim.report import _TRACE_CHUNK_ROWS, CSV_COLUMNS
+
+RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_sha256.json"
 
 
 def run_cli(*argv, capsys=None):
@@ -145,6 +149,64 @@ def test_sim_run_unwritable_out_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_sim_run_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # A conservation break is a program fault, not bad input: force one by
+    # putting a packet too many in the neighbor queue column.
+    schedule = sim.schedule
+
+    def broken_schedule(config):
+        plan = schedule(config)
+        return dataclasses.replace(plan, queued_neighbor=plan.queued_neighbor + 1)
+
+    monkeypatch.setattr(sim, "schedule", broken_schedule)
+    config = _write_config(tmp_path)
+    code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
+    assert code == 3
+    assert err.startswith("error: neighbor-class conservation violated at the target, epoch 0")
+
+
+# The two `sim run` configs of the benchmark (perfbench/workloads.py) at
+# seed 0. Each trace spans several writer chunks.
+BENCHMARK_TRACES = {
+    "trace_wide": {
+        "epochs": 5_000,
+        "epoch_length": 1.0,
+        "neighbor_count": 50,
+        "data_rate": 420.0,
+        "policy": "ctc",
+        "self_rate_fn": "constant:300",
+        "neighbor_rate_fn": "linear_increasing:0:0.08",
+        "seed": 0,
+    },
+    "trace_deep": {
+        "epochs": 100_000,
+        "epoch_length": 1.0,
+        "neighbor_count": 1,
+        "data_rate": 420.0,
+        "policy": "dsr",
+        "deadline_epochs": 20,
+        "energy_budget": 6_000_000,
+        "self_rate_fn": "constant:300",
+        "neighbor_rate_fn": "constant:200",
+        "seed": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_TRACES))
+def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys):
+    # Hold `sim run` to the digests the benchmark records for its default seed.
+    raw = BENCHMARK_TRACES[name]
+    assert raw["epochs"] * (raw["neighbor_count"] + 1) > 2 * _TRACE_CHUNK_ROWS
+    expected = json.loads(RECORDED_SHA256.read_text(encoding="utf-8"))[name]["trace.csv"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out_csv = tmp_path / "trace.csv"
+    code, _, _ = run_cli("sim", "run", "--config", str(config), "--out", str(out_csv), capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == expected
+
+
 # ---------------------------------------------------------------------------
 # exp case
 
@@ -213,8 +275,7 @@ def test_exp_all_writes_every_artifact(tmp_path, capsys):
 def test_exp_all_default_grid_matches_recorded_sha256(tmp_path, capsys):
     # The figure artifact must not change by a byte: hold the ten-seed grid
     # to the digests the benchmark records for its default seed.
-    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "expected_sha256.json"
-    expected = json.loads(recorded.read_text(encoding="utf-8"))["grid"]
+    expected = json.loads(RECORDED_SHA256.read_text(encoding="utf-8"))["grid"]
     code, _, _ = run_cli("exp", "all", "--out-dir", str(tmp_path), "--seeds", "10", "--seed", "0", capsys=capsys)
     assert code == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim.errors import EmptyTraceError, InvalidConfigError
+from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError
 from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
+    MAX_EPOCHS,
+    MAX_NEIGHBOR_COUNT,
     Decision,
     NodeState,
     Packet,
@@ -219,12 +221,19 @@ def test_config_from_dict_rejects_non_integer_and_bool():
         ({"data_rate": 1e19}, "data_rate"),
         ({"data_rate": 10**400}, "data_rate"),
         ({"epochs": float("inf")}, "epochs"),
+        ({"epochs": 1e300}, "epochs"),
+        ({"epochs": 10**12}, "epochs"),
+        ({"epochs": MAX_EPOCHS + 1}, "epochs"),
+        ({"neighbor_count": MAX_NEIGHBOR_COUNT + 1}, "neighbor_count"),
+        ({"neighbor_count": 10**15}, "neighbor_count"),
     ],
 )
 def test_config_from_dict_rejects_non_finite_naming_the_field(raw, field_name):
     # Each of these used to pass validation and fail mid-run (or in the
     # int/float conversion) with a Python conversion error naming no field:
-    # non-finite values, counts past int64, and JSON integers past a float.
+    # non-finite values, counts past int64, JSON integers past a float, and
+    # run lengths and source counts past their bounds, whose columns or
+    # source rows would not fit in memory.
     with pytest.raises(InvalidConfigError, match=field_name):
         config_from_dict({"epochs": 3, **raw})
 
@@ -242,6 +251,84 @@ def test_config_int64_bound_on_run_arrivals():
 
 def test_config_from_dict_accepts_integral_float():
     assert config_from_dict({"epochs": 3.0}).epochs == 3
+
+
+def test_config_accepts_epochs_and_neighbor_count_up_to_their_bounds():
+    cfg = config_from_dict({"epochs": MAX_EPOCHS, "neighbor_count": MAX_NEIGHBOR_COUNT})
+    assert (cfg.epochs, cfg.neighbor_count) == (MAX_EPOCHS, MAX_NEIGHBOR_COUNT)
+
+
+# Config values in range, one strategy per optional key.
+_RATE_TEXT = st.one_of(
+    st.builds("constant:{}".format, st.floats(0, 2000)),
+    st.builds(
+        "{}:{}:{}".format,
+        st.sampled_from(["linear_increasing", "linear_decreasing"]),
+        st.floats(0, 2000),
+        st.floats(0, 300),
+    ),
+)
+_IN_RANGE = {
+    "neighbor_count": st.integers(1, 6),
+    "epoch_length": st.floats(1e-3, 10),
+    "data_rate": st.floats(0.1, 5000),
+    "base_drop_prob": st.floats(0, 0.99),
+    "energy_budget": st.integers(0, 5000),
+    "deadline_epochs": st.integers(1, 6),
+    "min_share_fraction": st.floats(0.01, 0.49),
+    "misbehavior_threshold": st.floats(0.01, 0.99),
+    "window_epochs": st.integers(1, 10),
+    "policy": st.sampled_from(["ctc", "dsr", " DSR "]),
+    "seed": st.integers(0, 2**64 - 1),
+    "self_rate_fn": _RATE_TEXT,
+    "neighbor_rate_fn": _RATE_TEXT,
+}
+# Odd values for any key: JSON numbers of every size, non-finite floats,
+# booleans, and strings. Trace rows grow as epochs x (neighbor_count + 1),
+# so those two keys take odd values from a fixed list, each of them either
+# small or past its bound.
+_ANY_NUMBER = st.one_of(
+    st.integers(-2, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, 2**63, 2**64, True]),
+)
+_ODD_VALUE = {
+    "epochs": st.sampled_from([-1, 2.0, 2.5, float("nan"), 1e300, 10**12, MAX_EPOCHS + 1, True, "3"]),
+    "neighbor_count": st.sampled_from([0, 3.0, 2.5, float("inf"), MAX_NEIGHBOR_COUNT + 1, 10**15, False]),
+    "policy": st.sampled_from(["aodv", "", 1]),
+    "self_rate_fn": st.one_of(
+        st.builds("constant:{}".format, _ANY_NUMBER),
+        st.builds("linear_increasing:{}:{}".format, _ANY_NUMBER, _ANY_NUMBER),
+        st.sampled_from(["constant", "constant:1:2", "linear_increasing:1", "sine:1", "constant:x", 3]),
+    ),
+}
+_ODD_VALUE["neighbor_rate_fn"] = _ODD_VALUE["self_rate_fn"]
+
+
+@st.composite
+def _raw_configs(draw):
+    """An in-range config dict, with at most one key set to an odd value."""
+    raw = draw(st.fixed_dictionaries({"epochs": st.integers(0, 12)}, optional=_IN_RANGE))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["epochs", *_IN_RANGE]))
+        raw[key] = draw(_ODD_VALUE.get(key, _ANY_NUMBER))
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_configs())
+def test_every_accepted_config_runs_or_raises_package_error(raw, tmp_path_factory):
+    # Validation is the only gate: whatever config_from_dict accepts must run
+    # and emit its trace, or fail with a package error that names the cause,
+    # never with a Python conversion error or a broken invariant.
+    dest = tmp_path_factory.getbasetemp() / "property_trace.csv"
+    try:
+        trace = run(config_from_dict(raw))
+        written = emit_trace_csv(trace, dest)
+    except CtcSimError:
+        return
+    assert written == dest.stat().st_size
+    assert len(dest.read_bytes().splitlines()) == 1 + trace.config.epochs * (trace.config.neighbor_count + 1)
 
 
 def test_load_config_round_trip(tmp_path):
@@ -273,37 +360,25 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_ctc_split_starved_self_clamps():
-    node = NodeState(energy_remaining=0)
-    node.neighbor_queue.append([0, 40])
-    budget = ctc_split(node, 1.0, 0.05)
-    assert budget.t_np == 0.95
-    assert budget.t_pp == pytest.approx(0.05)
-    assert budget.t_pp + budget.t_np == 1.0
+    t_pp, t_np, cap_self, cap_nbr = ctc_split(0, 40, 1.0, 0.05, 100)
+    assert t_np == 0.95
+    assert t_pp == pytest.approx(0.05)
+    assert t_pp + t_np == 1.0
+    assert (cap_self, cap_nbr) == (5, 95)
 
 
 def test_ctc_split_even_backlogs():
-    node = NodeState(energy_remaining=0)
-    node.self_queue.append([0, 30])
-    node.neighbor_queue.append([0, 30])
-    budget = ctc_split(node, 1.0, 0.05)
-    assert budget.t_pp == 0.5
-    assert budget.t_np == 0.5
+    assert ctc_split(30, 30, 1.0, 0.05, 100) == (0.5, 0.5, 50, 50)
 
 
 def test_ctc_split_proportional_with_scaled_epoch():
-    node = NodeState(energy_remaining=0)
-    node.self_queue.append([0, 10])
-    node.neighbor_queue.append([0, 30])
-    budget = ctc_split(node, 2.0, 0.05)
-    assert budget.t_np == 1.5
-    assert budget.t_pp == 0.5
+    # The caps take the share back from the time split and floor each side,
+    # so an odd capacity leaves one packet of it unused.
+    assert ctc_split(10, 30, 2.0, 0.05, 101) == (0.5, 1.5, 25, 75)
 
 
 def test_ctc_split_empty_queues_even_split():
-    node = NodeState(energy_remaining=0)
-    budget = ctc_split(node, 1.0, 0.05)
-    assert budget.t_pp == 0.5
-    assert budget.t_np == 0.5
+    assert ctc_split(0, 0, 1.0, 0.05, 7) == (0.5, 0.5, 3, 3)
 
 
 def test_dsr_decide_self_always_forwards():
@@ -487,7 +562,7 @@ def test_run_seed_changes_ambient_losses():
     drop=st.floats(0.0, 0.8),
 )
 def test_conservation_random_configs(policy, seed, data_rate, self_rate, nbr_rate, energy, drop):
-    # step() raises internally on any conservation break; this drives it
+    # realize() raises on any conservation break; this drives it
     # across a spread of loads and checks the cumulative identity at the end.
     cfg = SimConfig(
         epochs=15,
