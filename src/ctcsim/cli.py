@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -78,9 +79,12 @@ def _parse_numbers(text: str, count: int, flag: str) -> list[float]:
     if len(parts) != count:
         raise CtcSimError(f"{flag} expects {count} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise CtcSimError(f"{flag} has a non-numeric value: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise CtcSimError(f"{flag} has a non-finite value: {text!r}")
+    return values
 
 
 def _cmd_model_eval(args) -> int:
@@ -127,6 +131,10 @@ def _spec_for(case_id: str, algo: str, seeds: int, first_seed: int):
     spec = case_spec(case_id)
     if seeds < 1:
         raise CtcSimError(f"--seeds must be >= 1, got {seeds}")
+    if first_seed < 0:
+        raise CtcSimError(f"--seed must be >= 0, got {first_seed}")
+    if first_seed + seeds > 2**64:
+        raise CtcSimError(f"--seed {first_seed} with --seeds {seeds} runs seeds past 2**64 - 1, the largest seed")
     algorithms = (Policy.CTC, Policy.DSR) if algo == "both" else (Policy(algo),)
     return dataclasses.replace(spec, algorithms=algorithms, seeds=tuple(range(first_seed, first_seed + seeds)))
 

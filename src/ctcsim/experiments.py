@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
-from .sim import Policy, RateFunction, RateKind, SimConfig, Trace, classify_misbehavior, realize, schedule
+from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig, _classify_windows, _realize_seeds, schedule
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -169,55 +169,64 @@ def _running_total(column) -> float:
     return float(np.cumsum(column)[-1]) if column.size else 0.0
 
 
-def _summarize(case_id: str, algorithm: Policy, sweep_value: int, trace: Trace) -> ResultRow:
-    config = trace.config
-    offered_self = int(trace.offered_self.sum())
-    offered_nbr = int(trace.offered_neighbor.sum())
-    forwarded_self = int(trace.forwarded_self.sum())
-    forwarded_nbr = int(trace.forwarded_neighbor.sum())
-    dropped_self = int(trace.dropped_self.sum())
-    dropped_nbr = int(trace.dropped_neighbor.sum())
-    t_pp_total = _running_total(trace.t_pp)
-    t_np_total = _running_total(trace.t_np)
-
-    drop_ratio = dropped_nbr / offered_nbr if offered_nbr > 0 else 0.0
-    malicious = classify_misbehavior(trace).malicious_fraction
-    throughput = (forwarded_self + forwarded_nbr) / (config.epochs * config.epoch_length)
-    try:
-        utilization = utilization_node(
-            PacketCounters(k_pout=forwarded_self, k_nout=forwarded_nbr, k_nin=offered_nbr),
-            TimeBudget(t_pp=t_pp_total, t_np=t_np_total),
-        )
-    except (NoInputError, ZeroTimeError):
-        utilization = 0.0
-
-    return ResultRow(
-        case_id=case_id,
-        algorithm=algorithm.value,
-        sweep_value=sweep_value,
-        seed=config.seed,
-        epoch_window=f"0-{config.epochs - 1}",
-        offered_self=offered_self,
-        offered_nbr=offered_nbr,
-        forwarded_self=forwarded_self,
-        forwarded_nbr=forwarded_nbr,
-        dropped_self=dropped_self,
-        dropped_nbr=dropped_nbr,
-        drop_ratio=drop_ratio,
-        malicious_fraction=malicious,
-        throughput=throughput,
-        utilization=utilization,
+def _summarize(case_id: str, algorithm: Policy, sweep_value: int, plan: Schedule, seeds) -> list[ResultRow]:
+    """One row per seed: every seed of the grid point is realized in one pass."""
+    config = plan.config
+    fwd_s, drop_s, fwd_n, drop_n = _realize_seeds(plan, seeds)
+    *_, malicious = _classify_windows(
+        plan.offered_neighbor, drop_n, config.misbehavior_threshold, config.window_epochs
     )
+    # Seed-free: arrivals and the time split come from the schedule.
+    offered_self = int(plan.offered_self.sum())
+    offered_nbr = int(plan.offered_neighbor.sum())
+    times = TimeBudget(t_pp=_running_total(plan.t_pp), t_np=_running_total(plan.t_np))
+    run_time = config.epochs * config.epoch_length
+    epoch_window = f"0-{config.epochs - 1}"
+
+    rows = []
+    per_seed = (column.sum(axis=-1).tolist() for column in (fwd_s, fwd_n, drop_s, drop_n))
+    for seed, forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious_fraction in zip(
+        seeds, *per_seed, malicious.tolist()
+    ):
+        try:
+            utilization = utilization_node(
+                PacketCounters(k_pout=forwarded_self, k_nout=forwarded_nbr, k_nin=offered_nbr), times
+            )
+        except (NoInputError, ZeroTimeError):
+            utilization = 0.0
+        rows.append(
+            ResultRow(
+                case_id=case_id,
+                algorithm=algorithm.value,
+                sweep_value=sweep_value,
+                seed=seed,
+                epoch_window=epoch_window,
+                offered_self=offered_self,
+                offered_nbr=offered_nbr,
+                forwarded_self=forwarded_self,
+                forwarded_nbr=forwarded_nbr,
+                dropped_self=dropped_self,
+                dropped_nbr=dropped_nbr,
+                drop_ratio=dropped_nbr / offered_nbr if offered_nbr > 0 else 0.0,
+                malicious_fraction=malicious_fraction,
+                throughput=(forwarded_self + forwarded_nbr) / run_time,
+                utilization=utilization,
+            )
+        )
+    return rows
 
 
 def run_case(spec: CaseSpec) -> ResultTable:
     """Run the full (algorithm x sweep x seed) grid for one case."""
     params = spec.params
+    for seed in spec.seeds:
+        if not 0 <= seed < 2**64:
+            raise InvalidParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
             # The queue pass does not depend on the seed: run it once per
-            # grid point and draw only the losses per seed.
+            # grid point, then realize and summarize every seed in one pass.
             plan = schedule(
                 SimConfig(
                     epochs=params.epochs,
@@ -231,8 +240,7 @@ def run_case(spec: CaseSpec) -> ResultTable:
                     neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
                 )
             )
-            for seed in spec.seeds:
-                rows.append(_summarize(spec.case_id, algorithm, sweep_value, realize(plan, seed)))
+            rows.extend(_summarize(spec.case_id, algorithm, sweep_value, plan, spec.seeds))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))
 

@@ -12,6 +12,7 @@ is constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDenominatorError, InvalidParameterError, NonPositiveTimeError
@@ -39,7 +40,7 @@ class ForwardingParams:
     k : int
         Packet batch size, at least 1.
     data_rate : float
-        Service rate in packets per second, strictly positive.
+        Service rate in packets per second, finite and strictly positive.
     """
 
     p: float
@@ -51,8 +52,8 @@ class ForwardingParams:
             raise InvalidParameterError(f"p must be in [0, 1], got {self.p}")
         if not isinstance(self.k, int) or self.k < 1:
             raise InvalidParameterError(f"k must be an integer >= 1, got {self.k!r}")
-        if not self.data_rate > 0.0:
-            raise InvalidParameterError(f"data_rate must be > 0, got {self.data_rate}")
+        if not 0.0 < self.data_rate < math.inf:
+            raise InvalidParameterError(f"data_rate must be finite and > 0, got {self.data_rate}")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,15 @@ dropped and cumulative-ratio columns with array operations. The split is
 exact because a lost packet has already left its queue: loss moves a
 transmitted packet from "forwarded" to "dropped" and feeds back into nothing
 the next epoch reads (queues, backlogs, energy). So one schedule serves every
-seed of a grid point. The draw array interleaves ``[serviced_self[e],
-attempts_neighbor[e]]`` per epoch, the order in which one scalar draw per
-class per epoch would consume the generator's stream, also when a count is
-zero, so the stream position never depends on load or policy.
+seed of a grid point, and so does one realization pass: the losses of all
+seeds fill one array with a row per seed, and the forwarded and dropped
+columns, the conservation check and the classifier's window sums work along
+its last axis (``ctcsim.experiments.run_case`` summarizes a grid point that
+way). ``realize`` is the one-seed case of that pass. Each row interleaves
+``[serviced_self[e], attempts_neighbor[e]]`` per epoch, the order in which
+one scalar draw per class per epoch would consume the seed's stream, also
+when a count is zero, so the stream position never depends on load or
+policy.
 
 Determinism contract: a run is a pure function of its config, including the
 seed. The engine never materializes a packet: all packets arriving in one
@@ -540,43 +545,75 @@ def schedule(config: SimConfig) -> Schedule:
     return Schedule(config, offered_self, offered_nbr, *counts, *times)
 
 
-def _realize_class(offered, sent, dropped_before_loss, queued, lost):
-    """Forwarded, dropped and cumulative drop-ratio columns of one class.
+def _draw_losses(plan: Schedule, seeds) -> np.ndarray:
+    """Ambient losses of each seed over a schedule, one row per seed.
 
-    Also returns the epochs at which cumulative conservation (offered =
-    forwarded + dropped + queued) fails, as a boolean mask.
+    Row ``i`` is ``np.random.default_rng(seeds[i]).binomial`` over
+    ``[serviced_self[0], attempts_neighbor[0], serviced_self[1], ...]``: one
+    coin per transmitted packet, drawn as one binomial per class per epoch,
+    self first, the order in which one scalar draw per class per epoch would
+    consume each seed's stream.
+    """
+    sent = np.empty(2 * plan.config.epochs, dtype=np.int64)
+    sent[0::2] = plan.serviced_self
+    sent[1::2] = plan.attempts_neighbor
+    p = plan.config.base_drop_prob
+    lost = np.empty((len(seeds), sent.size), dtype=np.int64)
+    for row, seed in zip(lost, seeds):
+        row[:] = np.random.default_rng(seed).binomial(sent, p)
+    return lost
+
+
+def _realize_class(offered, sent, dropped_before_loss, queued, lost):
+    """Forwarded and dropped columns of one class, along the last axis of ``lost``.
+
+    Also returns where cumulative conservation (offered = forwarded +
+    dropped + queued) fails, as a boolean mask shaped like ``lost``.
     """
     forwarded = sent - lost
     dropped = dropped_before_loss + lost
+    broken = np.cumsum(offered) != np.cumsum(forwarded + dropped, axis=-1) + queued
+    return forwarded, dropped, broken
+
+
+def _realize_seeds(plan: Schedule, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forwarded and dropped columns of both classes at each seed, ``(seeds, epochs)`` each.
+
+    Returns ``(forwarded_self, dropped_self, forwarded_neighbor,
+    dropped_neighbor)``. Raises ``InvariantError`` naming the class and epoch
+    of the first conservation failure, first seed first.
+    """
+    lost = _draw_losses(plan, seeds)
+    fwd_s, drop_s, broken_s = _realize_class(
+        plan.offered_self, plan.serviced_self, plan.dropped_before_loss_self, plan.queued_self, lost[:, 0::2]
+    )
+    fwd_n, drop_n, broken_n = _realize_class(
+        plan.offered_neighbor,
+        plan.attempts_neighbor,
+        plan.dropped_before_loss_neighbor,
+        plan.queued_neighbor,
+        lost[:, 1::2],
+    )
+    broken = np.argwhere(broken_s | broken_n)
+    if broken.size:
+        row, epoch = broken[0].tolist()
+        name = "self" if broken_s[row, epoch] else "neighbor"
+        raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
+    return fwd_s, drop_s, fwd_n, drop_n
+
+
+def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
+    """Running drop ratio, 0 until the first packet is offered."""
     cum_offered = np.cumsum(offered)
-    cum_dropped = np.cumsum(dropped)
-    broken = cum_offered != np.cumsum(forwarded) + cum_dropped + queued
     # int64 sums below 2**53 convert to float64 exactly, so this matches
     # Python's int / int there.
-    ratio = np.divide(cum_dropped, cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
-    return forwarded, dropped, ratio, broken
+    return np.divide(np.cumsum(dropped), cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
 
 
 def realize(plan: Schedule, seed: int) -> Trace:
     """Draw the ambient losses of one run over a schedule and build its trace."""
     config = replace(plan.config, seed=seed)
-    # One coin per transmitted packet, drawn as one binomial per class per
-    # epoch, self first; the array draw consumes the stream in that order.
-    sent = np.empty(2 * config.epochs, dtype=np.int64)
-    sent[0::2] = plan.serviced_self
-    sent[1::2] = plan.attempts_neighbor
-    lost = np.random.default_rng(seed).binomial(sent, config.base_drop_prob)
-    fwd_s, drop_s, ratio_s, broken_s = _realize_class(
-        plan.offered_self, plan.serviced_self, plan.dropped_before_loss_self, plan.queued_self, lost[0::2]
-    )
-    fwd_n, drop_n, ratio_n, broken_n = _realize_class(
-        plan.offered_neighbor, plan.attempts_neighbor, plan.dropped_before_loss_neighbor, plan.queued_neighbor, lost[1::2]
-    )
-    broken = np.flatnonzero(broken_s | broken_n)
-    if broken.size:
-        epoch = int(broken[0])
-        name = "self" if broken_s[epoch] else "neighbor"
-        raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
+    (fwd_s,), (drop_s,), (fwd_n,), (drop_n,) = _realize_seeds(plan, (seed,))
     return Trace(
         config=config,
         offered_self=plan.offered_self,
@@ -589,8 +626,8 @@ def realize(plan: Schedule, seed: int) -> Trace:
         queued_neighbor=plan.queued_neighbor,
         t_pp=plan.t_pp,
         t_np=plan.t_np,
-        drop_ratio_self=ratio_s,
-        drop_ratio_neighbor=ratio_n,
+        drop_ratio_self=_cumulative_ratio(drop_s, plan.offered_self),
+        drop_ratio_neighbor=_cumulative_ratio(drop_n, plan.offered_neighbor),
     )
 
 
@@ -618,6 +655,35 @@ class MisbehaviorStats:
     window_ratios: tuple[WindowRatio, ...]
 
 
+def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray, threshold: float, window: int):
+    """The rule of ``classify_misbehavior``, along the last axis of ``dropped_neighbor``.
+
+    ``offered_neighbor`` is one run's column; ``dropped_neighbor`` is that
+    run's column or one row per seed. Returns the qualifying mask, the window
+    sums of both columns, the ratios, the flags and the flagged share of the
+    qualifying windows (0 when none qualify), which has the leading shape of
+    ``dropped_neighbor``.
+    """
+    epochs = offered_neighbor.size
+    if epochs == 0:
+        raise EmptyTraceError("cannot classify an empty trace")
+    if not 0.0 < threshold < 1.0:
+        raise InvalidConfigError(f"threshold must be in (0, 1), got {threshold}")
+    if window < 1:
+        raise InvalidConfigError(f"window must be >= 1, got {window}")
+    starts = np.arange(0, epochs, window)
+    offered = np.add.reduceat(offered_neighbor, starts)
+    dropped = np.add.reduceat(dropped_neighbor, starts, axis=-1)
+    qualifying = offered > 0
+    # Window sums below 2**53 convert to float64 exactly, so the ratio
+    # matches Python's int / int there.
+    ratio = np.divide(dropped, offered, out=np.zeros(dropped.shape), where=qualifying)
+    flagged = ratio > threshold
+    count = int(qualifying.sum())
+    fraction = flagged.sum(axis=-1) / count if count else np.zeros(flagged.shape[:-1])
+    return qualifying, offered, dropped, ratio, flagged, fraction
+
+
 def classify_misbehavior(trace: Trace, threshold: float | None = None, window: int | None = None) -> MisbehaviorStats:
     """Windowed misbehavior classification of the target over a trace.
 
@@ -627,29 +693,15 @@ def classify_misbehavior(trace: Trace, threshold: float | None = None, window: i
     exceeds ``threshold``. Sources are never offered relay traffic, so they
     never qualify. Defaults come from the trace's config.
     """
-    epochs = trace.offered_neighbor.size
-    if epochs == 0:
-        raise EmptyTraceError("cannot classify an empty trace")
     theta = trace.config.misbehavior_threshold if threshold is None else threshold
     w = trace.config.window_epochs if window is None else window
-    if not 0.0 < theta < 1.0:
-        raise InvalidConfigError(f"threshold must be in (0, 1), got {theta}")
-    if w < 1:
-        raise InvalidConfigError(f"window must be >= 1, got {w}")
-
-    starts = np.arange(0, epochs, w)
-    offered_sums = np.add.reduceat(trace.offered_neighbor, starts).tolist()
-    dropped_sums = np.add.reduceat(trace.dropped_neighbor, starts).tolist()
-    ratios: list[WindowRatio] = []
-    flagged = 0
-    for w_index, (offered, dropped) in enumerate(zip(offered_sums, dropped_sums)):
-        if offered == 0:
-            continue
-        ratio = dropped / offered
-        is_flagged = ratio > theta
-        flagged += is_flagged
-        ratios.append(
-            WindowRatio(window_index=w_index, offered=offered, dropped=dropped, ratio=ratio, flagged=is_flagged)
-        )
-    fraction = flagged / len(ratios) if ratios else 0.0
-    return MisbehaviorStats(malicious_fraction=fraction, window_ratios=tuple(ratios))
+    qualifying, offered, dropped, ratio, flagged, fraction = _classify_windows(
+        trace.offered_neighbor, trace.dropped_neighbor, theta, w
+    )
+    index = np.flatnonzero(qualifying)
+    columns = (index, offered[index], dropped[index], ratio[index], flagged[index])
+    ratios = tuple(
+        WindowRatio(window_index=i, offered=o, dropped=d, ratio=r, flagged=f)
+        for i, o, d, r, f in zip(*(column.tolist() for column in columns))
+    )
+    return MisbehaviorStats(malicious_fraction=float(fraction), window_ratios=ratios)

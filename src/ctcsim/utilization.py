@@ -23,6 +23,7 @@ __all__ = [
     "PacketCounters",
     "PowerRates",
     "RouteUtilization",
+    "per_route_utilization",
     "power_out",
     "utilization_node",
     "utilization_node_factored",

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,23 @@ def test_model_util_rejects_output_exceeding_input(capsys):
     code, _, err = run_cli("model", "util", "--counters", "4,13,12", "--times", "2,3", capsys=capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("util", "--counters", "1,1,1", "--times", "nan,1"), "--times"),
+        (("util", "--counters", "1,1,1", "--times", "inf,1"), "--times"),
+        (("util", "--counters", "inf,1,1", "--times", "1,1"), "--counters"),
+        (("eval", "--p", "0.1", "--k", "3", "--data-rate", "inf"), "data_rate"),
+    ],
+)
+def test_model_rejects_non_finite_input_by_name(argv, name, capsys):
+    code, out, err = run_cli("model", *argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert name in err
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,29 @@ def test_exp_case_rejects_zero_seeds(tmp_path, capsys):
     )
     assert code == 2
     assert "--seeds" in err
+
+
+@pytest.mark.parametrize("first, count", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
+def test_exp_case_rejects_seeds_outside_uint64_naming_seed(first, count, tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        "exp", "case", "--id", "I", "--seed", str(first), "--seeds", str(count), "--out", str(out_csv), capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert re.search(r"--seed\b", err)
+    assert not out_csv.exists()
+
+
+def test_exp_case_accepts_the_largest_seed(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code, _, _ = run_cli(
+        "exp", "case", "--id", "IV", "--algo", "ctc", "--seed", str(2**64 - 1), "--seeds", "1",
+        "--out", str(out_csv), capsys=capsys,
+    )
+    assert code == 0
+    seeds = {line.split(",")[3] for line in out_csv.read_text(encoding="utf-8").strip().split("\n")[1:]}
+    assert seeds == {str(2**64 - 1)}
 
 
 def test_exp_case_unknown_id_is_usage_error(tmp_path, capsys):

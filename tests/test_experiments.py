@@ -5,7 +5,15 @@ import dataclasses
 
 import pytest
 
-from ctcsim.errors import EmptyInputError, InvalidParameterError, UnknownCaseError
+from ctcsim import experiments
+from ctcsim.errors import (
+    EmptyInputError,
+    InvalidParameterError,
+    InvariantError,
+    NoInputError,
+    UnknownCaseError,
+    ZeroTimeError,
+)
 from ctcsim.experiments import (
     CASE_IDS,
     DEFAULTS,
@@ -16,7 +24,9 @@ from ctcsim.experiments import (
     isotonic_nondecreasing,
     run_case,
 )
-from ctcsim.sim import Policy, RateKind
+from ctcsim.model import TimeBudget
+from ctcsim.sim import Policy, RateKind, SimConfig, classify_misbehavior, realize, schedule
+from ctcsim.utilization import PacketCounters, utilization_node
 
 
 def test_case_ids_cover_four_cases():
@@ -96,6 +106,102 @@ def test_run_case_row_grid_and_ordering():
 def test_run_case_is_deterministic():
     spec = _tiny_spec("II")
     assert run_case(spec) == run_case(spec)
+
+
+def _oracle_rows(spec):
+    """``run_case`` rebuilt one run at a time from ``realize``, ``classify_misbehavior`` and ``utilization_node``."""
+    params = spec.params
+    rows = []
+    for algorithm in spec.algorithms:
+        for sweep_value in spec.sweep_axis:
+            config = SimConfig(
+                epochs=params.epochs,
+                data_rate=params.service_rate,
+                base_drop_prob=params.ambient_drop,
+                energy_budget=params.energy_budget,
+                misbehavior_threshold=params.misbehavior_threshold,
+                window_epochs=params.window,
+                policy=algorithm,
+                self_rate_fn=spec.self_rate_fn(sweep_value),
+                neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
+            )
+            plan = schedule(config)
+            for seed in spec.seeds:
+                trace = realize(plan, seed)
+                totals = {
+                    name: sum(getattr(trace, name).tolist())
+                    for name in ("offered_self", "offered_neighbor", "forwarded_self", "forwarded_neighbor",
+                                 "dropped_self", "dropped_neighbor")
+                }
+                # Time totals in epoch order, one addition at a time.
+                t_pp = t_np = 0.0
+                for pp, np_ in zip(trace.t_pp.tolist(), trace.t_np.tolist()):
+                    t_pp += pp
+                    t_np += np_
+                offered_nbr = totals["offered_neighbor"]
+                try:
+                    utilization = utilization_node(
+                        PacketCounters(k_pout=totals["forwarded_self"], k_nout=totals["forwarded_neighbor"],
+                                       k_nin=offered_nbr),
+                        TimeBudget(t_pp=t_pp, t_np=t_np),
+                    )
+                except (NoInputError, ZeroTimeError):
+                    utilization = 0.0
+                rows.append(
+                    ResultRow(
+                        case_id=spec.case_id,
+                        algorithm=algorithm.value,
+                        sweep_value=sweep_value,
+                        seed=seed,
+                        epoch_window=f"0-{params.epochs - 1}",
+                        offered_self=totals["offered_self"],
+                        offered_nbr=offered_nbr,
+                        forwarded_self=totals["forwarded_self"],
+                        forwarded_nbr=totals["forwarded_neighbor"],
+                        dropped_self=totals["dropped_self"],
+                        dropped_nbr=totals["dropped_neighbor"],
+                        drop_ratio=totals["dropped_neighbor"] / offered_nbr if offered_nbr else 0.0,
+                        malicious_fraction=classify_misbehavior(trace).malicious_fraction,
+                        throughput=(totals["forwarded_self"] + totals["forwarded_neighbor"])
+                        / (trace.config.epochs * trace.config.epoch_length),
+                        utilization=utilization,
+                    )
+                )
+    return tuple(sorted(rows, key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed)))
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
+    # Every seed of a grid point is realized and summarized in one pass;
+    # each row must equal the one-run path exactly, float bits included.
+    spec = dataclasses.replace(case_spec(case_id), sweep_axis=(100, 800, 1600), seeds=(0, 1, 2**63 + 5))
+    rows = run_case(spec).rows
+    assert len(rows) == 2 * 3 * 3
+    assert rows == _oracle_rows(spec)
+
+
+def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):
+    real_schedule = experiments.schedule
+
+    def broken_schedule(config):
+        plan = real_schedule(config)
+        queued = plan.queued_self.copy()
+        queued[4:] += 1
+        return dataclasses.replace(plan, queued_self=queued)
+
+    monkeypatch.setattr(experiments, "schedule", broken_schedule)
+    with pytest.raises(InvariantError, match="self-class conservation violated at the target, epoch 4"):
+        run_case(_tiny_spec("III"))
+
+
+@pytest.mark.parametrize("seeds", [(-1,), (0, 2**64), (2**64 + 7,)])
+def test_run_case_rejects_seed_outside_uint64_before_scheduling(seeds, monkeypatch):
+    def no_schedule(config):
+        raise AssertionError("scheduled before the seeds were checked")
+
+    monkeypatch.setattr(experiments, "schedule", no_schedule)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        run_case(dataclasses.replace(case_spec("I"), seeds=seeds))
 
 
 def test_dsr_drop_ratio_grows_with_load():

@@ -37,8 +37,9 @@ def test_params_reject_bad_batch_size():
 
 
 def test_params_reject_bad_rate():
-    with pytest.raises(InvalidParameterError):
-        ForwardingParams(p=0.5, k=1, data_rate=0.0)
+    for data_rate in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="data_rate"):
+            ForwardingParams(p=0.5, k=1, data_rate=data_rate)
 
 
 # --- prob_batch -----------------------------------------------------------
