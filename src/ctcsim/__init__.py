@@ -39,7 +39,7 @@ from .experiments import (
     isotonic_nondecreasing,
     run_case,
 )
-from .model import ForwardingParams, ProbPair, TimeBudget, packet_drop_rate, prob_batch, throughput, time_components
+from .model import MAX_K, ForwardingParams, ProbPair, TimeBudget, packet_drop_rate, prob_batch, throughput, time_components
 from .report import (
     CSV_COLUMNS,
     FIG_CASE,
@@ -82,6 +82,7 @@ from .utilization import (
     RouteUtilization,
     per_route_utilization,
     power_out,
+    utilization_forms,
     utilization_node,
     utilization_node_factored,
     utilization_total,

@@ -23,10 +23,10 @@ from pathlib import Path
 
 from .errors import CtcSimError, InvariantError
 from .experiments import CASE_IDS, case_spec, derive_case_v, run_case
-from .model import ForwardingParams, TimeBudget, prob_batch, throughput, time_components
+from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
 from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
 from .sim import Policy, load_config, run
-from .utilization import PacketCounters, utilization_node, utilization_node_factored
+from .utilization import PacketCounters, utilization_forms
 
 __all__ = ["main", "build_parser"]
 
@@ -88,6 +88,8 @@ def _parse_numbers(text: str, count: int, flag: str) -> list[float]:
 
 
 def _cmd_model_eval(args) -> int:
+    if not 1 <= args.k <= MAX_K:
+        raise CtcSimError(f"--k must be in [1, {MAX_K}], got {args.k}")
     params = ForwardingParams(p=args.p, k=args.k, data_rate=args.data_rate)
     probs = prob_batch(params)
     times = time_components(params)
@@ -100,16 +102,27 @@ def _cmd_model_eval(args) -> int:
     return 0
 
 
+# Inside these ranges every intermediate of both utilization forms is a
+# normal float, so the two forms can differ only by rounding.
+_MAX_COUNT = 1e100
+_TIME_RANGE = (1e-100, 1e100)
+
+
 def _cmd_model_util(args) -> int:
     k_pout, k_nout, k_nin = _parse_numbers(args.counters, 3, "--counters")
     for name, value in (("k_pout", k_pout), ("k_nout", k_nout), ("k_nin", k_nin)):
-        if value != int(value) or value < 0:
-            raise CtcSimError(f"--counters {name} must be a nonnegative integer, got {value}")
+        if value != int(value) or not 0 <= value <= _MAX_COUNT:
+            raise CtcSimError(f"--counters {name} must be an integer in [0, {_MAX_COUNT:g}], got {value}")
     t_pp, t_np = _parse_numbers(args.times, 2, "--times")
+    low, high = _TIME_RANGE
+    for name, value in (("t_pp", t_pp), ("t_np", t_np)):
+        if not low <= value <= high:
+            raise CtcSimError(f"--times {name} must be in [{low:g}, {high:g}], got {value}")
     counters = PacketCounters(k_pout=int(k_pout), k_nout=int(k_nout), k_nin=int(k_nin))
     times = TimeBudget(t_pp=t_pp, t_np=t_np)
-    print(f"utilization           {utilization_node(counters, times):.6f}")
-    print(f"utilization_factored  {utilization_node_factored(counters, times):.6f}")
+    ratio, factored = utilization_forms(counters, times)
+    print(f"utilization           {ratio:.6f}")
+    print(f"utilization_factored  {factored:.6f}")
     return 0
 
 

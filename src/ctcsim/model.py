@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import DegenerateDenominatorError, InvalidParameterError, NonPositiveTimeError
 
 __all__ = [
+    "MAX_K",
     "ForwardingParams",
     "ProbPair",
     "TimeBudget",
@@ -26,6 +27,11 @@ __all__ = [
     "throughput",
     "packet_drop_rate",
 ]
+
+
+# Upper bound on ``ForwardingParams.k``. The sums below take k terms one at a
+# time, so `model eval` at the bound runs in a few hundredths of a second.
+MAX_K = 10**5
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class ForwardingParams:
         Probability that a transmission slot goes to neighbor traffic,
         in [0, 1].
     k : int
-        Packet batch size, at least 1.
+        Packet batch size, in [1, MAX_K].
     data_rate : float
         Service rate in packets per second, finite and strictly positive.
     """
@@ -50,8 +56,8 @@ class ForwardingParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise InvalidParameterError(f"p must be in [0, 1], got {self.p}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InvalidParameterError(f"k must be an integer >= 1, got {self.k!r}")
+        if not isinstance(self.k, int) or not 1 <= self.k <= MAX_K:
+            raise InvalidParameterError(f"k must be an integer in [1, {MAX_K}], got {self.k!r}")
         if not 0.0 < self.data_rate < math.inf:
             raise InvalidParameterError(f"data_rate must be finite and > 0, got {self.data_rate}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NoInputError, ZeroTimeError
+from .errors import InvalidParameterError, InvariantError, NoInputError, ZeroTimeError
 from .model import TimeBudget
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "RouteUtilization",
     "per_route_utilization",
     "power_out",
+    "utilization_forms",
     "utilization_node",
     "utilization_node_factored",
     "utilization_total",
@@ -50,9 +51,9 @@ class PacketCounters:
 
     def __post_init__(self) -> None:
         if self.k_pout < 0 or self.k_nout < 0 or self.k_nin < 0:
-            raise ValueError(f"packet counts must be >= 0, got {self}")
+            raise InvalidParameterError(f"packet counts must be >= 0, got {self}")
         if self.k_nout > self.k_nin:
-            raise ValueError(
+            raise InvalidParameterError(
                 "cannot forward more neighbor packets than received: "
                 f"k_nout={self.k_nout} > k_nin={self.k_nin}"
             )
@@ -148,23 +149,27 @@ def per_route_utilization(
     ]
 
 
+def utilization_forms(counters: PacketCounters, times: TimeBudget) -> tuple[float, float]:
+    """One node's utilization in the ratio form and in the factored form.
+
+    The two are the same quantity computed two ways, so a relative
+    disagreement beyond 1e-9 is a failed identity and raises InvariantError.
+    """
+    u_ratio = utilization_node(counters, times)
+    u_factored = utilization_node_factored(counters, times)
+    scale = max(abs(u_ratio), abs(u_factored), 1.0)
+    if not abs(u_ratio - u_factored) <= _AGREEMENT_RTOL * scale:  # NaN disagrees too
+        raise InvariantError(f"utilization forms disagree: ratio={u_ratio!r} factored={u_factored!r}")
+    return u_ratio, u_factored
+
+
 def utilization_total(per_route: Sequence[tuple[PacketCounters, TimeBudget]]) -> float:
     """System utilization: sum of per-route utilization.
 
-    Every route is evaluated through both the ratio form and the factored
-    form; a relative disagreement beyond 1e-9 raises. The factored-form sum
-    is returned. An empty route list is a vacuous sum, 0.0.
+    Every route is checked through :func:`utilization_forms`; the
+    factored-form sum is returned. An empty route list is a vacuous sum, 0.0.
     """
-    total_ratio = 0.0
-    total_factored = 0.0
+    total = 0.0
     for counters, times in per_route:
-        u_ratio = utilization_node(counters, times)
-        u_factored = utilization_node_factored(counters, times)
-        scale = max(abs(u_ratio), abs(u_factored), 1.0)
-        if abs(u_ratio - u_factored) > _AGREEMENT_RTOL * scale:
-            raise ArithmeticError(
-                f"utilization forms disagree: ratio={u_ratio!r} factored={u_factored!r}"
-            )
-        total_ratio += u_ratio
-        total_factored += u_factored
-    return total_factored
+        total += utilization_forms(counters, times)[1]
+    return total

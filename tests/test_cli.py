@@ -1,15 +1,21 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
+import signal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctcsim import sim
+from ctcsim import sim, utilization
 from ctcsim.cli import main
+from ctcsim.model import MAX_K
 from ctcsim.report import _TRACE_CHUNK_ROWS, CSV_COLUMNS
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_sha256.json"
@@ -79,6 +85,134 @@ def test_model_rejects_non_finite_input_by_name(argv, name, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert name in err
+
+
+def test_model_eval_runs_at_the_largest_k(capsys):
+    code, out, err = run_cli("model", "eval", "--p", "0.5", "--k", str(MAX_K), "--data-rate", "1", capsys=capsys)
+    assert code == 0
+    assert err == ""
+    assert "throughput  1.000000" in out
+
+
+@pytest.mark.parametrize("k", [MAX_K + 1, 10**12, 0])
+def test_model_eval_rejects_k_outside_its_bound_naming_k(k, capsys):
+    code, out, err = run_cli("model", "eval", "--p", "0.5", "--k", str(k), "--data-rate", "1", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --k ")
+
+
+@pytest.mark.parametrize(
+    "counters, times, name",
+    [
+        ("1e101,1,1", "1,1", "--counters k_pout"),
+        ("1,1,2e100", "1,1", "--counters k_nin"),
+        ("1,1,1", "1e-310,1", "--times t_pp"),
+        ("1,1,1", "1,1e101", "--times t_np"),
+        ("4,6,12", "0,3", "--times t_pp"),
+    ],
+)
+def test_model_util_rejects_values_out_of_range_by_name(counters, times, name, capsys):
+    code, out, err = run_cli("model", "util", "--counters", counters, "--times", times, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} ")
+
+
+def test_model_util_accepts_the_range_edges(capsys):
+    code, out, err = run_cli("model", "util", "--counters", "1e100,1e100,1e100", "--times", "1e100,1e-100", capsys=capsys)
+    assert code == 0
+    assert out == "utilization           1.000000\nutilization_factored  1.000000\n"
+
+
+def test_model_util_forms_disagreeing_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(utilization, "utilization_node_factored", lambda counters, times: 1.5)
+    code, out, err = run_cli("model", "util", "--counters", "4,6,12", "--times", "2,3", capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: utilization forms disagree")
+
+
+# In-range values for each model flag, and odd values for any of them:
+# numbers of every size, non-finite values, and text that is not a number.
+_ODD_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0", "5e-324", "1e-310", "1e-200", "1e200", "1e308", "1e400", "-1e400", "-0", "nan", "-inf"]),
+    st.sampled_from(["", "x", "0x10", "1_0", " 2", "1,2", "1,2,3,4"]),
+)
+_MODEL_FLAGS = {
+    "eval": {
+        "--p": st.floats(0, 1).map(repr),
+        "--k": st.one_of(st.integers(1, 100), st.just(MAX_K)).map(str),
+        "--data-rate": st.floats(1e-3, 1e6).map(repr),
+    },
+    "util": {
+        "--counters": st.lists(st.integers(0, 10**6), min_size=3, max_size=3).map(lambda c: ",".join(map(str, c))),
+        "--times": st.lists(st.floats(1e-100, 1e100), min_size=2, max_size=2).map(lambda t: ",".join(map(repr, t))),
+    },
+}
+_ODD_FLAG_VALUE = {
+    "--k": st.one_of(
+        st.integers(-(10**13), 10**13).map(str),
+        st.sampled_from(["0", "-1", str(MAX_K + 1), str(10**12), str(2**64), "1.5", "1e3", "", "x"]),
+    ),
+    # Mostly the right count of values, each of them odd or in range.
+    "--counters": st.one_of(
+        st.lists(st.one_of(_ODD_TEXT, st.integers(0, 9).map(str)), min_size=3, max_size=3).map(",".join),
+        st.lists(_ODD_TEXT, min_size=1, max_size=4).map(",".join),
+    ),
+    "--times": st.one_of(
+        st.lists(st.one_of(_ODD_TEXT, st.just("1.0")), min_size=2, max_size=2).map(",".join),
+        st.lists(_ODD_TEXT, min_size=1, max_size=3).map(",".join),
+    ),
+}
+
+
+@st.composite
+def _model_argv(draw):
+    """`model eval` or `model util` argv, in range but for at most one flag."""
+    command = draw(st.sampled_from(sorted(_MODEL_FLAGS)))
+    flags = _MODEL_FLAGS[command]
+    values = {flag: draw(strategy) for flag, strategy in flags.items()}
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(flags)))
+        values[flag] = draw(_ODD_FLAG_VALUE.get(flag, _ODD_TEXT))
+    return ["model", command, *(f"{flag}={value}" for flag, value in values.items())]
+
+
+class _Expired(Exception):
+    """Raised by the timer; `main` does not catch it."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise _Expired(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_model_argv())
+def test_every_model_call_exits_0_or_2_without_traceback(argv):
+    # Any argv either computes or is rejected as input, promptly; never a
+    # hang, a failed identity or an uncaught Python error.
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(2.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed argv itself
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 # ---------------------------------------------------------------------------

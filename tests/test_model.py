@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcsim.errors import DegenerateDenominatorError, InvalidParameterError, NonPositiveTimeError
-from ctcsim.model import ForwardingParams, packet_drop_rate, prob_batch, throughput, time_components
+from ctcsim.model import MAX_K, ForwardingParams, packet_drop_rate, prob_batch, throughput, time_components
 
 valid_params = st.builds(
     ForwardingParams,
@@ -34,6 +34,19 @@ def test_params_reject_bad_probability():
 def test_params_reject_bad_batch_size():
     with pytest.raises(InvalidParameterError):
         ForwardingParams(p=0.5, k=0, data_rate=1.0)
+
+
+@pytest.mark.parametrize("k", [MAX_K + 1, 10**12])
+def test_params_reject_batch_size_past_bound(k):
+    with pytest.raises(InvalidParameterError, match=r"\bk must be"):
+        ForwardingParams(p=0.5, k=k, data_rate=1.0)
+
+
+def test_params_accept_batch_size_at_bound():
+    params = ForwardingParams(p=0.0, k=MAX_K, data_rate=2.0)
+    # At p = 0 every term is 1: the sums count the k terms exactly.
+    assert time_components(params).t_pp == MAX_K / 2.0
+    assert throughput(params) == 2.0
 
 
 def test_params_reject_bad_rate():

@@ -2,13 +2,19 @@
 so any formatting drift shows up as a diff, not just a failed parse."""
 
 import dataclasses
+import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcsim.errors import InvalidParameterError, MissingCaseError
 from ctcsim.experiments import ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
     CSV_COLUMNS,
+    _format_rows,
     FIG_CASE,
     FigureSeries,
     emit_csv,
@@ -267,3 +273,93 @@ def test_emit_trace_csv_deterministic_bytes(tmp_path):
     emit_trace_csv(run(cfg), a)
     emit_trace_csv(run(cfg), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# array-pass row formatting
+
+
+def per_row_text(int_columns, real_columns):
+    """The oracle: ``%d`` and ``%.6f`` of each row's values, one row at a time."""
+    rows = zip(*(column.tolist() for column in (*int_columns, *real_columns)))
+    cuts = len(int_columns)
+    return "".join(
+        ",".join([*("%d" % v for v in row[:cuts]), *("%.6f" % v for v in row[cuts:])]) + "\n" for row in rows
+    )
+
+
+# Where the fast path ends: x * 1e6 reaches 2**32 between these two.
+_FAST_EDGE = 2**32 / 1e6
+_EDGE_REALS = [
+    math.nan,
+    -math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072009e-308,
+    2.2250738585072014e-308,
+    -1e-9,
+    0.5,
+    1 / 128,
+    3 / 128,
+    5e-7,
+    1.5e-6,
+    2.5e-6,
+    0.0000125,
+    0.1234565,
+    0.9999995,
+    4294.9672955,
+    _FAST_EDGE,
+    1e15,
+    1e300,
+    -1e300,
+]
+
+
+def _neighbours(x, steps):
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+_REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(0.0, 2 * _FAST_EDGE),
+    st.sampled_from(_EDGE_REALS),
+    # Exact binary ties (k/128) and decimal half points ((m + 0.5) / 1e6,
+    # which double rounding can turn into a tie), with their ulp neighbours.
+    st.builds(_neighbours, st.integers(-2**30, 2**30).map(lambda k: k / 128), st.integers(-2, 2)),
+    st.builds(_neighbours, st.integers(0, 2**32).map(lambda m: (m + 0.5) / 1e6), st.integers(-2, 2)),
+    st.builds(_neighbours, st.just(_FAST_EDGE), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(1, 30))
+
+    def column(values):  # varied, or constant as a trace column often is
+        return st.one_of(st.lists(values, min_size=rows, max_size=rows), values.map(lambda v: [v] * rows))
+
+    ints = draw(st.lists(column(st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=3))
+    reals = draw(st.lists(column(_REALS), min_size=1, max_size=3))
+    return [np.array(c, np.int64) for c in ints], [np.array(c, np.float64) for c in reals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_columns())
+def test_format_rows_matches_per_row_formatting(columns):
+    int_columns, real_columns = columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _format_rows(int_columns, real_columns)
+    assert text.decode("ascii") == per_row_text(int_columns, real_columns)
+
+
+def test_format_rows_edge_values():
+    # Each edge value next to ordinary ones, so one column mixes both paths.
+    reals = np.array([v for x in _EDGE_REALS for v in (x, _neighbours(x, -1), 0.25, _neighbours(x, 1))])
+    ints = np.array([-(2**63), 2**63 - 1, -1, 0] * len(_EDGE_REALS), np.int64)
+    assert _format_rows([ints], [reals]).decode("ascii") == per_row_text([ints], [reals])

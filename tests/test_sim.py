@@ -8,12 +8,14 @@ for exact counter agreement.
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctcsim import report
 from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError
 from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
@@ -40,6 +42,7 @@ from ctcsim.sim import (
 )
 
 from reference_engine import run_reference
+from reference_writer import reference_trace_csv
 
 
 def constant(value):
@@ -683,6 +686,35 @@ def test_engine_matches_reference_random_configs(seeds, **config_fields):
         trace = realize(plan, seed)
         assert_matches_reference(trace, seeded)
         assert_matches_reference(run(seeded), seeded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    policy=st.sampled_from([Policy.CTC, Policy.DSR]),
+    self_rate_fn=rate_functions,
+    neighbor_rate_fn=rate_functions,
+    data_rate=st.floats(1.0, 60.0),
+    deadline_epochs=st.integers(1, 5),
+    energy_budget=st.integers(0, 400),
+    base_drop_prob=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**64 - 1),
+    epochs=st.integers(2, 60),
+    neighbor_count=st.integers(1, 6),
+    epoch_length=st.floats(1e-3, 1e4),
+    chunks=st.integers(2, 5),
+)
+def test_emit_trace_csv_matches_per_row_writer_random_configs(chunks, tmp_path_factory, **config_fields):
+    # The array-pass writer against one `%` format per row, with the writer's
+    # chunk size cut so the trace spans at least two chunks.
+    trace = run(SimConfig(**config_fields))
+    rows = trace.config.epochs * (trace.config.neighbor_count + 1)
+    dest = tmp_path_factory.getbasetemp() / "writer_trace.csv"
+    with mock.patch.object(report, "_TRACE_CHUNK_ROWS", rows // chunks):
+        assert sum(1 for _ in report._trace_chunks(trace)) - 1 >= 2
+        written = emit_trace_csv(trace, dest)
+    data = dest.read_bytes()
+    assert written == len(data)
+    assert data == reference_trace_csv(trace)
 
 
 def test_realize_names_first_epoch_that_breaks_conservation():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctcsim.errors import NoInputError, ZeroTimeError
+from ctcsim import utilization
+from ctcsim.errors import InvalidParameterError, InvariantError, NoInputError, ZeroTimeError
 from ctcsim.model import TimeBudget
 from ctcsim.utilization import (
     PacketCounters,
     per_route_utilization,
     power_out,
+    utilization_forms,
     utilization_node,
     utilization_node_factored,
     utilization_total,
@@ -159,6 +161,28 @@ def test_total_propagates_no_input():
     bad = (PacketCounters(1, 0, 0), TimeBudget(1.0, 1.0))
     with pytest.raises(NoInputError):
         utilization_total([(PacketCounters(0, 1, 1), TimeBudget(1.0, 1.0)), bad])
+
+
+def test_counters_reject_with_package_error():
+    with pytest.raises(InvalidParameterError, match="k_nout=5 > k_nin=3"):
+        PacketCounters(k_pout=0, k_nout=5, k_nin=3)
+    with pytest.raises(InvalidParameterError, match=">= 0"):
+        PacketCounters(k_pout=-1, k_nout=0, k_nin=0)
+
+
+def test_forms_return_both_values():
+    assert utilization_forms(PacketCounters(4, 6, 12), TimeBudget(2.0, 3.0)) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("factored", [1.001, math.nan])
+def test_forms_disagreement_is_invariant_error(factored, monkeypatch):
+    # A failed paper identity is a program fault, not bad input.
+    monkeypatch.setattr(utilization, "utilization_node_factored", lambda counters, times: factored)
+    route = (PacketCounters(4, 6, 12), TimeBudget(2.0, 3.0))
+    with pytest.raises(InvariantError, match="utilization forms disagree"):
+        utilization_forms(*route)
+    with pytest.raises(InvariantError, match="utilization forms disagree"):
+        utilization_total([route])
 
 
 def test_per_route_indexing():
