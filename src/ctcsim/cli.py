@@ -26,7 +26,7 @@ from .experiments import CASE_IDS, case_spec, derive_case_v, run_case
 from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
 from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
 from .sim import Policy, load_config, run
-from .utilization import PacketCounters, utilization_forms
+from .utilization import MAX_COUNT, TIME_RANGE, PacketCounters, utilization_forms
 
 __all__ = ["main", "build_parser"]
 
@@ -102,19 +102,13 @@ def _cmd_model_eval(args) -> int:
     return 0
 
 
-# Inside these ranges every intermediate of both utilization forms is a
-# normal float, so the two forms can differ only by rounding.
-_MAX_COUNT = 1e100
-_TIME_RANGE = (1e-100, 1e100)
-
-
 def _cmd_model_util(args) -> int:
     k_pout, k_nout, k_nin = _parse_numbers(args.counters, 3, "--counters")
     for name, value in (("k_pout", k_pout), ("k_nout", k_nout), ("k_nin", k_nin)):
-        if value != int(value) or not 0 <= value <= _MAX_COUNT:
-            raise CtcSimError(f"--counters {name} must be an integer in [0, {_MAX_COUNT:g}], got {value}")
+        if value != int(value) or not 0 <= value <= MAX_COUNT:
+            raise CtcSimError(f"--counters {name} must be an integer in [0, {MAX_COUNT:g}], got {value}")
     t_pp, t_np = _parse_numbers(args.times, 2, "--times")
-    low, high = _TIME_RANGE
+    low, high = TIME_RANGE
     for name, value in (("t_pp", t_pp), ("t_np", t_np)):
         if not low <= value <= high:
             raise CtcSimError(f"--times {name} must be in [{low:g}, {high:g}], got {value}")

@@ -6,13 +6,13 @@ fields at fixed 6-decimal precision, and integer fields as plain integers
 (a 64-bit seed must survive a write/read round trip exactly, which rules
 out pushing it through a float format).
 
-The trace writer renders each chunk of target rows in one array pass
-(``_format_rows``) with the same bytes as ``%d`` and ``%.6f``. A real takes
-the array path only where that is provably exact: sign bit clear,
-``0 <= x * 1e6 < 2**32``, and the fraction of ``x * 1e6`` more than
-``2**-16`` from one half. Every other value (ties such as ``k/128``, NaN,
-infinities, negatives, -0.0, huge values) is formatted by Python's own
-``'%.6f' % x``.
+The trace writer renders each chunk of epochs, target and source rows
+alike, in one array pass over a uint8 table, with the same bytes as ``%d``
+and ``%.6f``. A real takes the array path only where that is provably exact:
+sign bit clear, ``0 <= x * 1e6 < 2**32``, and the fraction of ``x * 1e6``
+more than ``2**-16`` from one half. Every other value (ties such as
+``k/128``, NaN, infinities, negatives, -0.0, huge values) is formatted by
+Python's own ``'%.6f' % x``.
 """
 
 from __future__ import annotations
@@ -92,18 +92,18 @@ def _cell(column: str, value) -> str:
     return str(int(value))
 
 
-def _write_chunks(chunks: Iterable[str], dest: str | Path) -> int:
-    """Write text chunks, in order, to one UTF-8 file; returns bytes written."""
+def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
+    """Write byte chunks, in order, to one file; returns bytes written."""
     written = 0
     with open(dest, "wb") as handle:
         for chunk in chunks:
-            written += handle.write(chunk.encode("utf-8"))
+            written += handle.write(chunk)
     return written
 
 
 def _write_lines(lines: list[str], dest: str | Path) -> int:
     """Write lines as one UTF-8 file with a final newline; returns bytes written."""
-    return _write_chunks(["\n".join(lines) + "\n"], dest)
+    return _write_chunks([("\n".join(lines) + "\n").encode("utf-8")], dest)
 
 
 def emit_csv(table: ResultTable, dest: str | Path) -> int:
@@ -227,8 +227,12 @@ def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
     return _write_lines(lines, dest)
 
 
-# Rows per write of a trace: a chunk holds whole epochs, as many as fit.
-_TRACE_CHUNK_ROWS = 1 << 16
+# Rows per write of a trace: a chunk holds whole epochs, as many as fit. At
+# this size a chunk's table (about 1 MB) stays in cache while it is read back
+# column by column; at four times the size the same trace took twice as long.
+# It is not a power of two, or with neighbor_count + 1 a power of two too the
+# table's rows would be a power of two apart and share the same cache sets.
+_TRACE_CHUNK_ROWS = 16_000
 
 _ZERO = ord("0")
 # `%.6f` of x is the integer nearest x * 1e6, split at the point. Below 2**32
@@ -300,12 +304,10 @@ def _real_field(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _format_rows(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.ndarray]) -> bytes:
-    """CSV lines of equal-length columns: ``%d`` of each int64 column, then
-    ``%.6f`` of each float64 column, comma-separated, one line per row.
-
-    Each field is rendered down a ``(width, rows)`` uint8 table padded with
-    zero bytes; read row by row with the zeros dropped, the table is the text.
+def _line_fields(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """CSV lines of equal-length columns as ``(width, rows)`` uint8 tables, in
+    order: ``%d`` of each int64 column, then ``%.6f`` of each float64 column,
+    each followed by a comma, the last by a newline.
     """
     rows = len(int_columns[0])
     # Overflow in the scaled product and NaN compares only send a value to
@@ -317,41 +319,66 @@ def _format_rows(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.nd
     for field in fields:
         parts += [field, comma]
     parts[-1] = np.full((1, rows), ord("\n"), np.uint8)
-    # Read in Fortran order, the table is the text row by row; dropping the
-    # zero bytes this way is three times faster than a boolean mask.
-    return np.vstack(parts).tobytes(order="F").replace(b"\0", b"")
+    return parts
 
 
-def _trace_chunks(trace: Trace) -> Iterator[str]:
-    """The trace CSV text: the header, then runs of whole epochs."""
+def _text(table: np.ndarray) -> bytes:
+    """A ``(height, columns)`` uint8 table read column by column, without its zero bytes."""
+    # Dropping the zero bytes from the Fortran-order bytes is three times
+    # faster than a boolean mask over the transposed table.
+    return table.tobytes(order="F").replace(b"\0", b"")
+
+
+def _format_rows(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.ndarray]) -> bytes:
+    """CSV lines of equal-length columns, one line per row (see ``_line_fields``)."""
+    return _text(np.vstack(_line_fields(int_columns, real_columns)))
+
+
+def _constant(text: str) -> np.ndarray:
+    """A fixed field of every source row, shaped to broadcast over ``(nodes, width, epochs)``."""
+    return np.frombuffer(text.encode("ascii"), np.uint8)[None, :, None]
+
+
+def _trace_chunks(trace: Trace) -> Iterator[bytes]:
+    """The trace CSV bytes: the header, then runs of whole epochs.
+
+    A chunk is one uint8 table with a column per epoch: the target row's
+    fields, then the rows of sources 1..n, each field padded with zero bytes
+    to its widest value in the chunk. Read column by column without the
+    zeros, the table is the chunk's text.
+    """
     config = trace.config
     nodes = config.neighbor_count
-    source_tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
-    yield ",".join(TRACE_COLUMNS) + "\n"
+    yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
     # After epoch and node_id, a target row holds the Trace fields in order.
     int_columns = [getattr(trace, name) for name in TRACE_COLUMNS[2:10]]
     real_columns = [getattr(trace, name) for name in TRACE_COLUMNS[10:]]
+    node_ids = _int_field(np.arange(1, nodes + 1)).T[:, :, None]
+    tail = _constant(f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n")
     epochs = trace.offered_neighbor.size
     per_chunk = max(1, _TRACE_CHUNK_ROWS // (nodes + 1))
     for start in range(0, epochs, per_chunk):
         stop = min(start + per_chunk, epochs)
         epoch = np.arange(start, stop, dtype=np.int64)
-        targets = _format_rows(
+        target = _line_fields(
             [epoch, np.zeros_like(epoch), *(column[start:stop] for column in int_columns)],
             [column[start:stop] for column in real_columns],
         )
-        # An epoch's source rows depend on the epoch only through their first
-        # field: keep one block per neighbor-arrival count, cut at the epoch,
-        # and join it on each epoch that has that count.
-        arrivals = trace.offered_neighbor[start:stop].tolist()
-        blocks = {
-            count: [""] + [f",{node_id},{sent},0,{sent}{source_tail}" for node_id, sent in enumerate(source_split(count, nodes), start=1)]
-            for count in set(arrivals)
-        }
-        parts = [""] * (2 * (stop - start))
-        parts[::2] = targets.decode("ascii").splitlines(keepends=True)
-        parts[1::2] = [str(epoch_index).join(blocks[count]) for epoch_index, count in zip(range(start, stop), arrivals)]
-        yield "".join(parts)
+        # A source row: epoch, node id, sent, 0 relayed, sent forwarded, then
+        # fields that never change. The epoch field is the target's own.
+        sent = source_split(trace.offered_neighbor[start:stop], nodes)
+        sent = _int_field(sent.ravel()).reshape(-1, nodes, stop - start).transpose(1, 0, 2)
+        fields = [target[0][None], _constant(","), node_ids, _constant(","), sent, _constant(",0,"), sent, tail]
+        target_height = sum(part.shape[0] for part in target)
+        source_width = sum(field.shape[1] for field in fields)
+        table = np.empty((target_height + nodes * source_width, stop - start), np.uint8)
+        np.concatenate(target, out=table[:target_height])
+        sources = table[target_height:].reshape(nodes, source_width, stop - start)
+        row = 0
+        for field in fields:
+            sources[:, row : row + field.shape[1]] = field
+            row += field.shape[1]
+        yield _text(table)
 
 
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:

@@ -379,14 +379,17 @@ def dsr_decide(node: NodeState, packet: Packet) -> Decision:
     return Decision.DROP
 
 
-def source_split(arrivals: int, neighbor_count: int) -> list[int]:
-    """Per-source share of one epoch's neighbor arrivals, sources 1..n in order.
+def source_split(arrivals: int | np.ndarray, neighbor_count: int) -> np.ndarray:
+    """Per-source shares of neighbor arrivals: one int64 row per source, 1..n.
 
-    Round-robin: every source sends ``arrivals // neighbor_count`` packets and
-    the first ``arrivals % neighbor_count`` sources send one more.
+    ``arrivals`` is one epoch's count or an array of counts; row ``j`` has
+    the shape of ``arrivals``. Round-robin: every source sends
+    ``arrivals // neighbor_count`` packets and the first
+    ``arrivals % neighbor_count`` sources send one more.
     """
-    base, extra = divmod(arrivals, neighbor_count)
-    return [base + 1] * extra + [base] * (neighbor_count - extra)
+    base, extra = np.divmod(np.asarray(arrivals, np.int64), neighbor_count)
+    rank = np.arange(neighbor_count).reshape(-1, *[1] * base.ndim)
+    return base + (rank < extra)
 
 
 @dataclass(frozen=True, eq=False)

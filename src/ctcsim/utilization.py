@@ -20,6 +20,8 @@ from .errors import InvalidParameterError, InvariantError, NoInputError, ZeroTim
 from .model import TimeBudget
 
 __all__ = [
+    "MAX_COUNT",
+    "TIME_RANGE",
     "PacketCounters",
     "PowerRates",
     "RouteUtilization",
@@ -34,6 +36,11 @@ __all__ = [
 # Relative disagreement beyond this between the ratio form and the factored
 # form means a real bug, not float noise.
 _AGREEMENT_RTOL = 1e-9
+
+# Inside these ranges every intermediate of both utilization forms is a
+# normal float, so the two forms can differ only by rounding.
+MAX_COUNT = 1e100
+TIME_RANGE = (1e-100, 1e100)
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,19 @@ def utilization_forms(counters: PacketCounters, times: TimeBudget) -> tuple[floa
 
     The two are the same quantity computed two ways, so a relative
     disagreement beyond 1e-9 is a failed identity and raises InvariantError.
+    Counts must be integers in ``[0, MAX_COUNT]`` and times in ``TIME_RANGE``,
+    where that cannot happen by overflow or underflow; InvalidParameterError
+    names the first value outside.
     """
+    for name in ("k_pout", "k_nout", "k_nin"):
+        value = getattr(counters, name)
+        if not (0 <= value <= MAX_COUNT and float(value).is_integer()):
+            raise InvalidParameterError(f"{name} must be an integer in [0, {MAX_COUNT:g}], got {value}")
+    low, high = TIME_RANGE
+    for name in ("t_pp", "t_np"):
+        value = getattr(times, name)
+        if not low <= value <= high:
+            raise InvalidParameterError(f"{name} must be in [{low:g}, {high:g}], got {value}")
     u_ratio = utilization_node(counters, times)
     u_factored = utilization_node_factored(counters, times)
     scale = max(abs(u_ratio), abs(u_factored), 1.0)

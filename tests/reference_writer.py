@@ -1,14 +1,16 @@
 """Per-row reference for the trace CSV.
 
-``ctcsim.report`` renders each chunk of target rows in one array pass. This
-writer formats every row on its own with Python's ``%`` operator, the way the
-trace was first written, so the two must agree byte for byte.
+``ctcsim.report`` renders each chunk of epochs, target and source rows alike,
+in one array pass. This writer formats every row on its own with Python's
+``%`` operator, the way the trace was first written, and splits the
+neighbor arrivals over the sources itself, so the two must agree byte for
+byte.
 """
 
 from __future__ import annotations
 
 from ctcsim.report import TRACE_COLUMNS
-from ctcsim.sim import Trace, source_split
+from ctcsim.sim import Trace
 
 # The target row: epoch, node 0, then the per-epoch Trace fields in order.
 TARGET_ROW = "%d,0,%d,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f,%.6f\n"
@@ -39,7 +41,10 @@ def reference_trace_csv(trace: Trace) -> bytes:
     columns = [getattr(trace, name).tolist() for name in TARGET_FIELDS]
     for epoch, row in enumerate(zip(*columns)):
         lines.append(TARGET_ROW % (epoch, *row))
-        arrivals = row[1]
-        for node_id, sent in enumerate(source_split(arrivals, config.neighbor_count), start=1):
+        # Round-robin: every source sends the same share, and the first
+        # `extra` sources one packet more.
+        base, extra = divmod(row[1], config.neighbor_count)
+        for node_id in range(1, config.neighbor_count + 1):
+            sent = base + (node_id <= extra)
             lines.append(SOURCE_ROW % (epoch, node_id, sent, sent, config.epoch_length))
     return "".join(lines).encode("utf-8")

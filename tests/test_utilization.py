@@ -185,6 +185,25 @@ def test_forms_disagreement_is_invariant_error(factored, monkeypatch):
         utilization_total([route])
 
 
+@pytest.mark.parametrize(
+    "counters, times, named",
+    [
+        # Past float range the ratio form is NaN where the factored form is 1.0:
+        # bad input, not a failed identity.
+        ((1, 1, 1), (1.0, 1e-310), "t_np must be in .*, got 1e-310"),
+        ((1, 1, 1), (1e101, 1.0), "t_pp must be in .*, got 1e\\+101"),
+        ((0.5, 0, 1), (1.0, 1.0), "k_pout must be an integer in .*, got 0.5"),
+        ((0, 1, 2e100), (1.0, 1.0), "k_nin must be an integer in .*, got 2e\\+100"),
+    ],
+)
+def test_forms_reject_values_out_of_range_by_name(counters, times, named):
+    route = (PacketCounters(*counters), TimeBudget(*times))
+    with pytest.raises(InvalidParameterError, match=named):
+        utilization_forms(*route)
+    with pytest.raises(InvalidParameterError, match=named):
+        utilization_total([route])
+
+
 def test_per_route_indexing():
     routes = [
         (PacketCounters(0, 6, 12), TimeBudget(1.0, 3.0)),
