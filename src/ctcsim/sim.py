@@ -17,9 +17,9 @@ The two policies:
   leftover capacity only while it has energy credits; once the budget is
   spent, every serviced neighbor packet is dropped.
 
-A run has two stages. ``schedule`` takes the target through every epoch in
-one pass, without a random number: deadline discard, arrivals, the ``ctc``
-split, ``dsr`` energy use and gate drops. ``realize`` then draws the ambient
+A run has two stages. ``schedule`` takes the target through every epoch
+without a random number: deadline discard, arrivals, the ``ctc`` split,
+``dsr`` energy use and gate drops. ``realize`` then draws the ambient
 losses of a whole run in one ``binomial`` call and derives the forwarded,
 dropped and cumulative-ratio columns with array operations. The split is
 exact because a lost packet has already left its queue: loss moves a
@@ -35,13 +35,29 @@ one scalar draw per class per epoch would consume the seed's stream, also
 when a count is zero, so the stream position never depends on load or
 policy.
 
+The two policies are scheduled differently. ``ctc`` couples its queues
+through the split, so it is one pass over the epochs. The engine never
+materializes a packet: all packets arriving in one epoch form one cohort, so
+a FIFO queue is the window of epochs ``[head, now]`` of its arrival column,
+with only the head cohort partly served, and its backlog is a running
+count. Under ``dsr`` the queues decouple: the self queue gets the whole
+capacity ``c`` and the neighbor queue ``c - serviced_self[e]``, both known
+before the queue is served. With ``A(e)`` a class's cumulative arrivals,
+``D`` the deadline and ``s_e`` its allowance, the packets consumed
+(expired or served) by the end of epoch ``e``, counted in arrival order,
+are ``P(e) = min(max(P(e-1), A(e-D)) + s_e, A(e))``. Each epoch is a clamp,
+clamps compose into a clamp, and a prefix scan over the clamps gives ``P``
+in O(log epochs) numpy passes, for a whole sweep of configs at once (one
+row each). The gate forwards while credits last, so the cumulative attempts
+are ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is int64
+unless some row's ``(min(D, epochs) + 2) * (its total arrivals)`` does not
+fit in int64; then it runs on Python ints (object arrays), so no count
+wraps. From a capacity of 2**53 on, where float64 division can round away
+from Python's ``int / int``, the time split divides Python ints.
+
 Determinism contract: a run is a pure function of its config, including the
-seed. The engine never materializes a packet: all packets arriving in one
-epoch form one cohort, so a FIFO queue is the window of epochs ``[head,
-now]`` of its arrival column, with only the head cohort partly served, and
-its backlog is a running count. The per-packet semantics live in
-``Packet``, ``ctc_split`` and ``dsr_decide``, and the test suite holds a
-packet-level reference engine to the same counters.
+seed. The per-packet semantics live in the test suite, which holds both
+kernels to a packet-level reference engine, counter for counter.
 """
 
 from __future__ import annotations
@@ -58,8 +74,6 @@ from .errors import EmptyTraceError, InvalidConfigError, InvariantError
 
 __all__ = [
     "Policy",
-    "PacketClass",
-    "Decision",
     "RateKind",
     "RateFunction",
     "MAX_EPOCHS",
@@ -67,10 +81,7 @@ __all__ = [
     "SimConfig",
     "config_from_dict",
     "load_config",
-    "Packet",
-    "NodeState",
     "ctc_split",
-    "dsr_decide",
     "source_split",
     "Schedule",
     "schedule",
@@ -86,16 +97,6 @@ __all__ = [
 class Policy(str, enum.Enum):
     CTC = "ctc"
     DSR = "dsr"
-
-
-class PacketClass(str, enum.Enum):
-    SELF = "self"
-    NEIGHBOR = "neighbor"
-
-
-class Decision(str, enum.Enum):
-    FORWARD = "forward"
-    DROP = "drop"
 
 
 class RateKind(str, enum.Enum):
@@ -173,8 +174,11 @@ _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
 _INT64_MAX = 2**63 - 1
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, about 180 bytes per epoch at the peak (in ``realize``), so 10**7
-# epochs need near 2 GiB; a larger value is rejected by name at validation
+# memory, about 155 bytes per epoch at the peak (in ``realize``; ``schedule``
+# peaks at 128 for ``ctc`` and 112 for ``dsr``, 144 from a capacity of 2**53
+# on; tracemalloc at 10**6 epochs), so 10**7 epochs need near 1.5 GiB. Only
+# the ``dsr`` scan on Python ints, for counts where int64 could wrap, peaks
+# higher, near 350. A larger value is rejected by name at validation
 # instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
@@ -327,23 +331,6 @@ def load_config(path: str | Path) -> SimConfig:
     return config_from_dict(raw)
 
 
-@dataclass(frozen=True)
-class Packet:
-    """A single packet; the deadline epoch is fixed at creation."""
-
-    id: int
-    cls: PacketClass
-    created_epoch: int
-    deadline_epoch: int
-
-
-@dataclass
-class NodeState:
-    """Energy credits of the target, as the per-packet ``dsr_decide`` sees them."""
-
-    energy_remaining: int
-
-
 def ctc_split(
     self_backlog: int, neighbor_backlog: int, epoch_length: float, min_share_fraction: float, capacity: int
 ) -> tuple[float, float, int, int]:
@@ -362,21 +349,6 @@ def ctc_split(
     t_np = share_np * epoch_length
     share_np = t_np / epoch_length
     return epoch_length - t_np, t_np, math.floor((1.0 - share_np) * capacity), math.floor(share_np * capacity)
-
-
-def dsr_decide(node: NodeState, packet: Packet) -> Decision:
-    """Per-packet forwarding decision of the self-first baseline.
-
-    Own packets are always forwarded. A neighbor packet is forwarded only
-    while energy credits remain, spending one credit; afterwards it is
-    dropped. Mutates ``node.energy_remaining``.
-    """
-    if packet.cls is PacketClass.SELF:
-        return Decision.FORWARD
-    if node.energy_remaining > 0:
-        node.energy_remaining -= 1
-        return Decision.FORWARD
-    return Decision.DROP
 
 
 def source_split(arrivals: int | np.ndarray, neighbor_count: int) -> np.ndarray:
@@ -445,19 +417,33 @@ class Trace:
 
 
 def schedule(config: SimConfig) -> Schedule:
-    """Take a fresh target through every epoch in one pass; no random number is drawn.
+    """Take a fresh target through every epoch; no random number is drawn.
 
     Fixed phase order per epoch: (a) deadline discard, (b) arrivals, (c)
-    service split per policy. Each class's queue is the window ``[head, e]``
-    of its arrival list, oldest first; ``arrived[head]`` is what is left of
-    the head cohort, and the backlog is the window's running total.
+    service split per policy.
+
+    ``dsr`` is the one-row case of ``_schedule_dsr``. Each class consumes
+    ``P(e) = min(max(P(e-1), A(e-D)) + s_e, A(e))`` packets by the end of
+    epoch ``e`` (``A`` its cumulative arrivals, ``D`` the deadline, ``s_e``
+    the capacity for the self queue and the capacity left over for the
+    neighbor queue), which a prefix scan of per-epoch clamps computes in
+    O(log epochs) array passes; the gate's cumulative attempts are
+    ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is int64
+    unless ``(min(D, epochs) + 2) * (total arrivals)`` does not fit in int64;
+    then it runs on Python ints, as does the time split's division from a
+    capacity of 2**53 on.
+
+    ``ctc`` couples the queues through the split, so it is one pass over the
+    epochs: each class's queue is the window ``[head, e]`` of its arrival
+    list, oldest first; ``arrived[head]`` is what is left of the head cohort,
+    and the backlog is the window's running total.
     """
+    if config.policy is Policy.DSR:
+        return _schedule_dsr([config])[0]
     epochs = config.epochs
     deadline = config.deadline_epochs
     epoch_t = config.epoch_length
     min_share = config.min_share_fraction
-    is_ctc = config.policy is Policy.CTC
-    energy = config.energy_budget
     # Capacity is data_rate packets/second over the epoch.
     capacity = int(round(config.data_rate * epoch_t))
     offered_self = config.self_rate_fn.arrivals(epochs)
@@ -468,10 +454,11 @@ def schedule(config: SimConfig) -> Schedule:
     backlog_self = backlog_nbr = 0
 
     # The per-epoch columns, written through memoryviews: a store is as
-    # cheap as a list's, at 8 bytes per value.
+    # cheap as a list's, at 8 bytes per value. ``ctc`` drops no neighbor
+    # packet before the coin but by expiry, and attempts all it serves.
     counts = np.zeros((6, epochs), dtype=np.int64)
     times = np.zeros((2, epochs), dtype=np.float64)
-    serviced_self, attempts_nbr, expired_self, dropped_nbr, queued_self, queued_nbr = (c.data for c in counts)
+    serviced_self, attempts_nbr, expired_self, expired_nbr, queued_self, queued_nbr = (c.data for c in counts)
     t_pp, t_np = (c.data for c in times)
 
     for e in range(epochs):
@@ -482,10 +469,9 @@ def schedule(config: SimConfig) -> Schedule:
             expired_self[e] = arrived_self[head_self]
             backlog_self -= arrived_self[head_self]
             head_self += 1
-        expired_nbr = 0
         if head_nbr == e - deadline:
-            expired_nbr = arrived_nbr[head_nbr]
-            backlog_nbr -= expired_nbr
+            expired_nbr[e] = arrived_nbr[head_nbr]
+            backlog_nbr -= arrived_nbr[head_nbr]
             head_nbr += 1
 
         # (b) arrivals join the tail of each window.
@@ -494,24 +480,9 @@ def schedule(config: SimConfig) -> Schedule:
 
         # (c) service. Minimums are spelled as conditionals: a builtin
         # ``min`` call costs as much as the rest of the epoch.
-        if is_ctc:
-            t_pp[e], t_np[e], take_self, take_nbr = ctc_split(backlog_self, backlog_nbr, epoch_t, min_share, capacity)
-            take_self = take_self if take_self < backlog_self else backlog_self
-            take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
-            attempts = take_nbr
-        else:
-            take_self = capacity if capacity < backlog_self else backlog_self
-            take_nbr = capacity - take_self
-            take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
-            # Bulk form of dsr_decide over the serviced neighbor packets:
-            # forward while credits last, drop the rest.
-            attempts = take_nbr if take_nbr < energy else energy
-            energy -= attempts
-            # Realized time: the self-service fraction of the epoch, the rest
-            # (neighbor service plus idle) on the neighbor side.
-            t_self = epoch_t * (take_self / capacity) if capacity > 0 else 0.0
-            t_pp[e] = t_self
-            t_np[e] = epoch_t - t_self
+        t_pp[e], t_np[e], take_self, take_nbr = ctc_split(backlog_self, backlog_nbr, epoch_t, min_share, capacity)
+        take_self = take_self if take_self < backlog_self else backlog_self
+        take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
 
         # Serve each window from its head, oldest first.
         if take_self == backlog_self:
@@ -540,12 +511,126 @@ def schedule(config: SimConfig) -> Schedule:
         backlog_nbr -= take_nbr
 
         serviced_self[e] = take_self
-        attempts_nbr[e] = attempts
-        dropped_nbr[e] = expired_nbr + take_nbr - attempts
+        attempts_nbr[e] = take_nbr
         queued_self[e] = backlog_self
         queued_nbr[e] = backlog_nbr
 
     return Schedule(config, offered_self, offered_nbr, *counts, *times)
+
+
+def _compose_clamps(first_hi, first_lo, hi, lo) -> None:
+    """Overwrite the clamps ``(hi, lo)`` with ``(first_hi, first_lo)`` followed by them.
+
+    A clamp maps ``x`` to ``max(lo, min(hi, x))``; ``(hi1, lo1)`` then
+    ``(hi2, lo2)`` is the clamp ``(min(hi1, hi2), max(lo2, min(hi2, lo1)))``.
+    """
+    np.maximum(lo, np.minimum(hi, first_lo), out=lo)
+    np.minimum(hi, first_hi, out=hi)
+
+
+def _scan_clamps(hi: np.ndarray, lo: np.ndarray) -> None:
+    """Replace each clamp along the last axis by the composition of it and every clamp before it.
+
+    Pairwise: each odd position takes in its even neighbour, the odd
+    positions are scanned the same way, and each even position then takes in
+    the scanned odd position before it. About two compositions per element
+    and 2 log2(n) numpy passes, on views, in place.
+    """
+    n = hi.shape[-1]
+    if n < 2:
+        return
+    _compose_clamps(hi[..., 0 : n - 1 : 2], lo[..., 0 : n - 1 : 2], hi[..., 1::2], lo[..., 1::2])
+    _scan_clamps(hi[..., 1::2], lo[..., 1::2])
+    _compose_clamps(hi[..., 1 : n - 1 : 2], lo[..., 1 : n - 1 : 2], hi[..., 2::2], lo[..., 2::2])
+
+
+def _serve_fifo(arrived: np.ndarray, allowance: np.ndarray, deadlines: list[int]):
+    """One packet class under head expiry and a known service allowance, along the last axis.
+
+    ``arrived`` and ``allowance`` are ``(rows, epochs)``; ``deadlines`` holds
+    one deadline per row, none above ``epochs``. Returns the expired, served
+    and queued counts per epoch, in ``arrived``'s dtype. Solves ``P(e) =
+    min(max(P(e-1), A(e-D)) + s_e, A(e))`` (see the module docstring).
+    Capping ``s_e`` at ``A(e) - A(e-D)``, the packets inside the deadline,
+    changes no ``P``. Then in ``Q = P - S``, ``S`` the running sum of the
+    capped ``s``, epoch ``e`` is the clamp ``Q -> max(lo_e, min(hi_e, Q))``
+    with ``lo_e = A(e-D) - S(e-1) <= hi_e = A(e) - S(e)``, and every value
+    lies in ``[-S(end), A(end)]``.
+    """
+    upper = np.cumsum(arrived, axis=-1)
+    lower = np.zeros_like(upper)
+    for row_lower, row_upper, row_deadline in zip(lower, upper, deadlines):
+        row_lower[row_deadline:] = row_upper[: upper.shape[-1] - row_deadline]
+    # Each temporary is dropped once used, which keeps the peak near 112
+    # bytes per epoch (see MAX_EPOCHS).
+    capped = np.minimum(allowance, upper - lower)
+    total = np.cumsum(capped, axis=-1)
+    lo = lower - total
+    lo += capped
+    del capped
+    hi = upper - total
+    _scan_clamps(hi, lo)
+    # Apply each prefix to Q(-1) = 0.
+    consumed = np.maximum(lo, np.minimum(hi, 0), out=lo)
+    del hi
+    consumed += total
+    del total
+    before = np.concatenate([np.zeros_like(consumed[:, :1]), consumed[:, :-1]], axis=-1)
+    after_expiry = np.maximum(before, lower)
+    return after_expiry - before, consumed - after_expiry, upper - consumed
+
+
+def _schedule_dsr(configs: list[SimConfig]) -> list[Schedule]:
+    """Schedules of ``dsr`` configs of equal ``epochs``, one row of a ``(rows, epochs)`` stack each.
+
+    The self queue's allowance is the capacity, the neighbor queue's what
+    self service leaves; the gate caps the cumulative attempts at the budget,
+    and the rest of the serviced neighbor packets are gate drops. The self
+    time is ``epoch_length * (serviced_self / capacity)`` (0 at zero
+    capacity), the rest of the epoch the neighbor side's.
+
+    Exactness: the scan's values stay within ``min(deadline, epochs) + 1``
+    times a row's arrivals of 0, so the stack is scanned in int64 only when
+    every row's ``(min(deadline, epochs) + 2) * (total arrivals)`` fits, and
+    on Python ints (object arrays) otherwise. float64 holds the division's
+    operands exactly only below 2**53, so from a capacity of 2**53 on it
+    divides Python ints, as Python's ``int / int`` does. The counts come
+    back as int64 either way.
+    """
+    if not configs:
+        return []
+    epochs = configs[0].epochs
+    offered_self = np.stack([c.self_rate_fn.arrivals(epochs) for c in configs])
+    offered_nbr = np.stack([c.neighbor_rate_fn.arrivals(epochs) for c in configs])
+    capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
+    deadlines = [min(c.deadline_epochs, epochs) for c in configs]
+    nbr_totals = offered_nbr.sum(axis=-1).tolist()
+    totals = [a + b for a, b in zip(offered_self.sum(axis=-1).tolist(), nbr_totals)]
+    fits_int64 = all((d + 2) * t <= _INT64_MAX for d, t in zip(deadlines, totals))
+    dtype = np.int64 if fits_int64 else object
+    capacity = np.array(capacities, dtype)[:, None]
+
+    expired_self, serviced_self, queued_self = _serve_fifo(offered_self.astype(dtype, copy=False), capacity, deadlines)
+    expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
+        offered_nbr.astype(dtype, copy=False), capacity - serviced_self, deadlines
+    )
+    # A budget past the run's neighbor arrivals never binds; capped, it fits the dtype.
+    budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], dtype)[:, None]
+    attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
+    dropped_nbr = expired_nbr + serviced_nbr - attempts
+    # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
+    divisor = np.maximum(capacity, 1).astype(np.int64 if max(capacities) < 2**53 else object)
+    epoch_t = np.array([c.epoch_length for c in configs])[:, None]
+    t_pp = (epoch_t * (serviced_self / divisor)).astype(np.float64, copy=False)
+    t_np = epoch_t - t_pp
+    counts = [
+        count.astype(np.int64, copy=False)
+        for count in (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)
+    ]
+    return [
+        Schedule(config, offered_self[row], offered_nbr[row], *(count[row] for count in counts), t_pp[row], t_np[row])
+        for row, config in enumerate(configs)
+    ]
 
 
 def _draw_losses(plan: Schedule, seeds) -> np.ndarray:

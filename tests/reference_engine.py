@@ -1,32 +1,71 @@
 """Per-packet reference implementation of the simulator semantics.
 
-The production engine queues cohorts for speed. This one materializes a
-Packet object for every arrival, walks queues packet by packet, and routes
-every serviced neighbor packet through the per-packet policy hooks
-(``dsr_decide`` for the baseline). It consumes the random stream in the same
-fixed order (two binomial draws per epoch at the target), so on any config
-the two engines must agree counter for counter, epoch for epoch.
+The production engine queues cohorts for speed, and schedules ``dsr`` as a
+prefix scan. This one materializes a Packet object for every arrival, walks
+queues packet by packet, and routes every serviced packet through the
+per-packet policy decision (``dsr_decide`` for the baseline). It consumes the
+random stream in the same fixed order (two binomial draws per epoch at the
+target), so on any config the two engines must agree counter for counter,
+epoch for epoch.
 
 Kept deliberately naive: no cohort tricks, no shortcuts, so it stays an
-independent check rather than a restatement of the production code.
+independent check rather than a restatement of the production code. The
+per-packet engine cannot hold counts near 2**63, so ``schedule_dsr_cohorts``
+keeps the ``dsr`` schedule as one cohort pass in Python ints, where no count
+wraps, as the oracle at those counts.
 """
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctcsim.sim import (
-    Decision,
-    Packet,
-    PacketClass,
-    Policy,
-    SimConfig,
-    ctc_split,
-    dsr_decide,
-)
+from ctcsim.sim import Policy, SimConfig, ctc_split
+
+
+class PacketClass(str, enum.Enum):
+    SELF = "self"
+    NEIGHBOR = "neighbor"
+
+
+class Decision(str, enum.Enum):
+    FORWARD = "forward"
+    DROP = "drop"
+
+
+@dataclass(frozen=True)
+class Packet:
+    """A single packet; the deadline epoch is fixed at creation."""
+
+    id: int
+    cls: PacketClass
+    created_epoch: int
+    deadline_epoch: int
+
+
+@dataclass
+class NodeState:
+    """Energy credits of a node, as the per-packet ``dsr_decide`` sees them."""
+
+    energy_remaining: int
+
+
+def dsr_decide(node: NodeState, packet: Packet) -> Decision:
+    """Per-packet forwarding decision of the self-first baseline.
+
+    Own packets are always forwarded. A neighbor packet is forwarded only
+    while energy credits remain, spending one credit; afterwards it is
+    dropped. Mutates ``node.energy_remaining``.
+    """
+    if packet.cls is PacketClass.SELF:
+        return Decision.FORWARD
+    if node.energy_remaining > 0:
+        node.energy_remaining -= 1
+        return Decision.FORWARD
+    return Decision.DROP
 
 
 @dataclass
@@ -157,3 +196,83 @@ def run_reference(config: SimConfig) -> tuple[RefNode, list[RefEpoch]]:
             )
         )
     return target, epochs
+
+
+def _expire_cohorts(arrived: list[int], head: int, cutoff: int) -> tuple[int, int]:
+    """Discard every cohort created at or before ``cutoff``; returns the new head and the count expired."""
+    expired = 0
+    while head <= cutoff:
+        expired += arrived[head]
+        arrived[head] = 0
+        head += 1
+    return head, expired
+
+
+def _serve_cohorts(arrived: list[int], head: int, take: int) -> int:
+    """Serve ``take`` packets from the oldest cohorts; returns the new head."""
+    while take:
+        count = arrived[head]
+        if count > take:
+            arrived[head] = count - take
+            return head
+        take -= count
+        head += 1
+    return head
+
+
+def schedule_dsr_cohorts(config: SimConfig) -> dict[str, list]:
+    """The ``dsr`` schedule of a config as one pass over the epochs, in Python ints.
+
+    Returns every per-epoch ``Schedule`` column by field name. Each class's
+    queue is its list of arrival cohorts from ``head`` on. Per epoch: the
+    cohorts past the deadline expire, the arrivals join, the self queue is
+    served with up to the whole capacity, the neighbor queue with what is
+    left, and the serviced neighbor packets are forwarded while energy
+    credits last, the rest dropped at the gate.
+    """
+    epochs = config.epochs
+    epoch_t = config.epoch_length
+    energy = config.energy_budget
+    capacity = int(round(config.data_rate * epoch_t))
+    offered_self = [int(round(config.self_rate_fn.rate(e))) for e in range(epochs)]
+    offered_nbr = [int(round(config.neighbor_rate_fn.rate(e))) for e in range(epochs)]
+    arrived_self, arrived_nbr = list(offered_self), list(offered_nbr)
+    head_self = head_nbr = backlog_self = backlog_nbr = 0
+    columns: dict[str, list] = {
+        "offered_self": offered_self,
+        "offered_neighbor": offered_nbr,
+        "serviced_self": [],
+        "attempts_neighbor": [],
+        "dropped_before_loss_self": [],
+        "dropped_before_loss_neighbor": [],
+        "queued_self": [],
+        "queued_neighbor": [],
+        "t_pp": [],
+        "t_np": [],
+    }
+    for e in range(epochs):
+        head_self, expired_self = _expire_cohorts(arrived_self, head_self, e - config.deadline_epochs)
+        head_nbr, expired_nbr = _expire_cohorts(arrived_nbr, head_nbr, e - config.deadline_epochs)
+        backlog_self += arrived_self[e] - expired_self
+        backlog_nbr += arrived_nbr[e] - expired_nbr
+        take_self = min(capacity, backlog_self)
+        take_nbr = min(capacity - take_self, backlog_nbr)
+        attempts = min(take_nbr, energy)
+        energy -= attempts
+        head_self = _serve_cohorts(arrived_self, head_self, take_self)
+        head_nbr = _serve_cohorts(arrived_nbr, head_nbr, take_nbr)
+        backlog_self -= take_self
+        backlog_nbr -= take_nbr
+        t_pp = epoch_t * (take_self / capacity) if capacity > 0 else 0.0
+        for name, value in (
+            ("serviced_self", take_self),
+            ("attempts_neighbor", attempts),
+            ("dropped_before_loss_self", expired_self),
+            ("dropped_before_loss_neighbor", expired_nbr + take_nbr - attempts),
+            ("queued_self", backlog_self),
+            ("queued_neighbor", backlog_nbr),
+            ("t_pp", t_pp),
+            ("t_np", epoch_t - t_pp),
+        ):
+            columns[name].append(value)
+    return columns

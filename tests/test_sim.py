@@ -8,11 +8,12 @@ for exact counter agreement.
 
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import report
@@ -21,19 +22,16 @@ from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
     MAX_EPOCHS,
     MAX_NEIGHBOR_COUNT,
-    Decision,
-    NodeState,
-    Packet,
-    PacketClass,
     Policy,
     RateFunction,
     RateKind,
+    Schedule,
     SimConfig,
     Trace,
+    _schedule_dsr,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
-    dsr_decide,
     load_config,
     realize,
     run,
@@ -41,7 +39,7 @@ from ctcsim.sim import (
     source_split,
 )
 
-from reference_engine import run_reference
+from reference_engine import Decision, NodeState, Packet, PacketClass, dsr_decide, run_reference, schedule_dsr_cohorts
 from reference_writer import reference_trace_csv
 
 
@@ -670,11 +668,12 @@ rate_functions = st.one_of(
     self_rate_fn=rate_functions,
     neighbor_rate_fn=rate_functions,
     data_rate=st.floats(1.0, 60.0),
-    deadline_epochs=st.integers(1, 5),
+    # Short ones, and up to and past the run length, where nothing expires.
+    deadline_epochs=st.one_of(st.integers(1, 6), st.integers(1, 160)),
     energy_budget=st.integers(0, 400),
     base_drop_prob=st.floats(0.0, 0.9),
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
-    epochs=st.integers(0, 60),
+    epochs=st.integers(0, 150),
 )
 def test_engine_matches_reference_random_configs(seeds, **config_fields):
     # One schedule realized at two seeds, as run_case does per grid point;
@@ -686,6 +685,120 @@ def test_engine_matches_reference_random_configs(seeds, **config_fields):
         trace = realize(plan, seed)
         assert_matches_reference(trace, seeded)
         assert_matches_reference(run(seeded), seeded)
+
+
+SCHEDULE_FIELDS = tuple(f.name for f in dataclasses.fields(Schedule) if f.name != "config")
+
+
+def assert_same_schedule(plan, expected):
+    """Every column of ``plan`` has the dtype and bytes of ``expected``'s (a Schedule or column lists)."""
+    for name in SCHEDULE_FIELDS:
+        column = getattr(plan, name)
+        want = expected[name] if isinstance(expected, dict) else getattr(expected, name)
+        want = np.asarray(want, dtype=np.float64 if name.startswith("t_") else np.int64)
+        assert column.dtype == want.dtype, name
+        assert column.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def _extreme_dsr_configs(draw):
+    """Accepted ``dsr`` configs near the int64 bounds of validation.
+
+    Rates and capacity share one scale: the per-epoch rate bound 9e18 /
+    epochs, or a power of two between 2**50 and it. So queues are partly
+    served, capacities pass 2**53, and at the top the scan's running sums
+    pass 2**63. A few rates are small whole numbers instead.
+    """
+    epochs = draw(st.integers(1, 8))
+    bound = 9e18 / epochs
+    scale = draw(st.one_of(st.just(bound), st.floats(50, math.log2(bound)).map(lambda x: 2.0**x)))
+    factor = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0]), st.integers(0, 60).map(lambda n: n / scale))
+
+    def rate_fn():
+        kind = draw(st.sampled_from(list(RateKind)))
+        if kind is RateKind.LINEAR_INCREASING:
+            # Peak base + slope * (epochs - 1) stays within the bound.
+            return RateFunction(kind, scale * draw(factor) / 2, scale * draw(factor) / 2 / epochs)
+        return RateFunction(kind, scale * draw(factor), scale * draw(factor))
+
+    return SimConfig(
+        epochs=epochs,
+        policy=Policy.DSR,
+        self_rate_fn=rate_fn(),
+        neighbor_rate_fn=rate_fn(),
+        data_rate=min(scale * draw(st.floats(0.01, 10)), 9.2e18),
+        epoch_length=draw(st.sampled_from([1.0, 0.75])),
+        deadline_epochs=draw(st.integers(1, 10)),
+        energy_budget=draw(st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 10**30), st.integers(0, 50))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_extreme_dsr_configs())
+# An int64 scan wraps here: the capped allowance sums to about 2.25e19.
+@example(
+    config=SimConfig(
+        epochs=4,
+        policy=Policy.DSR,
+        data_rate=9.2e18,
+        deadline_epochs=4,
+        self_rate_fn=constant(2.25e18),
+        neighbor_rate_fn=constant(2.25e18),
+    )
+)
+def test_dsr_schedule_matches_cohort_oracle_at_int64_extremes(config):
+    # Running sums of the scan pass 2**63 here, and capacities pass 2**53.
+    # The oracle's counts are Python ints that never wrap, and its times
+    # come from Python's own int / int.
+    assert_same_schedule(schedule(config), schedule_dsr_cohorts(config))
+
+
+@st.composite
+def _dsr_sweeps(draw):
+    """Configs of one run length, each row with its own loads, capacity,
+    deadline and budget, in random order. Returns them with three of them:
+    a zero-rate row, a row overloaded in both classes, and a row whose
+    energy gate binds. Sometimes one row with a capacity past 2**53 moves
+    the time split, and on longer runs the whole stack, to Python ints."""
+    fixed = dict(epochs=draw(st.integers(2, 70)), policy=Policy.DSR)
+    marked = (
+        SimConfig(**fixed),
+        SimConfig(**fixed, data_rate=10.0, deadline_epochs=1, self_rate_fn=constant(25), neighbor_rate_fn=constant(9)),
+        SimConfig(**fixed, data_rate=30.0, energy_budget=5, self_rate_fn=constant(3), neighbor_rate_fn=constant(12)),
+    )
+    rows = list(marked)
+    for _ in range(draw(st.integers(0, 5))):
+        rows.append(
+            SimConfig(
+                **fixed,
+                self_rate_fn=draw(rate_functions),
+                neighbor_rate_fn=draw(rate_functions),
+                data_rate=draw(st.floats(1.0, 60.0)),
+                epoch_length=draw(st.floats(0.1, 10.0)),
+                deadline_epochs=draw(st.integers(1, 80)),
+                energy_budget=draw(st.integers(0, 400)),
+            )
+        )
+    if draw(st.booleans()):
+        rows.append(SimConfig(**fixed, data_rate=2.0**60, self_rate_fn=constant(1e17), neighbor_rate_fn=constant(1e17)))
+    return draw(st.permutations(rows)), marked
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep=_dsr_sweeps())
+def test_batched_dsr_sweep_rows_equal_their_own_schedule(sweep):
+    # run_case schedules the dsr half of a sweep as one stack; no row may
+    # see another's parameters or the stack's dtype.
+    configs, marked = sweep
+    plans = _schedule_dsr(configs)
+    assert [plan.config for plan in plans] == configs
+    for plan, config in zip(plans, configs):
+        assert_same_schedule(plan, schedule(config))
+        assert_same_schedule(plan, schedule_dsr_cohorts(config))
+    zero, overloaded, gated = (next(p for p, c in zip(plans, configs) if c is row) for row in marked)
+    assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor, zero.t_pp))
+    assert overloaded.dropped_before_loss_self.any() and overloaded.dropped_before_loss_neighbor.any()
+    assert gated.attempts_neighbor.sum() == 5 < gated.dropped_before_loss_neighbor.sum()
 
 
 @settings(max_examples=80, deadline=None)
