@@ -38,7 +38,7 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig, schedule
-from .sim import _classify_windows, _realize_seeds, _schedule_dsr
+from .sim import _classify_windows, _realize_sweep, _schedule_dsr, _seeded, _stack
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -165,55 +165,63 @@ class ResultTable:
     rows: tuple[ResultRow, ...]
 
 
-def _running_total(column) -> float:
-    """Sum in epoch order; utilization bytes depend on float summation order."""
-    return float(np.cumsum(column)[-1]) if column.size else 0.0
+def _running_totals(column: np.ndarray) -> list[float]:
+    """Each row's sum in epoch order; utilization bytes depend on float summation order."""
+    return np.cumsum(column, axis=-1)[:, -1].tolist()
 
 
-def _summarize(case_id: str, algorithm: Policy, sweep_value: int, plan: Schedule, seeds) -> list[ResultRow]:
-    """One row per seed: every seed of the grid point is realized in one pass."""
-    config = plan.config
-    fwd_s, drop_s, fwd_n, drop_n = _realize_seeds(plan, seeds)
-    *_, malicious = _classify_windows(
-        plan.offered_neighbor, drop_n, config.misbehavior_threshold, config.window_epochs
-    )
-    # Seed-free: arrivals and the time split come from the schedule.
-    offered_self = int(plan.offered_self.sum())
-    offered_nbr = int(plan.offered_neighbor.sum())
-    times = TimeBudget(t_pp=_running_total(plan.t_pp), t_np=_running_total(plan.t_np))
+def _summarize_sweep(
+    case_id: str, algorithm: Policy, sweep_axis, plans: list[Schedule], seeds, generators
+) -> list[ResultRow]:
+    """One row per (sweep value, seed): the whole sweep is realized and classified in one pass."""
+    if not plans:
+        return []
+    config = plans[0].config
+    fwd_s, drop_s, fwd_n, drop_n = _realize_sweep(plans, generators)
+    offered_nbr = _stack(plans, "offered_neighbor")
+    *_, malicious = _classify_windows(offered_nbr, drop_n, config.misbehavior_threshold, config.window_epochs)
+    # Seed-free: arrivals and the time split come from the schedules.
+    offered_self = _stack(plans, "offered_self").sum(axis=-1).tolist()
+    offered_nbr = offered_nbr.sum(axis=-1).tolist()
+    t_pp = _running_totals(_stack(plans, "t_pp"))
+    t_np = _running_totals(_stack(plans, "t_np"))
     run_time = config.epochs * config.epoch_length
     epoch_window = f"0-{config.epochs - 1}"
+    per_seed = [column.sum(axis=-1).tolist() for column in (fwd_s, fwd_n, drop_s, drop_n)]
+    del fwd_s, drop_s, fwd_n, drop_n
 
     rows = []
-    per_seed = (column.sum(axis=-1).tolist() for column in (fwd_s, fwd_n, drop_s, drop_n))
-    for seed, forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious_fraction in zip(
-        seeds, *per_seed, malicious.tolist()
-    ):
-        try:
-            utilization = utilization_node(
-                PacketCounters(k_pout=forwarded_self, k_nout=forwarded_nbr, k_nin=offered_nbr), times
+    for point, sweep_value in enumerate(sweep_axis):
+        offered = offered_nbr[point]
+        times = TimeBudget(t_pp=t_pp[point], t_np=t_np[point])
+        for seed, forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious_fraction in zip(
+            seeds, *(column[point] for column in per_seed), malicious[point].tolist()
+        ):
+            try:
+                utilization = utilization_node(
+                    PacketCounters(k_pout=forwarded_self, k_nout=forwarded_nbr, k_nin=offered), times
+                )
+            except (NoInputError, ZeroTimeError):
+                utilization = 0.0
+            rows.append(
+                ResultRow(
+                    case_id=case_id,
+                    algorithm=algorithm.value,
+                    sweep_value=sweep_value,
+                    seed=seed,
+                    epoch_window=epoch_window,
+                    offered_self=offered_self[point],
+                    offered_nbr=offered,
+                    forwarded_self=forwarded_self,
+                    forwarded_nbr=forwarded_nbr,
+                    dropped_self=dropped_self,
+                    dropped_nbr=dropped_nbr,
+                    drop_ratio=dropped_nbr / offered if offered > 0 else 0.0,
+                    malicious_fraction=malicious_fraction,
+                    throughput=(forwarded_self + forwarded_nbr) / run_time,
+                    utilization=utilization,
+                )
             )
-        except (NoInputError, ZeroTimeError):
-            utilization = 0.0
-        rows.append(
-            ResultRow(
-                case_id=case_id,
-                algorithm=algorithm.value,
-                sweep_value=sweep_value,
-                seed=seed,
-                epoch_window=epoch_window,
-                offered_self=offered_self,
-                offered_nbr=offered_nbr,
-                forwarded_self=forwarded_self,
-                forwarded_nbr=forwarded_nbr,
-                dropped_self=dropped_self,
-                dropped_nbr=dropped_nbr,
-                drop_ratio=dropped_nbr / offered_nbr if offered_nbr > 0 else 0.0,
-                malicious_fraction=malicious_fraction,
-                throughput=(forwarded_self + forwarded_nbr) / run_time,
-                utilization=utilization,
-            )
-        )
     return rows
 
 
@@ -223,6 +231,7 @@ def run_case(spec: CaseSpec) -> ResultTable:
     for seed in spec.seeds:
         if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    generators = _seeded(spec.seeds)
     rows = []
     for algorithm in spec.algorithms:
         configs = [
@@ -241,10 +250,9 @@ def run_case(spec: CaseSpec) -> ResultTable:
         ]
         # The queue pass does not depend on the seed: run it once per grid
         # point (the whole dsr sweep in one scan), then realize and
-        # summarize every seed in one pass.
-        plans = _schedule_dsr(configs) if algorithm is Policy.DSR else map(schedule, configs)
-        for sweep_value, plan in zip(spec.sweep_axis, plans):
-            rows.extend(_summarize(spec.case_id, algorithm, sweep_value, plan, spec.seeds))
+        # summarize every point and seed of the sweep in one pass.
+        plans = _schedule_dsr(configs) if algorithm is Policy.DSR else [schedule(c) for c in configs]
+        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plans, spec.seeds, generators))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))
 

@@ -18,6 +18,7 @@ Python's own ``'%.6f' % x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Iterator, Sequence
@@ -61,6 +62,12 @@ CSV_COLUMNS = (
 
 _REAL_COLUMNS = {"drop_ratio", "malicious_fraction", "throughput", "utilization"}
 _STRING_COLUMNS = {"case_id", "algorithm", "epoch_window"}
+# One result row: "%s,%s,%d,%d,%s,%d,...,%.6f". ``%d`` and ``%.6f`` give the
+# bytes of ``str(int(v))`` and ``f"{v:.6f}"``, 64-bit seeds included.
+_ROW_FORMAT = ",".join(
+    "%s" if column in _STRING_COLUMNS else "%.6f" if column in _REAL_COLUMNS else "%d" for column in CSV_COLUMNS
+)
+_row_values = attrgetter(*CSV_COLUMNS)
 
 # Figures 1-4 are the per-case drop-ratio curves; 5 and 6 are the derived
 # misbehavior-vs-drop-ratio view, raw and isotonic-smoothed.
@@ -84,14 +91,6 @@ TRACE_COLUMNS = (
 )
 
 
-def _cell(column: str, value) -> str:
-    if column in _STRING_COLUMNS:
-        return str(value)
-    if column in _REAL_COLUMNS:
-        return f"{value:.6f}"
-    return str(int(value))
-
-
 def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
     """Write byte chunks, in order, to one file; returns bytes written."""
     written = 0
@@ -109,8 +108,7 @@ def _write_lines(lines: list[str], dest: str | Path) -> int:
 def emit_csv(table: ResultTable, dest: str | Path) -> int:
     """Write a result table; returns the number of bytes written."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in table.rows:
-        lines.append(",".join(_cell(c, getattr(row, c)) for c in CSV_COLUMNS))
+    lines += [_ROW_FORMAT % _row_values(row) for row in table.rows]
     return _write_lines(lines, dest)
 
 
@@ -255,7 +253,7 @@ def _digits(magnitude: np.ndarray, places: int | None = None) -> np.ndarray:
     width = len(str(top)) if pad else places
     table = np.empty((width, magnitude.size), np.uint8)
     # Dividing in uint32 takes about a third off a trace chunk's digits.
-    rest = magnitude.astype(np.uint32) if top < 2**32 else magnitude
+    rest = magnitude.astype(np.uint32, copy=False) if top < 2**32 else magnitude
     for row in range(width - 1, -1, -1):
         quotient, digit = np.divmod(rest, 10)
         table[row] = digit
@@ -290,7 +288,10 @@ def _real_field(values: np.ndarray) -> np.ndarray:
     scaled = values * _SCALE
     fast = ~np.signbit(values) & (scaled < _FAST_LIMIT)
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > _HALF_GUARD
-    scaled = np.rint(np.where(fast, scaled, 0.0)).astype(np.uint64)
+    scaled = np.rint(np.where(fast, scaled, 0.0))
+    # Divide in uint32 where it holds every value, as ``_digits`` does. A fast
+    # value can still round up to 2**32 exactly (4294.9672957 does).
+    scaled = scaled.astype(np.uint32 if scaled.max() < 2**32 else np.uint64)
     whole, fraction = np.divmod(scaled, 10**6)
     table = np.vstack([_digits(whole), np.full((1, values.size), ord("."), np.uint8), _digits(fraction, places=6)])
     # Every other value is formatted by Python itself, right-aligned.

@@ -25,15 +25,19 @@ dropped and cumulative-ratio columns with array operations. The split is
 exact because a lost packet has already left its queue: loss moves a
 transmitted packet from "forwarded" to "dropped" and feeds back into nothing
 the next epoch reads (queues, backlogs, energy). So one schedule serves every
-seed of a grid point, and so does one realization pass: the losses of all
-seeds fill one array with a row per seed, and the forwarded and dropped
-columns, the conservation check and the classifier's window sums work along
-its last axis (``ctcsim.experiments.run_case`` summarizes a grid point that
-way). ``realize`` is the one-seed case of that pass. Each row interleaves
-``[serviced_self[e], attempts_neighbor[e]]`` per epoch, the order in which
-one scalar draw per class per epoch would consume the seed's stream, also
-when a count is zero, so the stream position never depends on load or
-policy.
+seed of a grid point, and one realization pass serves a whole sweep: the
+losses of every grid point and seed fill one ``(points, seeds, 2 * epochs)``
+array, and the forwarded and dropped columns, the conservation check and
+the classifier's window sums work along its last axis
+(``ctcsim.experiments.run_case`` realizes each sweep of a case that way).
+Each seed has one generator, seeded once; its seeded state is restored
+before each grid point's draw, which starts the stream of
+``np.random.default_rng(seed)`` without seeding anew. ``realize`` and
+``classify_misbehavior`` are the one-run case of that pass. Each row
+interleaves ``[serviced_self[e], attempts_neighbor[e]]`` per epoch, the
+order in which one scalar draw per class per epoch would consume the seed's
+stream, also when a count is zero, so the stream position never depends on
+load or policy.
 
 The two policies are scheduled differently. ``ctc`` couples its queues
 through the split, so it is one pass over the epochs. The engine never
@@ -174,9 +178,9 @@ _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
 _INT64_MAX = 2**63 - 1
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, about 155 bytes per epoch at the peak (in ``realize``; ``schedule``
+# memory, about 150 bytes per epoch at the peak (in ``realize``; ``schedule``
 # peaks at 128 for ``ctc`` and 112 for ``dsr``, 144 from a capacity of 2**53
-# on; tracemalloc at 10**6 epochs), so 10**7 epochs need near 1.5 GiB. Only
+# on; tracemalloc at 10**6 epochs), so 10**7 epochs need near 1.4 GiB. Only
 # the ``dsr`` scan on Python ints, for counts where int64 could wrap, peaks
 # higher, near 350. A larger value is rejected by name at validation
 # instead of failing in an allocation.
@@ -345,7 +349,11 @@ def ctc_split(
     """
     total = self_backlog + neighbor_backlog
     share_np = 0.5 if total == 0 else neighbor_backlog / total
-    share_np = min(max(share_np, min_share_fraction), 1.0 - min_share_fraction)
+    # Conditionals, not ``min(max(...))``: this runs once per ``ctc`` epoch.
+    if share_np < min_share_fraction:
+        share_np = min_share_fraction
+    elif share_np > 1.0 - min_share_fraction:
+        share_np = 1.0 - min_share_fraction
     t_np = share_np * epoch_length
     share_np = t_np / epoch_length
     return epoch_length - t_np, t_np, math.floor((1.0 - share_np) * capacity), math.floor(share_np * capacity)
@@ -633,59 +641,82 @@ def _schedule_dsr(configs: list[SimConfig]) -> list[Schedule]:
     ]
 
 
-def _draw_losses(plan: Schedule, seeds) -> np.ndarray:
-    """Ambient losses of each seed over a schedule, one row per seed.
+def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
+    """One generator per seed, each with its seeded ``bit_generator.state``.
 
-    Row ``i`` is ``np.random.default_rng(seeds[i]).binomial`` over
-    ``[serviced_self[0], attempts_neighbor[0], serviced_self[1], ...]``: one
-    coin per transmitted packet, drawn as one binomial per class per epoch,
-    self first, the order in which one scalar draw per class per epoch would
-    consume each seed's stream.
+    ``np.random.default_rng(seed)`` is ``Generator(PCG64(seed))``, so restoring
+    the seeded state, ``has_uint32`` and ``uinteger`` included, starts the
+    same stream as seeding anew, at a sixth of the cost. The generator's
+    binomial set-up cache depends only on ``(n, p)``, so what a generator drew
+    before a restore cannot reach the draws after it.
     """
-    sent = np.empty(2 * plan.config.epochs, dtype=np.int64)
-    sent[0::2] = plan.serviced_self
-    sent[1::2] = plan.attempts_neighbor
-    p = plan.config.base_drop_prob
-    lost = np.empty((len(seeds), sent.size), dtype=np.int64)
-    for row, seed in zip(lost, seeds):
-        row[:] = np.random.default_rng(seed).binomial(sent, p)
+    generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    return [(generator, generator.bit_generator.state) for generator in generators]
+
+
+def _stack(plans: list[Schedule], name: str) -> np.ndarray:
+    """One schedule column of each plan as the rows of a ``(points, epochs)`` array; a view for one plan."""
+    if len(plans) == 1:
+        return getattr(plans[0], name)[None]
+    return np.stack([getattr(plan, name) for plan in plans])
+
+
+def _draw_losses(plans: list[Schedule], generators) -> np.ndarray:
+    """Ambient losses of each seed over each schedule, ``(points, seeds, 2 * epochs)``.
+
+    Row ``[k, i]`` is ``np.random.default_rng(seeds[i]).binomial`` over
+    ``[serviced_self[0], attempts_neighbor[0], serviced_self[1], ...]`` of
+    ``plans[k]``, drawn after restoring the seeded state of ``generators[i]``
+    (see ``_seeded``): one coin per transmitted packet, drawn as one binomial
+    per class per epoch, self first, the order in which one scalar draw per
+    class per epoch would consume each seed's stream.
+    """
+    sent = np.empty((len(plans), 2 * plans[0].config.epochs), dtype=np.int64)
+    sent[:, 0::2] = _stack(plans, "serviced_self")
+    sent[:, 1::2] = _stack(plans, "attempts_neighbor")
+    lost = np.empty((len(plans), len(generators), sent.shape[-1]), dtype=np.int64)
+    for point, counts, plan in zip(lost, sent, plans):
+        p = plan.config.base_drop_prob
+        for row, (generator, seeded) in zip(point, generators):
+            generator.bit_generator.state = seeded
+            row[:] = generator.binomial(counts, p)
     return lost
 
 
-def _realize_class(offered, sent, dropped_before_loss, queued, lost):
-    """Forwarded and dropped columns of one class, along the last axis of ``lost``.
+def _realize_class(plans: list[Schedule], cls: str, sent: str, lost: np.ndarray):
+    """Forwarded and dropped columns of one class, shaped like ``lost``, ``(points, seeds, epochs)``.
 
-    Also returns where cumulative conservation (offered = forwarded +
-    dropped + queued) fails, as a boolean mask shaped like ``lost``.
+    ``lost`` is the class's view of the drawn losses; the dropped column
+    overwrites it and is returned in its place. Also returns where cumulative
+    conservation (offered = forwarded + dropped + queued) fails, as a boolean
+    mask shaped like ``lost``.
     """
-    forwarded = sent - lost
-    dropped = dropped_before_loss + lost
-    broken = np.cumsum(offered) != np.cumsum(forwarded + dropped, axis=-1) + queued
+    forwarded = _stack(plans, sent)[:, None] - lost
+    dropped = np.add(lost, _stack(plans, f"dropped_before_loss_{cls}")[:, None], out=lost)
+    # Reusing ``lost`` and summing in place keeps the temporaries to one:
+    # a sweep's arrays are the peak of a grid run.
+    accounted = forwarded + dropped
+    np.cumsum(accounted, axis=-1, out=accounted)
+    accounted += _stack(plans, f"queued_{cls}")[:, None]
+    broken = np.cumsum(_stack(plans, f"offered_{cls}"), axis=-1)[:, None] != accounted
     return forwarded, dropped, broken
 
 
-def _realize_seeds(plan: Schedule, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forwarded and dropped columns of both classes at each seed, ``(seeds, epochs)`` each.
+def _realize_sweep(plans: list[Schedule], generators) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forwarded and dropped columns of both classes, ``(points, seeds, epochs)`` each.
 
-    Returns ``(forwarded_self, dropped_self, forwarded_neighbor,
-    dropped_neighbor)``. Raises ``InvariantError`` naming the class and epoch
-    of the first conservation failure, first seed first.
+    ``plans`` share ``epochs``; ``generators`` come from ``_seeded``. Returns
+    ``(forwarded_self, dropped_self, forwarded_neighbor, dropped_neighbor)``.
+    Raises ``InvariantError`` naming the class and epoch of the first
+    conservation failure, first plan first, then first seed.
     """
-    lost = _draw_losses(plan, seeds)
-    fwd_s, drop_s, broken_s = _realize_class(
-        plan.offered_self, plan.serviced_self, plan.dropped_before_loss_self, plan.queued_self, lost[:, 0::2]
-    )
-    fwd_n, drop_n, broken_n = _realize_class(
-        plan.offered_neighbor,
-        plan.attempts_neighbor,
-        plan.dropped_before_loss_neighbor,
-        plan.queued_neighbor,
-        lost[:, 1::2],
-    )
+    lost = _draw_losses(plans, generators)
+    fwd_s, drop_s, broken_s = _realize_class(plans, "self", "serviced_self", lost[..., 0::2])
+    fwd_n, drop_n, broken_n = _realize_class(plans, "neighbor", "attempts_neighbor", lost[..., 1::2])
     broken = np.argwhere(broken_s | broken_n)
     if broken.size:
-        row, epoch = broken[0].tolist()
-        name = "self" if broken_s[row, epoch] else "neighbor"
+        point, row, epoch = broken[0].tolist()
+        name = "self" if broken_s[point, row, epoch] else "neighbor"
         raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
     return fwd_s, drop_s, fwd_n, drop_n
 
@@ -701,7 +732,7 @@ def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
 def realize(plan: Schedule, seed: int) -> Trace:
     """Draw the ambient losses of one run over a schedule and build its trace."""
     config = replace(plan.config, seed=seed)
-    (fwd_s,), (drop_s,), (fwd_n,), (drop_n,) = _realize_seeds(plan, (seed,))
+    fwd_s, drop_s, fwd_n, drop_n = (column[0, 0] for column in _realize_sweep([plan], _seeded((seed,))))
     return Trace(
         config=config,
         offered_self=plan.offered_self,
@@ -744,15 +775,16 @@ class MisbehaviorStats:
 
 
 def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray, threshold: float, window: int):
-    """The rule of ``classify_misbehavior``, along the last axis of ``dropped_neighbor``.
+    """The rule of ``classify_misbehavior`` over a sweep, along the last axis.
 
-    ``offered_neighbor`` is one run's column; ``dropped_neighbor`` is that
-    run's column or one row per seed. Returns the qualifying mask, the window
-    sums of both columns, the ratios, the flags and the flagged share of the
-    qualifying windows (0 when none qualify), which has the leading shape of
-    ``dropped_neighbor``.
+    ``offered_neighbor`` holds one run's column per point, ``(points,
+    epochs)``; ``dropped_neighbor`` one row per point and seed, ``(points,
+    seeds, epochs)``. Returns the qualifying mask and the offered window sums,
+    ``(points, windows)``; the dropped window sums, the ratios and the flags,
+    ``(points, seeds, windows)``; and the flagged share of each point's
+    qualifying windows (0 when none qualify), ``(points, seeds)``.
     """
-    epochs = offered_neighbor.size
+    epochs = offered_neighbor.shape[-1]
     if epochs == 0:
         raise EmptyTraceError("cannot classify an empty trace")
     if not 0.0 < threshold < 1.0:
@@ -760,15 +792,15 @@ def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray
     if window < 1:
         raise InvalidConfigError(f"window must be >= 1, got {window}")
     starts = np.arange(0, epochs, window)
-    offered = np.add.reduceat(offered_neighbor, starts)
+    offered = np.add.reduceat(offered_neighbor, starts, axis=-1)
     dropped = np.add.reduceat(dropped_neighbor, starts, axis=-1)
     qualifying = offered > 0
     # Window sums below 2**53 convert to float64 exactly, so the ratio
     # matches Python's int / int there.
-    ratio = np.divide(dropped, offered, out=np.zeros(dropped.shape), where=qualifying)
+    ratio = np.divide(dropped, offered[:, None], out=np.zeros(dropped.shape), where=qualifying[:, None])
     flagged = ratio > threshold
-    count = int(qualifying.sum())
-    fraction = flagged.sum(axis=-1) / count if count else np.zeros(flagged.shape[:-1])
+    count = qualifying.sum(axis=-1)[:, None]
+    fraction = np.divide(flagged.sum(axis=-1), count, out=np.zeros(flagged.shape[:-1]), where=count > 0)
     return qualifying, offered, dropped, ratio, flagged, fraction
 
 
@@ -783,9 +815,10 @@ def classify_misbehavior(trace: Trace, threshold: float | None = None, window: i
     """
     theta = trace.config.misbehavior_threshold if threshold is None else threshold
     w = trace.config.window_epochs if window is None else window
-    qualifying, offered, dropped, ratio, flagged, fraction = _classify_windows(
-        trace.offered_neighbor, trace.dropped_neighbor, theta, w
+    (qualifying,), (offered,), *per_seed = _classify_windows(
+        trace.offered_neighbor[None], trace.dropped_neighbor[None, None], theta, w
     )
+    dropped, ratio, flagged, fraction = (value[0, 0] for value in per_seed)
     index = np.flatnonzero(qualifying)
     columns = (index, offered[index], dropped[index], ratio[index], flagged[index])
     ratios = tuple(

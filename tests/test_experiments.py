@@ -3,6 +3,7 @@ sweeps run in the acceptance suite)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from ctcsim import experiments
@@ -108,24 +109,28 @@ def test_run_case_is_deterministic():
     assert run_case(spec) == run_case(spec)
 
 
+def _grid_config(spec, algorithm, sweep_value):
+    params = spec.params
+    return SimConfig(
+        epochs=params.epochs,
+        data_rate=params.service_rate,
+        base_drop_prob=params.ambient_drop,
+        energy_budget=params.energy_budget,
+        misbehavior_threshold=params.misbehavior_threshold,
+        window_epochs=params.window,
+        policy=algorithm,
+        self_rate_fn=spec.self_rate_fn(sweep_value),
+        neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
+    )
+
+
 def _oracle_rows(spec):
     """``run_case`` rebuilt one run at a time from ``realize``, ``classify_misbehavior`` and ``utilization_node``."""
     params = spec.params
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
-            config = SimConfig(
-                epochs=params.epochs,
-                data_rate=params.service_rate,
-                base_drop_prob=params.ambient_drop,
-                energy_budget=params.energy_budget,
-                misbehavior_threshold=params.misbehavior_threshold,
-                window_epochs=params.window,
-                policy=algorithm,
-                self_rate_fn=spec.self_rate_fn(sweep_value),
-                neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
-            )
-            plan = schedule(config)
+            plan = schedule(_grid_config(spec, algorithm, sweep_value))
             for seed in spec.seeds:
                 trace = realize(plan, seed)
                 totals = {
@@ -178,6 +183,60 @@ def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
     rows = run_case(spec).rows
     assert len(rows) == 2 * 3 * 3
     assert rows == _oracle_rows(spec)
+
+
+def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():
+    # One sweep is classified in one pass, each point against its own count
+    # of qualifying windows: none at a zero neighbor rate, some at a light
+    # ramp that starts at zero, all ten when overloaded.
+    params = dataclasses.replace(DEFAULTS, misbehavior_threshold=0.3)
+    spec = dataclasses.replace(case_spec("I", params), sweep_axis=(0, 10, 1600, 0), seeds=(0, 2**64 - 1, 7))
+    qualifying = [
+        len(classify_misbehavior(realize(schedule(_grid_config(spec, Policy.DSR, v)), 0)).window_ratios)
+        for v in spec.sweep_axis
+    ]
+    assert qualifying == [0, 8, 10, 0]
+    rows = run_case(spec).rows
+    assert rows == _oracle_rows(spec)
+    fractions = {v: {r.malicious_fraction for r in rows if r.sweep_value == v} for v in spec.sweep_axis}
+    assert fractions[0] == {0.0}
+    assert all((8 * f).is_integer() for f in fractions[10]) and max(fractions[10]) > 0.0
+    assert max(fractions[1600]) > 0.0
+
+
+def test_run_case_seeds_one_bit_generator_per_seed(monkeypatch):
+    built = []
+
+    def counting_pcg64(seed):
+        built.append(seed)
+        return real_pcg64(seed)
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    real_pcg64 = np.random.PCG64
+    expected = run_case(dataclasses.replace(_tiny_spec("II"), seeds=(0, 5, 2**64 - 1)))
+    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    assert run_case(dataclasses.replace(_tiny_spec("II"), seeds=(0, 5, 2**64 - 1))) == expected
+    assert built == [0, 5, 2**64 - 1]
+
+
+def test_run_case_names_the_first_broken_point_of_a_sweep(monkeypatch):
+    # The second point breaks at an earlier epoch than the first; the first
+    # point in sweep order is the one named, as when points ran one by one.
+    real_schedule = experiments.schedule
+    broken_from = iter([6, 2])
+
+    def broken_schedule(config):
+        plan = real_schedule(config)
+        queued = plan.queued_neighbor.copy()
+        queued[next(broken_from):] += 1
+        return dataclasses.replace(plan, queued_neighbor=queued)
+
+    monkeypatch.setattr(experiments, "schedule", broken_schedule)
+    with pytest.raises(InvariantError, match="neighbor-class conservation violated at the target, epoch 6"):
+        run_case(_tiny_spec("I"))
 
 
 def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):

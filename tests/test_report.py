@@ -311,6 +311,7 @@ _EDGE_REALS = [
     0.1234565,
     0.9999995,
     4294.9672955,
+    4294.9672957,  # takes the fast path, yet rint(x * 1e6) is 2**32 exactly
     _FAST_EDGE,
     1e15,
     1e300,

@@ -28,7 +28,9 @@ from ctcsim.sim import (
     Schedule,
     SimConfig,
     Trace,
+    _draw_losses,
     _schedule_dsr,
+    _seeded,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
@@ -380,6 +382,29 @@ def test_ctc_split_proportional_with_scaled_epoch():
 
 def test_ctc_split_empty_queues_even_split():
     assert ctc_split(0, 0, 1.0, 0.05, 7) == (0.5, 0.5, 3, 3)
+
+
+def test_ctc_split_share_exactly_at_either_clamp_bound():
+    # 1/4 and 3/4 are exact, so the share lands on the bound itself.
+    assert ctc_split(3, 1, 1.0, 0.25, 100) == (0.75, 0.25, 75, 25)
+    assert ctc_split(1, 3, 1.0, 0.25, 100) == (0.25, 0.75, 25, 75)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    self_backlog=st.integers(0, 10**6),
+    neighbor_backlog=st.integers(0, 10**6),
+    epoch_length=st.floats(1e-3, 1e3),
+    min_share=st.floats(1e-6, 0.5, exclude_max=True),
+    capacity=st.integers(0, 10**9),
+)
+def test_ctc_split_matches_its_stated_rule(self_backlog, neighbor_backlog, epoch_length, min_share, capacity):
+    total = self_backlog + neighbor_backlog
+    share = min(max(0.5 if total == 0 else neighbor_backlog / total, min_share), 1.0 - min_share)
+    t_np = share * epoch_length
+    share = t_np / epoch_length
+    expected = (epoch_length - t_np, t_np, math.floor((1.0 - share) * capacity), math.floor(share * capacity))
+    assert ctc_split(self_backlog, neighbor_backlog, epoch_length, min_share, capacity) == expected
 
 
 def test_dsr_decide_self_always_forwards():
@@ -843,6 +868,30 @@ def test_binomial_stream_is_the_recorded_one():
         f"numpy {np.__version__} draws another binomial stream than numpy 2.4.6 did; "
         "the recorded sha256 tests of the grid and of both benchmark traces will fail too"
     )
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_shared_generators_draw_what_fresh_ones_do(p):
+    # A sweep restores each seed's state before each grid point's draw; every
+    # row must equal a freshly seeded generator's, also once the generator
+    # has drawn for another point (different counts, so a different binomial
+    # set-up) and for another p.
+    seeds = (0, 1, 2**64 - 1)
+    generators = _seeded(seeds)
+    loads = [(420.0, 300, 200, Policy.CTC), (50.0, 2, 70, Policy.CTC), (300.0, 90, 400, Policy.DSR)]
+    plans = [
+        schedule(SimConfig(epochs=40, data_rate=rate, base_drop_prob=p, self_rate_fn=constant(s),
+                           neighbor_rate_fn=constant(n), policy=policy))
+        for rate, s, n, policy in loads
+    ]
+    other = schedule(SimConfig(epochs=40, base_drop_prob=0.3, self_rate_fn=constant(900)))
+    for sweep in (plans, [other], plans[::-1]):
+        lost = _draw_losses(sweep, generators)
+        assert lost.shape == (len(sweep), len(seeds), 80)
+        for point, plan in zip(lost, sweep):
+            sent = np.ravel([plan.serviced_self, plan.attempts_neighbor], order="F")
+            for row, seed in zip(point, seeds):
+                assert row.tolist() == np.random.default_rng(seed).binomial(sent, plan.config.base_drop_prob).tolist()
 
 
 def test_realize_names_first_epoch_that_breaks_conservation():
