@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
-from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig, schedule
-from .sim import _classify_windows, _realize_sweep, _schedule_dsr, _seeded, _stack
+from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
+from .sim import _classify_windows, _realize_sweep, _schedule_sweep, _seeded, _stack
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -249,9 +249,9 @@ def run_case(spec: CaseSpec) -> ResultTable:
             for sweep_value in spec.sweep_axis
         ]
         # The queue pass does not depend on the seed: run it once per grid
-        # point (the whole dsr sweep in one scan), then realize and
-        # summarize every point and seed of the sweep in one pass.
-        plans = _schedule_dsr(configs) if algorithm is Policy.DSR else [schedule(c) for c in configs]
+        # point, then realize and summarize every point and seed of the
+        # sweep in one pass.
+        plans = _schedule_sweep(configs)
         rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plans, spec.seeds, generators))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))

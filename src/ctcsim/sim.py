@@ -39,23 +39,22 @@ order in which one scalar draw per class per epoch would consume the seed's
 stream, also when a count is zero, so the stream position never depends on
 load or policy.
 
-The two policies are scheduled differently. ``ctc`` couples its queues
-through the split, so it is one pass over the epochs. The engine never
-materializes a packet: all packets arriving in one epoch form one cohort, so
-a FIFO queue is the window of epochs ``[head, now]`` of its arrival column,
-with only the head cohort partly served, and its backlog is a running
-count. Under ``dsr`` the queues decouple: the self queue gets the whole
-capacity ``c`` and the neighbor queue ``c - serviced_self[e]``, both known
-before the queue is served. With ``A(e)`` a class's cumulative arrivals,
-``D`` the deadline and ``s_e`` its allowance, the packets consumed
-(expired or served) by the end of epoch ``e``, counted in arrival order,
-are ``P(e) = min(max(P(e-1), A(e-D)) + s_e, A(e))``. Each epoch is a clamp,
-clamps compose into a clamp, and a prefix scan over the clamps gives ``P``
-in O(log epochs) numpy passes, for a whole sweep of configs at once (one
-row each). The gate forwards while credits last, so the cumulative attempts
-are ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is int64
-unless some row's ``(min(D, epochs) + 2) * (its total arrivals)`` does not
-fit in int64; then it runs on Python ints (object arrays), so no count
+The engine never materializes a packet. Both policies keep each FIFO queue
+as one count: with ``A(e)`` a class's cumulative arrivals, ``D`` the
+deadline and ``s_e`` its service allowance, the packets consumed (expired or
+served) by the end of epoch ``e``, counted in arrival order, are ``P(e) =
+min(max(P(e-1), A(e-D)) + s_e, A(e))``, and each epoch's expired, served and
+queued counts follow from ``P`` alone. ``ctc`` couples its queues through
+the split, which reads the backlogs ``A(e) - max(P(e-1), A(e-D))``, so it is
+one pass over the epochs. Under ``dsr`` the queues decouple: the self queue
+gets the whole capacity ``c`` and the neighbor queue ``c -
+serviced_self[e]``, both known before the queue is served. Each epoch is a
+clamp, clamps compose into a clamp, and a prefix scan over the clamps gives
+``P`` in O(log epochs) numpy passes, for a whole sweep of configs at once
+(one row each). The gate forwards while credits last, so the cumulative
+attempts are ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is
+int64 unless some row's ``(min(D, epochs) + 2) * (its total arrivals)`` does
+not fit in int64; then it runs on Python ints (object arrays), so no count
 wraps. From a capacity of 2**53 on, where float64 division can round away
 from Python's ``int / int``, the time split divides Python ints.
 
@@ -70,6 +69,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -179,11 +179,11 @@ _INT64_MAX = 2**63 - 1
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
 # memory, about 150 bytes per epoch at the peak (in ``realize``; ``schedule``
-# peaks at 128 for ``ctc`` and 112 for ``dsr``, 144 from a capacity of 2**53
-# on; tracemalloc at 10**6 epochs), so 10**7 epochs need near 1.4 GiB. Only
-# the ``dsr`` scan on Python ints, for counts where int64 could wrap, peaks
-# higher, near 350. A larger value is rejected by name at validation
-# instead of failing in an allocation.
+# peaks at 136 for ``ctc`` and 112 for ``dsr``, 144 from a capacity of 2**53
+# on; tracemalloc at 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20),
+# so 10**7 epochs need near 1.4 GiB. Only the ``dsr`` scan on Python ints,
+# for counts where int64 could wrap, peaks higher, near 350. A larger value
+# is rejected by name at validation instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, a few hundred bytes per source: about
@@ -427,103 +427,13 @@ class Trace:
 def schedule(config: SimConfig) -> Schedule:
     """Take a fresh target through every epoch; no random number is drawn.
 
-    Fixed phase order per epoch: (a) deadline discard, (b) arrivals, (c)
-    service split per policy.
-
-    ``dsr`` is the one-row case of ``_schedule_dsr``. Each class consumes
-    ``P(e) = min(max(P(e-1), A(e-D)) + s_e, A(e))`` packets by the end of
-    epoch ``e`` (``A`` its cumulative arrivals, ``D`` the deadline, ``s_e``
-    the capacity for the self queue and the capacity left over for the
-    neighbor queue), which a prefix scan of per-epoch clamps computes in
-    O(log epochs) array passes; the gate's cumulative attempts are
-    ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is int64
-    unless ``(min(D, epochs) + 2) * (total arrivals)`` does not fit in int64;
-    then it runs on Python ints, as does the time split's division from a
-    capacity of 2**53 on.
-
-    ``ctc`` couples the queues through the split, so it is one pass over the
-    epochs: each class's queue is the window ``[head, e]`` of its arrival
-    list, oldest first; ``arrived[head]`` is what is left of the head cohort,
-    and the backlog is the window's running total.
+    The one-row case of ``_schedule_sweep``. Fixed phase order per epoch:
+    (a) deadline discard, (b) arrivals, (c) service split per policy. Under
+    either policy each class's queue is ``P``, the packets it has consumed
+    (expired or served) so far, from which the expired, served and queued
+    counts follow (see the module docstring).
     """
-    if config.policy is Policy.DSR:
-        return _schedule_dsr([config])[0]
-    epochs = config.epochs
-    deadline = config.deadline_epochs
-    epoch_t = config.epoch_length
-    min_share = config.min_share_fraction
-    # Capacity is data_rate packets/second over the epoch.
-    capacity = int(round(config.data_rate * epoch_t))
-    offered_self = config.self_rate_fn.arrivals(epochs)
-    offered_nbr = config.neighbor_rate_fn.arrivals(epochs)
-    arrived_self = offered_self.tolist()
-    arrived_nbr = offered_nbr.tolist()
-    head_self = head_nbr = 0
-    backlog_self = backlog_nbr = 0
-
-    # The per-epoch columns, written through memoryviews: a store is as
-    # cheap as a list's, at 8 bytes per value. ``ctc`` drops no neighbor
-    # packet before the coin but by expiry, and attempts all it serves.
-    counts = np.zeros((6, epochs), dtype=np.int64)
-    times = np.zeros((2, epochs), dtype=np.float64)
-    serviced_self, attempts_nbr, expired_self, expired_nbr, queued_self, queued_nbr = (c.data for c in counts)
-    t_pp, t_np = (c.data for c in times)
-
-    for e in range(epochs):
-        # (a) deadline discard: the cohort created at c is gone once
-        # c + deadline <= e. Heads never lag the cutoff, so at most the head
-        # cohort expires.
-        if head_self == e - deadline:
-            expired_self[e] = arrived_self[head_self]
-            backlog_self -= arrived_self[head_self]
-            head_self += 1
-        if head_nbr == e - deadline:
-            expired_nbr[e] = arrived_nbr[head_nbr]
-            backlog_nbr -= arrived_nbr[head_nbr]
-            head_nbr += 1
-
-        # (b) arrivals join the tail of each window.
-        backlog_self += arrived_self[e]
-        backlog_nbr += arrived_nbr[e]
-
-        # (c) service. Minimums are spelled as conditionals: a builtin
-        # ``min`` call costs as much as the rest of the epoch.
-        t_pp[e], t_np[e], take_self, take_nbr = ctc_split(backlog_self, backlog_nbr, epoch_t, min_share, capacity)
-        take_self = take_self if take_self < backlog_self else backlog_self
-        take_nbr = take_nbr if take_nbr < backlog_nbr else backlog_nbr
-
-        # Serve each window from its head, oldest first.
-        if take_self == backlog_self:
-            head_self = e + 1
-        else:
-            left = take_self
-            while left:
-                count = arrived_self[head_self]
-                if count > left:
-                    arrived_self[head_self] = count - left
-                    break
-                left -= count
-                head_self += 1
-        if take_nbr == backlog_nbr:
-            head_nbr = e + 1
-        else:
-            left = take_nbr
-            while left:
-                count = arrived_nbr[head_nbr]
-                if count > left:
-                    arrived_nbr[head_nbr] = count - left
-                    break
-                left -= count
-                head_nbr += 1
-        backlog_self -= take_self
-        backlog_nbr -= take_nbr
-
-        serviced_self[e] = take_self
-        attempts_nbr[e] = take_nbr
-        queued_self[e] = backlog_self
-        queued_nbr[e] = backlog_nbr
-
-    return Schedule(config, offered_self, offered_nbr, *counts, *times)
+    return _schedule_sweep([config])[0]
 
 
 def _compose_clamps(first_hi, first_lo, hi, lo) -> None:
@@ -552,85 +462,140 @@ def _scan_clamps(hi: np.ndarray, lo: np.ndarray) -> None:
     _compose_clamps(hi[..., 1 : n - 1 : 2], lo[..., 1 : n - 1 : 2], hi[..., 2::2], lo[..., 2::2])
 
 
-def _serve_fifo(arrived: np.ndarray, allowance: np.ndarray, deadlines: list[int]):
-    """One packet class under head expiry and a known service allowance, along the last axis.
+def _serve_fifo(arrived: np.ndarray, deadlines: list[int], *, consumed=None, allowance=None):
+    """Expired, served and queued counts per epoch of one packet class, along the last axis.
 
-    ``arrived`` and ``allowance`` are ``(rows, epochs)``; ``deadlines`` holds
-    one deadline per row, none above ``epochs``. Returns the expired, served
-    and queued counts per epoch, in ``arrived``'s dtype. Solves ``P(e) =
-    min(max(P(e-1), A(e-D)) + s_e, A(e))`` (see the module docstring).
-    Capping ``s_e`` at ``A(e) - A(e-D)``, the packets inside the deadline,
-    changes no ``P``. Then in ``Q = P - S``, ``S`` the running sum of the
-    capped ``s``, epoch ``e`` is the clamp ``Q -> max(lo_e, min(hi_e, Q))``
-    with ``lo_e = A(e-D) - S(e-1) <= hi_e = A(e) - S(e)``, and every value
-    lies in ``[-S(end), A(end)]``.
+    ``arrived`` is ``(rows, epochs)``, with one deadline per row in
+    ``deadlines``, none above ``epochs``. ``P(e)``, the packets consumed by
+    the end of epoch ``e`` (see the module docstring), is ``consumed`` when
+    given; otherwise it is solved for a known service ``allowance``. The
+    head expiry raises ``P(e-1)`` to ``A(e-D)``, service takes it on to
+    ``P(e)``, and what is left of ``A(e)`` is queued. The counts come back
+    in ``arrived``'s dtype.
+
+    The solve: capping ``s_e`` at ``A(e) - A(e-D)``, the packets inside the
+    deadline, changes no ``P``. Then in ``Q = P - S``, ``S`` the running sum
+    of the capped ``s``, epoch ``e`` is the clamp ``Q -> max(lo_e, min(hi_e,
+    Q))`` with ``lo_e = A(e-D) - S(e-1) <= hi_e = A(e) - S(e)``, and every
+    value lies in ``[-S(end), A(end)]``.
     """
     upper = np.cumsum(arrived, axis=-1)
     lower = np.zeros_like(upper)
     for row_lower, row_upper, row_deadline in zip(lower, upper, deadlines):
         row_lower[row_deadline:] = row_upper[: upper.shape[-1] - row_deadline]
-    # Each temporary is dropped once used, which keeps the peak near 112
-    # bytes per epoch (see MAX_EPOCHS).
-    capped = np.minimum(allowance, upper - lower)
-    total = np.cumsum(capped, axis=-1)
-    lo = lower - total
-    lo += capped
-    del capped
-    hi = upper - total
-    _scan_clamps(hi, lo)
-    # Apply each prefix to Q(-1) = 0.
-    consumed = np.maximum(lo, np.minimum(hi, 0), out=lo)
-    del hi
-    consumed += total
-    del total
+    if consumed is None:
+        # Each temporary is dropped once used, which keeps the peak near 112
+        # bytes per epoch (see MAX_EPOCHS).
+        capped = np.minimum(allowance, upper - lower)
+        total = np.cumsum(capped, axis=-1)
+        lo = lower - total
+        lo += capped
+        del capped
+        hi = upper - total
+        _scan_clamps(hi, lo)
+        # Apply each prefix to Q(-1) = 0.
+        consumed = np.maximum(lo, np.minimum(hi, 0), out=lo)
+        del hi
+        consumed += total
+        del total
     before = np.concatenate([np.zeros_like(consumed[:, :1]), consumed[:, :-1]], axis=-1)
     after_expiry = np.maximum(before, lower)
     return after_expiry - before, consumed - after_expiry, upper - consumed
 
 
-def _schedule_dsr(configs: list[SimConfig]) -> list[Schedule]:
-    """Schedules of ``dsr`` configs of equal ``epochs``, one row of a ``(rows, epochs)`` stack each.
+def _consume_ctc(config: SimConfig, capacity: int, deadline: int, arrived_self, arrived_nbr, consumed, times) -> None:
+    """The ``ctc`` consumed counts ``P`` of both classes and the time split, epoch by epoch.
 
-    The self queue's allowance is the capacity, the neighbor queue's what
-    self service leaves; the gate caps the cumulative attempts at the budget,
-    and the rest of the serviced neighbor packets are gate drops. The self
-    time is ``epoch_length * (serviced_self / capacity)`` (0 at zero
-    capacity), the rest of the epoch the neighbor side's.
+    Writes ``P_self`` and ``P_nbr`` into the two rows of ``consumed``,
+    ``t_pp`` and ``t_np`` into those of ``times``. Per epoch each ``P`` is
+    raised to ``A(e-D)``, the split reads the backlogs ``A(e) - P``, and each
+    class's take is added, capped at ``A(e)``. The split couples the
+    classes, so this is one pass in Python ints; minimums are spelled as
+    conditionals, since a builtin ``min`` call costs as much as the rest of
+    the epoch.
+    """
+    epoch_t = config.epoch_length
+    min_share = config.min_share_fraction
+    upper_self = np.cumsum(arrived_self).tolist()
+    upper_nbr = np.cumsum(arrived_nbr).tolist()
+    # A(e-D) is the same list, D epochs late.
+    bounds = zip(upper_self, chain(repeat(0, deadline), upper_self), upper_nbr, chain(repeat(0, deadline), upper_nbr))
+    consumed_self, consumed_nbr, t_pp, t_np = (row.data for row in (*consumed, *times))
+    p_self = p_nbr = 0
+    for e, (a_self, past_self, a_nbr, past_nbr) in enumerate(bounds):
+        if p_self < past_self:
+            p_self = past_self
+        if p_nbr < past_nbr:
+            p_nbr = past_nbr
+        t_pp[e], t_np[e], take_self, take_nbr = ctc_split(a_self - p_self, a_nbr - p_nbr, epoch_t, min_share, capacity)
+        p_self += take_self
+        if p_self > a_self:
+            p_self = a_self
+        p_nbr += take_nbr
+        if p_nbr > a_nbr:
+            p_nbr = a_nbr
+        consumed_self[e] = p_self
+        consumed_nbr[e] = p_nbr
 
-    Exactness: the scan's values stay within ``min(deadline, epochs) + 1``
-    times a row's arrivals of 0, so the stack is scanned in int64 only when
-    every row's ``(min(deadline, epochs) + 2) * (total arrivals)`` fits, and
-    on Python ints (object arrays) otherwise. float64 holds the division's
-    operands exactly only below 2**53, so from a capacity of 2**53 on it
-    divides Python ints, as Python's ``int / int`` does. The counts come
-    back as int64 either way.
+
+def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
+    """Schedules of configs of one policy and equal ``epochs``, one row of a ``(rows, epochs)`` stack each.
+
+    ``ctc`` takes each row through its epochs (``_consume_ctc``); ``ctc``
+    drops no neighbor packet before the coin but by expiry, and attempts all
+    it serves. Under ``dsr`` the self queue's allowance is the capacity, the
+    neighbor queue's what self service leaves; the gate caps the cumulative
+    attempts at the budget, and the rest of the serviced neighbor packets
+    are gate drops. The ``dsr`` self time is ``epoch_length * (serviced_self
+    / capacity)`` (0 at zero capacity), the rest of the epoch the neighbor
+    side's.
+
+    Exactness: the ``dsr`` scan's values stay within ``min(deadline, epochs)
+    + 1`` times a row's arrivals of 0, so the stack is scanned in int64 only
+    when every row's ``(min(deadline, epochs) + 2) * (total arrivals)``
+    fits, and on Python ints (object arrays) otherwise. float64 holds the
+    division's operands exactly only below 2**53, so from a capacity of
+    2**53 on it divides Python ints, as Python's ``int / int`` does. The
+    counts come back as int64 either way.
     """
     if not configs:
         return []
     epochs = configs[0].epochs
     offered_self = np.stack([c.self_rate_fn.arrivals(epochs) for c in configs])
     offered_nbr = np.stack([c.neighbor_rate_fn.arrivals(epochs) for c in configs])
+    # Capacity is data_rate packets/second over the epoch.
     capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
     deadlines = [min(c.deadline_epochs, epochs) for c in configs]
-    nbr_totals = offered_nbr.sum(axis=-1).tolist()
-    totals = [a + b for a, b in zip(offered_self.sum(axis=-1).tolist(), nbr_totals)]
-    fits_int64 = all((d + 2) * t <= _INT64_MAX for d, t in zip(deadlines, totals))
-    dtype = np.int64 if fits_int64 else object
-    capacity = np.array(capacities, dtype)[:, None]
+    if configs[0].policy is Policy.CTC:
+        consumed = np.zeros((2, len(configs), epochs), dtype=np.int64)
+        t_pp, t_np = times = np.zeros((2, len(configs), epochs))
+        for row, config in enumerate(configs):
+            rows = (offered_self[row], offered_nbr[row], consumed[:, row], times[:, row])
+            _consume_ctc(config, capacities[row], deadlines[row], *rows)
+        expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, consumed=consumed[0])
+        dropped_nbr, attempts, queued_nbr = _serve_fifo(offered_nbr, deadlines, consumed=consumed[1])
+    else:
+        nbr_totals = offered_nbr.sum(axis=-1).tolist()
+        totals = [a + b for a, b in zip(offered_self.sum(axis=-1).tolist(), nbr_totals)]
+        fits_int64 = all((d + 2) * t <= _INT64_MAX for d, t in zip(deadlines, totals))
+        dtype = np.int64 if fits_int64 else object
+        capacity = np.array(capacities, dtype)[:, None]
 
-    expired_self, serviced_self, queued_self = _serve_fifo(offered_self.astype(dtype, copy=False), capacity, deadlines)
-    expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
-        offered_nbr.astype(dtype, copy=False), capacity - serviced_self, deadlines
-    )
-    # A budget past the run's neighbor arrivals never binds; capped, it fits the dtype.
-    budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], dtype)[:, None]
-    attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
-    dropped_nbr = expired_nbr + serviced_nbr - attempts
-    # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-    divisor = np.maximum(capacity, 1).astype(np.int64 if max(capacities) < 2**53 else object)
-    epoch_t = np.array([c.epoch_length for c in configs])[:, None]
-    t_pp = (epoch_t * (serviced_self / divisor)).astype(np.float64, copy=False)
-    t_np = epoch_t - t_pp
+        expired_self, serviced_self, queued_self = _serve_fifo(
+            offered_self.astype(dtype, copy=False), deadlines, allowance=capacity
+        )
+        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
+            offered_nbr.astype(dtype, copy=False), deadlines, allowance=capacity - serviced_self
+        )
+        # A budget past the run's neighbor arrivals never binds; capped, it fits the dtype.
+        budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], dtype)[:, None]
+        attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
+        dropped_nbr = expired_nbr + serviced_nbr - attempts
+        # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
+        divisor = np.maximum(capacity, 1).astype(np.int64 if max(capacities) < 2**53 else object)
+        epoch_t = np.array([c.epoch_length for c in configs])[:, None]
+        t_pp = (epoch_t * (serviced_self / divisor)).astype(np.float64, copy=False)
+        t_np = epoch_t - t_pp
     counts = [
         count.astype(np.int64, copy=False)
         for count in (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)

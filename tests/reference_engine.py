@@ -1,29 +1,31 @@
 """Per-packet reference implementation of the simulator semantics.
 
-The production engine queues cohorts for speed, and schedules ``dsr`` as a
-prefix scan. This one materializes a Packet object for every arrival, walks
-queues packet by packet, and routes every serviced packet through the
-per-packet policy decision (``dsr_decide`` for the baseline). It consumes the
-random stream in the same fixed order (two binomial draws per epoch at the
-target), so on any config the two engines must agree counter for counter,
-epoch for epoch.
+The production engine tracks only how many packets each queue has consumed,
+and schedules ``dsr`` as a prefix scan. This one materializes a Packet object
+for every arrival, walks queues packet by packet, and routes every serviced
+packet through the per-packet policy decision (``dsr_decide`` for the
+baseline, ``split_time`` for ``ctc``). It consumes the random stream in the
+same fixed order (two binomial draws per epoch at the target), so on any
+config the two engines must agree counter for counter, epoch for epoch.
 
-Kept deliberately naive: no cohort tricks, no shortcuts, so it stays an
-independent check rather than a restatement of the production code. The
-per-packet engine cannot hold counts near 2**63, so ``schedule_dsr_cohorts``
-keeps the ``dsr`` schedule as one cohort pass in Python ints, where no count
-wraps, as the oracle at those counts.
+Kept deliberately naive: no consumed counts, no scans, and a ``ctc`` split
+of its own, so it stays an independent check rather than a restatement of
+the production code. The per-packet engine cannot hold counts near 2**63, so
+``schedule_cohorts`` keeps the schedule of either policy as one pass over
+queues of arrival cohorts in Python ints, where no count wraps, as the
+oracle at those counts.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctcsim.sim import Policy, SimConfig, ctc_split
+from ctcsim.sim import Policy, SimConfig
 
 
 class PacketClass(str, enum.Enum):
@@ -66,6 +68,25 @@ def dsr_decide(node: NodeState, packet: Packet) -> Decision:
         node.energy_remaining -= 1
         return Decision.FORWARD
     return Decision.DROP
+
+
+def split_time(
+    self_backlog: int, neighbor_backlog: int, epoch_length: float, min_share_fraction: float, capacity: int
+) -> tuple[float, float, int, int]:
+    """The ``ctc`` split of one epoch, as its rule is stated: ``(t_pp, t_np, cap_self, cap_nbr)``.
+
+    The neighbor share is the neighbor backlog over both (one half when both
+    queues are empty), clamped to ``[min_share_fraction, 1 -
+    min_share_fraction]``. The neighbor time is share times the epoch, the
+    self time the rest of it. The share is then read back as ``t_np /
+    epoch_length``, and each class may serve the floor of its share of
+    ``capacity`` packets.
+    """
+    total = self_backlog + neighbor_backlog
+    share = min(max(0.5 if total == 0 else neighbor_backlog / total, min_share_fraction), 1.0 - min_share_fraction)
+    t_np = share * epoch_length
+    share = t_np / epoch_length
+    return epoch_length - t_np, t_np, math.floor((1.0 - share) * capacity), math.floor(share * capacity)
 
 
 @dataclass
@@ -140,7 +161,7 @@ def run_reference(config: SimConfig) -> tuple[RefNode, list[RefEpoch]]:
         # (c) service.
         gate_dropped = 0
         if config.policy is Policy.CTC:
-            t_pp, t_np, cap_self, cap_nbr = ctc_split(
+            t_pp, t_np, cap_self, cap_nbr = split_time(
                 target.self_backlog, target.neighbor_backlog, epoch_t, config.min_share_fraction, capacity
             )
             serviced_self = 0
@@ -220,15 +241,16 @@ def _serve_cohorts(arrived: list[int], head: int, take: int) -> int:
     return head
 
 
-def schedule_dsr_cohorts(config: SimConfig) -> dict[str, list]:
-    """The ``dsr`` schedule of a config as one pass over the epochs, in Python ints.
+def schedule_cohorts(config: SimConfig) -> dict[str, list]:
+    """The schedule of a config as one pass over the epochs, in Python ints.
 
     Returns every per-epoch ``Schedule`` column by field name. Each class's
     queue is its list of arrival cohorts from ``head`` on. Per epoch: the
-    cohorts past the deadline expire, the arrivals join, the self queue is
-    served with up to the whole capacity, the neighbor queue with what is
-    left, and the serviced neighbor packets are forwarded while energy
-    credits last, the rest dropped at the gate.
+    cohorts past the deadline expire, and the arrivals join. Under ``ctc``
+    each queue is then served up to its ``split_time`` capacity. Under
+    ``dsr`` the self queue is served with up to the whole capacity, the
+    neighbor queue with what is left, and the serviced neighbor packets are
+    forwarded while energy credits last, the rest dropped at the gate.
     """
     epochs = config.epochs
     epoch_t = config.epoch_length
@@ -255,15 +277,23 @@ def schedule_dsr_cohorts(config: SimConfig) -> dict[str, list]:
         head_nbr, expired_nbr = _expire_cohorts(arrived_nbr, head_nbr, e - config.deadline_epochs)
         backlog_self += arrived_self[e] - expired_self
         backlog_nbr += arrived_nbr[e] - expired_nbr
-        take_self = min(capacity, backlog_self)
-        take_nbr = min(capacity - take_self, backlog_nbr)
-        attempts = min(take_nbr, energy)
-        energy -= attempts
+        if config.policy is Policy.CTC:
+            t_pp, t_np, cap_self, cap_nbr = split_time(
+                backlog_self, backlog_nbr, epoch_t, config.min_share_fraction, capacity
+            )
+            take_self = min(cap_self, backlog_self)
+            take_nbr = attempts = min(cap_nbr, backlog_nbr)
+        else:
+            take_self = min(capacity, backlog_self)
+            take_nbr = min(capacity - take_self, backlog_nbr)
+            attempts = min(take_nbr, energy)
+            energy -= attempts
+            t_pp = epoch_t * (take_self / capacity) if capacity > 0 else 0.0
+            t_np = epoch_t - t_pp
         head_self = _serve_cohorts(arrived_self, head_self, take_self)
         head_nbr = _serve_cohorts(arrived_nbr, head_nbr, take_nbr)
         backlog_self -= take_self
         backlog_nbr -= take_nbr
-        t_pp = epoch_t * (take_self / capacity) if capacity > 0 else 0.0
         for name, value in (
             ("serviced_self", take_self),
             ("attempts_neighbor", attempts),
@@ -272,7 +302,7 @@ def schedule_dsr_cohorts(config: SimConfig) -> dict[str, list]:
             ("queued_self", backlog_self),
             ("queued_neighbor", backlog_nbr),
             ("t_pp", t_pp),
-            ("t_np", epoch_t - t_pp),
+            ("t_np", t_np),
         ):
             columns[name].append(value)
     return columns

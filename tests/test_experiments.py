@@ -225,40 +225,44 @@ def test_run_case_seeds_one_bit_generator_per_seed(monkeypatch):
 def test_run_case_names_the_first_broken_point_of_a_sweep(monkeypatch):
     # The second point breaks at an earlier epoch than the first; the first
     # point in sweep order is the one named, as when points ran one by one.
-    real_schedule = experiments.schedule
+    real_schedule = experiments._schedule_sweep
     broken_from = iter([6, 2])
 
-    def broken_schedule(config):
-        plan = real_schedule(config)
+    def broken(plan):
         queued = plan.queued_neighbor.copy()
         queued[next(broken_from):] += 1
         return dataclasses.replace(plan, queued_neighbor=queued)
 
-    monkeypatch.setattr(experiments, "schedule", broken_schedule)
+    def broken_schedule(configs):
+        return [broken(plan) for plan in real_schedule(configs)]
+
+    monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="neighbor-class conservation violated at the target, epoch 6"):
         run_case(_tiny_spec("I"))
 
 
 def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):
-    real_schedule = experiments.schedule
+    real_schedule = experiments._schedule_sweep
 
-    def broken_schedule(config):
-        plan = real_schedule(config)
+    def broken(plan):
         queued = plan.queued_self.copy()
         queued[4:] += 1
         return dataclasses.replace(plan, queued_self=queued)
 
-    monkeypatch.setattr(experiments, "schedule", broken_schedule)
+    def broken_schedule(configs):
+        return [broken(plan) for plan in real_schedule(configs)]
+
+    monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="self-class conservation violated at the target, epoch 4"):
         run_case(_tiny_spec("III"))
 
 
 @pytest.mark.parametrize("seeds", [(-1,), (0, 2**64), (2**64 + 7,)])
 def test_run_case_rejects_seed_outside_uint64_before_scheduling(seeds, monkeypatch):
-    def no_schedule(config):
+    def no_schedule(configs):
         raise AssertionError("scheduled before the seeds were checked")
 
-    monkeypatch.setattr(experiments, "schedule", no_schedule)
+    monkeypatch.setattr(experiments, "_schedule_sweep", no_schedule)
     with pytest.raises(InvalidParameterError, match="seed"):
         run_case(dataclasses.replace(case_spec("I"), seeds=seeds))
 

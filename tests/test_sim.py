@@ -1,8 +1,8 @@
 """Simulator engine tests.
 
 Fixture values are worked out by hand from the stepping rules (deadline
-discard, arrivals, capacity split, ambient loss, counters); the cohort
-engine is additionally held to a naive per-packet reference implementation
+discard, arrivals, capacity split, ambient loss, counters); the engine
+is additionally held to a naive per-packet reference implementation
 for exact counter agreement.
 """
 
@@ -29,7 +29,7 @@ from ctcsim.sim import (
     SimConfig,
     Trace,
     _draw_losses,
-    _schedule_dsr,
+    _schedule_sweep,
     _seeded,
     classify_misbehavior,
     config_from_dict,
@@ -41,7 +41,7 @@ from ctcsim.sim import (
     source_split,
 )
 
-from reference_engine import Decision, NodeState, Packet, PacketClass, dsr_decide, run_reference, schedule_dsr_cohorts
+from reference_engine import Decision, NodeState, Packet, PacketClass, dsr_decide, run_reference, schedule_cohorts
 from reference_writer import reference_trace_csv
 
 
@@ -692,7 +692,10 @@ rate_functions = st.one_of(
     policy=st.sampled_from([Policy.CTC, Policy.DSR]),
     self_rate_fn=rate_functions,
     neighbor_rate_fn=rate_functions,
-    data_rate=st.floats(1.0, 60.0),
+    # Below 0.5 packets per epoch of length 1 the capacity rounds to zero.
+    data_rate=st.one_of(st.floats(1.0, 60.0), st.floats(0.01, 0.49)),
+    epoch_length=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+    min_share_fraction=st.floats(1e-6, 0.5, exclude_max=True),
     # Short ones, and up to and past the run length, where nothing expires.
     deadline_epochs=st.one_of(st.integers(1, 6), st.integers(1, 160)),
     energy_budget=st.integers(0, 400),
@@ -726,8 +729,8 @@ def assert_same_schedule(plan, expected):
 
 
 @st.composite
-def _extreme_dsr_configs(draw):
-    """Accepted ``dsr`` configs near the int64 bounds of validation.
+def _extreme_configs(draw):
+    """Accepted configs of either policy near the int64 bounds of validation.
 
     Rates and capacity share one scale: the per-epoch rate bound 9e18 /
     epochs, or a power of two between 2**50 and it. So queues are partly
@@ -748,7 +751,7 @@ def _extreme_dsr_configs(draw):
 
     return SimConfig(
         epochs=epochs,
-        policy=Policy.DSR,
+        policy=draw(st.sampled_from(list(Policy))),
         self_rate_fn=rate_fn(),
         neighbor_rate_fn=rate_fn(),
         data_rate=min(scale * draw(st.floats(0.01, 10)), 9.2e18),
@@ -758,8 +761,9 @@ def _extreme_dsr_configs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(config=_extreme_dsr_configs())
+# Twice the examples of one policy: each policy gets about as many as dsr alone did.
+@settings(max_examples=600, deadline=None)
+@given(config=_extreme_configs())
 # An int64 scan wraps here: the capped allowance sums to about 2.25e19.
 @example(
     config=SimConfig(
@@ -771,21 +775,22 @@ def _extreme_dsr_configs(draw):
         neighbor_rate_fn=constant(2.25e18),
     )
 )
-def test_dsr_schedule_matches_cohort_oracle_at_int64_extremes(config):
-    # Running sums of the scan pass 2**63 here, and capacities pass 2**53.
+def test_schedule_matches_cohort_oracle_at_int64_extremes(config):
+    # Running sums of the dsr scan pass 2**63 here, and capacities pass 2**53.
     # The oracle's counts are Python ints that never wrap, and its times
-    # come from Python's own int / int.
-    assert_same_schedule(schedule(config), schedule_dsr_cohorts(config))
+    # come from Python's own int / int, or from its own ctc split.
+    assert_same_schedule(schedule(config), schedule_cohorts(config))
 
 
 @st.composite
-def _dsr_sweeps(draw):
-    """Configs of one run length, each row with its own loads, capacity,
-    deadline and budget, in random order. Returns them with three of them:
-    a zero-rate row, a row overloaded in both classes, and a row whose
-    energy gate binds. Sometimes one row with a capacity past 2**53 moves
-    the time split, and on longer runs the whole stack, to Python ints."""
-    fixed = dict(epochs=draw(st.integers(2, 70)), policy=Policy.DSR)
+def _sweeps(draw):
+    """Configs of one run length and policy, each row with its own loads,
+    capacity, deadline and budget, in random order. Returns them with three
+    of them: a zero-rate row, a row overloaded in both classes, and a row
+    whose energy gate binds under dsr. Sometimes one row with a capacity past
+    2**53 moves the dsr time split, and on longer runs the whole stack, to
+    Python ints."""
+    fixed = dict(epochs=draw(st.integers(2, 70)), policy=draw(st.sampled_from(list(Policy))))
     marked = (
         SimConfig(**fixed),
         SimConfig(**fixed, data_rate=10.0, deadline_epochs=1, self_rate_fn=constant(25), neighbor_rate_fn=constant(9)),
@@ -802,6 +807,7 @@ def _dsr_sweeps(draw):
                 epoch_length=draw(st.floats(0.1, 10.0)),
                 deadline_epochs=draw(st.integers(1, 80)),
                 energy_budget=draw(st.integers(0, 400)),
+                min_share_fraction=draw(st.floats(1e-6, 0.5, exclude_max=True)),
             )
         )
     if draw(st.booleans()):
@@ -809,21 +815,26 @@ def _dsr_sweeps(draw):
     return draw(st.permutations(rows)), marked
 
 
-@settings(max_examples=60, deadline=None)
-@given(sweep=_dsr_sweeps())
-def test_batched_dsr_sweep_rows_equal_their_own_schedule(sweep):
-    # run_case schedules the dsr half of a sweep as one stack; no row may
-    # see another's parameters or the stack's dtype.
+@settings(max_examples=120, deadline=None)
+@given(sweep=_sweeps())
+def test_batched_sweep_rows_equal_their_own_schedule(sweep):
+    # run_case schedules each policy's half of a sweep as one stack; no row
+    # may see another's parameters or the stack's dtype.
     configs, marked = sweep
-    plans = _schedule_dsr(configs)
+    plans = _schedule_sweep(configs)
     assert [plan.config for plan in plans] == configs
     for plan, config in zip(plans, configs):
         assert_same_schedule(plan, schedule(config))
-        assert_same_schedule(plan, schedule_dsr_cohorts(config))
+        assert_same_schedule(plan, schedule_cohorts(config))
     zero, overloaded, gated = (next(p for p, c in zip(plans, configs) if c is row) for row in marked)
-    assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor, zero.t_pp))
+    if configs[0].policy is Policy.DSR:
+        assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor, zero.t_pp))
+        assert gated.attempts_neighbor.sum() == 5 < gated.dropped_before_loss_neighbor.sum()
+    else:
+        # With both queues empty, ctc splits the epoch evenly.
+        assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor))
+        assert (zero.t_pp == zero.t_np).all()
     assert overloaded.dropped_before_loss_self.any() and overloaded.dropped_before_loss_neighbor.any()
-    assert gated.attempts_neighbor.sum() == 5 < gated.dropped_before_loss_neighbor.sum()
 
 
 @settings(max_examples=80, deadline=None)
