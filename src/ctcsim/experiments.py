@@ -29,8 +29,8 @@ passed through ExperimentParams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Callable, Sequence
 
 import numpy as np
@@ -291,7 +291,7 @@ def derive_case_v(tables: Sequence[ResultTable], bucket_width: float = 0.05) -> 
     curves = []
     for algorithm in sorted(pooled):
         buckets = tuple(
-            CaseVBucket(lower=index * bucket_width, mean_malicious=fmean(values), rows=len(values))
+            CaseVBucket(lower=index * bucket_width, mean_malicious=math.fsum(values) / len(values), rows=len(values))
             for index, values in sorted(pooled[algorithm].items())
         )
         curves.append(CaseVCurve(algorithm=algorithm, buckets=buckets))

@@ -17,10 +17,10 @@ Python's own ``'%.6f' % x``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from statistics import fmean
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,7 +157,7 @@ def _sweep_series(tables: Sequence[ResultTable], case_id: str) -> list[FigureSer
         grouped.setdefault(row.algorithm, {}).setdefault(row.sweep_value, []).append(row.drop_ratio)
     series = []
     for algorithm in sorted(grouped):
-        points = tuple((float(v), fmean(ratios)) for v, ratios in sorted(grouped[algorithm].items()))
+        points = tuple((float(v), math.fsum(ratios) / len(ratios)) for v, ratios in sorted(grouped[algorithm].items()))
         series.append(FigureSeries(algorithm, points))
     return series
 

@@ -52,11 +52,9 @@ serviced_self[e]``, both known before the queue is served. Each epoch is a
 clamp, clamps compose into a clamp, and a prefix scan over the clamps gives
 ``P`` in O(log epochs) numpy passes, for a whole sweep of configs at once
 (one row each). The gate forwards while credits last, so the cumulative
-attempts are ``min(cumsum(serviced_neighbor), energy_budget)``. The scan is
-int64 unless some row's ``(min(D, epochs) + 2) * (its total arrivals)`` does
-not fit in int64; then it runs on Python ints (object arrays), so no count
-wraps. From a capacity of 2**53 on, where float64 division can round away
-from Python's ``int / int``, the time split divides Python ints.
+attempts are ``min(cumsum(serviced_neighbor), energy_budget)``. Validation
+bounds every count so that the scan runs in int64 and every division is
+exact (see ``SimConfig``).
 
 Determinism contract: a run is a pure function of its config, including the
 seed. The per-packet semantics live in the test suite, which holds both
@@ -176,14 +174,16 @@ class RateFunction:
 
 _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
 _INT64_MAX = 2**63 - 1
+# float64 holds every integer up to 2**53 exactly, so counts and sums within
+# it divide as Python's ``int / int`` does.
+_EXACT_MAX = 2**53
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
 # memory, about 150 bytes per epoch at the peak (in ``realize``; ``schedule``
-# peaks at 136 for ``ctc`` and 112 for ``dsr``, 144 from a capacity of 2**53
-# on; tracemalloc at 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20),
-# so 10**7 epochs need near 1.4 GiB. Only the ``dsr`` scan on Python ints,
-# for counts where int64 could wrap, peaks higher, near 350. A larger value
-# is rejected by name at validation instead of failing in an allocation.
+# peaks at 136 for ``ctc`` and 112 for ``dsr``; tracemalloc at 10**6 epochs,
+# ``data_rate`` 420, ``deadline_epochs`` 20), so 10**7 epochs need near
+# 1.4 GiB. A larger value is rejected by name at validation instead of
+# failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, a few hundred bytes per source: about
@@ -242,18 +242,25 @@ class SimConfig:
                 raise InvalidConfigError(message)
         if not isinstance(self.policy, Policy):
             raise InvalidConfigError(f"policy must be a Policy, got {self.policy!r}")
-        # The trace keeps per-epoch counts and their running sums in int64,
-        # and numpy's binomial takes int64 counts: bound both here rather
-        # than let them wrap or fail mid-run.
-        if round(self.data_rate * self.epoch_length) > _INT64_MAX:
-            raise InvalidConfigError("per-epoch capacity data_rate * epoch_length must fit in a signed 64-bit integer")
+        # The capacity and each class's run total stay within 2**53, so every
+        # count, running sum and division of a run is exact in int64 and
+        # float64. The ``dsr`` scan's values stay within ``min(deadline,
+        # epochs) + 1`` times the run's arrivals of 0, so ``+ 2`` times them
+        # must fit int64. Bounded here, nothing wraps or rounds mid-run.
+        if round(self.data_rate * self.epoch_length) > _EXACT_MAX:
+            raise InvalidConfigError("per-epoch capacity data_rate * epoch_length must be <= 2**53")
+        arrivals = 0
         for name in ("self_rate_fn", "neighbor_rate_fn"):
             fn = getattr(self, name)
             peak = fn.rate(max(self.epochs - 1, 0) if fn.kind is RateKind.LINEAR_INCREASING else 0)
-            if not math.isfinite(peak) or round(peak) * self.epochs > _INT64_MAX:
-                raise InvalidConfigError(
-                    f"{name}: {self.epochs} epochs at up to {peak:g} packets each overflow a signed 64-bit count"
-                )
+            if not math.isfinite(peak) or round(peak) * self.epochs > _EXACT_MAX:
+                raise InvalidConfigError(f"{name}: {self.epochs} epochs at up to {peak:g} packets each pass 2**53")
+            arrivals += round(peak) * self.epochs
+        if (min(self.deadline_epochs, self.epochs) + 2) * arrivals > _INT64_MAX:
+            raise InvalidConfigError(
+                f"deadline_epochs: (min(deadline_epochs, epochs) + 2) times up to {arrivals} arrivals"
+                " overflow a signed 64-bit count"
+            )
 
 
 _CONFIG_FIELDS = {
@@ -470,8 +477,7 @@ def _serve_fifo(arrived: np.ndarray, deadlines: list[int], *, consumed=None, all
     the end of epoch ``e`` (see the module docstring), is ``consumed`` when
     given; otherwise it is solved for a known service ``allowance``. The
     head expiry raises ``P(e-1)`` to ``A(e-D)``, service takes it on to
-    ``P(e)``, and what is left of ``A(e)`` is queued. The counts come back
-    in ``arrived``'s dtype.
+    ``P(e)``, and what is left of ``A(e)`` is queued.
 
     The solve: capping ``s_e`` at ``A(e) - A(e-D)``, the packets inside the
     deadline, changes no ``P``. Then in ``Q = P - S``, ``S`` the running sum
@@ -548,15 +554,9 @@ def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
     attempts at the budget, and the rest of the serviced neighbor packets
     are gate drops. The ``dsr`` self time is ``epoch_length * (serviced_self
     / capacity)`` (0 at zero capacity), the rest of the epoch the neighbor
-    side's.
-
-    Exactness: the ``dsr`` scan's values stay within ``min(deadline, epochs)
-    + 1`` times a row's arrivals of 0, so the stack is scanned in int64 only
-    when every row's ``(min(deadline, epochs) + 2) * (total arrivals)``
-    fits, and on Python ints (object arrays) otherwise. float64 holds the
-    division's operands exactly only below 2**53, so from a capacity of
-    2**53 on it divides Python ints, as Python's ``int / int`` does. The
-    counts come back as int64 either way.
+    side's. Validation keeps the scan within int64 and the division's
+    operands within 2**53 (see ``SimConfig``), so the split is Python's
+    ``int / int``.
     """
     if not configs:
         return []
@@ -576,30 +576,18 @@ def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
         dropped_nbr, attempts, queued_nbr = _serve_fifo(offered_nbr, deadlines, consumed=consumed[1])
     else:
         nbr_totals = offered_nbr.sum(axis=-1).tolist()
-        totals = [a + b for a, b in zip(offered_self.sum(axis=-1).tolist(), nbr_totals)]
-        fits_int64 = all((d + 2) * t <= _INT64_MAX for d, t in zip(deadlines, totals))
-        dtype = np.int64 if fits_int64 else object
-        capacity = np.array(capacities, dtype)[:, None]
-
-        expired_self, serviced_self, queued_self = _serve_fifo(
-            offered_self.astype(dtype, copy=False), deadlines, allowance=capacity
-        )
-        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
-            offered_nbr.astype(dtype, copy=False), deadlines, allowance=capacity - serviced_self
-        )
-        # A budget past the run's neighbor arrivals never binds; capped, it fits the dtype.
-        budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], dtype)[:, None]
+        capacity = np.array(capacities, np.int64)[:, None]
+        expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, allowance=capacity)
+        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(offered_nbr, deadlines, allowance=capacity - serviced_self)
+        # A budget past the run's neighbor arrivals never binds; capped, it fits int64.
+        budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], np.int64)[:, None]
         attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
         dropped_nbr = expired_nbr + serviced_nbr - attempts
         # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-        divisor = np.maximum(capacity, 1).astype(np.int64 if max(capacities) < 2**53 else object)
         epoch_t = np.array([c.epoch_length for c in configs])[:, None]
-        t_pp = (epoch_t * (serviced_self / divisor)).astype(np.float64, copy=False)
+        t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
         t_np = epoch_t - t_pp
-    counts = [
-        count.astype(np.int64, copy=False)
-        for count in (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)
-    ]
+    counts = (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)
     return [
         Schedule(config, offered_self[row], offered_nbr[row], *(count[row] for count in counts), t_pp[row], t_np[row])
         for row, config in enumerate(configs)
@@ -689,8 +677,8 @@ def _realize_sweep(plans: list[Schedule], generators) -> tuple[np.ndarray, np.nd
 def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
     """Running drop ratio, 0 until the first packet is offered."""
     cum_offered = np.cumsum(offered)
-    # int64 sums below 2**53 convert to float64 exactly, so this matches
-    # Python's int / int there.
+    # Validation keeps the running sums within 2**53 (see ``SimConfig``),
+    # where they convert to float64 exactly: this is Python's int / int.
     return np.divide(np.cumsum(dropped), cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
 
 
@@ -760,8 +748,8 @@ def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray
     offered = np.add.reduceat(offered_neighbor, starts, axis=-1)
     dropped = np.add.reduceat(dropped_neighbor, starts, axis=-1)
     qualifying = offered > 0
-    # Window sums below 2**53 convert to float64 exactly, so the ratio
-    # matches Python's int / int there.
+    # Validation keeps the window sums within 2**53 (see ``SimConfig``),
+    # where they convert to float64 exactly: the ratio is Python's int / int.
     ratio = np.divide(dropped, offered[:, None], out=np.zeros(dropped.shape), where=qualifying[:, None])
     flagged = ratio > threshold
     count = qualifying.sum(axis=-1)[:, None]

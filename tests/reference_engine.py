@@ -10,7 +10,8 @@ config the two engines must agree counter for counter, epoch for epoch.
 
 Kept deliberately naive: no consumed counts, no scans, and a ``ctc`` split
 of its own, so it stays an independent check rather than a restatement of
-the production code. The per-packet engine cannot hold counts near 2**63, so
+the production code. The per-packet engine cannot hold counts near the
+bounds of validation, 2**53 packets per class and run, so
 ``schedule_cohorts`` keeps the schedule of either policy as one pass over
 queues of arrival cohorts in Python ints, where no count wraps, as the
 oracle at those counts.

@@ -210,6 +210,11 @@ def test_config_from_dict_rejects_non_integer_and_bool():
         config_from_dict(["epochs", 2])
 
 
+# Both classes at 1.5e13 packets per epoch over 600 epochs: 1.8e16 arrivals,
+# so the dsr scan's bound admits deadlines of up to 510 epochs.
+_SCAN_BOUND_RATES = {"data_rate": 1.6e13, "self_rate_fn": "constant:1.5e13", "neighbor_rate_fn": "constant:1.5e13"}
+
+
 @pytest.mark.parametrize(
     "raw, field_name",
     [
@@ -229,6 +234,13 @@ def test_config_from_dict_rejects_non_integer_and_bool():
         ({"epochs": MAX_EPOCHS + 1}, "epochs"),
         ({"neighbor_count": MAX_NEIGHBOR_COUNT + 1}, "neighbor_count"),
         ({"neighbor_count": 10**15}, "neighbor_count"),
+        # One past each bound within which every count and ratio is exact and
+        # the dsr scan fits int64; the configs of
+        # test_config_accepts_counts_up_to_their_exact_bounds sit on them.
+        ({"data_rate": 2.0**53 + 2}, "data_rate"),
+        ({"self_rate_fn": "constant:3002399751580331"}, "self_rate_fn"),
+        ({"neighbor_rate_fn": "linear_increasing:0:1501199875790166"}, "neighbor_rate_fn"),
+        ({"epochs": 600, "deadline_epochs": 511, **_SCAN_BOUND_RATES}, "deadline_epochs"),
     ],
 )
 def test_config_from_dict_rejects_non_finite_naming_the_field(raw, field_name):
@@ -242,14 +254,17 @@ def test_config_from_dict_rejects_non_finite_naming_the_field(raw, field_name):
 
 
 def test_config_int64_bound_on_run_arrivals():
-    # Peak arrivals times epochs must fit int64: 9 * 1e18 does, 10 * 1e18
-    # does not. Increasing ramps peak on the last epoch.
-    SimConfig(epochs=9, self_rate_fn=constant(1e18))
-    with pytest.raises(InvalidConfigError, match="self_rate_fn"):
-        SimConfig(epochs=10, self_rate_fn=constant(1e18))
-    SimConfig(epochs=3, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 1.5e18))
-    with pytest.raises(InvalidConfigError, match="neighbor_rate_fn"):
-        SimConfig(epochs=4, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 1.5e18))
+    # Peak arrivals times epochs must stay within 2**53, where float64 holds
+    # every count exactly: 8 * 2**50 does, 9 * 2**50 and 8 * (2**50 + 1) do
+    # not. Increasing ramps peak on the last epoch.
+    SimConfig(epochs=8, self_rate_fn=constant(2**50))
+    for epochs, rate in ((9, 2**50), (8, 2**50 + 1)):
+        with pytest.raises(InvalidConfigError, match="self_rate_fn"):
+            SimConfig(epochs=epochs, self_rate_fn=constant(rate))
+    SimConfig(epochs=2, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 2**52))
+    for epochs, slope in ((3, 2**52), (2, 2**52 + 1)):
+        with pytest.raises(InvalidConfigError, match="neighbor_rate_fn"):
+            SimConfig(epochs=epochs, neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, slope))
 
 
 def test_config_from_dict_accepts_integral_float():
@@ -259,6 +274,25 @@ def test_config_from_dict_accepts_integral_float():
 def test_config_accepts_epochs_and_neighbor_count_up_to_their_bounds():
     cfg = config_from_dict({"epochs": MAX_EPOCHS, "neighbor_count": MAX_NEIGHBOR_COUNT})
     assert (cfg.epochs, cfg.neighbor_count) == (MAX_EPOCHS, MAX_NEIGHBOR_COUNT)
+
+
+@pytest.mark.parametrize("policy", ["ctc", "dsr"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"data_rate": 2.0**53, "self_rate_fn": "constant:1e15", "neighbor_rate_fn": "constant:2e15"},
+        {"self_rate_fn": "constant:3002399751580330"},
+        {"neighbor_rate_fn": "linear_increasing:0:1501199875790165", "data_rate": 1e15},
+        {"epochs": 600, "deadline_epochs": 510, **_SCAN_BOUND_RATES},
+    ],
+)
+def test_config_accepts_counts_up_to_their_exact_bounds(raw, policy):
+    # Each config sits on one bound: a capacity of 2**53, a class's run
+    # total of up to 2**53 packets, and the dsr scan's bound
+    # (min(deadline_epochs, epochs) + 2) x arrivals <= 2**63 - 1. Its
+    # schedule is the cohort oracle's, in Python ints.
+    config = config_from_dict({"epochs": 3, "policy": policy, **raw})
+    assert_same_schedule(schedule(config), schedule_cohorts(config))
 
 
 # Config values in range, one strategy per optional key.
@@ -647,17 +681,20 @@ def assert_matches_reference(trace, cfg):
 @pytest.mark.parametrize("policy", [Policy.CTC, Policy.DSR])
 @pytest.mark.parametrize("seed", range(5))
 def test_engine_matches_packet_level_reference(policy, seed):
-    cfg = SimConfig(
-        epochs=40,
-        data_rate=17.0,
-        base_drop_prob=0.3,
-        energy_budget=100,
-        policy=policy,
-        seed=seed,
-        self_rate_fn=constant(5),
-        neighbor_rate_fn=constant(9),
-    )
-    assert_matches_reference(run(cfg), cfg)
+    # 14 packets are offered per epoch: a capacity of 17 keeps ctc
+    # underloaded, and one of 12 makes its split's caps bind.
+    for data_rate in (17.0, 12.0):
+        cfg = SimConfig(
+            epochs=40,
+            data_rate=data_rate,
+            base_drop_prob=0.3,
+            energy_budget=100,
+            policy=policy,
+            seed=seed,
+            self_rate_fn=constant(5),
+            neighbor_rate_fn=constant(9),
+        )
+        assert_matches_reference(run(cfg), cfg)
 
 
 @pytest.mark.parametrize("policy", [Policy.CTC, Policy.DSR])
@@ -730,16 +767,26 @@ def assert_same_schedule(plan, expected):
 
 @st.composite
 def _extreme_configs(draw):
-    """Accepted configs of either policy near the int64 bounds of validation.
+    """Accepted configs of either policy near the bounds of validation.
 
-    Rates and capacity share one scale: the per-epoch rate bound 9e18 /
-    epochs, or a power of two between 2**50 and it. So queues are partly
-    served, capacities pass 2**53, and at the top the scan's running sums
-    pass 2**63. A few rates are small whole numbers instead.
+    Rates and capacity share one scale: the per-epoch rate bound, or a power
+    of two between 2**40 and it. So queues are partly served, and at the
+    top the run totals and capacities reach 2**53. On short runs the rate
+    bound is 2**53 / epochs. Long runs, of 512 to 1,000 epochs with a
+    deadline near their length, take the bound at which the dsr scan's
+    values, up to (min(deadline, epochs) + 2) x both classes' arrivals,
+    reach 2**63, where it is the lower one. A few rates are small whole numbers instead.
     """
-    epochs = draw(st.integers(1, 8))
-    bound = 9e18 / epochs
-    scale = draw(st.one_of(st.just(bound), st.floats(50, math.log2(bound)).map(lambda x: 2.0**x)))
+    # Most draws are short runs: a long one costs the oracle about as much
+    # as fifty short ones.
+    if draw(st.integers(0, 3)):
+        epochs, deadline = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+        bound = 2**53 // epochs
+    else:
+        epochs = draw(st.integers(512, 1000))
+        deadline = epochs + draw(st.integers(-12, 2))
+        bound = min(2**53, (2**63 - 1) // (min(deadline, epochs) + 2) // 2) // epochs
+    scale = draw(st.one_of(st.just(float(bound)), st.floats(40, math.log2(bound)).map(lambda x: 2.0**x)))
     factor = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0]), st.integers(0, 60).map(lambda n: n / scale))
 
     def rate_fn():
@@ -754,9 +801,11 @@ def _extreme_configs(draw):
         policy=draw(st.sampled_from(list(Policy))),
         self_rate_fn=rate_fn(),
         neighbor_rate_fn=rate_fn(),
-        data_rate=min(scale * draw(st.floats(0.01, 10)), 9.2e18),
+        # At 2**53 the capacity of a long run passes deadline x rate, and the
+        # dsr scan's running allowance nears its bound.
+        data_rate=draw(st.one_of(st.just(2.0**53), st.floats(0.01, 10).map(lambda f: min(scale * f, 2.0**53)))),
         epoch_length=draw(st.sampled_from([1.0, 0.75])),
-        deadline_epochs=draw(st.integers(1, 10)),
+        deadline_epochs=deadline,
         energy_budget=draw(st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 10**30), st.integers(0, 50))),
     )
 
@@ -764,22 +813,88 @@ def _extreme_configs(draw):
 # Twice the examples of one policy: each policy gets about as many as dsr alone did.
 @settings(max_examples=600, deadline=None)
 @given(config=_extreme_configs())
-# An int64 scan wraps here: the capped allowance sums to about 2.25e19.
+# On the dsr scan's bound: 502 x 1.8e16 arrivals is near 2**63, and a
+# deadline of 511 is rejected. At a capacity of 2**53 each class's running
+# allowance, capped at the packets inside the deadline, sums to about 2.6e18.
 @example(
     config=SimConfig(
-        epochs=4,
+        epochs=600,
         policy=Policy.DSR,
-        data_rate=9.2e18,
-        deadline_epochs=4,
-        self_rate_fn=constant(2.25e18),
-        neighbor_rate_fn=constant(2.25e18),
+        data_rate=1.6e13,
+        deadline_epochs=500,
+        self_rate_fn=constant(1.5e13),
+        neighbor_rate_fn=constant(1.5e13),
+    )
+)
+@example(
+    config=SimConfig(
+        epochs=600,
+        policy=Policy.DSR,
+        data_rate=2.0**53,
+        deadline_epochs=510,
+        self_rate_fn=constant(1.5e13),
+        neighbor_rate_fn=constant(1.5e13),
     )
 )
 def test_schedule_matches_cohort_oracle_at_int64_extremes(config):
-    # Running sums of the dsr scan pass 2**63 here, and capacities pass 2**53.
-    # The oracle's counts are Python ints that never wrap, and its times
-    # come from Python's own int / int, or from its own ctc split.
+    # Run totals and capacities reach 2**53 here, and the dsr scan's running
+    # allowance reaches about 2**61. The oracle's counts are Python ints that
+    # never wrap, and its times come from Python's own int / int, or from its
+    # own ctc split.
     assert_same_schedule(schedule(config), schedule_cohorts(config))
+
+
+@st.composite
+def _near_exact_bound_configs(draw):
+    """Accepted configs whose running counts end between 2**52 and 2**53.
+
+    Each class arrives at a constant rate between 2**52 / epochs and its
+    bound 2**53 / epochs. Capacities are a tenth of a rate to four rates, or
+    2**53, so queues expire, and losses range from none to most packets.
+    """
+    epochs = draw(st.integers(1, 12))
+    bound = 2**53 // epochs
+    rate = st.one_of(st.just(bound), st.integers(-(-(2**52) // epochs), bound)).map(constant)
+    return SimConfig(
+        epochs=epochs,
+        policy=draw(st.sampled_from(list(Policy))),
+        self_rate_fn=draw(rate),
+        neighbor_rate_fn=draw(rate),
+        data_rate=draw(st.one_of(st.just(2.0**53), st.floats(0.1, 4).map(lambda f: min(bound * f, 2.0**53)))),
+        deadline_epochs=draw(st.integers(1, 4)),
+        energy_budget=draw(st.integers(0, 2 * bound)),
+        base_drop_prob=draw(st.floats(0, 0.9)),
+        window_epochs=draw(st.integers(1, 5)),
+        misbehavior_threshold=draw(st.floats(0.01, 0.99)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_near_exact_bound_configs())
+def test_drop_ratios_are_python_int_division_near_2_53(config):
+    # Validation keeps running and window sums within 2**53, where float64
+    # holds them exactly, so each ratio is Python's int / int of the trace's
+    # int columns. Past 2**53 a ratio could differ from it in the last bit.
+    trace = run(config)
+    for cls in ("self", "neighbor"):
+        offered = dropped = 0
+        expected = []
+        for o, d in zip(getattr(trace, f"offered_{cls}").tolist(), getattr(trace, f"dropped_{cls}").tolist()):
+            offered += o
+            dropped += d
+            expected.append(dropped / offered if offered else 0.0)
+        assert offered >= 2**52
+        assert getattr(trace, f"drop_ratio_{cls}").tolist() == expected, cls
+    w = config.window_epochs
+    offered_n, dropped_n = trace.offered_neighbor.tolist(), trace.dropped_neighbor.tolist()
+    expected = []
+    for index, start in enumerate(range(0, config.epochs, w)):
+        o, d = sum(offered_n[start : start + w]), sum(dropped_n[start : start + w])
+        if o:
+            expected.append((index, o, d, d / o, d / o > config.misbehavior_threshold))
+    ratios = classify_misbehavior(trace).window_ratios
+    assert [(r.window_index, r.offered, r.dropped, r.ratio, r.flagged) for r in ratios] == expected
 
 
 @st.composite
@@ -787,9 +902,9 @@ def _sweeps(draw):
     """Configs of one run length and policy, each row with its own loads,
     capacity, deadline and budget, in random order. Returns them with three
     of them: a zero-rate row, a row overloaded in both classes, and a row
-    whose energy gate binds under dsr. Sometimes one row with a capacity past
-    2**53 moves the dsr time split, and on longer runs the whole stack, to
-    Python ints."""
+    whose energy gate binds under dsr. Sometimes one row sits on the bounds
+    of validation: a capacity of 2**53, and each class's run total within
+    ``epochs`` packets of 2**53."""
     fixed = dict(epochs=draw(st.integers(2, 70)), policy=draw(st.sampled_from(list(Policy))))
     marked = (
         SimConfig(**fixed),
@@ -811,7 +926,8 @@ def _sweeps(draw):
             )
         )
     if draw(st.booleans()):
-        rows.append(SimConfig(**fixed, data_rate=2.0**60, self_rate_fn=constant(1e17), neighbor_rate_fn=constant(1e17)))
+        rate = constant(2**53 // fixed["epochs"])
+        rows.append(SimConfig(**fixed, data_rate=2.0**53, self_rate_fn=rate, neighbor_rate_fn=rate))
     return draw(st.permutations(rows)), marked
 
 
@@ -819,7 +935,7 @@ def _sweeps(draw):
 @given(sweep=_sweeps())
 def test_batched_sweep_rows_equal_their_own_schedule(sweep):
     # run_case schedules each policy's half of a sweep as one stack; no row
-    # may see another's parameters or the stack's dtype.
+    # may see another's parameters.
     configs, marked = sweep
     plans = _schedule_sweep(configs)
     assert [plan.config for plan in plans] == configs
