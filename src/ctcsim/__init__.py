@@ -9,78 +9,16 @@ Layout:
 - :mod:`ctcsim.experiments` - case definitions, sweeps, derived curves.
 - :mod:`ctcsim.report` - CSV and figure-series emission.
 - :mod:`ctcsim.cli` - the ``ctcsim`` command.
+
+The package re-exports every module's ``__all__``, and the error types of
+:mod:`ctcsim.errors`; ``cli`` is not re-exported.
 """
 
-from .errors import (
-    CtcSimError,
-    DegenerateDenominatorError,
-    EmptyInputError,
-    EmptyTraceError,
-    InvalidConfigError,
-    InvalidParameterError,
-    InvariantError,
-    MissingCaseError,
-    NoInputError,
-    NonPositiveTimeError,
-    UnknownCaseError,
-    ZeroTimeError,
-)
-from .experiments import (
-    CASE_IDS,
-    DEFAULTS,
-    CaseSpec,
-    CaseVBucket,
-    CaseVCurve,
-    ExperimentParams,
-    ResultRow,
-    ResultTable,
-    case_spec,
-    derive_case_v,
-    isotonic_nondecreasing,
-    run_case,
-)
-from .model import MAX_K, ForwardingParams, ProbPair, TimeBudget, packet_drop_rate, prob_batch, throughput, time_components
-from .report import (
-    CSV_COLUMNS,
-    FIG_CASE,
-    TRACE_COLUMNS,
-    FigureSeries,
-    emit_case_v_csv,
-    emit_csv,
-    emit_figure_csv,
-    emit_trace_csv,
-    figure_series,
-    read_csv,
-)
-from .sim import (
-    MAX_EPOCHS,
-    MAX_NEIGHBOR_COUNT,
-    MisbehaviorStats,
-    Policy,
-    RateFunction,
-    RateKind,
-    Schedule,
-    SimConfig,
-    Trace,
-    WindowRatio,
-    classify_misbehavior,
-    config_from_dict,
-    ctc_split,
-    load_config,
-    realize,
-    run,
-    schedule,
-)
-from .utilization import (
-    PacketCounters,
-    PowerRates,
-    RouteUtilization,
-    per_route_utilization,
-    power_out,
-    utilization_forms,
-    utilization_node,
-    utilization_node_factored,
-    utilization_total,
-)
+from .errors import *
+from .model import *
+from .utilization import *
+from .sim import *
+from .experiments import *
+from .report import *
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ Python's own ``'%.6f' % x``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -42,53 +42,22 @@ __all__ = [
     "emit_trace_csv",
 ]
 
-CSV_COLUMNS = (
-    "case_id",
-    "algorithm",
-    "sweep_value",
-    "seed",
-    "epoch_window",
-    "offered_self",
-    "offered_nbr",
-    "forwarded_self",
-    "forwarded_nbr",
-    "dropped_self",
-    "dropped_nbr",
-    "drop_ratio",
-    "malicious_fraction",
-    "throughput",
-    "utilization",
-)
-
-_REAL_COLUMNS = {"drop_ratio", "malicious_fraction", "throughput", "utilization"}
-_STRING_COLUMNS = {"case_id", "algorithm", "epoch_window"}
-# One result row: "%s,%s,%d,%d,%s,%d,...,%.6f". ``%d`` and ``%.6f`` give the
-# bytes of ``str(int(v))`` and ``f"{v:.6f}"``, 64-bit seeds included.
-_ROW_FORMAT = ",".join(
-    "%s" if column in _STRING_COLUMNS else "%.6f" if column in _REAL_COLUMNS else "%d" for column in CSV_COLUMNS
-)
+# Per declared ResultRow field type: its CSV format and how it reads back.
+# ``%d`` and ``%.6f`` give the bytes of ``str(int(v))`` and ``f"{v:.6f}"``,
+# 64-bit seeds included.
+_CSV_TYPES = {"str": ("%s", str), "int": ("%d", int), "float": ("%.6f", float)}
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_ROW_FORMAT = ",".join(_CSV_TYPES[f.type][0] for f in fields(ResultRow))
+_ROW_READERS = [_CSV_TYPES[f.type][1] for f in fields(ResultRow)]
 _row_values = attrgetter(*CSV_COLUMNS)
 
 # Figures 1-4 are the per-case drop-ratio curves; 5 and 6 are the derived
 # misbehavior-vs-drop-ratio view, raw and isotonic-smoothed.
 FIG_CASE = {1: "I", 2: "II", 3: "III", 4: "IV"}
 
-TRACE_COLUMNS = (
-    "epoch",
-    "node_id",
-    "offered_self",
-    "offered_neighbor",
-    "forwarded_self",
-    "forwarded_neighbor",
-    "dropped_self",
-    "dropped_neighbor",
-    "queued_self",
-    "queued_neighbor",
-    "t_pp",
-    "t_np",
-    "drop_ratio_self",
-    "drop_ratio_neighbor",
-)
+# A target row of a trace: the epoch, node 0, then the Trace fields in order.
+_TRACE_FIELDS = tuple(f.name for f in fields(Trace) if f.name != "config")
+TRACE_COLUMNS = ("epoch", "node_id", *_TRACE_FIELDS)
 
 
 def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
@@ -123,15 +92,7 @@ def read_csv(path: str | Path) -> ResultTable:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise InvalidParameterError(f"malformed row in {path}: {line!r}")
-        kwargs = {}
-        for column, part in zip(CSV_COLUMNS, parts):
-            if column in _STRING_COLUMNS:
-                kwargs[column] = part
-            elif column in _REAL_COLUMNS:
-                kwargs[column] = float(part)
-            else:
-                kwargs[column] = int(part)
-        rows.append(ResultRow(**kwargs))
+        rows.append(ResultRow(*(read(part) for read, part in zip(_ROW_READERS, parts))))
     return ResultTable(rows=tuple(rows))
 
 
@@ -307,20 +268,20 @@ def _real_field(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _line_fields(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _line_fields(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
     """CSV lines of equal-length columns as ``(width, rows)`` uint8 tables, in
-    order: ``%d`` of each int64 column, then ``%.6f`` of each float64 column,
+    order: ``%d`` of each integer column or ``%.6f`` of each float64 column,
     each followed by a comma, the last by a newline.
     """
-    rows = len(int_columns[0])
+    rows = len(columns[0])
     # Overflow in the scaled product and NaN compares only send a value to
     # Python's own formatting; they are not worth a warning.
     with np.errstate(all="ignore"):
-        fields = [_int_field(column) for column in int_columns] + [_real_field(column) for column in real_columns]
+        tables = [_real_field(column) if column.dtype.kind == "f" else _int_field(column) for column in columns]
     comma = np.full((1, rows), ord(","), np.uint8)
     parts = []
-    for field in fields:
-        parts += [field, comma]
+    for table in tables:
+        parts += [table, comma]
     parts[-1] = np.full((1, rows), ord("\n"), np.uint8)
     return parts
 
@@ -332,9 +293,9 @@ def _text(table: np.ndarray) -> bytes:
     return table.tobytes(order="F").replace(b"\0", b"")
 
 
-def _format_rows(int_columns: Sequence[np.ndarray], real_columns: Sequence[np.ndarray]) -> bytes:
+def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
     """CSV lines of equal-length columns, one line per row (see ``_line_fields``)."""
-    return _text(np.vstack(_line_fields(int_columns, real_columns)))
+    return _text(np.vstack(_line_fields(columns)))
 
 
 def _constant(text: str) -> np.ndarray:
@@ -353,9 +314,7 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     config = trace.config
     nodes = config.neighbor_count
     yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
-    # After epoch and node_id, a target row holds the Trace fields in order.
-    int_columns = [getattr(trace, name) for name in TRACE_COLUMNS[2:10]]
-    real_columns = [getattr(trace, name) for name in TRACE_COLUMNS[10:]]
+    columns = [getattr(trace, name) for name in _TRACE_FIELDS]
     node_ids = _int_field(np.arange(1, nodes + 1)).T[:, :, None]
     tail = _constant(f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n")
     epochs = trace.offered_neighbor.size
@@ -363,22 +322,19 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     for start in range(0, epochs, per_chunk):
         stop = min(start + per_chunk, epochs)
         epoch = np.arange(start, stop, dtype=np.int64)
-        target = _line_fields(
-            [epoch, np.zeros_like(epoch), *(column[start:stop] for column in int_columns)],
-            [column[start:stop] for column in real_columns],
-        )
+        target = _line_fields([epoch, np.zeros_like(epoch), *(column[start:stop] for column in columns)])
         # A source row: epoch, node id, sent, 0 relayed, sent forwarded, then
         # fields that never change. The epoch field is the target's own.
         sent = source_split(trace.offered_neighbor[start:stop], nodes)
         sent = _int_field(sent.ravel()).reshape(-1, nodes, stop - start).transpose(1, 0, 2)
-        fields = [target[0][None], _constant(","), node_ids, _constant(","), sent, _constant(",0,"), sent, tail]
+        source_fields = [target[0][None], _constant(","), node_ids, _constant(","), sent, _constant(",0,"), sent, tail]
         target_height = sum(part.shape[0] for part in target)
-        source_width = sum(field.shape[1] for field in fields)
+        source_width = sum(field.shape[1] for field in source_fields)
         table = np.empty((target_height + nodes * source_width, stop - start), np.uint8)
         np.concatenate(target, out=table[:target_height])
         sources = table[target_height:].reshape(nodes, source_width, stop - start)
         row = 0
-        for field in fields:
+        for field in source_fields:
             sources[:, row : row + field.shape[1]] = field
             row += field.shape[1]
         yield _text(table)

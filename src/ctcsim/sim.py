@@ -67,6 +67,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -107,12 +108,6 @@ class RateKind(str, enum.Enum):
     LINEAR_DECREASING = "linear_decreasing"
 
 
-def _fmt_number(value: float) -> str:
-    """Shortest representation that parses back to the same float."""
-    compact = f"{value:g}"
-    return compact if float(compact) == value else repr(value)
-
-
 @dataclass(frozen=True)
 class RateFunction:
     """Packets-per-epoch arrival rate as a function of the epoch index.
@@ -126,6 +121,7 @@ class RateFunction:
     slope: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not (math.isfinite(self.base) and math.isfinite(self.slope)):
             raise InvalidConfigError(f"rate parameters must be finite, got {self}")
         if self.base < 0 or self.slope < 0:
@@ -144,15 +140,6 @@ class RateFunction:
         """Whole packets arriving at epochs ``0 .. epochs-1``: ``rate`` rounded half to even, as int64."""
         return np.rint(self.rate(np.arange(epochs))).astype(np.int64)
 
-    def encode(self) -> str:
-        """Compact config-file form, e.g. ``linear_increasing:0:3.2``.
-
-        Lossless: ``parse(encode())`` reproduces the exact values.
-        """
-        if self.kind is RateKind.CONSTANT:
-            return f"constant:{_fmt_number(self.base)}"
-        return f"{self.kind.value}:{_fmt_number(self.base)}:{_fmt_number(self.slope)}"
-
     @classmethod
     def parse(cls, text: str) -> "RateFunction":
         parts = text.strip().lower().split(":")
@@ -170,6 +157,40 @@ class RateFunction:
             return cls(kind, float(parts[1]), float(parts[2]))
         except ValueError:
             raise InvalidConfigError(f"bad numeric value in rate function {text!r}") from None
+
+
+# What each declared field type takes. Under ``from __future__ import
+# annotations`` a dataclass field's ``type`` is its annotation as written. A
+# float field takes an int too, and no field takes a bool. An int field takes
+# only Python ints: validation multiplies them, where a numpy int would wrap.
+_FIELD_TYPES = {"int": int, "float": (int, float), "Policy": Policy, "RateKind": RateKind, "RateFunction": RateFunction}
+
+
+def _as_float(name: str, value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidConfigError(f"{name} is too large for a float") from None
+
+
+@cache
+def _declared_types(cls) -> tuple[tuple[str, str, type | tuple[type, ...]], ...]:
+    """Each field of a dataclass: its name, its declared type, and the types it takes.
+
+    Cached per class, since a grid checks a ``SimConfig`` and two
+    ``RateFunction`` per point.
+    """
+    return tuple((f.name, f.type, _FIELD_TYPES[f.type]) for f in fields(cls))
+
+
+def _check_types(instance) -> None:
+    """Reject a dataclass field whose value is not of its declared type, naming the field."""
+    for name, declared, accepted in _declared_types(type(instance)):
+        value = getattr(instance, name)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise InvalidConfigError(f"{name} must be {declared}, got {value!r}")
+        if declared == "float" and isinstance(value, int):
+            _as_float(name, value)
 
 
 _ZERO_RATE = RateFunction(RateKind.CONSTANT, 0.0)
@@ -216,6 +237,7 @@ class SimConfig:
     neighbor_rate_fn: RateFunction = _ZERO_RATE
 
     def __post_init__(self) -> None:
+        _check_types(self)
         checks = [
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.epochs <= MAX_EPOCHS, f"epochs must be <= {MAX_EPOCHS}"),
@@ -240,8 +262,6 @@ class SimConfig:
         for ok, message in checks:
             if not ok:
                 raise InvalidConfigError(message)
-        if not isinstance(self.policy, Policy):
-            raise InvalidConfigError(f"policy must be a Policy, got {self.policy!r}")
         # The capacity and each class's run total stay within 2**53, so every
         # count, running sum and division of a run is exact in int64 and
         # float64. The ``dsr`` scan's values stay within ``min(deadline,
@@ -263,25 +283,37 @@ class SimConfig:
             )
 
 
-_CONFIG_FIELDS = {
-    "epochs",
-    "epoch_length",
-    "neighbor_count",
-    "data_rate",
-    "base_drop_prob",
-    "energy_budget",
-    "deadline_epochs",
-    "min_share_fraction",
-    "misbehavior_threshold",
-    "window_epochs",
-    "policy",
-    "seed",
-    "self_rate_fn",
-    "neighbor_rate_fn",
-}
+def _json_int(key: str, value):
+    """JSON has one number type: an integral float is an int."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
-_INT_FIELDS = {"epochs", "neighbor_count", "energy_budget", "deadline_epochs", "window_epochs", "seed"}
-_FLOAT_FIELDS = {"epoch_length", "data_rate", "base_drop_prob", "min_share_fraction", "misbehavior_threshold"}
+
+def _json_float(key: str, value):
+    return _as_float(key, value) if type(value) is int else value
+
+
+def _json_policy(key: str, value):
+    if not isinstance(value, str):
+        return value
+    try:
+        return Policy(value.strip().lower())
+    except ValueError:
+        raise InvalidConfigError(f"policy must be 'ctc' or 'dsr', got {value!r}") from None
+
+
+def _json_rate_fn(key: str, value):
+    if not isinstance(value, str):
+        return value
+    try:
+        return RateFunction.parse(value)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{key}: {exc}") from None
+
+
+# How a JSON value becomes each declared ``SimConfig`` field type. A value of
+# another type passes through for ``SimConfig`` to reject by name.
+_FROM_JSON = {"int": _json_int, "float": _json_float, "Policy": _json_policy, "RateFunction": _json_rate_fn}
+_CONFIG_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
 
 def config_from_dict(raw: dict) -> SimConfig:
@@ -292,44 +324,12 @@ def config_from_dict(raw: dict) -> SimConfig:
     """
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _CONFIG_FIELDS)
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "epochs" not in raw:
         raise InvalidConfigError("config is missing required key 'epochs'")
-
-    kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _INT_FIELDS:
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or (isinstance(value, float) and not value.is_integer())
-            ):
-                raise InvalidConfigError(f"{key} must be an integer, got {value!r}")
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidConfigError(f"{key} must be a number, got {value!r}")
-            try:
-                kwargs[key] = float(value)
-            except OverflowError:
-                raise InvalidConfigError(f"{key} is too large for a float") from None
-        elif key == "policy":
-            if not isinstance(value, str):
-                raise InvalidConfigError(f"policy must be a string, got {value!r}")
-            try:
-                kwargs[key] = Policy(value.strip().lower())
-            except ValueError:
-                raise InvalidConfigError(f"policy must be 'ctc' or 'dsr', got {value!r}") from None
-        else:  # rate functions
-            if not isinstance(value, str):
-                raise InvalidConfigError(f"{key} must be a rate-function string, got {value!r}")
-            try:
-                kwargs[key] = RateFunction.parse(value)
-            except InvalidConfigError as exc:
-                raise InvalidConfigError(f"{key}: {exc}") from None
-    return SimConfig(**kwargs)
+    return SimConfig(**{key: _FROM_JSON[_CONFIG_TYPES[key]](key, value) for key, value in raw.items()})
 
 
 def load_config(path: str | Path) -> SimConfig:

@@ -355,7 +355,7 @@ def test_format_rows_matches_per_row_formatting(columns):
     int_columns, real_columns = columns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = _format_rows(int_columns, real_columns)
+        text = _format_rows([*int_columns, *real_columns])
     assert text.decode("ascii") == per_row_text(int_columns, real_columns)
 
 
@@ -363,4 +363,4 @@ def test_format_rows_edge_values():
     # Each edge value next to ordinary ones, so one column mixes both paths.
     reals = np.array([v for x in _EDGE_REALS for v in (x, _neighbours(x, -1), 0.25, _neighbours(x, 1))])
     ints = np.array([-(2**63), 2**63 - 1, -1, 0] * len(_EDGE_REALS), np.int64)
-    assert _format_rows([ints], [reals]).decode("ascii") == per_row_text([ints], [reals])
+    assert _format_rows([ints, reals]).decode("ascii") == per_row_text([ints], [reals])
