@@ -9,6 +9,7 @@ Usage: python scripts/calibrate.py [--seeds N]
 """
 
 import argparse
+import dataclasses
 import sys
 from statistics import fmean
 
@@ -16,7 +17,6 @@ from scipy.stats import spearmanr
 
 from ctcsim.experiments import DEFAULTS, case_spec, derive_case_v, isotonic_nondecreasing, run_case
 from ctcsim.sim import classify_misbehavior, run, SimConfig
-import dataclasses
 
 
 def seed_mean_by_sweep(table, algorithm):
@@ -72,17 +72,17 @@ def main(argv=None):
         print(f"C6 {algo}: min margin III vs I {worst1:+.4f}, vs II {worst2:+.4f}  (targets > 0)")
 
     # --- criterion 7: derived misbehavior-vs-drop-ratio curves
-    curves = {c.algorithm: c for c in derive_case_v(list(tables.values()))}
-    for algo, curve in curves.items():
+    fits = {}
+    for curve in derive_case_v(list(tables.values())):
         smooth = isotonic_nondecreasing(
             [b.mean_malicious for b in curve.buckets], [b.rows for b in curve.buckets]
         )
+        fits[curve.algorithm] = {b.lower: (b, s) for b, s in zip(curve.buckets, smooth)}
         marks = "  ".join(
             f"{b.lower:.2f}:{s:.3f}({b.rows})" for b, s in zip(curve.buckets, smooth)
         )
-        print(f"C7 {algo} buckets lower:smoothed(rows): {marks}")
-    ctc_b = {b.lower: (b, s) for b, s in zip(curves["ctc"].buckets, isotonic_nondecreasing([b.mean_malicious for b in curves["ctc"].buckets], [b.rows for b in curves["ctc"].buckets]))}
-    dsr_b = {b.lower: (b, s) for b, s in zip(curves["dsr"].buckets, isotonic_nondecreasing([b.mean_malicious for b in curves["dsr"].buckets], [b.rows for b in curves["dsr"].buckets]))}
+        print(f"C7 {curve.algorithm} buckets lower:smoothed(rows): {marks}")
+    ctc_b, dsr_b = fits["ctc"], fits["dsr"]
     shared = sorted(set(ctc_b) & set(dsr_b))
     print(f"C7 shared buckets: {[f'{x:.2f}' for x in shared]}")
     viol = [x for x in shared if x >= 0.15 - 1e-9 and ctc_b[x][1] > dsr_b[x][1] + 1e-12]
@@ -96,7 +96,6 @@ def main(argv=None):
 
     # --- window-ratio safety margins for the classifier threshold
     for case_id in ("I", "II", "III", "IV"):
-        worst = {"ctc": 0.0, "dsr": 0.0}
         flagged_rows = {"ctc": 0, "dsr": 0}
         for row in tables[case_id].rows:
             if row.malicious_fraction > 0:

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import CtcSimError, InvariantError
-from .experiments import CASE_IDS, case_spec, derive_case_v, run_case
+from .experiments import CASE_IDS, MAX_SEEDS, case_spec, derive_case_v, run_case
 from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
 from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
 from .sim import Policy, load_config, run
@@ -136,8 +136,8 @@ def _cmd_sim_run(args) -> int:
 
 def _spec_for(case_id: str, algo: str, seeds: int, first_seed: int):
     spec = case_spec(case_id)
-    if seeds < 1:
-        raise CtcSimError(f"--seeds must be >= 1, got {seeds}")
+    if not 1 <= seeds <= MAX_SEEDS:
+        raise CtcSimError(f"--seeds must be in [1, {MAX_SEEDS}], got {seeds}")
     if first_seed < 0:
         raise CtcSimError(f"--seed must be >= 0, got {first_seed}")
     if first_seed + seeds > 2**64:

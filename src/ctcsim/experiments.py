@@ -38,7 +38,7 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
-from .sim import _classify_windows, _realize_sweep, _schedule_sweep, _seeded, _stack
+from .sim import _classify_windows, _realize_sweep, _schedule_sweep, _seeded
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "DEFAULTS",
     "CaseSpec",
     "CASE_IDS",
+    "MAX_SEEDS",
     "case_spec",
     "ResultRow",
     "ResultTable",
@@ -57,6 +58,13 @@ __all__ = [
 ]
 
 CASE_IDS = ("I", "II", "III", "IV")
+# Upper bound on the seeds of one case. A case holds the losses, forwarded
+# and dropped columns and result rows of every point and seed: ``exp all`` at
+# the default grid peaks at 37, 48 and 87 MiB of RSS at 10, 100 and 400
+# seeds, about 0.13 MiB per seed, so 10**4 seeds need near 1.3 GiB, about
+# what ``MAX_EPOCHS`` epochs need. A larger count is rejected by name before
+# any seed is built.
+MAX_SEEDS = 10**4
 
 
 @dataclass(frozen=True)
@@ -171,20 +179,17 @@ def _running_totals(column: np.ndarray) -> list[float]:
 
 
 def _summarize_sweep(
-    case_id: str, algorithm: Policy, sweep_axis, plans: list[Schedule], seeds, generators
+    case_id: str, algorithm: Policy, sweep_axis, plan: Schedule, seeds, generators
 ) -> list[ResultRow]:
     """One row per (sweep value, seed): the whole sweep is realized and classified in one pass."""
-    if not plans:
-        return []
-    config = plans[0].config
-    fwd_s, drop_s, fwd_n, drop_n = _realize_sweep(plans, generators)
-    offered_nbr = _stack(plans, "offered_neighbor")
-    *_, malicious = _classify_windows(offered_nbr, drop_n, config.misbehavior_threshold, config.window_epochs)
-    # Seed-free: arrivals and the time split come from the schedules.
-    offered_self = _stack(plans, "offered_self").sum(axis=-1).tolist()
-    offered_nbr = offered_nbr.sum(axis=-1).tolist()
-    t_pp = _running_totals(_stack(plans, "t_pp"))
-    t_np = _running_totals(_stack(plans, "t_np"))
+    config = plan.configs[0]
+    fwd_s, drop_s, fwd_n, drop_n = _realize_sweep(plan, generators)
+    *_, malicious = _classify_windows(plan.offered_neighbor, drop_n, config.misbehavior_threshold, config.window_epochs)
+    # Seed-free: arrivals and the time split come from the schedule.
+    offered_self = plan.offered_self.sum(axis=-1).tolist()
+    offered_nbr = plan.offered_neighbor.sum(axis=-1).tolist()
+    t_pp = _running_totals(plan.t_pp)
+    t_np = _running_totals(plan.t_np)
     run_time = config.epochs * config.epoch_length
     epoch_window = f"0-{config.epochs - 1}"
     per_seed = [column.sum(axis=-1).tolist() for column in (fwd_s, fwd_n, drop_s, drop_n)]
@@ -228,9 +233,13 @@ def _summarize_sweep(
 def run_case(spec: CaseSpec) -> ResultTable:
     """Run the full (algorithm x sweep x seed) grid for one case."""
     params = spec.params
+    if len(spec.seeds) > MAX_SEEDS:
+        raise InvalidParameterError(f"seeds must number at most {MAX_SEEDS}, got {len(spec.seeds)}")
     for seed in spec.seeds:
         if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    if not spec.sweep_axis:
+        return ResultTable(rows=())
     generators = _seeded(spec.seeds)
     rows = []
     for algorithm in spec.algorithms:
@@ -251,8 +260,8 @@ def run_case(spec: CaseSpec) -> ResultTable:
         # The queue pass does not depend on the seed: run it once per grid
         # point, then realize and summarize every point and seed of the
         # sweep in one pass.
-        plans = _schedule_sweep(configs)
-        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plans, spec.seeds, generators))
+        plan = _schedule_sweep(configs)
+        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, generators))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))
 

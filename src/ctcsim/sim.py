@@ -17,12 +17,12 @@ The two policies:
   leftover capacity only while it has energy credits; once the budget is
   spent, every serviced neighbor packet is dropped.
 
-A run has two stages. ``schedule`` takes the target through every epoch
-without a random number: deadline discard, arrivals, the ``ctc`` split,
-``dsr`` energy use and gate drops. ``realize`` then draws the ambient
-losses of a whole run in one ``binomial`` call and derives the forwarded,
-dropped and cumulative-ratio columns with array operations. The split is
-exact because a lost packet has already left its queue: loss moves a
+The engine runs a sweep, one row per config, in two stages.
+``_schedule_sweep`` takes the target through every epoch without a random
+number: deadline discard, arrivals, the ``ctc`` split, ``dsr`` energy use
+and gate drops. ``_realize_sweep`` then draws the ambient losses and
+derives the forwarded and dropped columns with array operations. The split
+is exact because a lost packet has already left its queue: loss moves a
 transmitted packet from "forwarded" to "dropped" and feeds back into nothing
 the next epoch reads (queues, backlogs, energy). So one schedule serves every
 seed of a grid point, and one realization pass serves a whole sweep: the
@@ -32,8 +32,8 @@ the classifier's window sums work along its last axis
 (``ctcsim.experiments.run_case`` realizes each sweep of a case that way).
 Each seed has one generator, seeded once; its seeded state is restored
 before each grid point's draw, which starts the stream of
-``np.random.default_rng(seed)`` without seeding anew. ``realize`` and
-``classify_misbehavior`` are the one-run case of that pass. Each row
+``np.random.default_rng(seed)`` without seeding anew. ``run`` and
+``classify_misbehavior`` are the one-row case of that pass. Each row
 interleaves ``[serviced_self[e], attempts_neighbor[e]]`` per epoch, the
 order in which one scalar draw per class per epoch would consume the seed's
 stream, also when a count is zero, so the stream position never depends on
@@ -66,7 +66,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
@@ -86,9 +86,6 @@ __all__ = [
     "load_config",
     "ctc_split",
     "source_split",
-    "Schedule",
-    "schedule",
-    "realize",
     "run",
     "Trace",
     "MisbehaviorStats",
@@ -200,11 +197,11 @@ _INT64_MAX = 2**63 - 1
 _EXACT_MAX = 2**53
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, about 150 bytes per epoch at the peak (in ``realize``; ``schedule``
-# peaks at 136 for ``ctc`` and 112 for ``dsr``; tracemalloc at 10**6 epochs,
-# ``data_rate`` 420, ``deadline_epochs`` 20), so 10**7 epochs need near
-# 1.4 GiB. A larger value is rejected by name at validation instead of
-# failing in an allocation.
+# memory, about 150 bytes per epoch at the peak (in ``_realize_sweep``;
+# ``_schedule_sweep`` peaks at 136 for ``ctc`` and 112 for ``dsr``;
+# tracemalloc at 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20),
+# so 10**7 epochs need near 1.4 GiB. A larger value is rejected by name at
+# validation instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, a few hundred bytes per source: about
@@ -381,7 +378,7 @@ def source_split(arrivals: int | np.ndarray, neighbor_count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """The seed-free part of a run: one entry per epoch at the target.
+    """The seed-free part of a sweep at the target: ``(points, epochs)`` columns, row ``k`` for ``configs[k]``.
 
     ``serviced_self`` and ``attempts_neighbor`` are the packets transmitted,
     each facing one ambient-loss coin. ``dropped_before_loss_*`` are the
@@ -389,7 +386,7 @@ class Schedule:
     on the neighbor side. Counts are int64, times float64.
     """
 
-    config: SimConfig
+    configs: tuple[SimConfig, ...]
     offered_self: np.ndarray
     offered_neighbor: np.ndarray
     serviced_self: np.ndarray
@@ -400,12 +397,6 @@ class Schedule:
     queued_neighbor: np.ndarray
     t_pp: np.ndarray
     t_np: np.ndarray
-
-    def __post_init__(self) -> None:
-        # One schedule serves every seed of a grid point, and its traces
-        # share its arrays: freeze them.
-        for f in fields(self)[1:]:
-            getattr(self, f.name).flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,18 +420,6 @@ class Trace:
     t_np: np.ndarray
     drop_ratio_self: np.ndarray
     drop_ratio_neighbor: np.ndarray
-
-
-def schedule(config: SimConfig) -> Schedule:
-    """Take a fresh target through every epoch; no random number is drawn.
-
-    The one-row case of ``_schedule_sweep``. Fixed phase order per epoch:
-    (a) deadline discard, (b) arrivals, (c) service split per policy. Under
-    either policy each class's queue is ``P``, the packets it has consumed
-    (expired or served) so far, from which the expired, served and queued
-    counts follow (see the module docstring).
-    """
-    return _schedule_sweep([config])[0]
 
 
 def _compose_clamps(first_hi, first_lo, hi, lo) -> None:
@@ -544,8 +523,8 @@ def _consume_ctc(config: SimConfig, capacity: int, deadline: int, arrived_self, 
         consumed_nbr[e] = p_nbr
 
 
-def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
-    """Schedules of configs of one policy and equal ``epochs``, one row of a ``(rows, epochs)`` stack each.
+def _schedule_sweep(configs: list[SimConfig]) -> Schedule:
+    """The schedule of configs of one policy and equal ``epochs``, one row each; no random number is drawn.
 
     ``ctc`` takes each row through its epochs (``_consume_ctc``); ``ctc``
     drops no neighbor packet before the coin but by expiry, and attempts all
@@ -558,8 +537,6 @@ def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
     operands within 2**53 (see ``SimConfig``), so the split is Python's
     ``int / int``.
     """
-    if not configs:
-        return []
     epochs = configs[0].epochs
     offered_self = np.stack([c.self_rate_fn.arrivals(epochs) for c in configs])
     offered_nbr = np.stack([c.neighbor_rate_fn.arrivals(epochs) for c in configs])
@@ -588,10 +565,7 @@ def _schedule_sweep(configs: list[SimConfig]) -> list[Schedule]:
         t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
         t_np = epoch_t - t_pp
     counts = (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)
-    return [
-        Schedule(config, offered_self[row], offered_nbr[row], *(count[row] for count in counts), t_pp[row], t_np[row])
-        for row, config in enumerate(configs)
-    ]
+    return Schedule(tuple(configs), offered_self, offered_nbr, *counts, t_pp, t_np)
 
 
 def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
@@ -607,36 +581,31 @@ def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
     return [(generator, generator.bit_generator.state) for generator in generators]
 
 
-def _stack(plans: list[Schedule], name: str) -> np.ndarray:
-    """One schedule column of each plan as the rows of a ``(points, epochs)`` array; a view for one plan."""
-    if len(plans) == 1:
-        return getattr(plans[0], name)[None]
-    return np.stack([getattr(plan, name) for plan in plans])
-
-
-def _draw_losses(plans: list[Schedule], generators) -> np.ndarray:
-    """Ambient losses of each seed over each schedule, ``(points, seeds, 2 * epochs)``.
+def _draw_losses(plan: Schedule, generators) -> np.ndarray:
+    """Ambient losses of each seed over each row of a schedule, ``(points, seeds, 2 * epochs)``.
 
     Row ``[k, i]`` is ``np.random.default_rng(seeds[i]).binomial`` over
-    ``[serviced_self[0], attempts_neighbor[0], serviced_self[1], ...]`` of
-    ``plans[k]``, drawn after restoring the seeded state of ``generators[i]``
-    (see ``_seeded``): one coin per transmitted packet, drawn as one binomial
-    per class per epoch, self first, the order in which one scalar draw per
-    class per epoch would consume each seed's stream.
+    ``[serviced_self[k, 0], attempts_neighbor[k, 0], serviced_self[k, 1],
+    ...]`` at ``configs[k].base_drop_prob``, drawn after restoring the seeded
+    state of ``generators[i]`` (see ``_seeded``): one coin per transmitted
+    packet, drawn as one binomial per class per epoch, self first, the order
+    in which one scalar draw per class per epoch would consume each seed's
+    stream.
     """
-    sent = np.empty((len(plans), 2 * plans[0].config.epochs), dtype=np.int64)
-    sent[:, 0::2] = _stack(plans, "serviced_self")
-    sent[:, 1::2] = _stack(plans, "attempts_neighbor")
-    lost = np.empty((len(plans), len(generators), sent.shape[-1]), dtype=np.int64)
-    for point, counts, plan in zip(lost, sent, plans):
-        p = plan.config.base_drop_prob
+    points, epochs = plan.serviced_self.shape
+    sent = np.empty((points, 2 * epochs), dtype=np.int64)
+    sent[:, 0::2] = plan.serviced_self
+    sent[:, 1::2] = plan.attempts_neighbor
+    lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
+    for point, counts, config in zip(lost, sent, plan.configs):
+        p = config.base_drop_prob
         for row, (generator, seeded) in zip(point, generators):
             generator.bit_generator.state = seeded
             row[:] = generator.binomial(counts, p)
     return lost
 
 
-def _realize_class(plans: list[Schedule], cls: str, sent: str, lost: np.ndarray):
+def _realize_class(plan: Schedule, cls: str, sent: str, lost: np.ndarray):
     """Forwarded and dropped columns of one class, shaped like ``lost``, ``(points, seeds, epochs)``.
 
     ``lost`` is the class's view of the drawn losses; the dropped column
@@ -644,28 +613,28 @@ def _realize_class(plans: list[Schedule], cls: str, sent: str, lost: np.ndarray)
     conservation (offered = forwarded + dropped + queued) fails, as a boolean
     mask shaped like ``lost``.
     """
-    forwarded = _stack(plans, sent)[:, None] - lost
-    dropped = np.add(lost, _stack(plans, f"dropped_before_loss_{cls}")[:, None], out=lost)
+    forwarded = getattr(plan, sent)[:, None] - lost
+    dropped = np.add(lost, getattr(plan, f"dropped_before_loss_{cls}")[:, None], out=lost)
     # Reusing ``lost`` and summing in place keeps the temporaries to one:
     # a sweep's arrays are the peak of a grid run.
     accounted = forwarded + dropped
     np.cumsum(accounted, axis=-1, out=accounted)
-    accounted += _stack(plans, f"queued_{cls}")[:, None]
-    broken = np.cumsum(_stack(plans, f"offered_{cls}"), axis=-1)[:, None] != accounted
+    accounted += getattr(plan, f"queued_{cls}")[:, None]
+    broken = np.cumsum(getattr(plan, f"offered_{cls}"), axis=-1)[:, None] != accounted
     return forwarded, dropped, broken
 
 
-def _realize_sweep(plans: list[Schedule], generators) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _realize_sweep(plan: Schedule, generators) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forwarded and dropped columns of both classes, ``(points, seeds, epochs)`` each.
 
-    ``plans`` share ``epochs``; ``generators`` come from ``_seeded``. Returns
-    ``(forwarded_self, dropped_self, forwarded_neighbor, dropped_neighbor)``.
-    Raises ``InvariantError`` naming the class and epoch of the first
-    conservation failure, first plan first, then first seed.
+    ``generators`` come from ``_seeded``. Returns ``(forwarded_self,
+    dropped_self, forwarded_neighbor, dropped_neighbor)``. Raises
+    ``InvariantError`` naming the class and epoch of the first conservation
+    failure, first point first, then first seed.
     """
-    lost = _draw_losses(plans, generators)
-    fwd_s, drop_s, broken_s = _realize_class(plans, "self", "serviced_self", lost[..., 0::2])
-    fwd_n, drop_n, broken_n = _realize_class(plans, "neighbor", "attempts_neighbor", lost[..., 1::2])
+    lost = _draw_losses(plan, generators)
+    fwd_s, drop_s, broken_s = _realize_class(plan, "self", "serviced_self", lost[..., 0::2])
+    fwd_n, drop_n, broken_n = _realize_class(plan, "neighbor", "attempts_neighbor", lost[..., 1::2])
     broken = np.argwhere(broken_s | broken_n)
     if broken.size:
         point, row, epoch = broken[0].tolist()
@@ -682,30 +651,25 @@ def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
     return np.divide(np.cumsum(dropped), cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
 
 
-def realize(plan: Schedule, seed: int) -> Trace:
-    """Draw the ambient losses of one run over a schedule and build its trace."""
-    config = replace(plan.config, seed=seed)
-    fwd_s, drop_s, fwd_n, drop_n = (column[0, 0] for column in _realize_sweep([plan], _seeded((seed,))))
+def run(config: SimConfig) -> Trace:
+    """Run the configured number of epochs from a fresh target: a one-row sweep, realized at the config's seed."""
+    plan = _schedule_sweep([config])
+    fwd_s, drop_s, fwd_n, drop_n = (column[0, 0] for column in _realize_sweep(plan, _seeded((config.seed,))))
     return Trace(
         config=config,
-        offered_self=plan.offered_self,
-        offered_neighbor=plan.offered_neighbor,
+        offered_self=plan.offered_self[0],
+        offered_neighbor=plan.offered_neighbor[0],
         forwarded_self=fwd_s,
         forwarded_neighbor=fwd_n,
         dropped_self=drop_s,
         dropped_neighbor=drop_n,
-        queued_self=plan.queued_self,
-        queued_neighbor=plan.queued_neighbor,
-        t_pp=plan.t_pp,
-        t_np=plan.t_np,
-        drop_ratio_self=_cumulative_ratio(drop_s, plan.offered_self),
-        drop_ratio_neighbor=_cumulative_ratio(drop_n, plan.offered_neighbor),
+        queued_self=plan.queued_self[0],
+        queued_neighbor=plan.queued_neighbor[0],
+        t_pp=plan.t_pp[0],
+        t_np=plan.t_np[0],
+        drop_ratio_self=_cumulative_ratio(drop_s, plan.offered_self[0]),
+        drop_ratio_neighbor=_cumulative_ratio(drop_n, plan.offered_neighbor[0]),
     )
-
-
-def run(config: SimConfig) -> Trace:
-    """Run the configured number of epochs from a fresh target."""
-    return realize(schedule(config), config.seed)
 
 
 @dataclass(frozen=True)
@@ -740,10 +704,6 @@ def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray
     epochs = offered_neighbor.shape[-1]
     if epochs == 0:
         raise EmptyTraceError("cannot classify an empty trace")
-    if not 0.0 < threshold < 1.0:
-        raise InvalidConfigError(f"threshold must be in (0, 1), got {threshold}")
-    if window < 1:
-        raise InvalidConfigError(f"window must be >= 1, got {window}")
     starts = np.arange(0, epochs, window)
     offered = np.add.reduceat(offered_neighbor, starts, axis=-1)
     dropped = np.add.reduceat(dropped_neighbor, starts, axis=-1)
@@ -757,19 +717,18 @@ def _classify_windows(offered_neighbor: np.ndarray, dropped_neighbor: np.ndarray
     return qualifying, offered, dropped, ratio, flagged, fraction
 
 
-def classify_misbehavior(trace: Trace, threshold: float | None = None, window: int | None = None) -> MisbehaviorStats:
+def classify_misbehavior(trace: Trace) -> MisbehaviorStats:
     """Windowed misbehavior classification of the target over a trace.
 
-    Epochs are split into consecutive windows of ``window`` epochs (trailing
-    partial window included). Every window in which the target was offered
-    neighbor packets qualifies; it is flagged when its neighbor drop ratio
-    exceeds ``threshold``. Sources are never offered relay traffic, so they
-    never qualify. Defaults come from the trace's config.
+    Epochs are split into consecutive windows of the config's ``window_epochs``
+    epochs (trailing partial window included). Every window in which the
+    target was offered neighbor packets qualifies; it is flagged when its
+    neighbor drop ratio exceeds the config's ``misbehavior_threshold``.
+    Sources are never offered relay traffic, so they never qualify.
     """
-    theta = trace.config.misbehavior_threshold if threshold is None else threshold
-    w = trace.config.window_epochs if window is None else window
+    threshold, window = trace.config.misbehavior_threshold, trace.config.window_epochs
     (qualifying,), (offered,), *per_seed = _classify_windows(
-        trace.offered_neighbor[None], trace.dropped_neighbor[None, None], theta, w
+        trace.offered_neighbor[None], trace.dropped_neighbor[None, None], threshold, window
     )
     dropped, ratio, flagged, fraction = (value[0, 0] for value in per_seed)
     index = np.flatnonzero(qualifying)

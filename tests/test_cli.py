@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim import sim, utilization
+from ctcsim import experiments, sim, utilization
 from ctcsim.cli import main
+from ctcsim.experiments import MAX_SEEDS
 from ctcsim.model import MAX_K
 from ctcsim.report import _TRACE_CHUNK_ROWS, CSV_COLUMNS
 
@@ -304,13 +305,13 @@ def test_sim_run_unwritable_out_exits_1(tmp_path, capsys):
 def test_sim_run_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     # A conservation break is a program fault, not bad input: force one by
     # putting a packet too many in the neighbor queue column.
-    schedule = sim.schedule
+    real_schedule = sim._schedule_sweep
 
-    def broken_schedule(config):
-        plan = schedule(config)
+    def broken_schedule(configs):
+        plan = real_schedule(configs)
         return dataclasses.replace(plan, queued_neighbor=plan.queued_neighbor + 1)
 
-    monkeypatch.setattr(sim, "schedule", broken_schedule)
+    monkeypatch.setattr(sim, "_schedule_sweep", broken_schedule)
     config = _write_config(tmp_path)
     code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
     assert code == 3
@@ -393,6 +394,23 @@ def test_exp_case_rejects_zero_seeds(tmp_path, capsys):
     )
     assert code == 2
     assert "--seeds" in err
+
+
+def test_exp_case_rejects_seeds_past_the_bound_naming_seeds(tmp_path, capsys, monkeypatch):
+    # Rejected by name before the seed tuple is built, not as a MemoryError
+    # from building it.
+    def no_schedule(configs):
+        raise AssertionError("scheduled past the seed bound")
+
+    monkeypatch.setattr(experiments, "_schedule_sweep", no_schedule)
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        "exp", "case", "--id", "I", "--seeds", str(MAX_SEEDS + 1), "--out", str(out_csv), capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--seeds" in err
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("first, count", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])

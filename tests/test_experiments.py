@@ -26,7 +26,7 @@ from ctcsim.experiments import (
     run_case,
 )
 from ctcsim.model import TimeBudget
-from ctcsim.sim import Policy, RateKind, SimConfig, classify_misbehavior, realize, schedule
+from ctcsim.sim import Policy, RateKind, SimConfig, classify_misbehavior, run
 from ctcsim.utilization import PacketCounters, utilization_node
 
 
@@ -125,14 +125,14 @@ def _grid_config(spec, algorithm, sweep_value):
 
 
 def _oracle_rows(spec):
-    """``run_case`` rebuilt one run at a time from ``realize``, ``classify_misbehavior`` and ``utilization_node``."""
+    """``run_case`` rebuilt one run at a time from ``run``, ``classify_misbehavior`` and ``utilization_node``."""
     params = spec.params
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
-            plan = schedule(_grid_config(spec, algorithm, sweep_value))
+            config = _grid_config(spec, algorithm, sweep_value)
             for seed in spec.seeds:
-                trace = realize(plan, seed)
+                trace = run(dataclasses.replace(config, seed=seed))
                 totals = {
                     name: sum(getattr(trace, name).tolist())
                     for name in ("offered_self", "offered_neighbor", "forwarded_self", "forwarded_neighbor",
@@ -192,7 +192,7 @@ def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():
     params = dataclasses.replace(DEFAULTS, misbehavior_threshold=0.3)
     spec = dataclasses.replace(case_spec("I", params), sweep_axis=(0, 10, 1600, 0), seeds=(0, 2**64 - 1, 7))
     qualifying = [
-        len(classify_misbehavior(realize(schedule(_grid_config(spec, Policy.DSR, v)), 0)).window_ratios)
+        len(classify_misbehavior(run(dataclasses.replace(_grid_config(spec, Policy.DSR, v), seed=0))).window_ratios)
         for v in spec.sweep_axis
     ]
     assert qualifying == [0, 8, 10, 0]
@@ -226,15 +226,13 @@ def test_run_case_names_the_first_broken_point_of_a_sweep(monkeypatch):
     # The second point breaks at an earlier epoch than the first; the first
     # point in sweep order is the one named, as when points ran one by one.
     real_schedule = experiments._schedule_sweep
-    broken_from = iter([6, 2])
-
-    def broken(plan):
-        queued = plan.queued_neighbor.copy()
-        queued[next(broken_from):] += 1
-        return dataclasses.replace(plan, queued_neighbor=queued)
 
     def broken_schedule(configs):
-        return [broken(plan) for plan in real_schedule(configs)]
+        plan = real_schedule(configs)
+        queued = plan.queued_neighbor.copy()
+        for row, start in zip(queued, [6, 2]):
+            row[start:] += 1
+        return dataclasses.replace(plan, queued_neighbor=queued)
 
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="neighbor-class conservation violated at the target, epoch 6"):
@@ -244,13 +242,11 @@ def test_run_case_names_the_first_broken_point_of_a_sweep(monkeypatch):
 def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):
     real_schedule = experiments._schedule_sweep
 
-    def broken(plan):
-        queued = plan.queued_self.copy()
-        queued[4:] += 1
-        return dataclasses.replace(plan, queued_self=queued)
-
     def broken_schedule(configs):
-        return [broken(plan) for plan in real_schedule(configs)]
+        plan = real_schedule(configs)
+        queued = plan.queued_self.copy()
+        queued[:, 4:] += 1
+        return dataclasses.replace(plan, queued_self=queued)
 
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="self-class conservation violated at the target, epoch 4"):
@@ -265,6 +261,22 @@ def test_run_case_rejects_seed_outside_uint64_before_scheduling(seeds, monkeypat
     monkeypatch.setattr(experiments, "_schedule_sweep", no_schedule)
     with pytest.raises(InvalidParameterError, match="seed"):
         run_case(dataclasses.replace(case_spec("I"), seeds=seeds))
+
+
+def test_run_case_rejects_more_than_max_seeds_before_seeding(monkeypatch):
+    def not_called(*args):
+        raise AssertionError("seeded or scheduled past the seed bound")
+
+    monkeypatch.setattr(experiments, "_seeded", not_called)
+    monkeypatch.setattr(experiments, "_schedule_sweep", not_called)
+    with pytest.raises(InvalidParameterError, match="seeds"):
+        run_case(dataclasses.replace(case_spec("I"), seeds=tuple(range(experiments.MAX_SEEDS + 1))))
+
+
+def test_run_case_accepts_max_seeds():
+    seeds = tuple(range(experiments.MAX_SEEDS))
+    spec = dataclasses.replace(case_spec("IV"), sweep_axis=(100,), algorithms=(Policy.CTC,), seeds=seeds)
+    assert [row.seed for row in run_case(spec).rows] == list(seeds)
 
 
 def test_dsr_drop_ratio_grows_with_load():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import report
+from ctcsim import report, sim
 from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError
 from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
@@ -29,15 +29,14 @@ from ctcsim.sim import (
     SimConfig,
     Trace,
     _draw_losses,
+    _realize_sweep,
     _schedule_sweep,
     _seeded,
     classify_misbehavior,
     config_from_dict,
     ctc_split,
     load_config,
-    realize,
     run,
-    schedule,
     source_split,
 )
 
@@ -51,6 +50,8 @@ def constant(value):
 
 # Every per-epoch column of a Trace, in field order.
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(Trace) if f.name != "config")
+# The columns of `_realize_sweep`, in the order it returns them.
+REALIZED_FIELDS = ("forwarded_self", "dropped_self", "forwarded_neighbor", "dropped_neighbor")
 
 
 def trace_rows(trace, tmp_path):
@@ -314,7 +315,7 @@ def test_config_accepts_counts_up_to_their_exact_bounds(raw, policy):
     # (min(deadline_epochs, epochs) + 2) x arrivals <= 2**63 - 1. Its
     # schedule is the cohort oracle's, in Python ints.
     config = config_from_dict({"epochs": 3, "policy": policy, **raw})
-    assert_same_schedule(schedule(config), schedule_cohorts(config))
+    assert_same_schedule(_schedule_sweep([config]), schedule_cohorts(config))
 
 
 # Config values in range, one strategy per optional key.
@@ -644,7 +645,7 @@ def test_run_seed_changes_ambient_losses():
     drop=st.floats(0.0, 0.8),
 )
 def test_conservation_random_configs(policy, seed, data_rate, self_rate, nbr_rate, energy, drop):
-    # realize() raises on any conservation break; this drives it
+    # run() raises on any conservation break; this drives it
     # across a spread of loads and checks the cumulative identity at the end.
     cfg = SimConfig(
         epochs=15,
@@ -669,7 +670,7 @@ def test_conservation_random_configs(policy, seed, data_rate, self_rate, nbr_rat
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.15, 0.3, 0.5, 0.8])
 def test_binomial_array_draw_matches_scalar_draws(p):
-    # realize() draws a whole run's losses in one array call where the
+    # _draw_losses draws a whole run's losses in one array call where the
     # per-packet reference draws one scalar per class per epoch; the two
     # must consume the stream identically. Zeros, small counts (n*p < 30,
     # inversion) and large ones (n*p >= 30, BTPE) are interleaved so the
@@ -683,7 +684,7 @@ def test_binomial_array_draw_matches_scalar_draws(p):
 
 
 def assert_matches_reference(trace, cfg):
-    """Every per-epoch column equals the per-packet reference engine's."""
+    """Every per-epoch column equals the per-packet reference engine's; returns the reference columns by name."""
     _, ref_epochs = run_reference(cfg)
     assert trace.config == cfg
     expected = {name: [] for name in TRACE_FIELDS}
@@ -698,6 +699,7 @@ def assert_matches_reference(trace, cfg):
             expected[f"drop_ratio_{cls}"].append(cum[f"dropped_{cls}"] / offered if offered else 0.0)
     for name in TRACE_FIELDS:
         assert getattr(trace, name).tolist() == expected[name], name
+    return expected
 
 
 @pytest.mark.parametrize("policy", [Policy.CTC, Policy.DSR])
@@ -764,24 +766,28 @@ rate_functions = st.one_of(
 )
 def test_engine_matches_reference_random_configs(seeds, **config_fields):
     # One schedule realized at two seeds, as run_case does per grid point;
-    # each realization must match the reference run at its own seed.
+    # each seed's row must match the reference run at its own seed, as must
+    # the one-run path.
     cfg = SimConfig(**config_fields)
-    plan = schedule(cfg)
-    for seed in seeds:
+    realized = _realize_sweep(_schedule_sweep([cfg]), _seeded(seeds))
+    for row, seed in enumerate(seeds):
         seeded = dataclasses.replace(cfg, seed=seed)
-        trace = realize(plan, seed)
-        assert_matches_reference(trace, seeded)
-        assert_matches_reference(run(seeded), seeded)
+        expected = assert_matches_reference(run(seeded), seeded)
+        for name, column in zip(REALIZED_FIELDS, realized):
+            assert column[0, row].tolist() == expected[name], name
 
 
-SCHEDULE_FIELDS = tuple(f.name for f in dataclasses.fields(Schedule) if f.name != "config")
+SCHEDULE_FIELDS = tuple(f.name for f in dataclasses.fields(Schedule) if f.name != "configs")
 
 
-def assert_same_schedule(plan, expected):
-    """Every column of ``plan`` has the dtype and bytes of ``expected``'s (a Schedule or column lists)."""
+def assert_same_schedule(plan, expected, row=0):
+    """Row ``row`` of every column of ``plan`` has the dtype and bytes of ``expected``'s.
+
+    ``expected`` is a one-row Schedule or the columns by name as lists.
+    """
     for name in SCHEDULE_FIELDS:
-        column = getattr(plan, name)
-        want = expected[name] if isinstance(expected, dict) else getattr(expected, name)
+        column = getattr(plan, name)[row]
+        want = expected[name] if isinstance(expected, dict) else getattr(expected, name)[0]
         want = np.asarray(want, dtype=np.float64 if name.startswith("t_") else np.int64)
         assert column.dtype == want.dtype, name
         assert column.tobytes() == want.tobytes(), name
@@ -863,7 +869,7 @@ def test_schedule_matches_cohort_oracle_at_int64_extremes(config):
     # allowance reaches about 2**61. The oracle's counts are Python ints that
     # never wrap, and its times come from Python's own int / int, or from its
     # own ctc split.
-    assert_same_schedule(schedule(config), schedule_cohorts(config))
+    assert_same_schedule(_schedule_sweep([config]), schedule_cohorts(config))
 
 
 @st.composite
@@ -959,20 +965,20 @@ def test_batched_sweep_rows_equal_their_own_schedule(sweep):
     # run_case schedules each policy's half of a sweep as one stack; no row
     # may see another's parameters.
     configs, marked = sweep
-    plans = _schedule_sweep(configs)
-    assert [plan.config for plan in plans] == configs
-    for plan, config in zip(plans, configs):
-        assert_same_schedule(plan, schedule(config))
-        assert_same_schedule(plan, schedule_cohorts(config))
-    zero, overloaded, gated = (next(p for p, c in zip(plans, configs) if c is row) for row in marked)
+    plan = _schedule_sweep(configs)
+    assert plan.configs == tuple(configs)
+    for row, config in enumerate(configs):
+        assert_same_schedule(plan, _schedule_sweep([config]), row)
+        assert_same_schedule(plan, schedule_cohorts(config), row)
+    zero, overloaded, gated = (next(i for i, c in enumerate(configs) if c is row) for row in marked)
     if configs[0].policy is Policy.DSR:
-        assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor, zero.t_pp))
-        assert gated.attempts_neighbor.sum() == 5 < gated.dropped_before_loss_neighbor.sum()
+        assert not any(column[zero].any() for column in (plan.offered_self, plan.offered_neighbor, plan.t_pp))
+        assert plan.attempts_neighbor[gated].sum() == 5 < plan.dropped_before_loss_neighbor[gated].sum()
     else:
         # With both queues empty, ctc splits the epoch evenly.
-        assert not any(column.any() for column in (zero.offered_self, zero.offered_neighbor))
-        assert (zero.t_pp == zero.t_np).all()
-    assert overloaded.dropped_before_loss_self.any() and overloaded.dropped_before_loss_neighbor.any()
+        assert not any(column[zero].any() for column in (plan.offered_self, plan.offered_neighbor))
+        assert (plan.t_pp[zero] == plan.t_np[zero]).all()
+    assert plan.dropped_before_loss_self[overloaded].any() and plan.dropped_before_loss_neighbor[overloaded].any()
 
 
 @settings(max_examples=80, deadline=None)
@@ -1028,29 +1034,37 @@ def test_shared_generators_draw_what_fresh_ones_do(p):
     seeds = (0, 1, 2**64 - 1)
     generators = _seeded(seeds)
     loads = [(420.0, 300, 200, Policy.CTC), (50.0, 2, 70, Policy.CTC), (300.0, 90, 400, Policy.DSR)]
-    plans = [
-        schedule(SimConfig(epochs=40, data_rate=rate, base_drop_prob=p, self_rate_fn=constant(s),
-                           neighbor_rate_fn=constant(n), policy=policy))
+    first, second, third = (
+        SimConfig(epochs=40, data_rate=rate, base_drop_prob=p, self_rate_fn=constant(s),
+                  neighbor_rate_fn=constant(n), policy=policy)
         for rate, s, n, policy in loads
-    ]
-    other = schedule(SimConfig(epochs=40, base_drop_prob=0.3, self_rate_fn=constant(900)))
-    for sweep in (plans, [other], plans[::-1]):
-        lost = _draw_losses(sweep, generators)
+    )
+    other = SimConfig(epochs=40, base_drop_prob=0.3, self_rate_fn=constant(900))
+    # Each sweep holds one policy; together they draw the points in the
+    # order first, second, third, other, third, second, first.
+    for sweep in ([first, second], [third], [other], [third], [second, first]):
+        plan = _schedule_sweep(sweep)
+        lost = _draw_losses(plan, generators)
         assert lost.shape == (len(sweep), len(seeds), 80)
-        for point, plan in zip(lost, sweep):
-            sent = np.ravel([plan.serviced_self, plan.attempts_neighbor], order="F")
+        for point, config, serviced, attempts in zip(lost, sweep, plan.serviced_self, plan.attempts_neighbor):
+            sent = np.ravel([serviced, attempts], order="F")
             for row, seed in zip(point, seeds):
-                assert row.tolist() == np.random.default_rng(seed).binomial(sent, plan.config.base_drop_prob).tolist()
+                assert row.tolist() == np.random.default_rng(seed).binomial(sent, config.base_drop_prob).tolist()
 
 
-def test_realize_names_first_epoch_that_breaks_conservation():
+def test_realize_names_first_epoch_that_breaks_conservation(monkeypatch):
+    real_schedule = sim._schedule_sweep
+
+    def broken_schedule(configs):
+        plan = real_schedule(configs)
+        queued = plan.queued_neighbor.copy()
+        queued[:, 3:] += 1
+        return dataclasses.replace(plan, queued_neighbor=queued)
+
+    monkeypatch.setattr(sim, "_schedule_sweep", broken_schedule)
     cfg = SimConfig(epochs=6, data_rate=10.0, self_rate_fn=constant(4), neighbor_rate_fn=constant(30))
-    plan = schedule(cfg)
-    queued = plan.queued_neighbor.copy()
-    queued[3:] += 1
-    broken = dataclasses.replace(plan, queued_neighbor=queued)
     with pytest.raises(RuntimeError, match="neighbor-class conservation violated at the target, epoch 3"):
-        realize(broken, 0)
+        run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,29 +1149,24 @@ def test_classify_windows_without_traffic_do_not_qualify():
 
 
 def test_classify_threshold_is_strict_inequality():
-    trace = _synthetic_trace([(10, 5)], window_epochs=1)
-    assert classify_misbehavior(trace, threshold=0.5).malicious_fraction == 0.0
-    assert classify_misbehavior(trace, threshold=0.49).malicious_fraction == 1.0
+    assert classify_misbehavior(_synthetic_trace([(10, 5)], window_epochs=1, threshold=0.5)).malicious_fraction == 0.0
+    assert classify_misbehavior(_synthetic_trace([(10, 5)], window_epochs=1, threshold=0.49)).malicious_fraction == 1.0
 
 
 def test_classify_override_arguments():
-    trace = _synthetic_trace([(10, 3), (10, 9)], window_epochs=2)
-    # Config window pools both epochs: ratio 0.6, flagged. Per-epoch windows
-    # give ratios 0.3 and 0.9, so only one of two flags; a higher threshold
-    # clears both.
-    assert classify_misbehavior(trace).malicious_fraction == 1.0
-    assert classify_misbehavior(trace, window=1).malicious_fraction == 0.5
-    assert classify_misbehavior(trace, threshold=0.95, window=1).malicious_fraction == 0.0
+    # A two-epoch window pools both epochs: ratio 0.6, flagged. Per-epoch
+    # windows give ratios 0.3 and 0.9, so only one of two flags; a higher
+    # threshold clears both.
+    offered_dropped = [(10, 3), (10, 9)]
+    assert classify_misbehavior(_synthetic_trace(offered_dropped, window_epochs=2)).malicious_fraction == 1.0
+    assert classify_misbehavior(_synthetic_trace(offered_dropped, window_epochs=1)).malicious_fraction == 0.5
+    assert (
+        classify_misbehavior(_synthetic_trace(offered_dropped, window_epochs=1, threshold=0.95)).malicious_fraction
+        == 0.0
+    )
 
 
 def test_classify_empty_trace_raises():
     with pytest.raises(EmptyTraceError):
         classify_misbehavior(run(SimConfig(epochs=0)))
 
-
-def test_classify_invalid_overrides():
-    trace = _synthetic_trace([(10, 1)])
-    with pytest.raises(InvalidConfigError):
-        classify_misbehavior(trace, threshold=1.5)
-    with pytest.raises(InvalidConfigError):
-        classify_misbehavior(trace, window=0)
