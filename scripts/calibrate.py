@@ -16,7 +16,7 @@ from statistics import fmean
 from scipy.stats import spearmanr
 
 from ctcsim.experiments import DEFAULTS, case_spec, derive_case_v, isotonic_nondecreasing, run_case
-from ctcsim.sim import classify_misbehavior, run, SimConfig
+from ctcsim.sim import classify_misbehavior, run
 
 
 def seed_mean_by_sweep(table, algorithm):
@@ -111,19 +111,7 @@ def main(argv=None):
             for algo in spec.algorithms:
                 if algo.value != "ctc":
                     continue
-                cfg = SimConfig(
-                    epochs=DEFAULTS.epochs,
-                    data_rate=DEFAULTS.service_rate,
-                    base_drop_prob=DEFAULTS.ambient_drop,
-                    energy_budget=DEFAULTS.energy_budget,
-                    misbehavior_threshold=DEFAULTS.misbehavior_threshold,
-                    window_epochs=DEFAULTS.window,
-                    policy=algo,
-                    seed=0,
-                    self_rate_fn=spec.self_rate_fn(v),
-                    neighbor_rate_fn=spec.neighbor_rate_fn(v),
-                )
-                stats = classify_misbehavior(run(cfg))
+                stats = classify_misbehavior(run(spec.config(algo, v)))
                 for w in stats.window_ratios:
                     if w.ratio > worst_ratio:
                         worst_ratio = w.ratio

@@ -69,7 +69,11 @@ MAX_SEEDS = 10**4
 
 @dataclass(frozen=True)
 class ExperimentParams:
-    """Shared knobs for the experiment sweeps."""
+    """Shared knobs for the experiment sweeps.
+
+    ``case_spec`` divides by ``epochs`` and ``window``, so those two are
+    checked here; ``SimConfig`` checks the rest when a grid point is built.
+    """
 
     epochs: int = 100
     window: int = 10
@@ -82,6 +86,11 @@ class ExperimentParams:
     case2_self_multiplier: float = 3.0
     case3_self_peak: float = 300.0
     case4_neighbor_rate: float = 50.0
+
+    def __post_init__(self) -> None:
+        for name, value in (("epochs", self.epochs), ("window", self.window)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
 DEFAULTS = ExperimentParams()
@@ -98,6 +107,21 @@ class CaseSpec:
     sweep_axis: tuple[int, ...] = tuple(range(100, 1601, 100))
     algorithms: tuple[Policy, ...] = (Policy.CTC, Policy.DSR)
     seeds: tuple[int, ...] = tuple(range(10))
+
+    def config(self, algorithm: Policy, sweep_value: int) -> SimConfig:
+        """The run of ``algorithm`` at ``sweep_value``, at ``SimConfig``'s default seed."""
+        params = self.params
+        return SimConfig(
+            epochs=params.epochs,
+            data_rate=params.service_rate,
+            base_drop_prob=params.ambient_drop,
+            energy_budget=params.energy_budget,
+            misbehavior_threshold=params.misbehavior_threshold,
+            window_epochs=params.window,
+            policy=algorithm,
+            self_rate_fn=self.self_rate_fn(sweep_value),
+            neighbor_rate_fn=self.neighbor_rate_fn(sweep_value),
+        )
 
 
 def _increasing(mean: float, epochs: int) -> RateFunction:
@@ -183,17 +207,15 @@ def _summarize_sweep(
 ) -> list[ResultRow]:
     """One row per (sweep value, seed): the whole sweep is realized and classified in one pass."""
     config = plan.configs[0]
-    fwd_s, drop_s, fwd_n, drop_n = _realize_sweep(plan, generators)
-    *_, malicious = _classify_windows(plan.offered_neighbor, drop_n, config.misbehavior_threshold, config.window_epochs)
+    forwarded, dropped = _realize_sweep(plan, generators)
+    *_, malicious = _classify_windows(plan.offered[1], dropped[1], config.misbehavior_threshold, config.window_epochs)
     # Seed-free: arrivals and the time split come from the schedule.
-    offered_self = plan.offered_self.sum(axis=-1).tolist()
-    offered_nbr = plan.offered_neighbor.sum(axis=-1).tolist()
-    t_pp = _running_totals(plan.t_pp)
-    t_np = _running_totals(plan.t_np)
+    offered_self, offered_nbr = (column.sum(axis=-1).tolist() for column in plan.offered)
+    t_pp, t_np = map(_running_totals, plan.times)
     run_time = config.epochs * config.epoch_length
     epoch_window = f"0-{config.epochs - 1}"
-    per_seed = [column.sum(axis=-1).tolist() for column in (fwd_s, fwd_n, drop_s, drop_n)]
-    del fwd_s, drop_s, fwd_n, drop_n
+    per_seed = [column.sum(axis=-1).tolist() for column in (*forwarded, *dropped)]
+    del forwarded, dropped
 
     rows = []
     for point, sweep_value in enumerate(sweep_axis):
@@ -232,7 +254,6 @@ def _summarize_sweep(
 
 def run_case(spec: CaseSpec) -> ResultTable:
     """Run the full (algorithm x sweep x seed) grid for one case."""
-    params = spec.params
     if len(spec.seeds) > MAX_SEEDS:
         raise InvalidParameterError(f"seeds must number at most {MAX_SEEDS}, got {len(spec.seeds)}")
     for seed in spec.seeds:
@@ -243,20 +264,7 @@ def run_case(spec: CaseSpec) -> ResultTable:
     generators = _seeded(spec.seeds)
     rows = []
     for algorithm in spec.algorithms:
-        configs = [
-            SimConfig(
-                epochs=params.epochs,
-                data_rate=params.service_rate,
-                base_drop_prob=params.ambient_drop,
-                energy_budget=params.energy_budget,
-                misbehavior_threshold=params.misbehavior_threshold,
-                window_epochs=params.window,
-                policy=algorithm,
-                self_rate_fn=spec.self_rate_fn(sweep_value),
-                neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
-            )
-            for sweep_value in spec.sweep_axis
-        ]
+        configs = [spec.config(algorithm, sweep_value) for sweep_value in spec.sweep_axis]
         # The queue pass does not depend on the seed: run it once per grid
         # point, then realize and summarize every point and seed of the
         # sweep in one pass.

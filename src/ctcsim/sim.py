@@ -20,24 +20,26 @@ The two policies:
 The engine runs a sweep, one row per config, in two stages.
 ``_schedule_sweep`` takes the target through every epoch without a random
 number: deadline discard, arrivals, the ``ctc`` split, ``dsr`` energy use
-and gate drops. ``_realize_sweep`` then draws the ambient losses and
-derives the forwarded and dropped columns with array operations. The split
-is exact because a lost packet has already left its queue: loss moves a
+and gate drops. ``_realize_sweep`` then draws the ambient losses and derives
+the forwarded and dropped columns with array operations. Both stages carry
+each per-class quantity as one ``(self, neighbor)`` pair of columns, in the
+order of ``Trace``'s fields (see ``Schedule``). Splitting the stages is
+exact because a lost packet has already left its queue: loss moves a
 transmitted packet from "forwarded" to "dropped" and feeds back into nothing
-the next epoch reads (queues, backlogs, energy). So one schedule serves every
-seed of a grid point, and one realization pass serves a whole sweep: the
-losses of every grid point and seed fill one ``(points, seeds, 2 * epochs)``
-array, and the forwarded and dropped columns, the conservation check and
-the classifier's window sums work along its last axis
-(``ctcsim.experiments.run_case`` realizes each sweep of a case that way).
-Each seed has one generator, seeded once; its seeded state is restored
-before each grid point's draw, which starts the stream of
+the next epoch reads (queues, backlogs, energy). So one schedule serves
+every seed of a grid point, and one realization pass serves a whole sweep:
+the losses of every grid point and seed fill one
+``(points, seeds, 2 * epochs)`` array, and the forwarded and dropped
+columns, the conservation check and the classifier's window sums work along
+its last axis (``ctcsim.experiments.run_case`` realizes each sweep of a case
+that way). Each seed has one generator, seeded once; its seeded state is
+restored before each grid point's draw, which starts the stream of
 ``np.random.default_rng(seed)`` without seeding anew. ``run`` and
 ``classify_misbehavior`` are the one-row case of that pass. Each row
-interleaves ``[serviced_self[e], attempts_neighbor[e]]`` per epoch, the
-order in which one scalar draw per class per epoch would consume the seed's
-stream, also when a count is zero, so the stream position never depends on
-load or policy.
+interleaves the pair ``sent``, the serviced self packets and the neighbor
+attempts, as ``[sent[0][e], sent[1][e]]`` per epoch, the order in which one
+scalar draw per class per epoch would consume the seed's stream, also when a
+count is zero, so the stream position never depends on load or policy.
 
 The engine never materializes a packet. Both policies keep each FIFO queue
 as one count: with ``A(e)`` a class's cumulative arrivals, ``D`` the
@@ -267,8 +269,7 @@ class SimConfig:
         if round(self.data_rate * self.epoch_length) > _EXACT_MAX:
             raise InvalidConfigError("per-epoch capacity data_rate * epoch_length must be <= 2**53")
         arrivals = 0
-        for name in ("self_rate_fn", "neighbor_rate_fn"):
-            fn = getattr(self, name)
+        for name, fn in (("self_rate_fn", self.self_rate_fn), ("neighbor_rate_fn", self.neighbor_rate_fn)):
             peak = fn.rate(max(self.epochs - 1, 0) if fn.kind is RateKind.LINEAR_INCREASING else 0)
             if not math.isfinite(peak) or round(peak) * self.epochs > _EXACT_MAX:
                 raise InvalidConfigError(f"{name}: {self.epochs} epochs at up to {peak:g} packets each pass 2**53")
@@ -378,25 +379,23 @@ def source_split(arrivals: int | np.ndarray, neighbor_count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """The seed-free part of a sweep at the target: ``(points, epochs)`` columns, row ``k`` for ``configs[k]``.
+    """The seed-free part of a sweep at the target, each per-class quantity a ``(self, neighbor)`` pair.
 
-    ``serviced_self`` and ``attempts_neighbor`` are the packets transmitted,
-    each facing one ambient-loss coin. ``dropped_before_loss_*`` are the
-    drops decided before the coin: deadline expiry, plus ``dsr`` gate drops
-    on the neighbor side. Counts are int64, times float64.
+    Each member of a pair is a ``(points, epochs)`` column, row ``k`` for
+    ``configs[k]``. ``sent`` is the serviced self packets and the neighbor
+    attempts, the packets transmitted, each facing one ambient-loss coin.
+    ``dropped_before_loss`` is the drops decided before the coin: deadline
+    expiry, plus ``dsr`` gate drops on the neighbor side. ``queued`` is the
+    end-of-epoch queue depth and ``times`` is ``(t_pp, t_np)``. Counts are
+    int64, times float64.
     """
 
     configs: tuple[SimConfig, ...]
-    offered_self: np.ndarray
-    offered_neighbor: np.ndarray
-    serviced_self: np.ndarray
-    attempts_neighbor: np.ndarray
-    dropped_before_loss_self: np.ndarray
-    dropped_before_loss_neighbor: np.ndarray
-    queued_self: np.ndarray
-    queued_neighbor: np.ndarray
-    t_pp: np.ndarray
-    t_np: np.ndarray
+    offered: tuple[np.ndarray, np.ndarray]
+    sent: tuple[np.ndarray, np.ndarray]
+    dropped_before_loss: tuple[np.ndarray, np.ndarray]
+    queued: tuple[np.ndarray, np.ndarray]
+    times: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,32 +539,32 @@ def _schedule_sweep(configs: list[SimConfig]) -> Schedule:
     epochs = configs[0].epochs
     offered_self = np.stack([c.self_rate_fn.arrivals(epochs) for c in configs])
     offered_nbr = np.stack([c.neighbor_rate_fn.arrivals(epochs) for c in configs])
+    offered = offered_self, offered_nbr
     # Capacity is data_rate packets/second over the epoch.
     capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
     deadlines = [min(c.deadline_epochs, epochs) for c in configs]
     if configs[0].policy is Policy.CTC:
         consumed = np.zeros((2, len(configs), epochs), dtype=np.int64)
-        t_pp, t_np = times = np.zeros((2, len(configs), epochs))
+        times = np.zeros((2, len(configs), epochs))
         for row, config in enumerate(configs):
             rows = (offered_self[row], offered_nbr[row], consumed[:, row], times[:, row])
             _consume_ctc(config, capacities[row], deadlines[row], *rows)
-        expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, consumed=consumed[0])
-        dropped_nbr, attempts, queued_nbr = _serve_fifo(offered_nbr, deadlines, consumed=consumed[1])
-    else:
-        nbr_totals = offered_nbr.sum(axis=-1).tolist()
-        capacity = np.array(capacities, np.int64)[:, None]
-        expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, allowance=capacity)
-        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(offered_nbr, deadlines, allowance=capacity - serviced_self)
-        # A budget past the run's neighbor arrivals never binds; capped, it fits int64.
-        budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], np.int64)[:, None]
-        attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
-        dropped_nbr = expired_nbr + serviced_nbr - attempts
-        # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-        epoch_t = np.array([c.epoch_length for c in configs])[:, None]
-        t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
-        t_np = epoch_t - t_pp
-    counts = (serviced_self, attempts, expired_self, dropped_nbr, queued_self, queued_nbr)
-    return Schedule(tuple(configs), offered_self, offered_nbr, *counts, t_pp, t_np)
+        served = (_serve_fifo(arrived, deadlines, consumed=p) for arrived, p in zip(offered, consumed))
+        dropped, sent, queued = zip(*served)
+        return Schedule(tuple(configs), offered, sent, dropped, queued, tuple(times))
+    nbr_totals = offered_nbr.sum(axis=-1).tolist()
+    capacity = np.array(capacities, np.int64)[:, None]
+    expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, allowance=capacity)
+    expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(offered_nbr, deadlines, allowance=capacity - serviced_self)
+    # A budget past the run's neighbor arrivals never binds; capped, it fits int64.
+    budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], np.int64)[:, None]
+    attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
+    dropped = expired_self, expired_nbr + serviced_nbr - attempts
+    # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
+    epoch_t = np.array([c.epoch_length for c in configs])[:, None]
+    t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
+    times = t_pp, epoch_t - t_pp
+    return Schedule(tuple(configs), offered, (serviced_self, attempts), dropped, (queued_self, queued_nbr), times)
 
 
 def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
@@ -585,17 +584,16 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     """Ambient losses of each seed over each row of a schedule, ``(points, seeds, 2 * epochs)``.
 
     Row ``[k, i]`` is ``np.random.default_rng(seeds[i]).binomial`` over
-    ``[serviced_self[k, 0], attempts_neighbor[k, 0], serviced_self[k, 1],
-    ...]`` at ``configs[k].base_drop_prob``, drawn after restoring the seeded
+    ``sent`` interleaved, ``[sent[0][k, 0], sent[1][k, 0], sent[0][k, 1],
+    ...]``, at ``configs[k].base_drop_prob``, drawn after restoring the seeded
     state of ``generators[i]`` (see ``_seeded``): one coin per transmitted
     packet, drawn as one binomial per class per epoch, self first, the order
     in which one scalar draw per class per epoch would consume each seed's
     stream.
     """
-    points, epochs = plan.serviced_self.shape
+    points, epochs = plan.sent[0].shape
     sent = np.empty((points, 2 * epochs), dtype=np.int64)
-    sent[:, 0::2] = plan.serviced_self
-    sent[:, 1::2] = plan.attempts_neighbor
+    sent[:, 0::2], sent[:, 1::2] = plan.sent
     lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
     for point, counts, config in zip(lost, sent, plan.configs):
         p = config.base_drop_prob
@@ -605,42 +603,42 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     return lost
 
 
-def _realize_class(plan: Schedule, cls: str, sent: str, lost: np.ndarray):
+def _realize_class(offered, sent, dropped_before_loss, queued, lost: np.ndarray):
     """Forwarded and dropped columns of one class, shaped like ``lost``, ``(points, seeds, epochs)``.
 
-    ``lost`` is the class's view of the drawn losses; the dropped column
-    overwrites it and is returned in its place. Also returns where cumulative
-    conservation (offered = forwarded + dropped + queued) fails, as a boolean
-    mask shaped like ``lost``.
+    ``offered`` to ``queued`` are the class's ``Schedule`` columns and
+    ``lost`` its view of the drawn losses; the dropped column overwrites it
+    and is returned in its place. Also returns where cumulative conservation
+    (offered = forwarded + dropped + queued) fails, as a boolean mask shaped
+    like ``lost``.
     """
-    forwarded = getattr(plan, sent)[:, None] - lost
-    dropped = np.add(lost, getattr(plan, f"dropped_before_loss_{cls}")[:, None], out=lost)
+    forwarded = sent[:, None] - lost
+    dropped = np.add(lost, dropped_before_loss[:, None], out=lost)
     # Reusing ``lost`` and summing in place keeps the temporaries to one:
     # a sweep's arrays are the peak of a grid run.
     accounted = forwarded + dropped
     np.cumsum(accounted, axis=-1, out=accounted)
-    accounted += getattr(plan, f"queued_{cls}")[:, None]
-    broken = np.cumsum(getattr(plan, f"offered_{cls}"), axis=-1)[:, None] != accounted
+    accounted += queued[:, None]
+    broken = np.cumsum(offered, axis=-1)[:, None] != accounted
     return forwarded, dropped, broken
 
 
-def _realize_sweep(plan: Schedule, generators) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forwarded and dropped columns of both classes, ``(points, seeds, epochs)`` each.
+def _realize_sweep(plan: Schedule, generators) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The ``(self, neighbor)`` pairs of forwarded and dropped columns, ``(points, seeds, epochs)`` each.
 
-    ``generators`` come from ``_seeded``. Returns ``(forwarded_self,
-    dropped_self, forwarded_neighbor, dropped_neighbor)``. Raises
-    ``InvariantError`` naming the class and epoch of the first conservation
-    failure, first point first, then first seed.
+    ``generators`` come from ``_seeded``. Raises ``InvariantError`` naming
+    the class and epoch of the first conservation failure, first point
+    first, then first seed.
     """
     lost = _draw_losses(plan, generators)
-    fwd_s, drop_s, broken_s = _realize_class(plan, "self", "serviced_self", lost[..., 0::2])
-    fwd_n, drop_n, broken_n = _realize_class(plan, "neighbor", "attempts_neighbor", lost[..., 1::2])
-    broken = np.argwhere(broken_s | broken_n)
+    classes = zip(plan.offered, plan.sent, plan.dropped_before_loss, plan.queued, (lost[..., 0::2], lost[..., 1::2]))
+    forwarded, dropped, (broken_self, broken_nbr) = zip(*(_realize_class(*columns) for columns in classes))
+    broken = np.argwhere(broken_self | broken_nbr)
     if broken.size:
         point, row, epoch = broken[0].tolist()
-        name = "self" if broken_s[point, row, epoch] else "neighbor"
+        name = "self" if broken_self[point, row, epoch] else "neighbor"
         raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
-    return fwd_s, drop_s, fwd_n, drop_n
+    return forwarded, dropped
 
 
 def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
@@ -654,22 +652,9 @@ def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
 def run(config: SimConfig) -> Trace:
     """Run the configured number of epochs from a fresh target: a one-row sweep, realized at the config's seed."""
     plan = _schedule_sweep([config])
-    fwd_s, drop_s, fwd_n, drop_n = (column[0, 0] for column in _realize_sweep(plan, _seeded((config.seed,))))
-    return Trace(
-        config=config,
-        offered_self=plan.offered_self[0],
-        offered_neighbor=plan.offered_neighbor[0],
-        forwarded_self=fwd_s,
-        forwarded_neighbor=fwd_n,
-        dropped_self=drop_s,
-        dropped_neighbor=drop_n,
-        queued_self=plan.queued_self[0],
-        queued_neighbor=plan.queued_neighbor[0],
-        t_pp=plan.t_pp[0],
-        t_np=plan.t_np[0],
-        drop_ratio_self=_cumulative_ratio(drop_s, plan.offered_self[0]),
-        drop_ratio_neighbor=_cumulative_ratio(drop_n, plan.offered_neighbor[0]),
-    )
+    forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, _seeded((config.seed,))))
+    offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
+    return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *map(_cumulative_ratio, dropped, offered))
 
 
 @dataclass(frozen=True)

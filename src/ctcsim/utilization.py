@@ -13,6 +13,7 @@ the contract, not an optimization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,8 +58,10 @@ class PacketCounters:
     k_nin: float
 
     def __post_init__(self) -> None:
-        if self.k_pout < 0 or self.k_nout < 0 or self.k_nin < 0:
-            raise InvalidParameterError(f"packet counts must be >= 0, got {self}")
+        for name, count in (("k_pout", self.k_pout), ("k_nout", self.k_nout), ("k_nin", self.k_nin)):
+            # A comparison, not ``math.isfinite``: an int count may be too large for a float.
+            if not 0 <= count < math.inf:
+                raise InvalidParameterError(f"{name} must be finite and >= 0, got {count}")
         if self.k_nout > self.k_nin:
             raise InvalidParameterError(
                 "cannot forward more neighbor packets than received: "
@@ -96,7 +99,7 @@ def _rate(count: float, time: float, what: str) -> float:
     # nonzero count over a zero time is meaningless.
     if count == 0:
         return 0.0
-    if time <= 0:
+    if not time > 0:  # NaN fails it too
         raise ZeroTimeError(f"{what}: nonzero count {count} over non-positive time {time}")
     return count / time
 
@@ -110,6 +113,15 @@ def power_out(counters: PacketCounters, times: TimeBudget) -> PowerRates:
     )
 
 
+def _check_defined(counters: PacketCounters, times: TimeBudget) -> None:
+    """The guard both utilization forms share: neighbor input, and both times > 0 (NaN is not)."""
+    if counters.k_nin == 0:
+        raise NoInputError("utilization undefined: node received no neighbor packets")
+    for name, time in (("t_np", times.t_np), ("t_pp", times.t_pp)):
+        if not time > 0:
+            raise ZeroTimeError(f"{name} must be > 0, got {time}")
+
+
 def utilization_node(counters: PacketCounters, times: TimeBudget) -> float:
     """Utilization of one node: outgoing work rate over incoming work rate.
 
@@ -118,12 +130,7 @@ def utilization_node(counters: PacketCounters, times: TimeBudget) -> float:
     Raises NoInputError for an isolated node (k_nin = 0) and ZeroTimeError if
     a needed time component is not positive.
     """
-    if counters.k_nin == 0:
-        raise NoInputError("utilization undefined: node received no neighbor packets")
-    if times.t_np <= 0:
-        raise ZeroTimeError(f"t_np must be > 0, got {times.t_np}")
-    if times.t_pp <= 0:
-        raise ZeroTimeError(f"t_pp must be > 0, got {times.t_pp}")
+    _check_defined(counters, times)
     n_out = counters.k_pout / times.t_pp + counters.k_nout / times.t_np
     n_in = counters.k_nin / times.t_np
     return n_out / n_in
@@ -137,12 +144,7 @@ def utilization_node_factored(counters: PacketCounters, times: TimeBudget) -> fl
     Algebraically identical to :func:`utilization_node`; computed separately
     so the two routes stay independent checks on each other.
     """
-    if counters.k_nin == 0:
-        raise NoInputError("utilization undefined: node received no neighbor packets")
-    if times.t_np <= 0:
-        raise ZeroTimeError(f"t_np must be > 0, got {times.t_np}")
-    if times.t_pp <= 0:
-        raise ZeroTimeError(f"t_pp must be > 0, got {times.t_pp}")
+    _check_defined(counters, times)
     return (counters.k_pout * times.t_np / times.t_pp + counters.k_nout) / counters.k_nin
 
 

@@ -309,7 +309,8 @@ def test_sim_run_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
 
     def broken_schedule(configs):
         plan = real_schedule(configs)
-        return dataclasses.replace(plan, queued_neighbor=plan.queued_neighbor + 1)
+        queued_self, queued_nbr = plan.queued
+        return dataclasses.replace(plan, queued=(queued_self, queued_nbr + 1))
 
     monkeypatch.setattr(sim, "_schedule_sweep", broken_schedule)
     config = _write_config(tmp_path)

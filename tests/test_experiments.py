@@ -18,6 +18,7 @@ from ctcsim.errors import (
 from ctcsim.experiments import (
     CASE_IDS,
     DEFAULTS,
+    ExperimentParams,
     ResultRow,
     ResultTable,
     case_spec,
@@ -26,7 +27,7 @@ from ctcsim.experiments import (
     run_case,
 )
 from ctcsim.model import TimeBudget
-from ctcsim.sim import Policy, RateKind, SimConfig, classify_misbehavior, run
+from ctcsim.sim import Policy, RateKind, classify_misbehavior, run
 from ctcsim.utilization import PacketCounters, utilization_node
 
 
@@ -60,6 +61,37 @@ def test_unknown_case_rejected():
         case_spec("V")
     with pytest.raises(UnknownCaseError):
         case_spec("i")
+
+
+def test_case_config_carries_each_knob_to_its_sim_config_field():
+    # Each knob away from its default, one at a time: a knob read into the
+    # wrong field, or not at all, leaves a field at another value.
+    knobs = {
+        "epochs": ("epochs", 37),
+        "window": ("window_epochs", 7),
+        "service_rate": ("data_rate", 333.0),
+        "ambient_drop": ("base_drop_prob", 0.2),
+        "energy_budget": ("energy_budget", 1234),
+        "misbehavior_threshold": ("misbehavior_threshold", 0.6),
+    }
+    default = case_spec("II").config(Policy.DSR, 500)
+    assert default.policy is Policy.DSR and default.seed == 0
+    for knob, (field, value) in knobs.items():
+        assert getattr(DEFAULTS, knob) == getattr(default, field) != value, knob
+        spec = case_spec("II", dataclasses.replace(DEFAULTS, **{knob: value}))
+        # `epochs` and `window` shape the rate profiles too.
+        rates = {"self_rate_fn": spec.self_rate_fn(500), "neighbor_rate_fn": spec.neighbor_rate_fn(500)}
+        assert spec.config(Policy.DSR, 500) == dataclasses.replace(default, **{field: value}, **rates), knob
+
+
+def test_experiment_params_reject_epochs_or_window_below_one_naming_it():
+    # `case_spec` divides by both: a zero used to end a run in a bare
+    # ZeroDivisionError that named no field.
+    for field in ("epochs", "window"):
+        for value in (0, -3, 2.5, True, None):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be an int >= 1, got {value!r}$"):
+                ExperimentParams(**{field: value})
+    assert ExperimentParams(epochs=1, window=1).window == 1
 
 
 def test_case1_self_level_tilts_down_the_sweep():
@@ -109,28 +141,13 @@ def test_run_case_is_deterministic():
     assert run_case(spec) == run_case(spec)
 
 
-def _grid_config(spec, algorithm, sweep_value):
-    params = spec.params
-    return SimConfig(
-        epochs=params.epochs,
-        data_rate=params.service_rate,
-        base_drop_prob=params.ambient_drop,
-        energy_budget=params.energy_budget,
-        misbehavior_threshold=params.misbehavior_threshold,
-        window_epochs=params.window,
-        policy=algorithm,
-        self_rate_fn=spec.self_rate_fn(sweep_value),
-        neighbor_rate_fn=spec.neighbor_rate_fn(sweep_value),
-    )
-
-
 def _oracle_rows(spec):
     """``run_case`` rebuilt one run at a time from ``run``, ``classify_misbehavior`` and ``utilization_node``."""
     params = spec.params
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
-            config = _grid_config(spec, algorithm, sweep_value)
+            config = spec.config(algorithm, sweep_value)
             for seed in spec.seeds:
                 trace = run(dataclasses.replace(config, seed=seed))
                 totals = {
@@ -192,7 +209,7 @@ def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():
     params = dataclasses.replace(DEFAULTS, misbehavior_threshold=0.3)
     spec = dataclasses.replace(case_spec("I", params), sweep_axis=(0, 10, 1600, 0), seeds=(0, 2**64 - 1, 7))
     qualifying = [
-        len(classify_misbehavior(run(dataclasses.replace(_grid_config(spec, Policy.DSR, v), seed=0))).window_ratios)
+        len(classify_misbehavior(run(dataclasses.replace(spec.config(Policy.DSR, v), seed=0))).window_ratios)
         for v in spec.sweep_axis
     ]
     assert qualifying == [0, 8, 10, 0]
@@ -229,10 +246,11 @@ def test_run_case_names_the_first_broken_point_of_a_sweep(monkeypatch):
 
     def broken_schedule(configs):
         plan = real_schedule(configs)
-        queued = plan.queued_neighbor.copy()
-        for row, start in zip(queued, [6, 2]):
+        queued_self, queued_nbr = plan.queued
+        queued_nbr = queued_nbr.copy()
+        for row, start in zip(queued_nbr, [6, 2]):
             row[start:] += 1
-        return dataclasses.replace(plan, queued_neighbor=queued)
+        return dataclasses.replace(plan, queued=(queued_self, queued_nbr))
 
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="neighbor-class conservation violated at the target, epoch 6"):
@@ -244,9 +262,10 @@ def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):
 
     def broken_schedule(configs):
         plan = real_schedule(configs)
-        queued = plan.queued_self.copy()
-        queued[:, 4:] += 1
-        return dataclasses.replace(plan, queued_self=queued)
+        queued_self, queued_nbr = plan.queued
+        queued_self = queued_self.copy()
+        queued_self[:, 4:] += 1
+        return dataclasses.replace(plan, queued=(queued_self, queued_nbr))
 
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="self-class conservation violated at the target, epoch 4"):

@@ -50,8 +50,8 @@ def constant(value):
 
 # Every per-epoch column of a Trace, in field order.
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(Trace) if f.name != "config")
-# The columns of `_realize_sweep`, in the order it returns them.
-REALIZED_FIELDS = ("forwarded_self", "dropped_self", "forwarded_neighbor", "dropped_neighbor")
+# The (self, neighbor) pairs of `_realize_sweep`, in the order it returns them.
+REALIZED_FIELDS = (("forwarded_self", "forwarded_neighbor"), ("dropped_self", "dropped_neighbor"))
 
 
 def trace_rows(trace, tmp_path):
@@ -773,24 +773,35 @@ def test_engine_matches_reference_random_configs(seeds, **config_fields):
     for row, seed in enumerate(seeds):
         seeded = dataclasses.replace(cfg, seed=seed)
         expected = assert_matches_reference(run(seeded), seeded)
-        for name, column in zip(REALIZED_FIELDS, realized):
-            assert column[0, row].tolist() == expected[name], name
+        for names, pair in zip(REALIZED_FIELDS, realized, strict=True):
+            for name, column in zip(names, pair, strict=True):
+                assert column[0, row].tolist() == expected[name], name
 
 
-SCHEDULE_FIELDS = tuple(f.name for f in dataclasses.fields(Schedule) if f.name != "configs")
+# Each (self, neighbor) pair of a Schedule and the reference engine's names of its two columns.
+SCHEDULE_PAIRS = {
+    "offered": ("offered_self", "offered_neighbor"),
+    "sent": ("serviced_self", "attempts_neighbor"),
+    "dropped_before_loss": ("dropped_before_loss_self", "dropped_before_loss_neighbor"),
+    "queued": ("queued_self", "queued_neighbor"),
+    "times": ("t_pp", "t_np"),
+}
 
 
 def assert_same_schedule(plan, expected, row=0):
     """Row ``row`` of every column of ``plan`` has the dtype and bytes of ``expected``'s.
 
-    ``expected`` is a one-row Schedule or the columns by name as lists.
+    ``expected`` is a one-row Schedule or the reference engine's columns by name as lists.
     """
-    for name in SCHEDULE_FIELDS:
-        column = getattr(plan, name)[row]
-        want = expected[name] if isinstance(expected, dict) else getattr(expected, name)[0]
-        want = np.asarray(want, dtype=np.float64 if name.startswith("t_") else np.int64)
-        assert column.dtype == want.dtype, name
-        assert column.tobytes() == want.tobytes(), name
+    assert set(SCHEDULE_PAIRS) == {f.name for f in dataclasses.fields(Schedule)} - {"configs"}
+    if isinstance(expected, dict):
+        assert set(expected) == {name for names in SCHEDULE_PAIRS.values() for name in names}
+    for field, names in SCHEDULE_PAIRS.items():
+        for member, (name, column) in enumerate(zip(names, getattr(plan, field), strict=True)):
+            want = expected[name] if isinstance(expected, dict) else getattr(expected, field)[member][0]
+            want = np.asarray(want, dtype=np.float64 if field == "times" else np.int64)
+            assert column[row].dtype == want.dtype, name
+            assert column[row].tobytes() == want.tobytes(), name
 
 
 @st.composite
@@ -972,13 +983,13 @@ def test_batched_sweep_rows_equal_their_own_schedule(sweep):
         assert_same_schedule(plan, schedule_cohorts(config), row)
     zero, overloaded, gated = (next(i for i, c in enumerate(configs) if c is row) for row in marked)
     if configs[0].policy is Policy.DSR:
-        assert not any(column[zero].any() for column in (plan.offered_self, plan.offered_neighbor, plan.t_pp))
-        assert plan.attempts_neighbor[gated].sum() == 5 < plan.dropped_before_loss_neighbor[gated].sum()
+        assert not any(column[zero].any() for column in (*plan.offered, plan.times[0]))
+        assert plan.sent[1][gated].sum() == 5 < plan.dropped_before_loss[1][gated].sum()
     else:
         # With both queues empty, ctc splits the epoch evenly.
-        assert not any(column[zero].any() for column in (plan.offered_self, plan.offered_neighbor))
-        assert (plan.t_pp[zero] == plan.t_np[zero]).all()
-    assert plan.dropped_before_loss_self[overloaded].any() and plan.dropped_before_loss_neighbor[overloaded].any()
+        assert not any(column[zero].any() for column in plan.offered)
+        assert (plan.times[0][zero] == plan.times[1][zero]).all()
+    assert all(column[overloaded].any() for column in plan.dropped_before_loss)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1046,7 +1057,7 @@ def test_shared_generators_draw_what_fresh_ones_do(p):
         plan = _schedule_sweep(sweep)
         lost = _draw_losses(plan, generators)
         assert lost.shape == (len(sweep), len(seeds), 80)
-        for point, config, serviced, attempts in zip(lost, sweep, plan.serviced_self, plan.attempts_neighbor):
+        for point, config, serviced, attempts in zip(lost, sweep, *plan.sent, strict=True):
             sent = np.ravel([serviced, attempts], order="F")
             for row, seed in zip(point, seeds):
                 assert row.tolist() == np.random.default_rng(seed).binomial(sent, config.base_drop_prob).tolist()
@@ -1057,9 +1068,10 @@ def test_realize_names_first_epoch_that_breaks_conservation(monkeypatch):
 
     def broken_schedule(configs):
         plan = real_schedule(configs)
-        queued = plan.queued_neighbor.copy()
-        queued[:, 3:] += 1
-        return dataclasses.replace(plan, queued_neighbor=queued)
+        queued_self, queued_nbr = plan.queued
+        queued_nbr = queued_nbr.copy()
+        queued_nbr[:, 3:] += 1
+        return dataclasses.replace(plan, queued=(queued_self, queued_nbr))
 
     monkeypatch.setattr(sim, "_schedule_sweep", broken_schedule)
     cfg = SimConfig(epochs=6, data_rate=10.0, self_rate_fn=constant(4), neighbor_rate_fn=constant(30))

@@ -30,6 +30,15 @@ def test_counters_alias_and_invariants():
         PacketCounters(k_pout=-1, k_nout=0, k_nin=0)
 
 
+def test_counters_reject_a_non_finite_count_naming_it():
+    for counts, name in [((math.nan, 1, 1), "k_pout"), ((1, math.nan, 1), "k_nout"), ((1, 1, math.inf), "k_nin"),
+                         ((-math.inf, 0, 0), "k_pout")]:
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and >= 0"):
+            PacketCounters(*counts)
+    # An int count is finite however large, also past the float range.
+    assert PacketCounters(10**400, 0, 0).k_pout == 10**400
+
+
 # --- power_out ------------------------------------------------------------
 
 def test_power_out_worked():
@@ -100,6 +109,19 @@ def test_utilization_isolated_node_raises():
         utilization_node(PacketCounters(5, 0, 0), TimeBudget(1.0, 1.0))
     with pytest.raises(NoInputError):
         utilization_node_factored(PacketCounters(5, 0, 0), TimeBudget(1.0, 1.0))
+
+
+def test_nan_time_raises_zero_time_error():
+    # A NaN time fails every `> 0` guard instead of passing a `<= 0` one.
+    counters = PacketCounters(1, 1, 1)
+    for times in (TimeBudget(math.nan, 1.0), TimeBudget(1.0, math.nan)):
+        for form in (utilization_node, utilization_node_factored):
+            with pytest.raises(ZeroTimeError):
+                form(counters, times)
+    with pytest.raises(ZeroTimeError):
+        power_out(PacketCounters(1, 0, 0), TimeBudget(math.nan, 1.0))
+    with pytest.raises(ZeroTimeError):
+        power_out(PacketCounters(0, 1, 1), TimeBudget(1.0, math.nan))
 
 
 def test_utilization_zero_time_raises():
