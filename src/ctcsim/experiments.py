@@ -71,8 +71,10 @@ MAX_SEEDS = 10**4
 class ExperimentParams:
     """Shared knobs for the experiment sweeps.
 
-    ``case_spec`` divides by ``epochs`` and ``window``, so those two are
-    checked here; ``SimConfig`` checks the rest when a grid point is built.
+    ``case_spec`` divides by ``epochs`` and ``window``, and
+    ``CaseSpec.config`` hands the next four to ``SimConfig`` under other
+    names, so these six are checked here, each by its own name. The rate
+    knobs are checked where a case builds its rates.
     """
 
     epochs: int = 100
@@ -88,9 +90,19 @@ class ExperimentParams:
     case4_neighbor_rate: float = 50.0
 
     def __post_init__(self) -> None:
-        for name, value in (("epochs", self.epochs), ("window", self.window)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
+        # Each knob: the types it takes, what it must be, and the bounds
+        # its ``SimConfig`` field has at the default epoch length of 1.
+        for name, types, rule, holds in (
+            ("epochs", int, "an int >= 1", lambda v: v >= 1),
+            ("window", int, "an int >= 1", lambda v: v >= 1),
+            ("service_rate", (int, float), "a number in (0, 2**53]", lambda v: 0 < v <= 2**53),
+            ("ambient_drop", (int, float), "a number in [0, 1)", lambda v: 0 <= v < 1),
+            ("energy_budget", int, "an int >= 0", lambda v: v >= 0),
+            ("misbehavior_threshold", (int, float), "a number in (0, 1)", lambda v: 0 < v < 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types) or not holds(value):
+                raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 DEFAULTS = ExperimentParams()
@@ -134,6 +146,18 @@ def _decreasing(peak: float, epochs: int) -> RateFunction:
     return RateFunction(RateKind.LINEAR_DECREASING, peak, peak / epochs)
 
 
+def _case1_self(params: ExperimentParams, sweep_value: int) -> RateFunction:
+    """Case I's self level, which tilts down the sweep axis and so can go below zero."""
+    level = params.case1_self_base - params.case1_self_tilt * sweep_value
+    if not level >= 0:
+        base, tilt = params.case1_self_base, params.case1_self_tilt
+        raise InvalidParameterError(
+            "case I self rate case1_self_base - case1_self_tilt * v must be >= 0; "
+            f"at sweep value v = {sweep_value} it is {base!r} - {tilt!r} * {sweep_value} = {level!r}"
+        )
+    return RateFunction(RateKind.CONSTANT, level)
+
+
 def case_spec(case_id: str, params: ExperimentParams = DEFAULTS) -> CaseSpec:
     """Build the spec for one of the four traffic cases."""
     epochs = params.epochs
@@ -142,9 +166,7 @@ def case_spec(case_id: str, params: ExperimentParams = DEFAULTS) -> CaseSpec:
         return CaseSpec(
             case_id,
             params,
-            self_rate_fn=lambda v: RateFunction(
-                RateKind.CONSTANT, params.case1_self_base - params.case1_self_tilt * v
-            ),
+            self_rate_fn=lambda v: _case1_self(params, v),
             neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
         )
     if case_id == "II":

@@ -6,13 +6,14 @@ fields at fixed 6-decimal precision, and integer fields as plain integers
 (a 64-bit seed must survive a write/read round trip exactly, which rules
 out pushing it through a float format).
 
-The trace writer renders each chunk of epochs, target and source rows
-alike, in one array pass over a uint8 table, with the same bytes as ``%d``
-and ``%.6f``. A real takes the array path only where that is provably exact:
-sign bit clear, ``0 <= x * 1e6 < 2**32``, and the fraction of ``x * 1e6``
-more than ``2**-16`` from one half. Every other value (ties such as
-``k/128``, NaN, infinities, negatives, -0.0, huge values) is formatted by
-Python's own ``'%.6f' % x``.
+The trace writer renders each chunk of epochs as one uint8 table with a row
+per epoch, the epoch's target line and then its source lines, with the same
+bytes as ``%d`` and ``%.6f``: read in row order without the zero bytes that
+pad each field, the table is the chunk's text. A real takes the array path
+only where that is provably exact: sign bit clear, ``0 <= x * 1e6 <
+2**32``, and the fraction of ``x * 1e6`` more than ``2**-16`` from one
+half. Every other value (ties such as ``k/128``, NaN, infinities,
+negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``.
 """
 
 from __future__ import annotations
@@ -187,10 +188,10 @@ def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
 
 
 # Rows per write of a trace: a chunk holds whole epochs, as many as fit. At
-# this size a chunk's table (about 1 MB) stays in cache while it is read back
-# column by column; at four times the size the same trace took twice as long.
-# It is not a power of two, or with neighbor_count + 1 a power of two too the
-# table's rows would be a power of two apart and share the same cache sets.
+# this size a chunk's table (about 1 MB) stays in cache while it is filled
+# and read back. It is not a power of two, or with neighbor_count + 1 a power
+# of two too the table's lines would be a power of two apart and share the
+# same cache sets.
 _TRACE_CHUNK_ROWS = 16_000
 
 _ZERO = ord("0")
@@ -287,57 +288,77 @@ def _line_fields(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _text(table: np.ndarray) -> bytes:
-    """A ``(height, columns)`` uint8 table read column by column, without its zero bytes."""
-    # Dropping the zero bytes from the Fortran-order bytes is three times
-    # faster than a boolean mask over the transposed table.
-    return table.tobytes(order="F").replace(b"\0", b"")
+    """A ``(rows, width)`` uint8 table read row by row, without its zero bytes."""
+    # Dropping the zero bytes from the bytes is three times faster than a
+    # boolean mask over the table.
+    return table.tobytes().replace(b"\0", b"")
 
 
 def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
     """CSV lines of equal-length columns, one line per row (see ``_line_fields``)."""
-    return _text(np.vstack(_line_fields(columns)))
-
-
-def _constant(text: str) -> np.ndarray:
-    """A fixed field of every source row, shaped to broadcast over ``(nodes, width, epochs)``."""
-    return np.frombuffer(text.encode("ascii"), np.uint8)[None, :, None]
+    return _text(np.vstack(_line_fields(columns)).T)
 
 
 def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     """The trace CSV bytes: the header, then runs of whole epochs.
 
-    A chunk is one uint8 table with a column per epoch: the target row's
-    fields, then the rows of sources 1..n, each field padded with zero bytes
-    to its widest value in the chunk. Read column by column without the
-    zeros, the table is the chunk's text.
+    A chunk is one uint8 table with a row per epoch: the target line, then
+    the lines of sources 1..n, each field padded with zero bytes. Read row
+    by row without the zeros, the table is the chunk's text. The target
+    fields are formatted for a group of whole chunks at once and copied in,
+    transposed, chunk by chunk. A source line's constant bytes are written
+    once, into the first epoch's ``(nodes, width)`` lines, and copied from
+    there into every other epoch of the chunk at once; then each line's
+    epoch, the target's own field, and its two ``sent`` fields are written
+    into their slots.
     """
     config = trace.config
     nodes = config.neighbor_count
     yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
     columns = [getattr(trace, name) for name in _TRACE_FIELDS]
-    node_ids = _int_field(np.arange(1, nodes + 1)).T[:, :, None]
-    tail = _constant(f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n")
+    # A source line: epoch, node id, sent, 0 relayed, sent forwarded, then
+    # fields that never change.
+    comma = np.full((nodes, 1), ord(","), np.uint8)
+    node_ids = np.hstack([comma, _int_field(np.arange(1, nodes + 1)).T, comma])
+    relayed = np.frombuffer(b",0,", np.uint8)
+    tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
+    tail = np.frombuffer(tail.encode("ascii"), np.uint8)
     epochs = trace.offered_neighbor.size
     per_chunk = max(1, _TRACE_CHUNK_ROWS // (nodes + 1))
-    for start in range(0, epochs, per_chunk):
-        stop = min(start + per_chunk, epochs)
-        epoch = np.arange(start, stop, dtype=np.int64)
-        target = _line_fields([epoch, np.zeros_like(epoch), *(column[start:stop] for column in columns)])
-        # A source row: epoch, node id, sent, 0 relayed, sent forwarded, then
-        # fields that never change. The epoch field is the target's own.
-        sent = source_split(trace.offered_neighbor[start:stop], nodes)
-        sent = _int_field(sent.ravel()).reshape(-1, nodes, stop - start).transpose(1, 0, 2)
-        source_fields = [target[0][None], _constant(","), node_ids, _constant(","), sent, _constant(",0,"), sent, tail]
-        target_height = sum(part.shape[0] for part in target)
-        source_width = sum(field.shape[1] for field in source_fields)
-        table = np.empty((target_height + nodes * source_width, stop - start), np.uint8)
-        np.concatenate(target, out=table[:target_height])
-        sources = table[target_height:].reshape(nodes, source_width, stop - start)
-        row = 0
-        for field in source_fields:
-            sources[:, row : row + field.shape[1]] = field
-            row += field.shape[1]
-        yield _text(table)
+    # A group has about _TRACE_CHUNK_ROWS / 2 target lines, as a chunk of a
+    # one-source trace does: enough values per numpy call to make its fixed
+    # cost small, and no more memory than such a chunk takes.
+    per_group = per_chunk * max(1, (nodes + 1) // 2)
+    for group in range(0, epochs, per_group):
+        span = slice(group, min(group + per_group, epochs))
+        epoch = np.arange(span.start, span.stop, dtype=np.int64)
+        target = _line_fields([epoch, np.zeros_like(epoch), *(column[span] for column in columns)])
+        epoch_width = target[0].shape[0]
+        target = np.vstack(target)
+        height = target.shape[0]
+        offered = trace.offered_neighbor[span]
+        first_sent = epoch_width + node_ids.shape[1]
+        for start in range(0, epoch.size, per_chunk):
+            rows = min(per_chunk, epoch.size - start)
+            sent = source_split(offered[start : start + rows], nodes).T
+            sent = _int_field(sent.ravel()).T.reshape(rows, nodes, -1)
+            sent_width = sent.shape[2]
+            second_sent = first_sent + sent_width + relayed.size
+            source_width = second_sent + sent_width + tail.size
+            table = np.empty((rows, height + nodes * source_width), np.uint8)
+            table[:, :height] = target[:, start : start + rows].T
+            sources = table[:, height:].reshape(rows, nodes, source_width)
+            # The first epoch's source lines are the template: its constant
+            # bytes go to every epoch, and every epoch's slots are written after.
+            template = sources[0]
+            template[:, epoch_width:first_sent] = node_ids
+            template[:, first_sent + sent_width : second_sent] = relayed
+            template[:, second_sent + sent_width :] = tail
+            sources[1:] = template
+            sources[:, :, :epoch_width] = table[:, None, :epoch_width]
+            sources[:, :, first_sent : first_sent + sent_width] = sent
+            sources[:, :, second_sent : second_sent + sent_width] = sent
+            yield _text(table)
 
 
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:

@@ -2,6 +2,8 @@
 sweeps run in the acceptance suite)."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +94,46 @@ def test_experiment_params_reject_epochs_or_window_below_one_naming_it():
             with pytest.raises(InvalidParameterError, match=f"^{field} must be an int >= 1, got {value!r}$"):
                 ExperimentParams(**{field: value})
     assert ExperimentParams(epochs=1, window=1).window == 1
+
+
+# Per knob that `CaseSpec.config` renames for `SimConfig`: values rejected,
+# then edge values that every grid point's `SimConfig` accepts.
+_RENAMED_KNOBS = {
+    "service_rate": ((0.0, -1.0, math.nan, math.inf, 2**53 + 1, True, "420"), (1e-9, 2**53)),
+    "ambient_drop": ((1.0, -0.1, math.nan, True, None), (0, 0.0, 0.999)),
+    "energy_budget": ((-1, 1.5, True, None), (0, 10**30)),
+    "misbehavior_threshold": ((0.0, 1.0, -0.5, math.nan, True), (1e-9, 0.999)),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(_RENAMED_KNOBS))
+def test_experiment_params_reject_a_renamed_knob_by_its_own_name(knob):
+    # `SimConfig` used to reject these under its own field names, e.g.
+    # `service_rate=0.0` as `data_rate must be > 0`.
+    rejected, accepted = _RENAMED_KNOBS[knob]
+    for value in rejected:
+        with pytest.raises(InvalidParameterError, match=f"^{knob} must be .*, got {re.escape(repr(value))}$"):
+            ExperimentParams(**{knob: value})
+    for value in accepted:
+        params = ExperimentParams(**{knob: value})
+        for case_id in CASE_IDS:
+            spec = case_spec(case_id, params)
+            for algorithm in spec.algorithms:
+                for sweep_value in spec.sweep_axis:
+                    spec.config(algorithm, sweep_value)
+
+
+def test_case1_negative_self_rate_names_the_case_its_knobs_and_the_sweep_value():
+    # The level reaches zero at v = 7,100 and is negative past it; it used
+    # to fail in `RateFunction` as `rate parameters must be >= 0`.
+    assert case_spec("I").self_rate_fn(7100).base == 0.0
+    spec = dataclasses.replace(case_spec("I"), sweep_axis=(100, 8000))
+    message = (
+        "case I self rate case1_self_base - case1_self_tilt * v must be >= 0; "
+        "at sweep value v = 8000 it is 355.0 - 0.05 * 8000 = -45.0"
+    )
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        run_case(spec)
 
 
 def test_case1_self_level_tilts_down_the_sweep():

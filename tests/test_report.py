@@ -3,6 +3,8 @@ so any formatting drift shows up as a diff, not just a failed parse."""
 
 import dataclasses
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,6 +275,35 @@ def test_emit_trace_csv_deterministic_bytes(tmp_path):
     emit_trace_csv(run(cfg), a)
     emit_trace_csv(run(cfg), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("sources, epochs", [(1, 20_000), (50, 8_000)])
+def test_emit_trace_csv_memory_does_not_grow_with_the_trace(sources, epochs):
+    # The writer holds a chunk of epochs and the target fields of a group of
+    # chunks at a time, never the whole file: a trace four times as long
+    # peaks at about the same traced memory. Both lengths span more than one
+    # group.
+    def emit_peak(epochs):
+        trace = run(
+            SimConfig(
+                epochs=epochs,
+                neighbor_count=sources,
+                data_rate=420.0,
+                self_rate_fn=RateFunction(RateKind.CONSTANT, 300.0),
+                neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 400.0 / epochs),
+            )
+        )
+        tracemalloc.start()
+        try:
+            written = emit_trace_csv(trace, os.devnull)
+            return tracemalloc.get_traced_memory()[1], written
+        finally:
+            tracemalloc.stop()
+
+    short_peak, short_written = emit_peak(epochs)
+    long_peak, long_written = emit_peak(4 * epochs)
+    assert long_written > 3.9 * short_written
+    assert long_peak < 1.25 * short_peak
 
 
 # ---------------------------------------------------------------------------

@@ -1024,6 +1024,42 @@ def test_emit_trace_csv_matches_per_row_writer_random_configs(chunking, tmp_path
     assert data == reference_trace_csv(trace)
 
 
+def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_path):
+    # With 3 sources and 16 chunk rows, a chunk holds 4 epochs and the
+    # target fields are formatted for 2 chunks at a time, so the epoch field
+    # widens from 1 to 2 digits inside a chunk (8-11), from 2 to 3 at a
+    # chunk edge inside a group (96-103) and from 3 to 4 at a group edge
+    # (1000). The per-source counts ramp from 0 to 17 across the run.
+    trace = run(
+        SimConfig(
+            epochs=1010,
+            neighbor_count=3,
+            data_rate=60.0,
+            base_drop_prob=0.1,
+            seed=11,
+            self_rate_fn=constant(20.0),
+            neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 0.05),
+        )
+    )
+    dest = tmp_path / "trace.csv"
+    with mock.patch.object(report, "_TRACE_CHUNK_ROWS", 16):
+        with mock.patch.object(report, "_line_fields", wraps=report._line_fields) as line_fields:
+            chunk_starts = [int(chunk.split(b",", 1)[0]) for chunk in list(report._trace_chunks(trace))[1:]]
+        group_starts = [int(call.args[0][0][0]) for call in line_fields.call_args_list]
+        written = emit_trace_csv(trace, dest)
+    data = dest.read_bytes()
+    assert written == len(data)
+    assert data == reference_trace_csv(trace)
+    # Where the seams fell: every group starts a chunk, and at least two
+    # groups hold two chunks or more.
+    assert set(group_starts) <= set(chunk_starts)
+    chunks_per_group = np.diff(np.searchsorted(chunk_starts, [*group_starts, trace.config.epochs]))
+    assert (chunks_per_group >= 2).sum() >= 2
+    assert 10 not in chunk_starts
+    assert 100 in chunk_starts and 100 not in group_starts
+    assert 1000 in group_starts
+
+
 def test_binomial_stream_is_the_recorded_one():
     # Every loss comes from `default_rng(seed).binomial(counts, p)`. Counts
     # below and above n * p = 30 take numpy's inversion and BTPE samplers.
