@@ -71,10 +71,11 @@ MAX_SEEDS = 10**4
 class ExperimentParams:
     """Shared knobs for the experiment sweeps.
 
-    ``case_spec`` divides by ``epochs`` and ``window``, and
-    ``CaseSpec.config`` hands the next four to ``SimConfig`` under other
-    names, so these six are checked here, each by its own name. The rate
-    knobs are checked where a case builds its rates.
+    ``case_spec`` divides by ``epochs`` and ``window``, ``CaseSpec.config``
+    hands the next four to ``SimConfig`` under other names, and cases II to
+    IV build a rate from one knob each, so these nine are checked here, each
+    by its own name. Case I's two knobs are checked where it builds its rate,
+    which goes below zero only at some sweep values.
     """
 
     epochs: int = 100
@@ -99,6 +100,9 @@ class ExperimentParams:
             ("ambient_drop", (int, float), "a number in [0, 1)", lambda v: 0 <= v < 1),
             ("energy_budget", int, "an int >= 0", lambda v: v >= 0),
             ("misbehavior_threshold", (int, float), "a number in (0, 1)", lambda v: 0 < v < 1),
+            ("case2_self_multiplier", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
+            ("case3_self_peak", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
+            ("case4_neighbor_rate", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types) or not holds(value):

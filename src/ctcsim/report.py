@@ -14,6 +14,12 @@ only where that is provably exact: sign bit clear, ``0 <= x * 1e6 <
 2**32``, and the fraction of ``x * 1e6`` more than ``2**-16`` from one
 half. Every other value (ties such as ``k/128``, NaN, infinities,
 negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``.
+
+Each digit comes from an integer ``//`` by 10 and a multiply-subtract, not
+from ``np.divmod``: numpy 2.4.6 vectorizes an integer floor division by a
+scalar but not ``divmod``. Per 8,000 uint32 values ``x // 10`` takes 3.1 us
+and ``np.divmod(x, 10)`` 22 us; in uint64, 6.3 and 33 us. So integers are
+divided in uint32 wherever that holds every value of a field.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -197,94 +203,136 @@ _TRACE_CHUNK_ROWS = 16_000
 _ZERO = ord("0")
 # `%.6f` of x is the integer nearest x * 1e6, split at the point. Below 2**32
 # the float product is off by at most 2**-22, so where its fraction is further
-# than 2**-16 from one half it rounds as the exact product does.
+# than 2**-16 from one half it rounds as the exact product does. Read as a
+# uint64, a float64 is below ``_FAST_BITS`` exactly when its sign bit is clear
+# and it is a number less than 2**32 (NaN and infinities read higher).
 _SCALE = 1e6
-_FAST_LIMIT = 2.0**32
+_FAST_BITS = np.float64(2.0**32).view(np.uint64)
 _HALF_GUARD = 2.0**-16
 
+# A field: its width, and a function that writes it right-aligned into a
+# ``(width, rows)`` uint8 table, with zero bytes left of shorter values.
+_Field = tuple[int, Callable[[np.ndarray], None]]
 
-def _digits(magnitude: np.ndarray, places: int | None = None) -> np.ndarray:
-    """Decimal digits of nonnegative integers as a ``(width, rows)`` uint8 table.
 
-    Digits are right-aligned. By default the table is as wide as the longest
-    number and the leading places of shorter ones are zero bytes; with
-    ``places`` it is that wide and every place is a digit.
+def _digits(magnitude: np.ndarray, out: np.ndarray, shortest: int) -> None:
+    """Write the decimal digits of nonnegative integers into the ``(width, rows)`` table ``out``.
+
+    Digits are right-aligned, and every value fills at least its last
+    ``shortest`` places. Above those, the leading places of a shorter value
+    are zero bytes; with ``shortest`` equal to the width every place is a
+    digit. ``magnitude`` is uint32 where that holds every value, else uint64.
     """
-    pad = places is None
-    top = int(magnitude.max())
-    width = len(str(top)) if pad else places
-    table = np.empty((width, magnitude.size), np.uint8)
-    # Dividing in uint32 takes about a third off a trace chunk's digits.
-    rest = magnitude.astype(np.uint32, copy=False) if top < 2**32 else magnitude
+    width = out.shape[0]
+    rest = magnitude
+    digit = np.empty_like(magnitude)
     for row in range(width - 1, -1, -1):
-        quotient, digit = np.divmod(rest, 10)
-        table[row] = digit
-        table[row] += _ZERO
-        if pad and row < width - 1:
-            table[row][rest == 0] = 0
+        # `//` rather than `np.divmod`, which numpy does not vectorize (see
+        # the module docstring); in uint32 this loop takes a third less time
+        # than in uint64.
+        quotient = rest // 10
+        np.subtract(rest, np.multiply(quotient, 10, out=digit), out=digit)
+        np.add(digit, _ZERO, out=out[row], casting="unsafe")
+        if row < width - shortest:
+            np.multiply(out[row], rest != 0, out=out[row])
         rest = quotient
-    return table
 
 
-def _int_field(values: np.ndarray) -> np.ndarray:
-    """``%d`` of each int64 as a right-aligned ``(width, rows)`` table."""
-    first = int(values[0])
-    if (values == first).all():
-        text = np.frombuffer(b"%d" % first, np.uint8)
-        return np.broadcast_to(text[:, None], (text.size, values.size))
-    negative = values < 0
+def _unsigned(values: np.ndarray, top: int) -> np.ndarray:
+    """Nonnegative integers in the dtype ``_digits`` divides in, for a maximum of ``top``."""
+    return values.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)
+
+
+def _places(value: int) -> int:
+    return len(str(int(value)))
+
+
+def _int_field(values: np.ndarray) -> _Field:
+    """``%d`` of each int64 (see ``_Field``)."""
+    low, top = int(values.min()), int(values.max())
+    if low == top:
+        text = np.frombuffer(b"%d" % low, np.uint8)[:, None]
+        return text.size, lambda out: np.copyto(out, text)
+    if low >= 0:
+        magnitude = _unsigned(values, top)
+        return _places(top), lambda out: _digits(magnitude, out, _places(low))
     # Magnitudes in uint64, where negation wraps, so -2**63 has one too.
+    negative = values < 0
     magnitude = values.astype(np.uint64)
-    if not negative.any():
-        return _digits(magnitude)
     np.negative(magnitude, out=magnitude, where=negative)
-    table = np.vstack([np.zeros((1, values.size), np.uint8), _digits(magnitude)])
-    # The sign takes the last zero byte left of each negative number.
+    top = int(magnitude.max())
+    magnitude = _unsigned(magnitude, top)
     where = np.flatnonzero(negative)
-    table[(table[:, where] == 0).sum(axis=0) - 1, where] = ord("-")
-    return table
+
+    def write(out: np.ndarray) -> None:
+        out[0] = 0
+        _digits(magnitude, out[1:], _places(magnitude.min()))
+        # The sign takes the last zero byte left of each negative number.
+        out[(out[:, where] == 0).sum(axis=0) - 1, where] = ord("-")
+
+    return _places(top) + 1, write
 
 
-def _real_field(values: np.ndarray) -> np.ndarray:
-    """``%.6f`` of each float64 as a right-aligned ``(width, rows)`` table."""
+def _real_field(values: np.ndarray) -> _Field:
+    """``%.6f`` of each float64 (see ``_Field``)."""
     scaled = values * _SCALE
-    fast = ~np.signbit(values) & (scaled < _FAST_LIMIT)
-    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > _HALF_GUARD
-    scaled = np.rint(np.where(fast, scaled, 0.0))
-    # Divide in uint32 where it holds every value, as ``_digits`` does. A fast
-    # value can still round up to 2**32 exactly (4294.9672957 does).
-    scaled = scaled.astype(np.uint32 if scaled.max() < 2**32 else np.uint64)
-    whole, fraction = np.divmod(scaled, 10**6)
-    table = np.vstack([_digits(whole), np.full((1, values.size), ord("."), np.uint8), _digits(fraction, places=6)])
+    fast = scaled.view(np.uint64) < _FAST_BITS
+    tail = np.floor(scaled)
+    np.subtract(scaled, tail, out=tail)
+    tail -= 0.5
+    fast &= np.abs(tail, out=tail) > _HALF_GUARD
+    scaled = np.where(fast, scaled, 0.0)
+    np.rint(scaled, out=scaled)
+    # A fast value can still round up to 2**32 exactly (4294.9672957 does).
+    top = int(scaled.max())
+    scaled = _unsigned(scaled, top)
+    whole = scaled // 10**6
+    fraction = scaled - whole * 10**6
+    whole_width = _places(top // 10**6)
     # Every other value is formatted by Python itself, right-aligned.
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = [b"%.6f" % value for value in values[slow].tolist()]
-        width = max(table.shape[0], *map(len, texts))
-        if width > table.shape[0]:
-            table = np.vstack([np.zeros((width - table.shape[0], values.size), np.uint8), table])
-        table[:, slow] = 0
-        for index, text in zip(slow.tolist(), texts):
-            table[width - len(text) :, index] = np.frombuffer(text, np.uint8)
+    texts = [b"%.6f" % value for value in values[slow].tolist()]
+    width = max([whole_width + 7, *map(len, texts)])
+
+    def write(out: np.ndarray) -> None:
+        point = width - 7
+        out[: point - whole_width] = 0
+        _digits(whole, out[point - whole_width : point], _places(whole.min()))
+        out[point] = ord(".")
+        _digits(fraction, out[point + 1 :], 6)
+        if slow.size:
+            out[:, slow] = 0
+            for index, text in zip(slow.tolist(), texts):
+                out[width - len(text) :, index] = np.frombuffer(text, np.uint8)
+
+    return width, write
+
+
+def _int_table(values: np.ndarray) -> np.ndarray:
+    """``%d`` of each int64 as a ``(width, rows)`` table of its own."""
+    width, write = _int_field(values)
+    table = np.empty((width, values.size), np.uint8)
+    write(table)
     return table
 
 
-def _line_fields(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """CSV lines of equal-length columns as ``(width, rows)`` uint8 tables, in
-    order: ``%d`` of each integer column or ``%.6f`` of each float64 column,
-    each followed by a comma, the last by a newline.
+def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """CSV lines of equal-length columns as one ``(height, rows)`` uint8 table,
+    a column per line: ``%d`` of each integer column or ``%.6f`` of each
+    float64 column, each followed by a comma, the last by a newline.
     """
-    rows = len(columns[0])
     # Overflow in the scaled product and NaN compares only send a value to
     # Python's own formatting; they are not worth a warning.
     with np.errstate(all="ignore"):
-        tables = [_real_field(column) if column.dtype.kind == "f" else _int_field(column) for column in columns]
-    comma = np.full((1, rows), ord(","), np.uint8)
-    parts = []
-    for table in tables:
-        parts += [table, comma]
-    parts[-1] = np.full((1, rows), ord("\n"), np.uint8)
-    return parts
+        fields = [_real_field(column) if column.dtype.kind == "f" else _int_field(column) for column in columns]
+    table = np.empty((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
+    row = 0
+    for width, write in fields:
+        write(table[row : row + width])
+        table[row + width] = ord(",")
+        row += width + 1
+    table[-1] = ord("\n")
+    return table
 
 
 def _text(table: np.ndarray) -> bytes:
@@ -296,7 +344,7 @@ def _text(table: np.ndarray) -> bytes:
 
 def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
     """CSV lines of equal-length columns, one line per row (see ``_line_fields``)."""
-    return _text(np.vstack(_line_fields(columns)).T)
+    return _text(_line_fields(columns).T)
 
 
 def _trace_chunks(trace: Trace) -> Iterator[bytes]:
@@ -305,12 +353,12 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     A chunk is one uint8 table with a row per epoch: the target line, then
     the lines of sources 1..n, each field padded with zero bytes. Read row
     by row without the zeros, the table is the chunk's text. The target
-    fields are formatted for a group of whole chunks at once and copied in,
-    transposed, chunk by chunk. A source line's constant bytes are written
-    once, into the first epoch's ``(nodes, width)`` lines, and copied from
-    there into every other epoch of the chunk at once; then each line's
-    epoch, the target's own field, and its two ``sent`` fields are written
-    into their slots.
+    fields are formatted for a group of whole chunks at once, into one
+    table, and copied in, transposed, chunk by chunk. A source line's
+    constant bytes are written once, into the first epoch's ``(nodes,
+    width)`` lines, and copied from there into every other epoch of the
+    chunk at once; then each line's epoch, the target's own field, and its
+    two ``sent`` fields are written into their slots.
     """
     config = trace.config
     nodes = config.neighbor_count
@@ -319,7 +367,7 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     # A source line: epoch, node id, sent, 0 relayed, sent forwarded, then
     # fields that never change.
     comma = np.full((nodes, 1), ord(","), np.uint8)
-    node_ids = np.hstack([comma, _int_field(np.arange(1, nodes + 1)).T, comma])
+    node_ids = np.hstack([comma, _int_table(np.arange(1, nodes + 1)).T, comma])
     relayed = np.frombuffer(b",0,", np.uint8)
     tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
     tail = np.frombuffer(tail.encode("ascii"), np.uint8)
@@ -333,15 +381,14 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
         span = slice(group, min(group + per_group, epochs))
         epoch = np.arange(span.start, span.stop, dtype=np.int64)
         target = _line_fields([epoch, np.zeros_like(epoch), *(column[span] for column in columns)])
-        epoch_width = target[0].shape[0]
-        target = np.vstack(target)
+        epoch_width = len(str(span.stop - 1))
         height = target.shape[0]
         offered = trace.offered_neighbor[span]
         first_sent = epoch_width + node_ids.shape[1]
         for start in range(0, epoch.size, per_chunk):
             rows = min(per_chunk, epoch.size - start)
             sent = source_split(offered[start : start + rows], nodes).T
-            sent = _int_field(sent.ravel()).T.reshape(rows, nodes, -1)
+            sent = _int_table(sent.ravel()).T.reshape(rows, nodes, -1)
             sent_width = sent.shape[2]
             second_sent = first_sent + sent_width + relayed.size
             source_width = second_sent + sent_width + tail.size

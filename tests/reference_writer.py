@@ -34,6 +34,16 @@ TARGET_FIELDS = (
 )
 
 
+def source_shares(arrivals: int, neighbor_count: int) -> list[int]:
+    """What sources 1..neighbor_count send of one epoch's neighbor arrivals.
+
+    Round-robin: every source sends the same share, and the first ``extra``
+    sources one packet more.
+    """
+    base, extra = divmod(arrivals, neighbor_count)
+    return [base + (node_id <= extra) for node_id in range(1, neighbor_count + 1)]
+
+
 def reference_trace_csv(trace: Trace) -> bytes:
     """The whole trace CSV, one ``%`` format per row."""
     config = trace.config
@@ -41,10 +51,6 @@ def reference_trace_csv(trace: Trace) -> bytes:
     columns = [getattr(trace, name).tolist() for name in TARGET_FIELDS]
     for epoch, row in enumerate(zip(*columns)):
         lines.append(TARGET_ROW % (epoch, *row))
-        # Round-robin: every source sends the same share, and the first
-        # `extra` sources one packet more.
-        base, extra = divmod(row[1], config.neighbor_count)
-        for node_id in range(1, config.neighbor_count + 1):
-            sent = base + (node_id <= extra)
+        for node_id, sent in enumerate(source_shares(row[1], config.neighbor_count), start=1):
             lines.append(SOURCE_ROW % (epoch, node_id, sent, sent, config.epoch_length))
     return "".join(lines).encode("utf-8")

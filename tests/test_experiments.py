@@ -123,6 +123,25 @@ def test_experiment_params_reject_a_renamed_knob_by_its_own_name(knob):
                     spec.config(algorithm, sweep_value)
 
 
+# Per case-rate knob: the case whose rate it sets. Each rejected value used
+# to fail inside `RateFunction`, naming neither the knob nor the case.
+_CASE_RATE_KNOBS = {"case2_self_multiplier": "II", "case3_self_peak": "III", "case4_neighbor_rate": "IV"}
+
+
+@pytest.mark.parametrize("knob", sorted(_CASE_RATE_KNOBS))
+def test_experiment_params_reject_a_case_rate_knob_by_its_own_name(knob):
+    case_id = _CASE_RATE_KNOBS[knob]
+    for value in (-1.0, -5.0, -(2**60), math.nan, math.inf, -math.inf, True, None, "3"):
+        message = f"^{knob} must be a finite number >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            run_case(case_spec(case_id, ExperimentParams(**{knob: value})))
+    for value in (0, 0.0, 5e-324, 1.5):
+        spec = case_spec(case_id, ExperimentParams(**{knob: value}))
+        for algorithm in spec.algorithms:
+            for sweep_value in spec.sweep_axis:
+                spec.config(algorithm, sweep_value)
+
+
 def test_case1_negative_self_rate_names_the_case_its_knobs_and_the_sweep_value():
     # The level reaches zero at v = 7,100 and is negative past it; it used
     # to fail in `RateFunction` as `rate parameters must be >= 0`.

@@ -6,12 +6,14 @@ import math
 import os
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctcsim import report
 from ctcsim.errors import InvalidParameterError, MissingCaseError
 from ctcsim.experiments import ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
@@ -395,3 +397,42 @@ def test_format_rows_edge_values():
     reals = np.array([v for x in _EDGE_REALS for v in (x, _neighbours(x, -1), 0.25, _neighbours(x, 1))])
     ints = np.array([-(2**63), 2**63 - 1, -1, 0] * len(_EDGE_REALS), np.int64)
     assert _format_rows([ints, reals]).decode("ascii") == per_row_text([ints], [reals])
+
+
+def _rows_match_per_row_text(int_columns, real_columns=()):
+    int_columns = [np.array(column, np.int64) for column in int_columns]
+    real_columns = [np.array(column, np.float64) for column in real_columns]
+    text = _format_rows([*int_columns, *real_columns]).decode("ascii")
+    assert text == per_row_text(int_columns, real_columns)
+
+
+def test_format_rows_where_the_digit_width_changes():
+    # Each column steps from k to k + 1 digits, or holds k-digit values with
+    # shorter ones, so only some places are padding.
+    for k in range(1, 19):
+        below, at = 10**k - 1, 10**k
+        _rows_match_per_row_text(
+            [[below, at], [at, below], [0, below], [1, at], [-at, below], [-below, 1]],
+            [[below / 1e6, at / 1e6]],
+        )
+
+
+def _divide_dtypes(int_columns, real_columns=()):
+    """The dtypes ``_digits`` divides in while the rows are formatted."""
+    with mock.patch.object(report, "_digits", wraps=report._digits) as digits:
+        _rows_match_per_row_text(int_columns, real_columns)
+    return {call.args[0].dtype.type for call in digits.call_args_list}
+
+
+def test_format_rows_divides_in_uint32_up_to_2_32_minus_1_then_in_uint64():
+    for top, dtype in ((2**32 - 1, np.uint32), (2**32, np.uint64)):
+        assert _divide_dtypes([[0, 7, top]]) == {dtype}
+        assert _divide_dtypes([[top, 0, 7]]) == {dtype}
+        assert _divide_dtypes([[-top, 3, 0]]) == {dtype}
+    assert _divide_dtypes([[-(2**63), 0, 1, 9, 10]]) == {np.uint64}
+    assert _divide_dtypes([[1, -(2**63), 2**63 - 1]]) == {np.uint64}
+    # Both take the fast path: x * 1e6 rounds to 2**32 - 1 and to 2**32.
+    below, at = 4294.967295, 4294.9672957
+    assert _divide_dtypes([], [[0.5, below, 1e-6]]) == {np.uint32}
+    assert _divide_dtypes([], [[0.5, at, 1e-6]]) == {np.uint64}
+    assert _divide_dtypes([], [[below, at, 0.0]]) == {np.uint64}

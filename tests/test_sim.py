@@ -41,7 +41,7 @@ from ctcsim.sim import (
 )
 
 from reference_engine import Decision, NodeState, Packet, PacketClass, dsr_decide, run_reference, schedule_cohorts
-from reference_writer import reference_trace_csv
+from reference_writer import reference_trace_csv, source_shares
 
 
 def constant(value):
@@ -582,6 +582,21 @@ def test_time_split_sums_to_epoch_everywhere(tmp_path):
     for row in source_rows:
         assert float(row[10]) == 1.0
         assert float(row[11]) == 0.0
+
+
+@pytest.mark.parametrize("neighbor_count", [1, 7, MAX_NEIGHBOR_COUNT])
+def test_source_split_matches_python_divmod(neighbor_count):
+    # Counts at and around one packet per source, and near 2**53, the
+    # largest run total validation lets a class reach.
+    arrivals = [0, 1, neighbor_count - 1, neighbor_count, neighbor_count + 1, 2 * neighbor_count - 1]
+    arrivals += [2**53 + step for step in range(-neighbor_count - 1, 3, max(1, neighbor_count // 3))]
+    arrivals += [2**53 - 1, 2**53, 2**53 + 1]
+    split = source_split(np.array(arrivals, np.int64), neighbor_count)
+    assert split.dtype == np.int64 and split.shape == (neighbor_count, len(arrivals))
+    for column, count in zip(split.T.tolist(), arrivals):
+        assert column == source_shares(count, neighbor_count), count
+    for count in (0, neighbor_count, 2**53 + 1):
+        assert source_split(count, neighbor_count).tolist() == source_shares(count, neighbor_count)
 
 
 def test_sources_report_generated_traffic(tmp_path):
