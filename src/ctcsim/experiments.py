@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,10 +61,10 @@ __all__ = [
 CASE_IDS = ("I", "II", "III", "IV")
 # Upper bound on the seeds of one case. A case holds the losses, forwarded
 # and dropped columns and result rows of every point and seed: ``exp all`` at
-# the default grid peaks at 37, 48 and 87 MiB of RSS at 10, 100 and 400
-# seeds, about 0.13 MiB per seed, so 10**4 seeds need near 1.3 GiB, about
-# what ``MAX_EPOCHS`` epochs need. A larger count is rejected by name before
-# any seed is built.
+# the default grid peaks at 37, 47.5, 81 and 149 MiB of RSS at 10, 100, 400
+# and 1,000 seeds, about 0.11 MiB per seed, so 10**4 seeds need near 1.2 GiB,
+# about what ``MAX_EPOCHS`` epochs need. A larger count is rejected by name
+# before any seed is built.
 MAX_SEEDS = 10**4
 
 
@@ -72,10 +73,11 @@ class ExperimentParams:
     """Shared knobs for the experiment sweeps.
 
     ``case_spec`` divides by ``epochs`` and ``window``, ``CaseSpec.config``
-    hands the next four to ``SimConfig`` under other names, and cases II to
-    IV build a rate from one knob each, so these nine are checked here, each
-    by its own name. Case I's two knobs are checked where it builds its rate,
-    which goes below zero only at some sweep values.
+    hands the next four to ``SimConfig`` under other names, and each case
+    builds its rates from the rest, so all eleven are checked here, each by
+    its own name. Case I's self level ``case1_self_base - case1_self_tilt *
+    v`` is checked again where it is built, since it goes below zero only at
+    some sweep values.
     """
 
     epochs: int = 100
@@ -100,6 +102,8 @@ class ExperimentParams:
             ("ambient_drop", (int, float), "a number in [0, 1)", lambda v: 0 <= v < 1),
             ("energy_budget", int, "an int >= 0", lambda v: v >= 0),
             ("misbehavior_threshold", (int, float), "a number in (0, 1)", lambda v: 0 < v < 1),
+            ("case1_self_base", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
+            ("case1_self_tilt", (int, float), "a finite number", lambda v: -math.inf < v < math.inf),
             ("case2_self_multiplier", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
             ("case3_self_peak", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
             ("case4_neighbor_rate", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
@@ -228,27 +232,59 @@ def _running_totals(column: np.ndarray) -> list[float]:
     return np.cumsum(column, axis=-1)[:, -1].tolist()
 
 
-def _summarize_sweep(
-    case_id: str, algorithm: Policy, sweep_axis, plan: Schedule, seeds, generators
-) -> list[ResultRow]:
-    """One row per (sweep value, seed): the whole sweep is realized and classified in one pass."""
+# The config fields that ``_realize_sweep`` and ``_classify_windows`` read.
+_REALIZE_READS = attrgetter("base_drop_prob", "misbehavior_threshold", "window_epochs", "epochs")
+
+
+def _sweep_totals(plan: Schedule, generators) -> list[np.ndarray]:
+    """Forwarded and dropped self/neighbor totals and malicious fraction of each point and seed, ``(points, seeds)``."""
     config = plan.configs[0]
     forwarded, dropped = _realize_sweep(plan, generators)
     *_, malicious = _classify_windows(plan.offered[1], dropped[1], config.misbehavior_threshold, config.window_epochs)
+    return [column.sum(axis=-1) for column in (*forwarded, *dropped)] + [malicious]
+
+
+def _realized_as(first: Schedule, plan: Schedule) -> np.ndarray:
+    """Per point, whether ``plan`` gives the realize and the classifier all that ``first`` gives them."""
+    same = np.array([_REALIZE_READS(a) == _REALIZE_READS(b) for a, b in zip(first.configs, plan.configs)])
+    # A plan has one ``epochs``: when they differ, nothing matches and the columns do not line up.
+    if same.any():
+        for name in ("offered", "sent", "dropped_before_loss", "queued"):
+            for a, b in zip(getattr(first, name), getattr(plan, name)):
+                same &= (a == b).all(axis=-1)
+    return same
+
+
+def _reused_totals(first: Schedule, known: list[np.ndarray], plan: Schedule, generators) -> list[np.ndarray]:
+    """``_sweep_totals`` of ``plan``, taken from ``known``, those of ``first``, wherever a point realizes alike."""
+    rest = np.flatnonzero(~_realized_as(first, plan))
+    totals = [column.copy() for column in known]
+    if rest.size:
+        pairs = plan.offered, plan.sent, plan.dropped_before_loss, plan.queued, plan.times
+        subset = Schedule(tuple(plan.configs[k] for k in rest.tolist()), *(tuple(c[rest] for c in p) for p in pairs))
+        for column, realized in zip(totals, _sweep_totals(subset, generators)):
+            column[rest] = realized
+    return totals
+
+
+def _summarize_sweep(
+    case_id: str, algorithm: Policy, sweep_axis, plan: Schedule, seeds, totals: list[np.ndarray]
+) -> list[ResultRow]:
+    """One row per (sweep value, seed), from the sweep's schedule and its ``_sweep_totals``."""
+    config = plan.configs[0]
     # Seed-free: arrivals and the time split come from the schedule.
     offered_self, offered_nbr = (column.sum(axis=-1).tolist() for column in plan.offered)
     t_pp, t_np = map(_running_totals, plan.times)
     run_time = config.epochs * config.epoch_length
     epoch_window = f"0-{config.epochs - 1}"
-    per_seed = [column.sum(axis=-1).tolist() for column in (*forwarded, *dropped)]
-    del forwarded, dropped
+    per_seed = [column.tolist() for column in totals]
 
     rows = []
     for point, sweep_value in enumerate(sweep_axis):
         offered = offered_nbr[point]
         times = TimeBudget(t_pp=t_pp[point], t_np=t_np[point])
         for seed, forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious_fraction in zip(
-            seeds, *(column[point] for column in per_seed), malicious[point].tolist()
+            seeds, *(column[point] for column in per_seed)
         ):
             try:
                 utilization = utilization_node(
@@ -279,7 +315,16 @@ def _summarize_sweep(
 
 
 def run_case(spec: CaseSpec) -> ResultTable:
-    """Run the full (algorithm x sweep x seed) grid for one case."""
+    """Run the full (algorithm x sweep x seed) grid for one case.
+
+    The queue pass does not depend on the seed, so each algorithm's sweep is
+    scheduled once, one row per grid point. The first sweep is realized and
+    classified in one pass over every point and seed. Where a later sweep's
+    schedule gives that pass the same inputs as the first sweep's, the pass
+    would give the same per-seed totals, so they are reused, and only the
+    other points are realized. Each row keeps its own algorithm and time
+    split, and so its own utilization.
+    """
     if len(spec.seeds) > MAX_SEEDS:
         raise InvalidParameterError(f"seeds must number at most {MAX_SEEDS}, got {len(spec.seeds)}")
     for seed in spec.seeds:
@@ -289,13 +334,13 @@ def run_case(spec: CaseSpec) -> ResultTable:
         return ResultTable(rows=())
     generators = _seeded(spec.seeds)
     rows = []
+    first = None
     for algorithm in spec.algorithms:
-        configs = [spec.config(algorithm, sweep_value) for sweep_value in spec.sweep_axis]
-        # The queue pass does not depend on the seed: run it once per grid
-        # point, then realize and summarize every point and seed of the
-        # sweep in one pass.
-        plan = _schedule_sweep(configs)
-        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, generators))
+        plan = _schedule_sweep([spec.config(algorithm, sweep_value) for sweep_value in spec.sweep_axis])
+        if first is None:
+            first, known = plan, _sweep_totals(plan, generators)
+        totals = known if plan is first else _reused_totals(first, known, plan, generators)
+        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, totals))
     rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
     return ResultTable(rows=tuple(rows))
 

@@ -31,8 +31,10 @@ every seed of a grid point, and one realization pass serves a whole sweep:
 the losses of every grid point and seed fill one
 ``(points, seeds, 2 * epochs)`` array, and the forwarded and dropped
 columns, the conservation check and the classifier's window sums work along
-its last axis (``ctcsim.experiments.run_case`` realizes each sweep of a case
-that way). Each seed has one generator, seeded once; its seeded state is
+its last axis. ``ctcsim.experiments.run_case`` realizes the first sweep of a
+case that way, and of each later sweep only the points whose schedule
+differs from the first sweep's in what the pass reads; the others would
+realize to the same totals at every seed. Each seed has one generator, seeded once; its seeded state is
 restored before each grid point's draw, which starts the stream of
 ``np.random.default_rng(seed)`` without seeding anew. ``run`` and
 ``classify_misbehavior`` are the one-row case of that pass. Each row

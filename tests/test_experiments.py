@@ -142,6 +142,20 @@ def test_experiment_params_reject_a_case_rate_knob_by_its_own_name(knob):
                 spec.config(algorithm, sweep_value)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True])
+def test_experiment_params_reject_a_case1_knob_by_its_own_name(value):
+    # Infinities used to fail inside `RateFunction`, naming neither knob, and
+    # `True` was taken as 1.
+    for knob, rule in (("case1_self_base", "a finite number >= 0"), ("case1_self_tilt", "a finite number")):
+        with pytest.raises(InvalidParameterError, match=f"^{knob} must be {rule}, got {re.escape(repr(value))}$"):
+            run_case(case_spec("I", ExperimentParams(**{knob: value})))
+    for base, tilt in ((0, 0), (0.0, -1.5), (5e-324, -0.05), (10.0, 1e-3)):
+        spec = case_spec("I", ExperimentParams(case1_self_base=base, case1_self_tilt=tilt))
+        for algorithm in spec.algorithms:
+            for sweep_value in spec.sweep_axis:
+                spec.config(algorithm, sweep_value)
+
+
 def test_case1_negative_self_rate_names_the_case_its_knobs_and_the_sweep_value():
     # The level reaches zero at v = 7,100 and is negative past it; it used
     # to fail in `RateFunction` as `rate parameters must be >= 0`.
@@ -263,6 +277,58 @@ def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
     assert rows == _oracle_rows(spec)
 
 
+@pytest.fixture
+def realized(monkeypatch):
+    """The point-rows of each `_realize_sweep` call, spied on where `run_case` looks it up."""
+    calls = []
+    real_realize = experiments._realize_sweep
+
+    def counting_realize(plan, generators):
+        calls.append(len(plan.configs))
+        return real_realize(plan, generators)
+
+    monkeypatch.setattr(experiments, "_realize_sweep", counting_realize)
+    return calls
+
+
+# Per params: how many of the points v = 100, 500 and 1600 the default
+# algorithm pair realizes, per case, the first algorithm's three included.
+# At the defaults `dsr` schedules as `ctc` does at v <= 400 in case I, v <= 500
+# in case II and at every point of cases III and IV; with no energy `dsr`
+# gate-drops every neighbor packet, so it shares nothing; at a service rate
+# of 2,000 no load passes capacity, so it shares everything.
+_SHARING = {
+    "defaults": (DEFAULTS, {"I": 5, "II": 4, "III": 3, "IV": 3}),
+    "no energy": (ExperimentParams(energy_budget=0), {"I": 6, "II": 6, "III": 6, "IV": 6}),
+    "ample capacity": (ExperimentParams(service_rate=2000.0), {"I": 3, "II": 3, "III": 3, "IV": 3}),
+}
+
+
+@pytest.mark.parametrize("sharing", sorted(_SHARING))
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_run_case_rows_equal_each_algorithm_run_alone(case_id, sharing, realized):
+    # A one-algorithm spec has no earlier sweep to share with, so its rows are
+    # the oracle for the shared points of a two-algorithm spec.
+    params, realized_points = _SHARING[sharing]
+    spec = dataclasses.replace(case_spec(case_id, params), sweep_axis=(100, 500, 1600), seeds=(0, 9, 2**64 - 1))
+    alone = {algorithm: run_case(dataclasses.replace(spec, algorithms=(algorithm,))).rows for algorithm in Policy}
+    for algorithms in ((Policy.CTC, Policy.DSR), (Policy.DSR, Policy.CTC)):
+        realized.clear()
+        assert run_case(dataclasses.replace(spec, algorithms=algorithms)).rows == alone[Policy.CTC] + alone[Policy.DSR]
+        assert sum(realized) == realized_points[case_id]
+
+
+def test_run_case_default_grid_realizes_87_of_128_point_rows(realized):
+    # The other 41 are `dsr` points that schedule as `ctc` does, whose
+    # per-seed totals are taken from the `ctc` sweep.
+    per_case = []
+    for case_id in CASE_IDS:
+        realized.clear()
+        run_case(dataclasses.replace(case_spec(case_id), seeds=(0,)))
+        per_case.append(sum(realized))
+    assert per_case == [28, 27, 16, 16]
+
+
 def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():
     # One sweep is classified in one pass, each point against its own count
     # of qualifying windows: none at a zero neighbor rate, some at a light
@@ -331,6 +397,36 @@ def test_run_case_broken_schedule_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
     with pytest.raises(InvariantError, match="self-class conservation violated at the target, epoch 4"):
         run_case(_tiny_spec("III"))
+
+
+@pytest.mark.parametrize("column", ["offered", "sent", "dropped_before_loss", "queued"])
+def test_run_case_checks_a_later_sweep_broken_where_it_would_share(column, monkeypatch):
+    # Case III's `dsr` sweep schedules as `ctc` does at every point; broken in
+    # one column of one point, that point is no longer shared, and its realize
+    # names the break.
+    real_schedule = experiments._schedule_sweep
+
+    def broken_dsr_schedule(configs):
+        plan = real_schedule(configs)
+        if configs[0].policy is Policy.CTC:
+            return plan
+        self_column, nbr_column = getattr(plan, column)
+        nbr_column = nbr_column.copy()
+        nbr_column[1, 3] += 1
+        return dataclasses.replace(plan, **{column: (self_column, nbr_column)})
+
+    monkeypatch.setattr(experiments, "_schedule_sweep", broken_dsr_schedule)
+    with pytest.raises(InvariantError, match="^neighbor-class conservation violated at the target, epoch 3$"):
+        run_case(_tiny_spec("III"))
+
+
+def test_run_case_shares_no_point_whose_loss_or_classifier_settings_differ():
+    spec = _tiny_spec("III")
+    plan = experiments._schedule_sweep([spec.config(Policy.CTC, v) for v in spec.sweep_axis])
+    assert experiments._realized_as(plan, plan).all()
+    for field, value in (("base_drop_prob", 0.2), ("misbehavior_threshold", 0.5), ("window_epochs", 7), ("epochs", 99)):
+        other = experiments._schedule_sweep([dataclasses.replace(c, **{field: value}) for c in plan.configs])
+        assert not experiments._realized_as(plan, other).any()
 
 
 @pytest.mark.parametrize("seeds", [(-1,), (0, 2**64), (2**64 + 7,)])
