@@ -39,7 +39,7 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
-from .sim import _classify_windows, _realize_sweep, _schedule_sweep, _seeded
+from .sim import _classify_windows, _peak_rate, _realize_sweep, _schedule_sweep, _seeded
 from .utilization import PacketCounters, utilization_node
 
 __all__ = [
@@ -75,9 +75,11 @@ class ExperimentParams:
     ``case_spec`` divides by ``epochs`` and ``window``, ``CaseSpec.config``
     hands the next four to ``SimConfig`` under other names, and each case
     builds its rates from the rest, so all eleven are checked here, each by
-    its own name. Case I's self level ``case1_self_base - case1_self_tilt *
-    v`` is checked again where it is built, since it goes below zero only at
-    some sweep values.
+    its own name; a real knob given as an int must fit a float. Case I's self
+    level ``case1_self_base - case1_self_tilt * v`` is checked again where it
+    is built, since it goes below zero only at some sweep values, and each
+    rate a knob sets is checked against ``SimConfig``'s 2**53 bound on a
+    run's arrivals where it is built, since most depend on the sweep value.
     """
 
     epochs: int = 100
@@ -111,6 +113,13 @@ class ExperimentParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types) or not holds(value):
                 raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+            # A real knob given as an int past float range passes its rule
+            # and overflows where a case builds its rates from it.
+            if types is not int and isinstance(value, int):
+                try:
+                    float(value)
+                except OverflowError:
+                    raise InvalidParameterError(f"{name} is too large for a float") from None
 
 
 DEFAULTS = ExperimentParams()
@@ -154,16 +163,38 @@ def _decreasing(peak: float, epochs: int) -> RateFunction:
     return RateFunction(RateKind.LINEAR_DECREASING, peak, peak / epochs)
 
 
+_CASE1_SELF = "case I self rate case1_self_base - case1_self_tilt * v"
+
+
 def _case1_self(params: ExperimentParams, sweep_value: int) -> RateFunction:
     """Case I's self level, which tilts down the sweep axis and so can go below zero."""
     level = params.case1_self_base - params.case1_self_tilt * sweep_value
     if not level >= 0:
         base, tilt = params.case1_self_base, params.case1_self_tilt
         raise InvalidParameterError(
-            "case I self rate case1_self_base - case1_self_tilt * v must be >= 0; "
+            f"{_CASE1_SELF} must be >= 0; "
             f"at sweep value v = {sweep_value} it is {base!r} - {tilt!r} * {sweep_value} = {level!r}"
         )
     return RateFunction(RateKind.CONSTANT, level)
+
+
+def _knob_rate(knobs: str, epochs: int, rate_fn: Callable[[int], RateFunction]) -> Callable[[int], RateFunction]:
+    """``rate_fn``, rejecting by ``knobs``, the knobs that set it, a rate whose run arrivals pass 2**53.
+
+    ``SimConfig`` bounds each class's rounded peak rate times ``epochs`` by
+    2**53 and would name its own rate field instead.
+    """
+
+    def rate(sweep_value: int) -> RateFunction:
+        fn = rate_fn(sweep_value)
+        peak = _peak_rate(fn, epochs)
+        if not (math.isfinite(peak) and round(peak) * epochs <= 2**53):
+            raise InvalidParameterError(
+                f"{knobs}: {epochs} epochs at up to {peak:g} packets each pass 2**53 at sweep value v = {sweep_value}"
+            )
+        return fn
+
+    return rate
 
 
 def case_spec(case_id: str, params: ExperimentParams = DEFAULTS) -> CaseSpec:
@@ -174,29 +205,32 @@ def case_spec(case_id: str, params: ExperimentParams = DEFAULTS) -> CaseSpec:
         return CaseSpec(
             case_id,
             params,
-            self_rate_fn=lambda v: _case1_self(params, v),
+            self_rate_fn=_knob_rate(_CASE1_SELF, epochs, lambda v: _case1_self(params, v)),
             neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
         )
     if case_id == "II":
+        multiplier = params.case2_self_multiplier
+        self_rate = _knob_rate("case2_self_multiplier", epochs, lambda v: _increasing(multiplier * v / window, epochs))
         return CaseSpec(
             case_id,
             params,
-            self_rate_fn=lambda v: _increasing(params.case2_self_multiplier * v / window, epochs),
+            self_rate_fn=self_rate,
             neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
         )
     if case_id == "III":
         return CaseSpec(
             case_id,
             params,
-            self_rate_fn=lambda v: _decreasing(params.case3_self_peak, epochs),
+            self_rate_fn=_knob_rate("case3_self_peak", epochs, lambda v: _decreasing(params.case3_self_peak, epochs)),
             neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
         )
     if case_id == "IV":
+        constant = RateFunction(RateKind.CONSTANT, params.case4_neighbor_rate)
         return CaseSpec(
             case_id,
             params,
             self_rate_fn=lambda v: _increasing(v / window, epochs),
-            neighbor_rate_fn=lambda v: RateFunction(RateKind.CONSTANT, params.case4_neighbor_rate),
+            neighbor_rate_fn=_knob_rate("case4_neighbor_rate", epochs, lambda v: constant),
         )
     raise UnknownCaseError(f"unknown case id {case_id!r}; expected one of {', '.join(CASE_IDS)}")
 

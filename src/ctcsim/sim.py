@@ -34,14 +34,21 @@ columns, the conservation check and the classifier's window sums work along
 its last axis. ``ctcsim.experiments.run_case`` realizes the first sweep of a
 case that way, and of each later sweep only the points whose schedule
 differs from the first sweep's in what the pass reads; the others would
-realize to the same totals at every seed. Each seed has one generator, seeded once; its seeded state is
-restored before each grid point's draw, which starts the stream of
-``np.random.default_rng(seed)`` without seeding anew. ``run`` and
-``classify_misbehavior`` are the one-row case of that pass. Each row
-interleaves the pair ``sent``, the serviced self packets and the neighbor
-attempts, as ``[sent[0][e], sent[1][e]]`` per epoch, the order in which one
-scalar draw per class per epoch would consume the seed's stream, also when a
-count is zero, so the stream position never depends on load or policy.
+realize to the same totals at every seed. ``run`` and
+``classify_misbehavior`` are the one-row case of that pass.
+
+Each row of losses equals ``np.random.default_rng(seed).binomial`` over the
+row's counts: the pair ``sent``, the serviced self packets and the neighbor
+attempts, interleaved as ``[sent[0][e], sent[1][e]]`` per epoch, the order
+in which one scalar draw per class per epoch would consume the seed's
+stream, also when a count is zero, so the stream position never depends on
+load or policy. Each seed has one generator, seeded once; its seeded state
+is restored before each grid point's draw, which starts that stream without
+seeding anew. numpy draws a count with ``n * p <= 30`` by a loop of about
+``n * p`` steps a sample. A long row of such counts, few of them distinct,
+is drawn from numpy's own uniforms through a guide table per count instead,
+exact by construction (``_table_binomial``); every other row by
+``binomial`` itself.
 
 The engine never materializes a packet. Both policies keep each FIFO queue
 as one count: with ``A(e)`` a class's cumulative arrivals, ``D`` the
@@ -201,10 +208,11 @@ _INT64_MAX = 2**63 - 1
 _EXACT_MAX = 2**53
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, about 150 bytes per epoch at the peak (in ``_realize_sweep``;
-# ``_schedule_sweep`` peaks at 136 for ``ctc`` and 112 for ``dsr``;
-# tracemalloc at 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20),
-# so 10**7 epochs need near 1.4 GiB. A larger value is rejected by name at
+# memory, about 146 bytes per epoch at the peak (in ``run``, as it adds the
+# drop ratios; ``_realize_sweep`` peaks at 131 with the schedule it reads,
+# ``_schedule_sweep`` at 136 for ``ctc`` and 112 for ``dsr``; tracemalloc at
+# 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20, rates 300 and
+# 200), so 10**7 epochs need near 1.4 GiB. A larger value is rejected by name at
 # validation instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
@@ -212,6 +220,11 @@ MAX_EPOCHS = 10**7
 # bound its RSS grows by 25 to 34 MiB, the more the more digits each
 # source's count has.
 MAX_NEIGHBOR_COUNT = 10**5
+
+
+def _peak_rate(fn: RateFunction, epochs: int) -> float:
+    """The highest rate ``fn`` reaches over ``epochs`` epochs: at the last epoch if increasing, else at the first."""
+    return fn.rate(max(epochs - 1, 0) if fn.kind is RateKind.LINEAR_INCREASING else 0)
 
 
 @dataclass(frozen=True)
@@ -273,7 +286,7 @@ class SimConfig:
             raise InvalidConfigError("per-epoch capacity data_rate * epoch_length must be <= 2**53")
         arrivals = 0
         for name, fn in (("self_rate_fn", self.self_rate_fn), ("neighbor_rate_fn", self.neighbor_rate_fn)):
-            peak = fn.rate(max(self.epochs - 1, 0) if fn.kind is RateKind.LINEAR_INCREASING else 0)
+            peak = _peak_rate(fn, self.epochs)
             if not math.isfinite(peak) or round(peak) * self.epochs > _EXACT_MAX:
                 raise InvalidConfigError(f"{name}: {self.epochs} epochs at up to {peak:g} packets each pass 2**53")
             arrivals += round(peak) * self.epochs
@@ -580,23 +593,194 @@ def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
     ``np.random.default_rng(seed)`` is ``Generator(PCG64(seed))``, so restoring
     the seeded state, ``has_uint32`` and ``uinteger`` included, starts the
     same stream as seeding anew, at a sixth of the cost. The generator's
-    binomial set-up cache depends only on ``(n, p)``, so what a generator drew
-    before a restore cannot reach the draws after it.
+    binomial set-up cache depends only on ``(n, p)``, and the table sampler
+    reads only the raw stream, so what a generator drew before a restore
+    cannot reach the draws after it.
     """
     generators = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     return [(generator, generator.bit_generator.state) for generator in generators]
 
 
+# numpy's ``Generator.binomial`` draws a count ``n`` with ``0 < p <= 0.5``
+# and ``n * p <= 30`` by inversion (``random_binomial_inversion`` in numpy's
+# ``distributions.c``): one uniform ``U = (random_raw() >> 11) * 2**-53``,
+# then ``X = 0, px = q**n`` and, while ``U > px``, ``X += 1``, a fresh ``U``
+# once ``X`` passes ``bound``, else ``U -= px`` and ``px = (n - X + 1) * p *
+# px / (X * q)``. Its loop costs about ``n * p`` steps a sample.
+# ``_table_binomial`` draws a long row of such counts from the same uniforms
+# with a guide table per distinct count (Chen & Asau's discrete inversion):
+# ``X`` is the number of the loop's cumulative thresholds below ``U``.
+#
+# Bucket bits of the guide table: 2**10 buckets of the 53-bit uniform per
+# distinct count, 16 KiB. At ``trace_deep``'s ``p = 0.05`` only the first and
+# the last bucket hold two thresholds or more, so about 2 samples in 1,024
+# take ``searchsorted``. Tables included, that row took 3.21 ms (median of
+# 25), and 3.24, 3.33 and 3.83 ms with 2**8, 2**12 and 2**14 buckets.
+_TABLE_BITS = 10
+# Half-width, in units of 2**-53, of the band around each threshold inside
+# which ``_invert`` re-decides a sample. A step of the loop's ``U -= px``
+# rounds by at most half a unit and one of the table's running sum by at
+# most one, so outside ``1.5 * bound + 2`` units of every threshold (130 at
+# the largest ``bound``, 85, as ``n * p <= 30``) the two decide alike. 2**12
+# is 30 times that and still sends only about one sample in 10**10 to
+# ``_invert``.
+_GUARD = 2**12
+# Samples per chunk. 2**14 keeps a chunk's temporaries near 1 MiB, in cache;
+# 2**15 and 2**16 drew ``trace_deep``'s row 9% and 30% slower.
+_CHUNK = 2**14
+# What a row needs to take the table sampler: ``_ROW_GATE`` nonzero counts
+# per distinct count, and numpy's loop ``_MIN_STEPS`` steps per count on
+# average (``n * p`` summed over the row, zeros included). numpy takes 16 ns
+# a sample at ``n * p = 0.05``, 40 at 1, 145 at 15 and 260 at 30, about 8 ns
+# a step; the table sampler 15 to 22 ns at any ``n * p``, plus 50 to 100 us
+# per table and 3 ns a count to find the distinct ones. At 2 steps and 4096
+# samples a table saves about 95 us against its 55 us.
+_ROW_GATE = 4096
+_MIN_STEPS = 2
+# The ``X`` of a bucket that ``_table_binomial`` leaves to ``searchsorted``.
+_WIDE = 2**40
+
+
+def _inversion(n: int, p: float) -> tuple[float, float, int]:
+    """``q``, ``q**n`` and ``bound`` of numpy's inversion sampler at ``(n, p)``, each as its C code computes it.
+
+    ``math.exp`` and ``math.log`` are the C library's, as numpy's are.
+    """
+    q = 1.0 - p
+    mean = n * p
+    return q, math.exp(n * math.log(q)), int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+
+
+def _invert(n: int, p: float, m: int) -> int | None:
+    """numpy's inversion loop from the uniform ``m * 2**-53``; None where numpy would draw another uniform."""
+    q, px, bound = _inversion(n, p)
+    x, u = 0, m * 2**-53
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _thresholds(n: int, p: float) -> np.ndarray:
+    """``floor(2**53 * (px_0 + ... + px_k))`` for ``k = 0 .. bound``, the loop's ``px`` in its own float order.
+
+    A uniform ``m * 2**-53`` more than ``_GUARD`` units from every threshold
+    draws the number of thresholds below ``m``; past the last one numpy
+    draws another uniform.
+    """
+    q, px, bound = _inversion(n, p)
+    total, thresholds = 0.0, []
+    for x in range(1, bound + 2):
+        total += px
+        thresholds.append(math.floor(total * 2**53))
+        px = ((n - x + 1) * p * px) / (x * q)
+    return np.array(thresholds, np.int64)
+
+
+def _guide(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bucket's lowest ``X`` and the threshold it may step over, less ``_GUARD``.
+
+    Bucket ``b`` holds the ``m`` with ``m >> (53 - _TABLE_BITS) == b``.
+    Widened by ``_GUARD`` on each side, it holds no threshold (2**62 stands
+    in for one), one (the sample steps over it when ``m`` is above it and is
+    re-decided within ``_GUARD`` of it), or it holds more or reaches the
+    last threshold: then its ``X`` is ``_WIDE``.
+    """
+    width = 1 << (53 - _TABLE_BITS)
+    starts = np.arange(1 << _TABLE_BITS, dtype=np.int64) * width
+    below = np.searchsorted(thresholds, starts - _GUARD)
+    through = np.searchsorted(thresholds, starts + (width - 1 + _GUARD), side="right")
+    inside = through - below
+    low = np.where(inside == 1, thresholds[np.minimum(below, thresholds.size - 1)] - _GUARD, 2**62)
+    return np.where((inside > 1) | (through == thresholds.size), _WIDE, below), low
+
+
+def _tables(counts: np.ndarray, p: float):
+    """What ``_table_binomial`` draws ``counts`` at ``p`` with, or None where the row keeps numpy's call.
+
+    A row qualifies when numpy inverts every count (``0 < p <= 0.5``, ``n *
+    p <= 30``), its loop takes ``_MIN_STEPS`` steps a count on average and
+    the row holds ``_ROW_GATE`` nonzero counts per distinct one; ``bincount``
+    finds them when the largest count is below the row's length. Returns
+    the table offset of each count, every table's ``X`` and lowered
+    threshold (see ``_guide``), and each distinct count with its thresholds
+    padded by -2**62 and 2**62.
+    """
+    if not (0.0 < p <= 0.5 and counts.size >= _ROW_GATE):
+        return None
+    top = int(counts.max())
+    if top * p > 30.0 or top >= counts.size or int(counts.sum()) * p < _MIN_STEPS * counts.size:
+        return None
+    present = np.bincount(counts)
+    distinct = (np.flatnonzero(present[1:]) + 1).tolist()
+    if not distinct or counts.size - present[0] < _ROW_GATE * len(distinct):
+        return None
+    offsets = np.zeros(top + 1, np.int64)
+    offsets[distinct] = np.arange(len(distinct)) << _TABLE_BITS
+    padded = [(n, np.concatenate([[-(2**62)], _thresholds(n, p), [2**62]])) for n in distinct]
+    base, low = (np.concatenate(parts) for parts in zip(*(_guide(thresholds[1:-1]) for _, thresholds in padded)))
+    return offsets, base, low, padded
+
+
+def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.Generator, out: np.ndarray) -> bool:
+    """Write numpy's ``generator.binomial(counts, p)`` into ``out``; False where numpy would draw another uniform.
+
+    One uniform per nonzero count, in order, from ``random_raw``, the stream
+    numpy's ``next_double`` reads. Each sample's bucket gives its ``X``,
+    stepped over the bucket's one threshold. A sample in a ``_WIDE`` bucket
+    or within ``_GUARD`` of a threshold is decided at the end by
+    ``searchsorted`` and, near a threshold, by ``_invert``. False leaves
+    ``out`` and the generator's state undefined.
+    """
+    offsets, base, low, padded = tables
+    out.fill(0)
+    odd = []
+    for start in range(0, counts.size, _CHUNK):
+        chunk = counts[start : start + _CHUNK]
+        nonzero = np.flatnonzero(chunk != 0)
+        n = chunk.take(nonzero)
+        m = (generator.bit_generator.random_raw(n.size) >> np.uint64(11)).view(np.int64)
+        index = offsets.take(n)
+        index += m >> (53 - _TABLE_BITS)
+        over = m - low.take(index)
+        x = base.take(index)
+        x += over > _GUARD
+        out[start : start + _CHUNK][nonzero] = x
+        redo = np.flatnonzero((over.view(np.uint64) <= 2 * _GUARD) | (x >= _WIDE))
+        odd.append((start + nonzero[redo], index[redo] >> _TABLE_BITS, m[redo]))
+    positions, groups, uniforms = (np.concatenate(parts) for parts in zip(*odd))
+    for group in set(groups.tolist()):
+        n, thresholds = padded[group]
+        bound = thresholds.size - 3
+        mine = groups == group
+        m = uniforms[mine]
+        # ``thresholds[x]`` is the last threshold below ``m``, ``thresholds[x + 1]`` the first one above.
+        x = np.searchsorted(thresholds, m) - 1
+        near = (m - thresholds[x] <= _GUARD) | (thresholds[x + 1] - m <= _GUARD)
+        for i in np.flatnonzero(near).tolist():
+            decided = _invert(n, p, int(m[i]))
+            x[i] = bound + 1 if decided is None else decided
+        if (x > bound).any():
+            return False
+        out[positions[mine]] = x
+    return True
+
+
 def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     """Ambient losses of each seed over each row of a schedule, ``(points, seeds, 2 * epochs)``.
 
-    Row ``[k, i]`` is ``np.random.default_rng(seeds[i]).binomial`` over
+    Row ``[k, i]`` equals ``np.random.default_rng(seeds[i]).binomial`` over
     ``sent`` interleaved, ``[sent[0][k, 0], sent[1][k, 0], sent[0][k, 1],
     ...]``, at ``configs[k].base_drop_prob``, drawn after restoring the seeded
     state of ``generators[i]`` (see ``_seeded``): one coin per transmitted
     packet, drawn as one binomial per class per epoch, self first, the order
     in which one scalar draw per class per epoch would consume each seed's
-    stream.
+    stream. A row that ``_tables`` admits is drawn by ``_table_binomial``
+    from numpy's own uniforms; the others, and a row in which numpy would
+    draw a sample again, by ``generator.binomial`` itself.
     """
     points, epochs = plan.sent[0].shape
     sent = np.empty((points, 2 * epochs), dtype=np.int64)
@@ -604,9 +788,14 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
     for point, counts, config in zip(lost, sent, plan.configs):
         p = config.base_drop_prob
+        tables = _tables(counts, p)
         for row, (generator, seeded) in zip(point, generators):
             generator.bit_generator.state = seeded
-            row[:] = generator.binomial(counts, p)
+            if tables is None:
+                row[:] = generator.binomial(counts, p)
+            elif not _table_binomial(counts, p, tables, generator, row):
+                generator.bit_generator.state = seeded
+                row[:] = generator.binomial(counts, p)
     return lost
 
 

@@ -3,8 +3,18 @@
 "Power" here is a work rate in packets per second, not wattage: how fast a
 node pushes out its own packets (over t_pp) and forwards neighbor packets
 (over t_np), relative to how fast neighbor packets arrive. Utilization is the
-ratio of outgoing to incoming work rate; a perfectly cooperative relay sits
-at 1.0 and a selfish node below it.
+ratio of outgoing to incoming work rate,
+
+    U = (k_pout/t_pp + k_nout/t_np) / (k_nin/t_np)
+      = k_nout/k_nin + (k_pout/k_nin) * (t_np/t_pp),
+
+the share of received neighbor packets forwarded, at most 1, plus the own
+packets sent per neighbor packet received, weighted by the ratio of relay
+time to own time, which has no upper bound. It is 1.0 for a node that
+forwards all it receives and sends nothing of its own, but it does not rank
+cooperation: own traffic lifts it above 1 even while relay traffic is
+dropped. Over the default experiment grid it reads 0.936 to 3.065 under
+``ctc`` and 0.625 to 34.552 under ``dsr``.
 
 The total over routes is computed two independent ways, as a ratio of rates
 and in a factored form, and the two must agree; this redundancy is part of

@@ -156,6 +156,50 @@ def test_experiment_params_reject_a_case1_knob_by_its_own_name(value):
                 spec.config(algorithm, sweep_value)
 
 
+@pytest.mark.parametrize(
+    "knob, value", [("case3_self_peak", 10**400), ("case1_self_tilt", -(10**400))], ids=["peak", "tilt"]
+)
+def test_experiment_params_reject_an_int_past_float_range_by_its_knob(knob, value):
+    # It used to pass, and `case_spec(...).config(...)` then raised a bare
+    # OverflowError where the case built its rate.
+    with pytest.raises(InvalidParameterError, match=f"^{knob} is too large for a float$"):
+        ExperimentParams(**{knob: value})
+
+
+# Per knob: its case and the knobs its rate error names.
+_RATE_KNOBS = {
+    "case1_self_base": ("I", "case I self rate case1_self_base - case1_self_tilt * v"),
+    "case2_self_multiplier": ("II", "case2_self_multiplier"),
+    "case3_self_peak": ("III", "case3_self_peak"),
+    "case4_neighbor_rate": ("IV", "case4_neighbor_rate"),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(_RATE_KNOBS))
+def test_a_knob_rate_past_2_53_arrivals_names_the_knob(knob):
+    # `SimConfig` bounds a run's arrivals of each class by 2**53 and used to
+    # name its own rate field, e.g. `neighbor_rate_fn` for
+    # `case4_neighbor_rate=1e30`.
+    case_id, knobs = _RATE_KNOBS[knob]
+    spec = case_spec(case_id, ExperimentParams(**{knob: 1e30}))
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(knobs)}: 100 epochs at up to .* pass 2\\*\\*53"):
+        spec.config(Policy.CTC, 100)
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(knobs)}: "):
+        run_case(spec)
+
+
+def test_a_constant_knob_rate_is_accepted_up_to_2_53_arrivals():
+    # 8 epochs at round(rate) packets each: 2**50 reaches 2**53, one more passes it.
+    for knob, case_id in (("case3_self_peak", "III"), ("case4_neighbor_rate", "IV")):
+        for value, fits in ((2**50, True), (2**50 + 1, False)):
+            spec = case_spec(case_id, ExperimentParams(epochs=8, window=1, **{knob: value}))
+            if fits:
+                spec.config(Policy.DSR, 1600)
+            else:
+                with pytest.raises(InvalidParameterError, match=f"^{knob}: "):
+                    spec.config(Policy.DSR, 1600)
+
+
 def test_case1_negative_self_rate_names_the_case_its_knobs_and_the_sweep_value():
     # The level reaches zero at v = 7,100 and is negative past it; it used
     # to fail in `RateFunction` as `rate parameters must be >= 0`.
@@ -327,6 +371,18 @@ def test_run_case_default_grid_realizes_87_of_128_point_rows(realized):
         run_case(dataclasses.replace(case_spec(case_id), seeds=(0,)))
         per_case.append(sum(realized))
     assert per_case == [28, 27, 16, 16]
+
+
+def test_run_case_grid_draws_each_realized_row_by_one_numpy_binomial_call(realized, binomial_calls):
+    # A grid row is 200 counts, too short for the table sampler, and case II
+    # overloads the node, so its rows hold counts numpy draws by BTPE
+    # (n * p > 30). Each realized point-row and seed is one `binomial` call.
+    spec = dataclasses.replace(case_spec("II"), seeds=(0, 5))
+    plan = experiments._schedule_sweep([spec.config(Policy.CTC, v) for v in spec.sweep_axis])
+    assert max(column.max() for column in plan.sent) * spec.params.ambient_drop > 30
+    run_case(spec)
+    assert sum(realized) == 27
+    assert binomial_calls == [2 * spec.params.epochs] * 27 * len(spec.seeds)
 
 
 def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():

@@ -840,7 +840,10 @@ def _extreme_configs(draw):
         epochs = draw(st.integers(512, 1000))
         deadline = epochs + draw(st.integers(-12, 2))
         bound = min(2**53, (2**63 - 1) // (min(deadline, epochs) + 2) // 2) // epochs
-    scale = draw(st.one_of(st.just(float(bound)), st.floats(40, math.log2(bound)).map(lambda x: 2.0**x)))
+    # 2.0**log2(bound) can round past the bound (at epochs 3, 5 and 6), which
+    # validation rejects, so the power is capped at it.
+    power = st.floats(40, math.log2(bound)).map(lambda x: min(2.0**x, float(bound)))
+    scale = draw(st.one_of(st.just(float(bound)), power))
     factor = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0]), st.integers(0, 60).map(lambda n: n / scale))
 
     def rate_fn():
@@ -1112,6 +1115,148 @@ def test_shared_generators_draw_what_fresh_ones_do(p):
             sent = np.ravel([serviced, attempts], order="F")
             for row, seed in zip(point, seeds):
                 assert row.tolist() == np.random.default_rng(seed).binomial(sent, config.base_drop_prob).tolist()
+
+
+def _loss_plan(counts, p):
+    """A one-point schedule whose interleaved ``sent`` row is ``counts``, drawn at ``p``; no other column is read."""
+    counts = np.asarray(counts, np.int64)
+    pair = (counts[None, 0::2], counts[None, 1::2])
+    config = SimConfig(epochs=counts.size // 2, base_drop_prob=p)
+    return Schedule((config,), pair, pair, pair, pair, pair)
+
+
+@st.composite
+def long_loss_rows(draw):
+    """``p`` in (0, 0.5] and a long row of a few distinct counts, up to and past ``floor(30 / p)``, with zeros."""
+    p = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    limit = math.floor(min(30 / p, 2.0**40)) + 2
+    near_limit = st.integers(max(limit - 4, 1), limit)
+    values = draw(st.lists(st.integers(1, limit) | near_limit, min_size=1, max_size=3))
+    zero_share = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    size = 2 * draw(st.integers(6200, 8000))
+    layout = np.random.default_rng(draw(st.integers(0, 2**32)))
+    counts = layout.choice(np.array(values, np.int64), size)
+    counts[layout.random(size) < zero_share] = 0
+    return p, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=long_loss_rows(), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2))
+@example(row=(0.05, np.tile([300, 120, 300, 0], 3500)), seeds=[0, 2**64 - 1])
+@example(row=(0.15, np.tile([200, 0, 201, 37, 1, 0], 2500)), seeds=[2**64 - 1])
+@example(row=(0.5, np.tile([60, 59, 0, 61, 1], 3000)), seeds=[0, 1])
+def test_draw_losses_is_numpys_binomial_on_long_rows(row, seeds):
+    # A long row of few distinct counts, each inverted by numpy (n * p <= 30),
+    # is drawn by the table sampler; any other row by numpy's own call. Both
+    # must give numpy's stream.
+    p, counts = row
+    lost = _draw_losses(_loss_plan(counts, p), _seeded(seeds))
+    for drawn, seed in zip(lost[0], seeds, strict=True):
+        assert drawn.tolist() == np.random.default_rng(seed).binomial(counts, p).tolist()
+
+
+# Rows the table sampler takes: `trace_deep`'s three counts, counts up to
+# 30 / p at p = 0.15 and the count 60 = 30 / p at p = 0.5.
+_TABLE_ROWS = [
+    (0.05, np.tile([300, 120, 300, 0], 3000)),
+    (0.15, np.tile([200, 0, 3, 1, 150], 4096)),
+    (0.5, np.tile([60, 0], 6000)),
+]
+
+
+@pytest.mark.parametrize("p, counts", _TABLE_ROWS)
+@pytest.mark.parametrize("guard", [2**60, 2**40], ids=["every_sample", "eighth_bucket"])
+def test_table_sampler_redecides_every_sample_inside_a_widened_guard_band(monkeypatch, p, counts, guard):
+    # Widened, the band holds samples: at 2**60 every one, at 2**40, an
+    # eighth of a bucket, those in single-threshold buckets too. Each sample
+    # within `guard` of a threshold must be decided by `_invert`, numpy's
+    # loop transcribed, and the row must still be numpy's.
+    assert sim._tables(counts, p) is not None
+    decided = []
+    real_invert = sim._invert
+
+    def counting_invert(n, p, m):
+        decided.append((n, m))
+        return real_invert(n, p, m)
+
+    monkeypatch.setattr(sim, "_GUARD", guard)
+    monkeypatch.setattr(sim, "_invert", counting_invert)
+    seeds = (0, 2**64 - 1)
+    lost = _draw_losses(_loss_plan(counts, p), _seeded(seeds))
+    thresholds = {n: sim._thresholds(n, p) for n in set(counts.tolist())}
+    nonzero = counts[counts != 0].tolist()
+    near = []
+    for seed in seeds:
+        uniforms = (np.random.default_rng(seed).bit_generator.random_raw(len(nonzero)) >> np.uint64(11)).tolist()
+        near += [(n, m) for n, m in zip(nonzero, uniforms) if np.abs(thresholds[n] - m).min() <= guard]
+    assert 0 < len(near) and sorted(decided) == sorted(near)
+    for drawn, seed in zip(lost[0], seeds):
+        assert drawn.tolist() == np.random.default_rng(seed).binomial(counts, p).tolist()
+
+
+@pytest.mark.parametrize("p, counts", _TABLE_ROWS)
+def test_table_binomial_writes_every_sample_and_a_zero_for_each_zero_count(p, counts):
+    # `_draw_losses` hands it a row of `np.empty`, so no position may be left as found.
+    generator, _ = _seeded((11,))[0]
+    out = np.full(counts.size, -1, np.int64)
+    assert sim._table_binomial(counts, p, sim._tables(counts, p), generator, out)
+    assert out.tolist() == np.random.default_rng(11).binomial(counts, p).tolist()
+
+
+@pytest.mark.parametrize("p, counts", _TABLE_ROWS)
+@pytest.mark.parametrize("where", ["searchsorted", "invert"])
+def test_table_sampler_gives_a_row_with_a_sample_past_bound_to_numpy(monkeypatch, binomial_calls, p, counts, where):
+    # numpy draws a fresh uniform for a sample past `bound`, which shifts the
+    # rest of the row, so such a row is drawn again by numpy from the seeded
+    # state. Past `bound` is reported by thresholds cut short (the samples
+    # above the one left take `searchsorted`) or by `_invert` in the band.
+    if where == "searchsorted":
+        real_thresholds = sim._thresholds
+        monkeypatch.setattr(sim, "_thresholds", lambda n, p: real_thresholds(n, p)[:1])
+    else:
+        real_invert = sim._invert
+        calls = []
+
+        def invert_past_bound_once(n, p, m):
+            calls.append(m)
+            return None if len(calls) == 100 else real_invert(n, p, m)
+
+        monkeypatch.setattr(sim, "_GUARD", 2**60)
+        monkeypatch.setattr(sim, "_invert", invert_past_bound_once)
+    lost = _draw_losses(_loss_plan(counts, p), sim._seeded((7,)))
+    assert binomial_calls == [counts.size]
+    assert lost[0, 0].tolist() == np.random.default_rng(7).binomial(counts, p).tolist()
+
+
+def test_table_sampler_takes_only_long_rows_that_numpy_inverts():
+    deep = np.tile([300, 120], 4096)
+    assert sim._tables(deep, 0.05) is not None
+    assert sim._tables(deep[:8190], 0.05) is None  # fewer than 4096 samples per count
+    assert sim._tables(np.append(deep, 601), 0.05) is None  # 601 * 0.05 > 30: BTPE
+    assert sim._tables(deep, 0.55) is None  # numpy inverts 1 - p
+    assert sim._tables(deep, 0.0) is None  # numpy draws nothing
+    assert sim._tables(np.tile([20, 1], 8192), 0.05) is None  # about half a step of numpy's loop a count
+    assert sim._tables(np.tile([60, 20], 8192), 0.05) is not None  # two steps a count
+    assert sim._tables(np.zeros(10**4, np.int64), 0.05) is None
+    assert sim._tables(np.tile([1, 2, 3, 10**5], 4096), 3e-4) is None  # a count past the row's length
+
+
+def test_long_dsr_run_draws_its_losses_without_numpys_binomial(binomial_calls):
+    # `trace_deep` scaled down: two distinct counts (300 self, 120 neighbor
+    # until the budget runs out at epoch 4,000, then 0), each inverted.
+    cfg = SimConfig(
+        epochs=8000, neighbor_count=1, data_rate=420.0, policy=Policy.DSR, deadline_epochs=20,
+        energy_budget=480_000, self_rate_fn=constant(300), neighbor_rate_fn=constant(200), seed=3,
+    )
+    trace = run(cfg)
+    assert binomial_calls == []
+    assert trace.forwarded_neighbor[4000:].sum() == 0 < trace.forwarded_neighbor[:4000].sum()
+    plan = _schedule_sweep([cfg])
+    sent = np.ravel([plan.sent[0][0], plan.sent[1][0]], order="F")
+    assert sorted(set(sent.tolist())) == [0, 120, 300]
+    lost = _draw_losses(plan, sim._seeded((3,)))
+    assert binomial_calls == []
+    assert lost[0, 0].tolist() == np.random.default_rng(3).binomial(sent, 0.05).tolist()
 
 
 def test_realize_names_first_epoch_that_breaks_conservation(monkeypatch):
