@@ -159,13 +159,11 @@ def _cmd_exp_all(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {}
     for case_id in CASE_IDS:
-        table = run_case(_spec_for(case_id, "both", args.seeds, args.seed))
-        tables[case_id] = table
+        tables[case_id] = table = run_case(_spec_for(case_id, "both", args.seeds, args.seed))
         emit_csv(table, out_dir / f"case_{case_id}.csv")
         print(f"case {case_id}: {len(table.rows)} rows -> case_{case_id}.csv")
-    all_tables = list(tables.values())
     for figure_id in range(1, 7):
-        series = figure_series(all_tables, figure_id)
+        series = figure_series(list(tables.values()), figure_id)
         emit_figure_csv(series, out_dir / f"fig_{figure_id}.csv")
         print(f"fig_{figure_id}.csv: {sum(len(s.points) for s in series)} points")
     # Per-case derived curves, for inspection alongside the pooled figures.

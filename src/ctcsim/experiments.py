@@ -36,7 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParameterError, NoInputError, UnknownCaseError, ZeroTimeError
+from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError
+from .errors import NoInputError, UnknownCaseError, ZeroTimeError
 from .model import TimeBudget
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
 from .sim import _classify_windows, _peak_rate, _realize_sweep, _schedule_sweep, _seeded
@@ -61,10 +62,10 @@ __all__ = [
 CASE_IDS = ("I", "II", "III", "IV")
 # Upper bound on the seeds of one case. A case holds the losses, forwarded
 # and dropped columns and result rows of every point and seed: ``exp all`` at
-# the default grid peaks at 37, 47.5, 81 and 149 MiB of RSS at 10, 100, 400
-# and 1,000 seeds, about 0.11 MiB per seed, so 10**4 seeds need near 1.2 GiB,
-# about what ``MAX_EPOCHS`` epochs need. A larger count is rejected by name
-# before any seed is built.
+# the default grid peaks at 37, 46, 76 and 136 MiB of RSS at 10, 100, 400
+# and 1,000 seeds, about 0.10 MiB per seed, so 10**4 seeds need near 1 GiB,
+# a little less than ``MAX_EPOCHS`` epochs need. A larger count is rejected
+# by name before any seed is built.
 MAX_SEEDS = 10**4
 
 
@@ -179,19 +180,22 @@ def _case1_self(params: ExperimentParams, sweep_value: int) -> RateFunction:
 
 
 def _knob_rate(knobs: str, epochs: int, rate_fn: Callable[[int], RateFunction]) -> Callable[[int], RateFunction]:
-    """``rate_fn``, rejecting by ``knobs``, the knobs that set it, a rate whose run arrivals pass 2**53.
+    """``rate_fn``, rejecting an invalid rate by ``knobs``, the knobs that set it, and the sweep value.
 
-    ``SimConfig`` bounds each class's rounded peak rate times ``epochs`` by
-    2**53 and would name its own rate field instead.
+    A finite knob can overflow to infinity in the rate, which
+    ``RateFunction`` rejects naming no knob. ``SimConfig`` bounds each
+    class's rounded peak rate times ``epochs`` by 2**53 and would name its
+    own rate field instead.
     """
 
     def rate(sweep_value: int) -> RateFunction:
-        fn = rate_fn(sweep_value)
-        peak = _peak_rate(fn, epochs)
-        if not (math.isfinite(peak) and round(peak) * epochs <= 2**53):
-            raise InvalidParameterError(
-                f"{knobs}: {epochs} epochs at up to {peak:g} packets each pass 2**53 at sweep value v = {sweep_value}"
-            )
+        try:
+            fn = rate_fn(sweep_value)
+            peak = _peak_rate(fn, epochs)
+            if not (math.isfinite(peak) and round(peak) * epochs <= 2**53):
+                raise InvalidConfigError(f"{epochs} epochs at up to {peak:g} packets each pass 2**53")
+        except InvalidConfigError as exc:
+            raise InvalidParameterError(f"{knobs}: {exc} at sweep value v = {sweep_value}") from None
         return fn
 
     return rate
@@ -283,9 +287,9 @@ def _realized_as(first: Schedule, plan: Schedule) -> np.ndarray:
     same = np.array([_REALIZE_READS(a) == _REALIZE_READS(b) for a, b in zip(first.configs, plan.configs)])
     # A plan has one ``epochs``: when they differ, nothing matches and the columns do not line up.
     if same.any():
-        for name in ("offered", "sent", "dropped_before_loss", "queued"):
-            for a, b in zip(getattr(first, name), getattr(plan, name)):
-                same &= (a == b).all(axis=-1)
+        # The draw reads ``sent``, the dropped columns ``dropped_before_loss``, the classifier ``offered[1]``.
+        for a, b in zip(*((*s.sent, *s.dropped_before_loss, s.offered[1]) for s in (first, plan))):
+            same &= (a == b).all(axis=-1)
     return same
 
 
@@ -401,13 +405,15 @@ def derive_case_v(tables: Sequence[ResultTable], bucket_width: float = 0.05) -> 
     the bin ``int(drop_ratio // bucket_width)``. Bins with no rows are
     omitted. Returns one curve per algorithm present, sorted by name.
     """
-    if bucket_width <= 0:
-        raise InvalidParameterError(f"bucket_width must be > 0, got {bucket_width}")
+    if not 0 < bucket_width < math.inf:
+        raise InvalidParameterError(f"bucket_width must be a finite number > 0, got {bucket_width}")
     pooled: dict[str, dict[int, list[float]]] = {}
     for table in tables:
         for row in table.rows:
-            index = int(row.drop_ratio // bucket_width)
-            pooled.setdefault(row.algorithm, {}).setdefault(index, []).append(row.malicious_fraction)
+            index = row.drop_ratio // bucket_width
+            if not math.isfinite(index):
+                raise InvalidParameterError(f"bucket_width {bucket_width}: drop ratio {row.drop_ratio} has no bucket")
+            pooled.setdefault(row.algorithm, {}).setdefault(int(index), []).append(row.malicious_fraction)
     if not pooled:
         raise EmptyInputError("no result rows to derive from")
     curves = []

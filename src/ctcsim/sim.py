@@ -26,16 +26,17 @@ each per-class quantity as one ``(self, neighbor)`` pair of columns, in the
 order of ``Trace``'s fields (see ``Schedule``). Splitting the stages is
 exact because a lost packet has already left its queue: loss moves a
 transmitted packet from "forwarded" to "dropped" and feeds back into nothing
-the next epoch reads (queues, backlogs, energy). So one schedule serves
-every seed of a grid point, and one realization pass serves a whole sweep:
-the losses of every grid point and seed fill one
-``(points, seeds, 2 * epochs)`` array, and the forwarded and dropped
-columns, the conservation check and the classifier's window sums work along
-its last axis. ``ctcsim.experiments.run_case`` realizes the first sweep of a
-case that way, and of each later sweep only the points whose schedule
-differs from the first sweep's in what the pass reads; the others would
-realize to the same totals at every seed. ``run`` and
-``classify_misbehavior`` are the one-row case of that pass.
+the next epoch reads (queues, backlogs, energy). So packet conservation is
+checked once per schedule row, when the ``Schedule`` is built, and holds at
+every seed. One schedule serves every seed of a grid point, and one
+realization pass serves a whole sweep: the losses of every grid point and
+seed fill one ``(points, seeds, 2 * epochs)`` array, and the forwarded and
+dropped columns and the classifier's window sums work along its last axis.
+``ctcsim.experiments.run_case`` realizes the first sweep of a case that
+way, and of each later sweep only the points whose schedule differs from the
+first sweep's in what the pass reads; the others would realize to the same
+totals at every seed. ``run`` and ``classify_misbehavior`` are the one-row
+case of that pass.
 
 Each row of losses equals ``np.random.default_rng(seed).binomial`` over the
 row's counts: the pair ``sent``, the serviced self packets and the neighbor
@@ -209,7 +210,7 @@ _EXACT_MAX = 2**53
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
 # memory, about 146 bytes per epoch at the peak (in ``run``, as it adds the
-# drop ratios; ``_realize_sweep`` peaks at 131 with the schedule it reads,
+# drop ratios; ``_realize_sweep`` peaks at 113 with the schedule it reads,
 # ``_schedule_sweep`` at 136 for ``ctc`` and 112 for ``dsr``; tracemalloc at
 # 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20, rates 300 and
 # 200), so 10**7 epochs need near 1.4 GiB. A larger value is rejected by name at
@@ -408,6 +409,15 @@ class Schedule:
     expiry, plus ``dsr`` gate drops on the neighbor side. ``queued`` is the
     end-of-epoch queue depth and ``times`` is ``(t_pp, t_np)``. Counts are
     int64, times float64.
+
+    Every schedule conserves packets: per class and row, the packets offered
+    by the end of each epoch are those sent or dropped before the coin by
+    then plus those queued, ``cumsum(offered) == cumsum(sent +
+    dropped_before_loss) + queued``. A lost packet only moves from forwarded
+    to dropped, so the realized columns conserve at every seed. A schedule
+    that breaks this raises ``InvariantError`` when it is built, naming the
+    class and epoch of the first failure: first row first, self before
+    neighbor at the same epoch.
     """
 
     configs: tuple[SimConfig, ...]
@@ -416,6 +426,25 @@ class Schedule:
     dropped_before_loss: tuple[np.ndarray, np.ndarray]
     queued: tuple[np.ndarray, np.ndarray]
     times: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        classes = zip(self.offered, self.sent, self.dropped_before_loss, self.queued)
+        # The first failure in row, then epoch, then class order.
+        first, k = min((_first_unconserved(*columns), k) for k, columns in enumerate(classes))
+        if first < self.offered[0].size:
+            epoch = first % self.offered[0].shape[-1]
+            raise InvariantError(f"{('self', 'neighbor')[k]}-class conservation violated at the target, epoch {epoch}")
+
+
+def _first_unconserved(offered, sent, dropped_before_loss, queued) -> int:
+    """The flat index of one class's first conservation failure, first row first; the column's size if none.
+
+    In place, the check holds one int64 and one bool column beside the schedule.
+    """
+    unaccounted = offered - sent
+    unaccounted -= dropped_before_loss
+    broken = np.cumsum(unaccounted, axis=-1, out=unaccounted) != queued
+    return int(broken.argmax()) if broken.any() else broken.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -799,42 +828,19 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     return lost
 
 
-def _realize_class(offered, sent, dropped_before_loss, queued, lost: np.ndarray):
-    """Forwarded and dropped columns of one class, shaped like ``lost``, ``(points, seeds, epochs)``.
-
-    ``offered`` to ``queued`` are the class's ``Schedule`` columns and
-    ``lost`` its view of the drawn losses; the dropped column overwrites it
-    and is returned in its place. Also returns where cumulative conservation
-    (offered = forwarded + dropped + queued) fails, as a boolean mask shaped
-    like ``lost``.
-    """
-    forwarded = sent[:, None] - lost
-    dropped = np.add(lost, dropped_before_loss[:, None], out=lost)
-    # Reusing ``lost`` and summing in place keeps the temporaries to one:
-    # a sweep's arrays are the peak of a grid run.
-    accounted = forwarded + dropped
-    np.cumsum(accounted, axis=-1, out=accounted)
-    accounted += queued[:, None]
-    broken = np.cumsum(offered, axis=-1)[:, None] != accounted
-    return forwarded, dropped, broken
-
-
 def _realize_sweep(plan: Schedule, generators) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The ``(self, neighbor)`` pairs of forwarded and dropped columns, ``(points, seeds, epochs)`` each.
 
-    ``generators`` come from ``_seeded``. Raises ``InvariantError`` naming
-    the class and epoch of the first conservation failure, first point
-    first, then first seed.
+    ``generators`` come from ``_seeded``. A class's forwarded column is its
+    ``sent`` less its losses, its dropped column its losses plus its
+    ``dropped_before_loss``, written over its view of the losses. The
+    schedule conserves packets (see ``Schedule``), so these do too.
     """
     lost = _draw_losses(plan, generators)
-    classes = zip(plan.offered, plan.sent, plan.dropped_before_loss, plan.queued, (lost[..., 0::2], lost[..., 1::2]))
-    forwarded, dropped, (broken_self, broken_nbr) = zip(*(_realize_class(*columns) for columns in classes))
-    broken = np.argwhere(broken_self | broken_nbr)
-    if broken.size:
-        point, row, epoch = broken[0].tolist()
-        name = "self" if broken_self[point, row, epoch] else "neighbor"
-        raise InvariantError(f"{name}-class conservation violated at the target, epoch {epoch}")
-    return forwarded, dropped
+    classes = zip(plan.sent, plan.dropped_before_loss, (lost[..., 0::2], lost[..., 1::2]))
+    # Forwarded first: the dropped column then overwrites the losses it reads.
+    realized = [(sent[:, None] - drawn, np.add(drawn, before[:, None], out=drawn)) for sent, before, drawn in classes]
+    return tuple(zip(*realized))
 
 
 def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:

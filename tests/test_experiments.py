@@ -188,6 +188,21 @@ def test_a_knob_rate_past_2_53_arrivals_names_the_knob(knob):
         run_case(spec)
 
 
+@pytest.mark.parametrize(
+    "case_id, knob, value", [("II", "case2_self_multiplier", 1e308), ("I", "case1_self_tilt", -1e307)]
+)
+def test_a_finite_knob_that_overflows_its_rate_names_the_knob_and_the_sweep_value(case_id, knob, value):
+    # Each passes `ExperimentParams` and overflows to infinity where the case
+    # builds its rate; `RateFunction` used to reject it naming no knob.
+    knobs = {"I": _RATE_KNOBS["case1_self_base"][1], "II": knob}[case_id]
+    spec = case_spec(case_id, ExperimentParams(**{knob: value}))
+    message = f"^{re.escape(knobs)}: rate parameters must be finite, got .* at sweep value v = 100$"
+    with pytest.raises(InvalidParameterError, match=message):
+        spec.config(Policy.CTC, 100)
+    with pytest.raises(InvalidParameterError, match=message):
+        run_case(spec)
+
+
 def test_a_constant_knob_rate_is_accepted_up_to_2_53_arrivals():
     # 8 epochs at round(rate) packets each: 2**50 reaches 2**53, one more passes it.
     for knob, case_id in (("case3_self_peak", "III"), ("case4_neighbor_rate", "IV")):
@@ -586,6 +601,14 @@ def test_derive_case_v_empty_input_raises():
 def test_derive_case_v_bad_width_raises():
     with pytest.raises(InvalidParameterError):
         derive_case_v([ResultTable(rows=(_row("ctc", 0.1, 0.0),))], bucket_width=0.0)
+    # A NaN width used to fail converting the bucket index, an infinite one
+    # to give buckets at NaN, and 1e-320 to overflow the index to infinity.
+    tables = [ResultTable(rows=(_row("ctc", 0.0, 0.0), _row("ctc", 0.1, 0.0)))]
+    for width in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match=f"^bucket_width must be a finite number > 0, got {width}$"):
+            derive_case_v(tables, bucket_width=width)
+    with pytest.raises(InvalidParameterError, match=r"^bucket_width 1e-320: drop ratio 0\.1 has no bucket$"):
+        derive_case_v(tables, bucket_width=1e-320)
 
 
 def test_pava_identity_when_already_monotone():

@@ -21,3 +21,15 @@ def test_calibrate_prints_every_criterion_at_one_seed(capsys):
     out = capsys.readouterr().out
     assert {f"C{n}" for n in range(4, 8)} <= set(re.findall(r"^C\d", out, flags=re.MULTILINE))
     assert "case IV: 32 rows" in out
+
+
+def test_src_lines_total_is_the_sum_of_the_modules(capsys):
+    # scripts/src_lines.py prints each src/ctcsim module's lines and lines of
+    # code, then their totals.
+    assert _load("src_lines").main() == 0
+    header, *modules, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "code"] and total[0] == "total"
+    assert {row[0] for row in modules} >= {"sim.py", "experiments.py", "report.py"}
+    for column in (1, 2):
+        assert int(total[column]) == sum(int(row[column]) for row in modules)
+    assert all(int(row[2]) < int(row[1]) for row in modules)

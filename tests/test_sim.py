@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import report, sim
-from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError
+from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError, InvariantError
 from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
     MAX_EPOCHS,
@@ -1118,11 +1118,16 @@ def test_shared_generators_draw_what_fresh_ones_do(p):
 
 
 def _loss_plan(counts, p):
-    """A one-point schedule whose interleaved ``sent`` row is ``counts``, drawn at ``p``; no other column is read."""
+    """A one-point schedule whose interleaved ``sent`` row is ``counts``, drawn at ``p``.
+
+    The draw reads no other column. The schedule conserves packets: every
+    packet offered is sent in its epoch.
+    """
     counts = np.asarray(counts, np.int64)
     pair = (counts[None, 0::2], counts[None, 1::2])
+    zeros = tuple(np.zeros_like(column) for column in pair)
     config = SimConfig(epochs=counts.size // 2, base_drop_prob=p)
-    return Schedule((config,), pair, pair, pair, pair, pair)
+    return Schedule((config,), pair, pair, zeros, zeros, pair)
 
 
 @st.composite
@@ -1273,6 +1278,43 @@ def test_realize_names_first_epoch_that_breaks_conservation(monkeypatch):
     cfg = SimConfig(epochs=6, data_rate=10.0, self_rate_fn=constant(4), neighbor_rate_fn=constant(30))
     with pytest.raises(RuntimeError, match="neighbor-class conservation violated at the target, epoch 3"):
         run(cfg)
+
+
+def _with_extra_packet(plan, *edits):
+    """``plan`` rebuilt with one packet more in each ``(column, class, row, epochs)`` of ``edits``."""
+    columns = {name: [column.copy() for column in getattr(plan, name)] for name, *_ in edits}
+    for name, pair_index, row, epochs in edits:
+        columns[name][pair_index][row, epochs] += 1
+    return dataclasses.replace(plan, **{name: tuple(pair) for name, pair in columns.items()})
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize(
+    "edits, name, epoch",
+    [
+        # The second row breaks at an earlier epoch: the first row is named.
+        ([("queued", 1, 0, slice(4, None)), ("queued", 1, 1, slice(1, None))], "neighbor", 4),
+        # Self before neighbor at the same epoch of the same row.
+        ([("queued", 1, 0, slice(4, None)), ("sent", 0, 0, 4)], "self", 4),
+        # An earlier epoch of the row wins over the class order.
+        ([("sent", 0, 0, 4), ("offered", 1, 0, 2)], "neighbor", 2),
+        # A break in a later row alone, and one in each row, each class.
+        ([("dropped_before_loss", 1, 1, 3)], "neighbor", 3),
+        ([("queued", 1, 0, 5), ("queued", 0, 1, 1)], "neighbor", 5),
+    ],
+)
+def test_schedule_that_breaks_conservation_raises_when_built(policy, edits, name, epoch):
+    # Conservation is the schedule's own invariant, checked once per row: a
+    # schedule that loses or invents a packet cannot be built, so no seed
+    # ever realizes it.
+    configs = [
+        SimConfig(epochs=6, data_rate=10.0, policy=policy, self_rate_fn=constant(4), neighbor_rate_fn=constant(v))
+        for v in (30, 3)
+    ]
+    plan = _schedule_sweep(configs)
+    _with_extra_packet(plan)  # rebuilt unchanged, it conserves
+    with pytest.raises(InvariantError, match=f"^{name}-class conservation violated at the target, epoch {epoch}$"):
+        _with_extra_packet(plan, *edits)
 
 
 # ---------------------------------------------------------------------------
