@@ -13,7 +13,16 @@ pad each field, the table is the chunk's text. A real takes the array path
 only where that is provably exact: sign bit clear, ``0 <= x * 1e6 <
 2**32``, and the fraction of ``x * 1e6`` more than ``2**-16`` from one
 half. Every other value (ties such as ``k/128``, NaN, infinities,
-negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``.
+negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``,
+as is a column of one value.
+
+Every chunk is built in one buffer, reused for the whole trace and small
+enough that the allocator serves it and each chunk's text from the heap
+(see ``_TRACE_CHUNK_BYTES``). ``bytearray.replace(b"\\0", b"")`` makes the
+text. It takes about 16 ns for each zero byte it drops, in runs or not,
+against 6 us for 120 kB with none, so the source lines, most of a wide
+trace, hold no pad bytes: chunks end at each power of ten of the epoch, and
+the sources are laid out by the digit count of their node ids.
 
 Each digit comes from an integer ``//`` by 10 and a multiply-subtract, not
 from ``np.divmod``: numpy 2.4.6 vectorizes an integer floor division by a
@@ -193,12 +202,19 @@ def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
     return _write_lines(lines, dest)
 
 
-# Rows per write of a trace: a chunk holds whole epochs, as many as fit. At
-# this size a chunk's table (about 1 MB) stays in cache while it is filled
-# and read back. It is not a power of two, or with neighbor_count + 1 a power
-# of two too the table's lines would be a power of two apart and share the
-# same cache sets.
-_TRACE_CHUNK_ROWS = 16_000
+# Bytes per chunk of a trace: a chunk holds whole epochs, as many as fit, or
+# one epoch when that alone is larger. Every chunk is built in one buffer,
+# allocated once per trace, and its text is that buffer's ``replace`` output.
+# Both stay under glibc's default mmap threshold (128 KiB), so every chunk's
+# text comes from, and goes back to, the heap's free lists. Blocks above the
+# threshold are mapped on allocation and unmapped on free, so each chunk faults
+# their pages in again: with three fresh ~1 MB blocks a chunk, a fresh process
+# took 3,896 minor faults in ``emit_trace_csv`` on ``trace_wide`` and 2,607 on
+# ``trace_deep``.
+_TRACE_CHUNK_BYTES = 120_000
+# Epochs per group, whose target fields are formatted at once: enough values
+# per numpy call to make its fixed cost small, whatever the chunk size.
+_TRACE_GROUP_EPOCHS = 8_000
 
 _ZERO = ord("0")
 # `%.6f` of x is the integer nearest x * 1e6, split at the point. Below 2**32
@@ -275,6 +291,11 @@ def _int_field(values: np.ndarray) -> _Field:
 
 def _real_field(values: np.ndarray) -> _Field:
     """``%.6f`` of each float64 (see ``_Field``)."""
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        # One value, to the bit (so not 0.0 next to -0.0): Python formats it once.
+        text = np.frombuffer(b"%.6f" % values[0], np.uint8)[:, None]
+        return text.size, lambda out: np.copyto(out, text)
     scaled = values * _SCALE
     fast = scaled.view(np.uint64) < _FAST_BITS
     tail = np.floor(scaled)
@@ -335,77 +356,98 @@ def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _text(table: np.ndarray) -> bytes:
-    """A ``(rows, width)`` uint8 table read row by row, without its zero bytes."""
-    # Dropping the zero bytes from the bytes is three times faster than a
-    # boolean mask over the table.
-    return table.tobytes().replace(b"\0", b"")
-
-
-def _format_rows(columns: Sequence[np.ndarray]) -> bytes:
-    """CSV lines of equal-length columns, one line per row (see ``_line_fields``)."""
-    return _text(_line_fields(columns).T)
-
-
-def _trace_chunks(trace: Trace) -> Iterator[bytes]:
+def _trace_chunks(trace: Trace) -> Iterator[bytes | bytearray]:
     """The trace CSV bytes: the header, then runs of whole epochs.
 
     A chunk is one uint8 table with a row per epoch: the target line, then
-    the lines of sources 1..n, each field padded with zero bytes. Read row
-    by row without the zeros, the table is the chunk's text. The target
-    fields are formatted for a group of whole chunks at once, into one
-    table, and copied in, transposed, chunk by chunk. A source line's
-    constant bytes are written once, into the first epoch's ``(nodes,
-    width)`` lines, and copied from there into every other epoch of the
-    chunk at once; then each line's epoch, the target's own field, and its
-    two ``sent`` fields are written into their slots.
+    the lines of sources 1..n, laid out as one ``(rows, sources, width)``
+    view per digit count of the node ids. Read row by row without its zero
+    bytes, the table is the chunk's text. The target fields are formatted for
+    a group of whole chunks at once, into one table, and copied in,
+    transposed, chunk by chunk. Groups, and so chunks, end at each power of
+    ten, so every epoch of a chunk has the same digits: the pad bytes left
+    are the target's and those of the ``sent`` counts shorter than the
+    chunk's longest. A source line's constant bytes are written once per
+    view, into the first epoch's lines, and copied from there into every
+    other epoch of the chunk at once; then each line's epoch, copied from
+    the target's own field, and its two ``sent`` fields are written into
+    their slots.
     """
     config = trace.config
     nodes = config.neighbor_count
     yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
     columns = [getattr(trace, name) for name in _TRACE_FIELDS]
+    # Per digit count of the node ids: the sources' index range, and their
+    # ",id," bytes.
+    classes = []
+    for digits in range(1, _places(nodes) + 1):
+        low, high = 10 ** (digits - 1) - 1, min(10**digits - 1, nodes)
+        comma = np.full((high - low, 1), ord(","), np.uint8)
+        classes.append((low, high, np.hstack([comma, _int_table(np.arange(low + 1, high + 1)).T, comma])))
+    id_bytes = sum(ids.size for *_, ids in classes)
     # A source line: epoch, node id, sent, 0 relayed, sent forwarded, then
     # fields that never change.
-    comma = np.full((nodes, 1), ord(","), np.uint8)
-    node_ids = np.hstack([comma, _int_table(np.arange(1, nodes + 1)).T, comma])
     relayed = np.frombuffer(b",0,", np.uint8)
     tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
     tail = np.frombuffer(tail.encode("ascii"), np.uint8)
+    buffer = bytearray(_TRACE_CHUNK_BYTES)
     epochs = trace.offered_neighbor.size
-    per_chunk = max(1, _TRACE_CHUNK_ROWS // (nodes + 1))
-    # A group has about _TRACE_CHUNK_ROWS / 2 target lines, as a chunk of a
-    # one-source trace does: enough values per numpy call to make its fixed
-    # cost small, and no more memory than such a chunk takes.
-    per_group = per_chunk * max(1, (nodes + 1) // 2)
-    for group in range(0, epochs, per_group):
-        span = slice(group, min(group + per_group, epochs))
-        epoch = np.arange(span.start, span.stop, dtype=np.int64)
-        target = _line_fields([epoch, np.zeros_like(epoch), *(column[span] for column in columns)])
-        epoch_width = len(str(span.stop - 1))
+    start = 0
+    while start < epochs:
+        epoch_width = _places(start)
+        stop = min(epochs, start + _TRACE_GROUP_EPOCHS, 10**epoch_width)
+        epoch = np.arange(start, stop, dtype=np.int64)
+        target = _line_fields([epoch, np.zeros_like(epoch), *(column[start:stop] for column in columns)])
         height = target.shape[0]
-        offered = trace.offered_neighbor[span]
-        first_sent = epoch_width + node_ids.shape[1]
-        for start in range(0, epoch.size, per_chunk):
-            rows = min(per_chunk, epoch.size - start)
-            sent = source_split(offered[start : start + rows], nodes).T
+        offered = trace.offered_neighbor[start:stop]
+        # An epoch's bytes but for its 2 * nodes ``sent`` fields.
+        fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
+        # Sized for the group's largest count, a source's share rounded up.
+        per_chunk = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(-(-int(offered.max()) // nodes))))
+        for first in range(0, epoch.size, per_chunk):
+            rows = min(per_chunk, epoch.size - first)
+            sent = source_split(offered[first : first + rows], nodes).T
             sent = _int_table(sent.ravel()).T.reshape(rows, nodes, -1)
             sent_width = sent.shape[2]
-            second_sent = first_sent + sent_width + relayed.size
-            source_width = second_sent + sent_width + tail.size
-            table = np.empty((rows, height + nodes * source_width), np.uint8)
-            table[:, :height] = target[:, start : start + rows].T
-            sources = table[:, height:].reshape(rows, nodes, source_width)
-            # The first epoch's source lines are the template: its constant
-            # bytes go to every epoch, and every epoch's slots are written after.
-            template = sources[0]
-            template[:, epoch_width:first_sent] = node_ids
-            template[:, first_sent + sent_width : second_sent] = relayed
-            template[:, second_sent + sent_width :] = tail
-            sources[1:] = template
-            sources[:, :, :epoch_width] = table[:, None, :epoch_width]
-            sources[:, :, first_sent : first_sent + sent_width] = sent
-            sources[:, :, second_sent : second_sent + sent_width] = sent
-            yield _text(table)
+            size = rows * (fixed + 2 * nodes * sent_width)
+            if size > len(buffer):
+                buffer = bytearray(size)
+            flat = np.frombuffer(buffer, np.uint8)
+            # Past the chunk, a filler that is not a zero byte: ``replace``
+            # takes time per zero byte it drops, and the filler is cut off after.
+            flat[size:] = ord("\n")
+            table = flat[:size].reshape(rows, -1)
+            table[:, :height] = target[:, first : first + rows].T
+            # Each epoch's digits, read from the group's table: a view of
+            # the chunk's own table would overlap the lines it is copied
+            # into, and numpy would copy it first.
+            epoch_text = target[:epoch_width, first : first + rows].T[:, None]
+            column = height
+            for low, high, ids in classes:
+                first_sent = epoch_width + ids.shape[1]
+                second_sent = first_sent + sent_width + relayed.size
+                width = second_sent + sent_width + tail.size
+                end = column + (high - low) * width
+                lines = table[:, column:end].reshape(rows, high - low, width)
+                column = end
+                # The first epoch's lines are the template: their constant
+                # bytes go to every epoch, and every epoch's slots are
+                # written after.
+                template = lines[0]
+                template[:, epoch_width:first_sent] = ids
+                template[:, first_sent + sent_width : second_sent] = relayed
+                template[:, second_sent + sent_width :] = tail
+                lines[1:] = template
+                lines[:, :, :epoch_width] = epoch_text
+                lines[:, :, first_sent : first_sent + sent_width] = sent[:, low:high]
+                lines[:, :, second_sent : second_sent + sent_width] = sent[:, low:high]
+            text = buffer.replace(b"\0", b"")
+            del text[len(text) - (len(buffer) - size) :]
+            yield text
+        # The group's table, freed before the next one is made, so that
+        # memory holds one.
+        del target, epoch_text
+        start = stop
 
 
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:

@@ -218,8 +218,9 @@ _EXACT_MAX = 2**53
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, a few hundred bytes per source: at the
-# bound its RSS grows by 25 to 34 MiB, the more the more digits each
-# source's count has.
+# bound its RSS grows by 18 to 23 MiB, the more the more digits each
+# source's count has (peak RSS of a fresh process, per-source counts of 0
+# and 10**7).
 MAX_NEIGHBOR_COUNT = 10**5
 
 

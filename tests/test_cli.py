@@ -17,7 +17,7 @@ from ctcsim import experiments, sim, utilization
 from ctcsim.cli import main
 from ctcsim.experiments import MAX_SEEDS
 from ctcsim.model import MAX_K
-from ctcsim.report import _TRACE_CHUNK_ROWS, CSV_COLUMNS
+from ctcsim.report import _TRACE_CHUNK_BYTES, CSV_COLUMNS
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_sha256.json"
 
@@ -351,14 +351,17 @@ BENCHMARK_TRACES = {
 def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys):
     # Hold `sim run` to the digests the benchmark records for its default seed.
     raw = BENCHMARK_TRACES[name]
-    assert raw["epochs"] * (raw["neighbor_count"] + 1) > 2 * _TRACE_CHUNK_ROWS
     expected = json.loads(RECORDED_SHA256.read_text(encoding="utf-8"))[name]["trace.csv"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     out_csv = tmp_path / "trace.csv"
     code, _, _ = run_cli("sim", "run", "--config", str(config), "--out", str(out_csv), capsys=capsys)
     assert code == 0
-    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == expected
+    data = out_csv.read_bytes()
+    # No chunk's text is longer than the writer's budget, so the trace spans
+    # more than two chunks.
+    assert len(data) > 2 * _TRACE_CHUNK_BYTES
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import report
@@ -18,7 +18,6 @@ from ctcsim.errors import InvalidParameterError, MissingCaseError
 from ctcsim.experiments import ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
     CSV_COLUMNS,
-    _format_rows,
     FIG_CASE,
     FigureSeries,
     emit_csv,
@@ -308,8 +307,38 @@ def test_emit_trace_csv_memory_does_not_grow_with_the_trace(sources, epochs):
     assert long_peak < 1.25 * short_peak
 
 
+def test_emit_trace_csv_memory_is_one_chunk_buffer_and_one_group():
+    # `trace_wide`'s shape: 51 nodes, 5,000 epochs, the neighbor load ramping
+    # past capacity. The writer holds the chunk buffer, one chunk's text and
+    # one group's target lines: each line about 70 bytes of table and 4 bytes
+    # a field, two a real, of uint32 digits. A writer that allocates a ~1 MB
+    # table, its bytes and their compacted copy a chunk peaks at about 4 MiB.
+    trace = run(
+        SimConfig(
+            epochs=5_000,
+            neighbor_count=50,
+            data_rate=420.0,
+            self_rate_fn=RateFunction(RateKind.CONSTANT, 300.0),
+            neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 0.08),
+        )
+    )
+    tracemalloc.start()
+    try:
+        emit_trace_csv(trace, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * report._TRACE_CHUNK_BYTES + 160 * report._TRACE_GROUP_EPOCHS
+
+
 # ---------------------------------------------------------------------------
 # array-pass row formatting
+
+
+def _format_rows(columns):
+    """CSV lines of equal-length columns, one line per row: the table of
+    ``report._line_fields`` read row by row without its zero bytes."""
+    return report._line_fields(columns).T.tobytes().replace(b"\0", b"")
 
 
 def per_row_text(int_columns, real_columns):
@@ -382,6 +411,10 @@ def _columns(draw):
     return [np.array(c, np.int64) for c in ints], [np.array(c, np.float64) for c in reals]
 
 
+# Constant real columns, which Python formats once: NaN, -0.0 and a tie, and
+# 0.0 next to -0.0, which compare equal but format apart.
+@example(columns=([np.zeros(3, np.int64)], [np.full(3, math.nan), np.full(3, -0.0), np.full(3, 1 / 128)]))
+@example(columns=([np.zeros(3, np.int64)], [np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 0.0])]))
 @settings(max_examples=200, deadline=None)
 @given(columns=_columns())
 def test_format_rows_matches_per_row_formatting(columns):

@@ -33,3 +33,16 @@ def test_src_lines_total_is_the_sum_of_the_modules(capsys):
     for column in (1, 2):
         assert int(total[column]) == sum(int(row[column]) for row in modules)
     assert all(int(row[2]) < int(row[1]) for row in modules)
+
+
+def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
+    # scripts/trace_phases.py times `sim.run` and `emit_trace_csv` for one
+    # config file.
+    config = tmp_path / "config.json"
+    config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
+    assert _load("trace_phases").main([str(config)]) == 0
+    header, *phases = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["phase", "wall_s", "minflt"]
+    assert [row[0] for row in phases] == ["sim.run", "emit_trace_csv"]
+    for _, seconds, faults in phases:
+        assert float(seconds) > 0 and int(faults) >= 0

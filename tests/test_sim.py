@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import report, sim
@@ -1027,55 +1027,71 @@ def test_batched_sweep_rows_equal_their_own_schedule(sweep):
 )
 def test_emit_trace_csv_matches_per_row_writer_random_configs(chunking, tmp_path_factory, **config_fields):
     # The array-pass writer against one `%` format per row, with the writer's
-    # chunk size cut so the trace spans at least two chunks; below one
-    # epoch's rows, each chunk is a single epoch. Up to 60 sources, node ids
-    # and per-source counts cross a digit boundary inside a chunk.
+    # byte budget cut so the trace spans at least two chunks, of different
+    # sizes: every chunk is built in the one buffer, and no byte a chunk
+    # leaves there may reach another's text. No chunk's text is longer than
+    # the budget, or than one epoch when that alone is longer. Up to 60
+    # sources, node ids and per-source counts cross a digit boundary inside
+    # a chunk.
     trace = run(SimConfig(**config_fields))
-    rows = trace.config.epochs * (trace.config.neighbor_count + 1)
-    chunk_rows = chunking.draw(st.integers(1, rows // 2), label="chunk_rows")
+    expected = reference_trace_csv(trace)
+    budget = chunking.draw(st.integers(1, len(expected) // 2), label="chunk_bytes")
     dest = tmp_path_factory.getbasetemp() / "writer_trace.csv"
-    with mock.patch.object(report, "_TRACE_CHUNK_ROWS", chunk_rows):
-        assert sum(1 for _ in report._trace_chunks(trace)) - 1 >= 2
+    with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget):
+        sizes = [len(chunk) for chunk in report._trace_chunks(trace)][1:]
         written = emit_trace_csv(trace, dest)
     data = dest.read_bytes()
     assert written == len(data)
-    assert data == reference_trace_csv(trace)
+    assert data == expected
+    assert len(sizes) >= 2
+    # A draw whose chunks all have one size is checked above, but hypothesis
+    # does not count it towards its examples.
+    assume(len(set(sizes)) >= 2)
 
 
 def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_path):
-    # With 3 sources and 16 chunk rows, a chunk holds 4 epochs and the
-    # target fields are formatted for 2 chunks at a time, so the epoch field
-    # widens from 1 to 2 digits inside a chunk (8-11), from 2 to 3 at a
-    # chunk edge inside a group (96-103) and from 3 to 4 at a group edge
-    # (1000). The per-source counts ramp from 0 to 17 across the run.
+    # 120 sources, so every epoch's node ids cross 9 to 10 and 99 to 100
+    # inside its chunk, and the per-source counts ramp from 0 to 16 across
+    # the run: one epoch has counts of 9 and 10. Groups end at each power
+    # of ten. With a budget of about three and a half epochs' bytes, a chunk
+    # holds three epochs, the last of a group fewer, and every group two
+    # chunks or more; with a budget of one byte, every epoch is bigger than
+    # the budget and takes a chunk of its own.
     trace = run(
         SimConfig(
-            epochs=1010,
-            neighbor_count=3,
+            epochs=150,
+            neighbor_count=120,
             data_rate=60.0,
             base_drop_prob=0.1,
             seed=11,
             self_rate_fn=constant(20.0),
-            neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 0.05),
+            neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 13.0),
         )
     )
-    dest = tmp_path / "trace.csv"
-    with mock.patch.object(report, "_TRACE_CHUNK_ROWS", 16):
-        with mock.patch.object(report, "_line_fields", wraps=report._line_fields) as line_fields:
-            chunk_starts = [int(chunk.split(b",", 1)[0]) for chunk in list(report._trace_chunks(trace))[1:]]
-        group_starts = [int(call.args[0][0][0]) for call in line_fields.call_args_list]
-        written = emit_trace_csv(trace, dest)
-    data = dest.read_bytes()
-    assert written == len(data)
-    assert data == reference_trace_csv(trace)
-    # Where the seams fell: every group starts a chunk, and at least two
-    # groups hold two chunks or more.
-    assert set(group_starts) <= set(chunk_starts)
-    chunks_per_group = np.diff(np.searchsorted(chunk_starts, [*group_starts, trace.config.epochs]))
-    assert (chunks_per_group >= 2).sum() >= 2
-    assert 10 not in chunk_starts
-    assert 100 in chunk_starts and 100 not in group_starts
-    assert 1000 in group_starts
+    expected = reference_trace_csv(trace)
+    epoch_bytes = len(expected) // trace.config.epochs
+    for budget in (7 * epoch_bytes // 2, 1):
+        dest = tmp_path / f"trace-{budget}.csv"
+        with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget):
+            with mock.patch.object(report, "_line_fields", wraps=report._line_fields) as line_fields:
+                chunks = list(report._trace_chunks(trace))[1:]
+            group_starts = [int(call.args[0][0][0]) for call in line_fields.call_args_list]
+            written = emit_trace_csv(trace, dest)
+        data = dest.read_bytes()
+        assert written == len(data)
+        assert data == expected
+        chunk_starts = [int(chunk.split(b",", 1)[0]) for chunk in chunks]
+        chunk_epochs = [chunk.count(b"\n") // 121 for chunk in chunks]
+        assert group_starts == [0, 10, 100]
+        assert set(group_starts) <= set(chunk_starts)
+        if budget == 1:
+            assert chunk_epochs == [1] * 150
+        else:
+            assert chunk_epochs[:4] == [3, 3, 3, 1]
+            chunks_per_group = np.diff(np.searchsorted(chunk_starts, [*group_starts, trace.config.epochs]))
+            assert (chunks_per_group >= 2).all()
+    sent = source_split(trace.offered_neighbor, 120)
+    assert ((sent.min(axis=0) == 9) & (sent.max(axis=0) == 10)).any()
 
 
 def test_binomial_stream_is_the_recorded_one():
