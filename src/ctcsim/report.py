@@ -6,23 +6,28 @@ fields at fixed 6-decimal precision, and integer fields as plain integers
 (a 64-bit seed must survive a write/read round trip exactly, which rules
 out pushing it through a float format).
 
-The trace writer renders each chunk of epochs as one uint8 table with a row
-per epoch, the epoch's target line and then its source lines, with the same
-bytes as ``%d`` and ``%.6f``: read in row order without the zero bytes that
-pad each field, the table is the chunk's text. A real takes the array path
-only where that is provably exact: sign bit clear, ``0 <= x * 1e6 <
+The trace writer renders each block of epochs as one uint8 table with a
+row per epoch, the epoch's target line and then its source lines, with the
+same bytes as ``%d`` and ``%.6f``: read in row order without the zero bytes
+that pad each field, the table is the block's text. A real takes the array
+path only where that is provably exact: sign bit clear, ``0 <= x * 1e6 <
 2**32``, and the fraction of ``x * 1e6`` more than ``2**-16`` from one
 half. Every other value (ties such as ``k/128``, NaN, infinities,
 negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``,
 as is a column of one value.
 
-Every chunk is built in one buffer, reused for the whole trace and small
-enough that the allocator serves it and each chunk's text from the heap
-(see ``_TRACE_CHUNK_BYTES``). ``bytearray.replace(b"\\0", b"")`` makes the
-text. It takes about 16 ns for each zero byte it drops, in runs or not,
-against 6 us for 120 kB with none, so the source lines, most of a wide
-trace, hold no pad bytes: chunks end at each power of ten of the epoch, and
-the sources are laid out by the digit count of their node ids.
+A block's size and a text's size are set apart. Every block, about 1 MB of
+whole epochs (``_TRACE_CHUNK_BYTES``), is built in one buffer reused for
+the whole trace, so each step that runs once per block (``source_split``,
+the ``sent`` digits, the source-line template and its broadcast, the target
+copy) runs on many epochs at once. The block is then written in slices of
+at most ``_TRACE_SLICE_BYTES``: each slice is copied out of the buffer, and
+``bytes.replace(b"\\0", b"")`` makes its text. The copy and the text stay
+below the allocator's mmap threshold, so they come from the heap, not from
+fresh pages. ``replace`` takes about 16 ns for each zero byte it drops, in
+runs or not, against 6 us for 120 kB with none, so the source lines, most of
+a wide trace, hold no pad bytes: blocks end at each power of ten of the
+epoch, and the sources are laid out by the digit count of their node ids.
 
 Each digit comes from an integer ``//`` by 10 and a multiply-subtract, not
 from ``np.divmod``: numpy 2.4.6 vectorizes an integer floor division by a
@@ -77,12 +82,12 @@ TRACE_COLUMNS = ("epoch", "node_id", *_TRACE_FIELDS)
 
 
 def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
-    """Write byte chunks, in order, to one file; returns bytes written."""
-    written = 0
+    """Write byte chunks, in order, to one file; returns bytes written.
+
+    No chunk is held while the next one is made.
+    """
     with open(dest, "wb") as handle:
-        for chunk in chunks:
-            written += handle.write(chunk)
-    return written
+        return sum(map(handle.write, chunks))
 
 
 def _write_lines(lines: list[str], dest: str | Path) -> int:
@@ -202,18 +207,34 @@ def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
     return _write_lines(lines, dest)
 
 
-# Bytes per chunk of a trace: a chunk holds whole epochs, as many as fit, or
-# one epoch when that alone is larger. Every chunk is built in one buffer,
-# allocated once per trace, and its text is that buffer's ``replace`` output.
-# Both stay under glibc's default mmap threshold (128 KiB), so every chunk's
-# text comes from, and goes back to, the heap's free lists. Blocks above the
-# threshold are mapped on allocation and unmapped on free, so each chunk faults
-# their pages in again: with three fresh ~1 MB blocks a chunk, a fresh process
-# took 3,896 minor faults in ``emit_trace_csv`` on ``trace_wide`` and 2,607 on
-# ``trace_deep``.
-_TRACE_CHUNK_BYTES = 120_000
+# Bytes per block of a trace: a block holds whole epochs, as many as fit, or
+# one epoch when that alone is larger. Every block is built in one buffer,
+# allocated once per trace, which grows only for such an epoch. Each block
+# costs a fixed ~40 numpy calls, 80-120 us warm, so a larger block runs them
+# less often over the same bytes, until its own ``sent`` digits (about 23
+# bytes a source line) pass the mmap threshold and fault in again every
+# block. Measured per build size, ``perfbench/run.py --seconds 7`` medians of
+# 3 runs (2-core Xeon; texts of 120 kB; ``wall_norm_s``, ``peak_rss_mb``),
+# and the minor faults of ``emit_trace_csv`` on ``trace_wide``:
+#   build       trace_wide             trace_deep             minflt
+#   120 kB      0.0268 s  38.0 MiB     0.0500 s  51.1 MiB       196
+#   240 kB      0.0250 s  38.0 MiB     0.0502 s  51.1 MiB       198
+#   480 kB      0.0239 s  38.3 MiB     0.0496 s  51.1 MiB       257
+#   960 kB      0.0237 s  38.8 MiB     0.0481 s  51.0 MiB       375
+#   2 MB        0.0258 s  40.2 MiB     0.0495 s  52.9 MiB     1,435
+# (120 kB is the writer before blocks and texts were set apart.)
+_TRACE_CHUNK_BYTES = 960_000
+# Bytes per text: a block is written in slices of at most this many bytes,
+# each copied out of the buffer and compacted on its own. The copy and its
+# text stay under glibc's default mmap threshold (128 KiB), so they come
+# from, and go back to, the heap's free lists. Blocks above the threshold are
+# mapped on allocation and unmapped on free, so each would fault its pages in
+# again: an earlier writer that allocated three fresh ~1 MB blocks for each
+# chunk it wrote took 3,896 minor faults in ``emit_trace_csv`` on
+# ``trace_wide`` and 2,607 on ``trace_deep``, in a fresh process.
+_TRACE_SLICE_BYTES = 120_000
 # Epochs per group, whose target fields are formatted at once: enough values
-# per numpy call to make its fixed cost small, whatever the chunk size.
+# per numpy call to make its fixed cost small, whatever the block size.
 _TRACE_GROUP_EPOCHS = 8_000
 
 _ZERO = ord("0")
@@ -270,17 +291,16 @@ def _int_field(values: np.ndarray) -> _Field:
         text = np.frombuffer(b"%d" % low, np.uint8)[:, None]
         return text.size, lambda out: np.copyto(out, text)
     if low >= 0:
-        magnitude = _unsigned(values, top)
-        return _places(top), lambda out: _digits(magnitude, out, _places(low))
-    # Magnitudes in uint64, where negation wraps, so -2**63 has one too.
-    negative = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)
-    top = int(magnitude.max())
-    magnitude = _unsigned(magnitude, top)
-    where = np.flatnonzero(negative)
+        return _places(top), lambda out: _digits(_unsigned(values, top), out, _places(low))
+    top = max(-low, top)
 
     def write(out: np.ndarray) -> None:
+        # Magnitudes in uint64, where negation wraps, so -2**63 has one too.
+        negative = values < 0
+        magnitude = values.astype(np.uint64)
+        np.negative(magnitude, out=magnitude, where=negative)
+        magnitude = _unsigned(magnitude, top)
+        where = np.flatnonzero(negative)
         out[0] = 0
         _digits(magnitude, out[1:], _places(magnitude.min()))
         # The sign takes the last zero byte left of each negative number.
@@ -302,13 +322,9 @@ def _real_field(values: np.ndarray) -> _Field:
     np.subtract(scaled, tail, out=tail)
     tail -= 0.5
     fast &= np.abs(tail, out=tail) > _HALF_GUARD
-    scaled = np.where(fast, scaled, 0.0)
-    np.rint(scaled, out=scaled)
-    # A fast value can still round up to 2**32 exactly (4294.9672957 does).
-    top = int(scaled.max())
-    scaled = _unsigned(scaled, top)
-    whole = scaled // 10**6
-    fraction = scaled - whole * 10**6
+    # rint is monotone, so this is the largest fast value as written. It can
+    # still round up to 2**32 exactly (4294.9672957 does).
+    top = int(np.rint(np.max(scaled, initial=0.0, where=fast)))
     whole_width = _places(top // 10**6)
     # Every other value is formatted by Python itself, right-aligned.
     slow = np.flatnonzero(~fast)
@@ -316,6 +332,11 @@ def _real_field(values: np.ndarray) -> _Field:
     width = max([whole_width + 7, *map(len, texts)])
 
     def write(out: np.ndarray) -> None:
+        scaled = values * _SCALE
+        scaled[slow] = 0.0
+        scaled = _unsigned(np.rint(scaled, out=scaled), top)
+        whole = scaled // 10**6
+        fraction = np.subtract(scaled, whole * 10**6, out=scaled)
         point = width - 7
         out[: point - whole_width] = 0
         _digits(whole, out[point - whole_width : point], _places(whole.min()))
@@ -342,40 +363,42 @@ def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
     a column per line: ``%d`` of each integer column or ``%.6f`` of each
     float64 column, each followed by a comma, the last by a newline.
     """
-    # Overflow in the scaled product and NaN compares only send a value to
-    # Python's own formatting; they are not worth a warning.
+    # Each field is sized first and written after the table is allocated, so
+    # only one field's digit arrays exist at a time. Overflow in the scaled
+    # product and NaN compares only send a value to Python's own formatting;
+    # they are not worth a warning.
     with np.errstate(all="ignore"):
         fields = [_real_field(column) if column.dtype.kind == "f" else _int_field(column) for column in columns]
-    table = np.empty((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
-    row = 0
-    for width, write in fields:
-        write(table[row : row + width])
-        table[row + width] = ord(",")
-        row += width + 1
+        table = np.empty((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
+        row = 0
+        for width, write in fields:
+            write(table[row : row + width])
+            table[row + width] = ord(",")
+            row += width + 1
     table[-1] = ord("\n")
     return table
 
 
-def _trace_chunks(trace: Trace) -> Iterator[bytes | bytearray]:
-    """The trace CSV bytes: the header, then runs of whole epochs.
+def _trace_blocks(trace: Trace) -> Iterator[memoryview]:
+    """The trace's epochs, after the header, as runs of whole epochs.
 
-    A chunk is one uint8 table with a row per epoch: the target line, then
+    A block is one uint8 table with a row per epoch: the target line, then
     the lines of sources 1..n, laid out as one ``(rows, sources, width)``
     view per digit count of the node ids. Read row by row without its zero
-    bytes, the table is the chunk's text. The target fields are formatted for
-    a group of whole chunks at once, into one table, and copied in,
-    transposed, chunk by chunk. Groups, and so chunks, end at each power of
-    ten, so every epoch of a chunk has the same digits: the pad bytes left
-    are the target's and those of the ``sent`` counts shorter than the
-    chunk's longest. A source line's constant bytes are written once per
-    view, into the first epoch's lines, and copied from there into every
-    other epoch of the chunk at once; then each line's epoch, copied from
-    the target's own field, and its two ``sent`` fields are written into
-    their slots.
+    bytes, the table is the block's text. Every block is built in one
+    buffer and yielded as a view of it, which the next block overwrites.
+    The target fields are formatted for a group of whole blocks at once,
+    into one table, and copied in, transposed, block by block. Groups, and
+    so blocks, end at each power of ten, so every epoch of a block has the
+    same digits: the pad bytes left are the target's and those of the
+    ``sent`` counts shorter than the block's longest. A source line's
+    constant bytes are written once per view, into the first epoch's lines,
+    and copied from there into every other epoch of the block at once; then
+    each line's epoch, copied from the target's own field, and its two
+    ``sent`` fields are written into their slots.
     """
     config = trace.config
     nodes = config.neighbor_count
-    yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
     columns = [getattr(trace, name) for name in _TRACE_FIELDS]
     # Per digit count of the node ids: the sources' index range, and their
     # ",id," bytes.
@@ -403,23 +426,21 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes | bytearray]:
         # An epoch's bytes but for its 2 * nodes ``sent`` fields.
         fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
         # Sized for the group's largest count, a source's share rounded up.
-        per_chunk = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(-(-int(offered.max()) // nodes))))
-        for first in range(0, epoch.size, per_chunk):
-            rows = min(per_chunk, epoch.size - first)
-            sent = source_split(offered[first : first + rows], nodes).T
-            sent = _int_table(sent.ravel()).T.reshape(rows, nodes, -1)
-            sent_width = sent.shape[2]
+        per_block = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(-(-int(offered.max()) // nodes))))
+        for first in range(0, epoch.size, per_block):
+            rows = min(per_block, epoch.size - first)
+            # Each source's counts, formatted source by source and viewed as
+            # ``(rows, sources, width)``.
+            sent = _int_table(source_split(offered[first : first + rows], nodes).ravel())
+            sent_width = sent.shape[0]
+            sent = sent.reshape(sent_width, nodes, rows).T
             size = rows * (fixed + 2 * nodes * sent_width)
             if size > len(buffer):
                 buffer = bytearray(size)
-            flat = np.frombuffer(buffer, np.uint8)
-            # Past the chunk, a filler that is not a zero byte: ``replace``
-            # takes time per zero byte it drops, and the filler is cut off after.
-            flat[size:] = ord("\n")
-            table = flat[:size].reshape(rows, -1)
+            table = np.frombuffer(buffer, np.uint8, size).reshape(rows, -1)
             table[:, :height] = target[:, first : first + rows].T
             # Each epoch's digits, read from the group's table: a view of
-            # the chunk's own table would overlap the lines it is copied
+            # the block's own table would overlap the lines it is copied
             # into, and numpy would copy it first.
             epoch_text = target[:epoch_width, first : first + rows].T[:, None]
             column = height
@@ -441,13 +462,25 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes | bytearray]:
                 lines[:, :, :epoch_width] = epoch_text
                 lines[:, :, first_sent : first_sent + sent_width] = sent[:, low:high]
                 lines[:, :, second_sent : second_sent + sent_width] = sent[:, low:high]
-            text = buffer.replace(b"\0", b"")
-            del text[len(text) - (len(buffer) - size) :]
-            yield text
+            yield memoryview(buffer)[:size]
         # The group's table, freed before the next one is made, so that
         # memory holds one.
         del target, epoch_text
         start = stop
+
+
+def _trace_chunks(trace: Trace) -> Iterator[bytes]:
+    """The trace CSV bytes: the header, then each block's text in slices.
+
+    A slice of at most ``_TRACE_SLICE_BYTES`` of a block is copied out of
+    the buffer and compacted by ``replace``; a slice may end inside a line
+    or a run of pad bytes, since dropping the zero bytes of every slice
+    drops those of the block.
+    """
+    yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
+    for block in _trace_blocks(trace):
+        for start in range(0, len(block), _TRACE_SLICE_BYTES):
+            yield bytes(block[start : start + _TRACE_SLICE_BYTES]).replace(b"\0", b"")
 
 
 def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
@@ -456,7 +489,8 @@ def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
     Node 0 is the simulated target. Sources 1..neighbor_count are derived:
     each sends its ``source_split`` share of the epoch's neighbor arrivals,
     forwards all of it at once, relays nothing, and spends the whole epoch
-    on its own traffic. The file is written in chunks of whole epochs, so
-    memory stays bounded however long the trace.
+    on its own traffic. The file is built in blocks of whole epochs and
+    written in slices of each block, so memory stays bounded however long
+    the trace.
     """
     return _write_chunks(_trace_chunks(trace), dest)

@@ -217,10 +217,10 @@ _EXACT_MAX = 2**53
 # validation instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
-# epoch's source rows in memory, a few hundred bytes per source: at the
-# bound its RSS grows by 18 to 23 MiB, the more the more digits each
-# source's count has (peak RSS of a fresh process, per-source counts of 0
-# and 10**7).
+# epoch's source rows in memory, about a hundred bytes per source: at the
+# bound its RSS grows by 8 to 10 MiB, the more the more digits each source's
+# count has (peak RSS of a fresh process, before and after the write of a
+# 3-epoch trace, per-source counts of 0 and 10**7).
 MAX_NEIGHBOR_COUNT = 10**5
 
 

@@ -358,8 +358,8 @@ def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys)
     code, _, _ = run_cli("sim", "run", "--config", str(config), "--out", str(out_csv), capsys=capsys)
     assert code == 0
     data = out_csv.read_bytes()
-    # No chunk's text is longer than the writer's budget, so the trace spans
-    # more than two chunks.
+    # No block is longer than the writer's build budget (these traces have
+    # no epoch that alone is longer), so the trace spans more than two blocks.
     assert len(data) > 2 * _TRACE_CHUNK_BYTES
     assert hashlib.sha256(data).hexdigest() == expected
 

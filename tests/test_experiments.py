@@ -336,6 +336,36 @@ def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
     assert rows == _oracle_rows(spec)
 
 
+# Params under which a row's utilization is undefined, so it is written as
+# 0.0: no neighbor input (NoInputError) in case IV, and a zero time component
+# (ZeroTimeError) under `dsr` in cases I and III. Per params: the case, the
+# knob, and the policy whose rows take that path.
+_ZERO_UTILIZATION = {
+    "no neighbor input": ("IV", {"case4_neighbor_rate": 0}, None),
+    "t_np = 0": ("I", {"case1_self_base": 500}, Policy.DSR),
+    "t_pp = 0": ("III", {"case3_self_peak": 0}, Policy.DSR),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ZERO_UTILIZATION))
+def test_run_case_matches_oracle_where_utilization_is_undefined(path):
+    case_id, knobs, policy = _ZERO_UTILIZATION[path]
+    spec = dataclasses.replace(
+        case_spec(case_id, ExperimentParams(**knobs)), sweep_axis=(100, 800, 1600), seeds=(0, 1, 2**63 + 5)
+    )
+    rows = run_case(spec).rows
+    assert rows == _oracle_rows(spec)
+    for algorithm in (policy,) if policy else spec.algorithms:
+        for v in spec.sweep_axis:
+            trace = run(spec.config(algorithm, v))
+            if policy is None:
+                assert not trace.offered_neighbor.any()
+            else:
+                assert not (trace.t_np if case_id == "I" else trace.t_pp).any()
+    undefined = [row.utilization for row in rows if policy is None or row.algorithm == policy.value]
+    assert undefined == [0.0] * 3 * 3 * (1 if policy else 2)
+
+
 @pytest.fixture
 def realized(monkeypatch):
     """The point-rows of each `_realize_sweep` call, spied on where `run_case` looks it up."""

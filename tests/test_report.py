@@ -309,10 +309,13 @@ def test_emit_trace_csv_memory_does_not_grow_with_the_trace(sources, epochs):
 
 def test_emit_trace_csv_memory_is_one_chunk_buffer_and_one_group():
     # `trace_wide`'s shape: 51 nodes, 5,000 epochs, the neighbor load ramping
-    # past capacity. The writer holds the chunk buffer, one chunk's text and
-    # one group's target lines: each line about 70 bytes of table and 4 bytes
-    # a field, two a real, of uint32 digits. A writer that allocates a ~1 MB
-    # table, its bytes and their compacted copy a chunk peaks at about 4 MiB.
+    # past capacity. The writer holds the build buffer, one slice's copy and
+    # its text, and one group's target lines: about 100 bytes an epoch while
+    # they are formatted (tracemalloc at 8,000 epochs), 75 after. This
+    # trace's largest group has 4,000 epochs, so the group term leaves room
+    # for the digits of one block's ``sent`` fields, about 23 bytes a source
+    # line while they are formatted. A writer that allocates a table, its
+    # bytes and their compacted copy a block peaks at about three blocks.
     trace = run(
         SimConfig(
             epochs=5_000,
@@ -328,7 +331,7 @@ def test_emit_trace_csv_memory_is_one_chunk_buffer_and_one_group():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * report._TRACE_CHUNK_BYTES + 160 * report._TRACE_GROUP_EPOCHS
+    assert peak < report._TRACE_CHUNK_BYTES + 2 * report._TRACE_SLICE_BYTES + 101 * report._TRACE_GROUP_EPOCHS
 
 
 # ---------------------------------------------------------------------------

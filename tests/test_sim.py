@@ -1027,36 +1027,45 @@ def test_batched_sweep_rows_equal_their_own_schedule(sweep):
 )
 def test_emit_trace_csv_matches_per_row_writer_random_configs(chunking, tmp_path_factory, **config_fields):
     # The array-pass writer against one `%` format per row, with the writer's
-    # byte budget cut so the trace spans at least two chunks, of different
-    # sizes: every chunk is built in the one buffer, and no byte a chunk
-    # leaves there may reach another's text. No chunk's text is longer than
-    # the budget, or than one epoch when that alone is longer. Up to 60
-    # sources, node ids and per-source counts cross a digit boundary inside
-    # a chunk.
+    # build budget cut so the trace spans at least two blocks, of different
+    # sizes: every block is built in the one buffer, and no byte a block
+    # leaves there may reach another's text. No block is longer than the
+    # budget, unless it is one epoch that alone is longer. Each block is
+    # compacted in slices of a drawn size, from one byte up to the budget, so
+    # slice seams fall inside lines, fields and runs of pad bytes; no text is
+    # longer than a slice. Up to 60 sources, node ids and per-source counts
+    # cross a digit boundary inside a block.
     trace = run(SimConfig(**config_fields))
     expected = reference_trace_csv(trace)
     budget = chunking.draw(st.integers(1, len(expected) // 2), label="chunk_bytes")
+    slice_bytes = chunking.draw(st.integers(1, budget), label="slice_bytes")
     dest = tmp_path_factory.getbasetemp() / "writer_trace.csv"
-    with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget):
-        sizes = [len(chunk) for chunk in report._trace_chunks(trace)][1:]
+    with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget), mock.patch.object(
+        report, "_TRACE_SLICE_BYTES", slice_bytes
+    ):
+        blocks = [(len(block), block.tobytes().count(b"\n")) for block in report._trace_blocks(trace)]
+        texts = [len(text) for text in report._trace_chunks(trace)][1:]
         written = emit_trace_csv(trace, dest)
     data = dest.read_bytes()
     assert written == len(data)
     assert data == expected
-    assert len(sizes) >= 2
-    # A draw whose chunks all have one size is checked above, but hypothesis
+    assert len(blocks) >= 2
+    assert all(size <= budget or lines == trace.config.neighbor_count + 1 for size, lines in blocks)
+    assert max(texts) <= slice_bytes
+    # A draw whose blocks all have one size is checked above, but hypothesis
     # does not count it towards its examples.
-    assume(len(set(sizes)) >= 2)
+    assume(len({size for size, _ in blocks}) >= 2)
 
 
 def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_path):
     # 120 sources, so every epoch's node ids cross 9 to 10 and 99 to 100
-    # inside its chunk, and the per-source counts ramp from 0 to 16 across
+    # inside its block, and the per-source counts ramp from 0 to 16 across
     # the run: one epoch has counts of 9 and 10. Groups end at each power
-    # of ten. With a budget of about three and a half epochs' bytes, a chunk
+    # of ten. With a budget of about three and a half epochs' bytes, a block
     # holds three epochs, the last of a group fewer, and every group two
-    # chunks or more; with a budget of one byte, every epoch is bigger than
-    # the budget and takes a chunk of its own.
+    # blocks or more; with a budget of one byte, every epoch is bigger than
+    # the budget and takes a block of its own. Each layout is written in
+    # slices of a whole block, and of 7 bytes, less than any line.
     trace = run(
         SimConfig(
             epochs=150,
@@ -1069,27 +1078,35 @@ def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_
         )
     )
     expected = reference_trace_csv(trace)
+    assert min(map(len, expected.splitlines())) > 7
     epoch_bytes = len(expected) // trace.config.epochs
     for budget in (7 * epoch_bytes // 2, 1):
-        dest = tmp_path / f"trace-{budget}.csv"
         with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget):
             with mock.patch.object(report, "_line_fields", wraps=report._line_fields) as line_fields:
-                chunks = list(report._trace_chunks(trace))[1:]
+                blocks = [block.tobytes().replace(b"\0", b"") for block in report._trace_blocks(trace)]
             group_starts = [int(call.args[0][0][0]) for call in line_fields.call_args_list]
-            written = emit_trace_csv(trace, dest)
-        data = dest.read_bytes()
-        assert written == len(data)
-        assert data == expected
-        chunk_starts = [int(chunk.split(b",", 1)[0]) for chunk in chunks]
-        chunk_epochs = [chunk.count(b"\n") // 121 for chunk in chunks]
+            for slice_bytes in (len(expected), 7):
+                dest = tmp_path / f"trace-{budget}-{slice_bytes}.csv"
+                with mock.patch.object(report, "_TRACE_SLICE_BYTES", slice_bytes):
+                    texts = list(report._trace_chunks(trace))[1:]
+                    written = emit_trace_csv(trace, dest)
+                data = dest.read_bytes()
+                assert written == len(data)
+                assert data == expected
+                if slice_bytes == 7:
+                    assert max(map(len, texts)) <= 7
+                else:
+                    assert texts == blocks
+        block_starts = [int(block.split(b",", 1)[0]) for block in blocks]
+        block_epochs = [block.count(b"\n") // 121 for block in blocks]
         assert group_starts == [0, 10, 100]
-        assert set(group_starts) <= set(chunk_starts)
+        assert set(group_starts) <= set(block_starts)
         if budget == 1:
-            assert chunk_epochs == [1] * 150
+            assert block_epochs == [1] * 150
         else:
-            assert chunk_epochs[:4] == [3, 3, 3, 1]
-            chunks_per_group = np.diff(np.searchsorted(chunk_starts, [*group_starts, trace.config.epochs]))
-            assert (chunks_per_group >= 2).all()
+            assert block_epochs[:4] == [3, 3, 3, 1]
+            blocks_per_group = np.diff(np.searchsorted(block_starts, [*group_starts, trace.config.epochs]))
+            assert (blocks_per_group >= 2).all()
     sent = source_split(trace.offered_neighbor, 120)
     assert ((sent.min(axis=0) == 9) & (sent.max(axis=0) == 10)).any()
 
