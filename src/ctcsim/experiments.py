@@ -31,17 +31,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError
-from .errors import NoInputError, UnknownCaseError, ZeroTimeError
-from .model import TimeBudget
+from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError, UnknownCaseError
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
 from .sim import _classify_windows, _peak_rate, _realize_sweep, _schedule_sweep, _seeded
-from .utilization import PacketCounters, utilization_node
+from .utilization import PacketCounters, _ratio_form
 
 __all__ = [
     "ExperimentParams",
@@ -62,7 +61,7 @@ __all__ = [
 CASE_IDS = ("I", "II", "III", "IV")
 # Upper bound on the seeds of one case. A case holds the losses, forwarded
 # and dropped columns and result rows of every point and seed: ``exp all`` at
-# the default grid peaks at 37, 46, 76 and 136 MiB of RSS at 10, 100, 400
+# the default grid peaks at 37, 46, 82 and 136 MiB of RSS at 10, 100, 400
 # and 1,000 seeds, about 0.10 MiB per seed, so 10**4 seeds need near 1 GiB,
 # a little less than ``MAX_EPOCHS`` epochs need. A larger count is rejected
 # by name before any seed is built.
@@ -265,9 +264,9 @@ class ResultTable:
     rows: tuple[ResultRow, ...]
 
 
-def _running_totals(column: np.ndarray) -> list[float]:
+def _running_totals(column: np.ndarray) -> np.ndarray:
     """Each row's sum in epoch order; utilization bytes depend on float summation order."""
-    return np.cumsum(column, axis=-1)[:, -1].tolist()
+    return np.cumsum(column, axis=-1)[:, -1]
 
 
 # The config fields that ``_realize_sweep`` and ``_classify_windows`` read.
@@ -308,47 +307,43 @@ def _reused_totals(first: Schedule, known: list[np.ndarray], plan: Schedule, gen
 def _summarize_sweep(
     case_id: str, algorithm: Policy, sweep_axis, plan: Schedule, seeds, totals: list[np.ndarray]
 ) -> list[ResultRow]:
-    """One row per (sweep value, seed), from the sweep's schedule and its ``_sweep_totals``."""
+    """One row per (sweep value, seed), from the sweep's schedule and its ``_sweep_totals``.
+
+    Every column is computed over the whole sweep, ``(points, seeds)``, with
+    the float operations of one run's summary, so each row holds the bits it
+    would hold alone. A point's utilization is undefined, and written as 0.0,
+    when it has no neighbor input or a time total is not > 0.
+    """
     config = plan.configs[0]
     # Seed-free: arrivals and the time split come from the schedule.
-    offered_self, offered_nbr = (column.sum(axis=-1).tolist() for column in plan.offered)
-    t_pp, t_np = map(_running_totals, plan.times)
-    run_time = config.epochs * config.epoch_length
-    epoch_window = f"0-{config.epochs - 1}"
-    per_seed = [column.tolist() for column in totals]
+    offered_self, offered_nbr = (column.sum(axis=-1) for column in plan.offered)
+    # The per-point columns, against the seeds.
+    offered = offered_nbr[:, None]
+    t_pp, t_np = (_running_totals(column)[:, None] for column in plan.times)
+    forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious = totals
+    # A negative offered total breaks one of these too.
+    broken = (forwarded_self < 0) | (forwarded_nbr < 0) | (forwarded_nbr > offered)
+    if broken.any():
+        point, seed = np.argwhere(broken)[0]
+        # The first broken run's counters raise, naming the count.
+        k_pout, k_nout = int(forwarded_self[point, seed]), int(forwarded_nbr[point, seed])
+        PacketCounters(k_pout=k_pout, k_nout=k_nout, k_nin=int(offered_nbr[point]))
+    drop_ratio = np.divide(dropped_nbr, offered, out=np.zeros(dropped_nbr.shape), where=offered > 0)
+    throughput = (forwarded_self + forwarded_nbr) / (config.epochs * config.epoch_length)
+    defined = (offered > 0) & (t_pp > 0) & (t_np > 0)
+    # An undefined point divides by 1s, and its utilization is then written as 0.0.
+    k_nin, t_pp, t_np = (np.where(defined, column, 1) for column in (offered, t_pp, t_np))
+    utilization = np.where(defined, _ratio_form(forwarded_self, forwarded_nbr, k_nin, t_pp, t_np), 0.0)
 
+    case, name, window = repeat(case_id), repeat(algorithm.value), repeat(f"0-{config.epochs - 1}")
+    per_seed = forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, drop_ratio, malicious, throughput, utilization
+    per_point = zip(sweep_axis, offered_self.tolist(), offered_nbr.tolist())
     rows = []
-    for point, sweep_value in enumerate(sweep_axis):
-        offered = offered_nbr[point]
-        times = TimeBudget(t_pp=t_pp[point], t_np=t_np[point])
-        for seed, forwarded_self, forwarded_nbr, dropped_self, dropped_nbr, malicious_fraction in zip(
-            seeds, *(column[point] for column in per_seed)
-        ):
-            try:
-                utilization = utilization_node(
-                    PacketCounters(k_pout=forwarded_self, k_nout=forwarded_nbr, k_nin=offered), times
-                )
-            except (NoInputError, ZeroTimeError):
-                utilization = 0.0
-            rows.append(
-                ResultRow(
-                    case_id=case_id,
-                    algorithm=algorithm.value,
-                    sweep_value=sweep_value,
-                    seed=seed,
-                    epoch_window=epoch_window,
-                    offered_self=offered_self[point],
-                    offered_nbr=offered,
-                    forwarded_self=forwarded_self,
-                    forwarded_nbr=forwarded_nbr,
-                    dropped_self=dropped_self,
-                    dropped_nbr=dropped_nbr,
-                    drop_ratio=dropped_nbr / offered if offered > 0 else 0.0,
-                    malicious_fraction=malicious_fraction,
-                    throughput=(forwarded_self + forwarded_nbr) / run_time,
-                    utilization=utilization,
-                )
-            )
+    # Python values are made one point at a time, so only one point's are held at once.
+    for point, (sweep_value, offered_s, offered_n) in enumerate(per_point):
+        columns = [column[point].tolist() for column in per_seed]
+        head = repeat(sweep_value), seeds, window, repeat(offered_s), repeat(offered_n)
+        rows.extend(map(ResultRow, case, name, *head, *columns))
     return rows
 
 
@@ -379,7 +374,7 @@ def run_case(spec: CaseSpec) -> ResultTable:
             first, known = plan, _sweep_totals(plan, generators)
         totals = known if plan is first else _reused_totals(first, known, plan, generators)
         rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, totals))
-    rows.sort(key=lambda r: (r.case_id, r.algorithm, r.sweep_value, r.seed))
+    rows.sort(key=attrgetter("case_id", "algorithm", "sweep_value", "seed"))
     return ResultTable(rows=tuple(rows))
 
 

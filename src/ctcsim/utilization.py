@@ -18,7 +18,9 @@ dropped. Over the default experiment grid it reads 0.936 to 3.065 under
 
 The total over routes is computed two independent ways, as a ratio of rates
 and in a factored form, and the two must agree; this redundancy is part of
-the contract, not an optimization.
+the contract, not an optimization. The experiment grid evaluates the same
+ratio form (``_ratio_form``) on the arrays of a whole sweep, one value per
+point and seed, and writes 0.0 where utilization is undefined.
 """
 
 from __future__ import annotations
@@ -132,6 +134,13 @@ def _check_defined(counters: PacketCounters, times: TimeBudget) -> None:
             raise ZeroTimeError(f"{name} must be > 0, got {time}")
 
 
+def _ratio_form(k_pout, k_nout, k_nin, t_pp, t_np):
+    """The ratio form, unguarded, on floats or on numpy arrays that broadcast."""
+    n_out = k_pout / t_pp + k_nout / t_np
+    n_in = k_nin / t_np
+    return n_out / n_in
+
+
 def utilization_node(counters: PacketCounters, times: TimeBudget) -> float:
     """Utilization of one node: outgoing work rate over incoming work rate.
 
@@ -141,9 +150,7 @@ def utilization_node(counters: PacketCounters, times: TimeBudget) -> float:
     a needed time component is not positive.
     """
     _check_defined(counters, times)
-    n_out = counters.k_pout / times.t_pp + counters.k_nout / times.t_np
-    n_in = counters.k_nin / times.t_np
-    return n_out / n_in
+    return _ratio_form(counters.k_pout, counters.k_nout, counters.k_nin, times.t_pp, times.t_np)
 
 
 def utilization_node_factored(counters: PacketCounters, times: TimeBudget) -> float:

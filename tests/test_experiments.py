@@ -7,6 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_engine import run_reference, schedule_cohorts
 
 from ctcsim import experiments
 from ctcsim.errors import (
@@ -364,6 +367,141 @@ def test_run_case_matches_oracle_where_utilization_is_undefined(path):
                 assert not (trace.t_np if case_id == "I" else trace.t_pp).any()
     undefined = [row.utilization for row in rows if policy is None or row.algorithm == policy.value]
     assert undefined == [0.0] * 3 * 3 * (1 if policy else 2)
+
+
+def _small_spec(case_id, sweep_axis, seeds, algorithms=(Policy.CTC, Policy.DSR), **knobs):
+    return dataclasses.replace(
+        case_spec(case_id, ExperimentParams(**knobs)), sweep_axis=sweep_axis, seeds=seeds, algorithms=algorithms
+    )
+
+
+@st.composite
+def _small_specs(draw):
+    """Small grids: epochs that windows need not divide, sweep values from 0, seeds up to 2**64 - 1, either order."""
+    epochs = draw(st.integers(1, 30))
+    knobs = {
+        "epochs": epochs,
+        "window": draw(st.integers(1, epochs + 3)),
+        "service_rate": draw(st.sampled_from([30.0, 420.0])),
+        "ambient_drop": draw(st.sampled_from([0.0, 0.15, 0.6])),
+        "energy_budget": draw(st.sampled_from([0, 40, 20000])),
+        "misbehavior_threshold": draw(st.sampled_from([0.3, 0.75])),
+        # The first value of each knob is one under which some rows' utilization is undefined.
+        "case1_self_base": draw(st.sampled_from([500.0, 355.0, 100.0])),
+        "case3_self_peak": draw(st.sampled_from([0.0, 300.0])),
+        "case4_neighbor_rate": draw(st.sampled_from([0.0, 50.0])),
+    }
+    sweep_axis = draw(st.lists(st.sampled_from([0, 0, 10, 100, 800, 1600]), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+    algorithms = draw(st.sampled_from([(Policy.CTC, Policy.DSR), (Policy.DSR, Policy.CTC), (Policy.DSR,)]))
+    return _small_spec(draw(st.sampled_from(CASE_IDS)), tuple(sweep_axis), tuple(seeds), algorithms, **knobs)
+
+
+@example(spec=_small_spec("IV", (0, 100), (2**64 - 1, 3), epochs=7, window=3, case4_neighbor_rate=0))
+@example(spec=_small_spec("I", (0, 800), (0, 2**64 - 1), (Policy.DSR, Policy.CTC), epochs=11, case1_self_base=500))
+@example(spec=_small_spec("III", (1600, 0), (2**64 - 1,), epochs=30, window=4, case3_self_peak=0))
+@settings(max_examples=60, deadline=None)
+@given(spec=_small_specs())
+def test_run_case_matches_oracle_on_random_small_grids(spec):
+    # The examples reach each undefined utilization: no neighbor input, a
+    # zero t_np, a zero t_pp.
+    rows = run_case(spec).rows
+    oracle = _oracle_rows(spec)
+    assert rows == oracle
+    # Float bits too: == does not tell 0.0 from -0.0.
+    assert repr(rows) == repr(oracle)
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """``run_case`` with every ``ResultRow`` it builds failing the test."""
+
+    def no_row(*args):
+        raise AssertionError("a row was built before the counts were checked")
+
+    monkeypatch.setattr(experiments, "ResultRow", no_row)
+
+
+def _break_one_count(monkeypatch, field, value):
+    """Rebind ``_sweep_totals`` so that ``field`` of the last point's first seed is ``value(plan, point)``."""
+    real_totals = experiments._sweep_totals
+    fields = ("forwarded_self", "forwarded_nbr")
+
+    def broken_totals(plan, generators):
+        totals = [column.copy() for column in real_totals(plan, generators)]
+        point = len(plan.configs) - 1
+        totals[fields.index(field)][point, 0] = value(plan, point)
+        return totals
+
+    monkeypatch.setattr(experiments, "_sweep_totals", broken_totals)
+
+
+def test_run_case_rejects_more_forwarded_than_offered_neighbor_packets_before_any_row(monkeypatch, no_rows):
+    _break_one_count(monkeypatch, "forwarded_nbr", lambda plan, point: plan.offered[1][point].sum() + 1)
+    with pytest.raises(InvalidParameterError, match=r"^cannot forward more .* k_nout=\d+ > k_nin=\d+$") as caught:
+        run_case(_tiny_spec("I"))
+    k_nout, k_nin = map(int, re.search(r"k_nout=(\d+) > k_nin=(\d+)", str(caught.value)).groups())
+    assert k_nout == k_nin + 1
+
+
+@pytest.mark.parametrize("field, name", [("forwarded_self", "k_pout"), ("forwarded_nbr", "k_nout")])
+def test_run_case_rejects_a_negative_count_before_any_row(field, name, monkeypatch, no_rows):
+    _break_one_count(monkeypatch, field, lambda plan, point: -3)
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite and >= 0, got -3$"):
+        run_case(_tiny_spec("II"))
+
+
+def test_run_case_rejects_a_negative_offered_total_before_any_row(monkeypatch, no_rows):
+    real_schedule = experiments._schedule_sweep
+
+    def broken_schedule(configs):
+        # The packets moved from offered to dropped before the coin still conserve.
+        plan = real_schedule(configs)
+        (offered_self, offered_nbr), (before_self, before_nbr) = plan.offered, plan.dropped_before_loss
+        offered_nbr, before_nbr = offered_nbr.copy(), before_nbr.copy()
+        moved = offered_nbr[-1].sum() + 1
+        offered_nbr[-1, 0] -= moved
+        before_nbr[-1, 0] -= moved
+        offered, before = (offered_self, offered_nbr), (before_self, before_nbr)
+        return dataclasses.replace(plan, offered=offered, dropped_before_loss=before)
+
+    monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
+    with pytest.raises(InvalidParameterError, match=r"^k_nin must be finite and >= 0, got -1$"):
+        run_case(_tiny_spec("III"))
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_without_ambient_loss_every_seed_gives_one_row_whose_drops_are_the_schedules(case_id):
+    # At ambient_drop = 0 nothing is drawn, so a point's row is the same at
+    # every seed, and its drops are those decided before the coin. This holds
+    # on run_case, where it checks that each per-seed column lines up with
+    # its seed and point, and on the per-packet reference engine.
+    spec = _small_spec(
+        case_id, (0, 50, 300), (0, 5, 2**64 - 1), epochs=23, service_rate=30.0, ambient_drop=0.0,
+        energy_budget=100, case1_self_base=20.0, case3_self_peak=20.0, case4_neighbor_rate=5.0,
+    )
+    seed_rows = {}
+    for row in run_case(spec).rows:
+        seed_rows.setdefault((row.algorithm, row.sweep_value), []).append(row)
+    for algorithm in spec.algorithms:
+        plan = experiments._schedule_sweep([spec.config(algorithm, v) for v in spec.sweep_axis])
+        for point, sweep_value in enumerate(spec.sweep_axis):
+            rows = seed_rows[algorithm.value, sweep_value]
+            assert [row.seed for row in rows] == list(spec.seeds)
+            assert {dataclasses.replace(row, seed=0) for row in rows} == {dataclasses.replace(rows[0], seed=0)}
+            assert [rows[0].dropped_self, rows[0].dropped_nbr] == [c[point].sum() for c in plan.dropped_before_loss]
+            assert [rows[0].forwarded_self, rows[0].forwarded_nbr] == [c[point].sum() for c in plan.sent]
+
+            config = spec.config(algorithm, sweep_value)
+            cohorts = schedule_cohorts(config)
+            runs = [run_reference(dataclasses.replace(config, seed=seed)) for seed in spec.seeds]
+            for node, epochs in runs:
+                assert epochs == runs[0][1]
+                assert node.dropped_self == sum(cohorts["dropped_before_loss_self"])
+                assert node.dropped_neighbor == sum(cohorts["dropped_before_loss_neighbor"])
+                assert [node.forwarded_self, node.forwarded_neighbor] == [
+                    sum(cohorts["serviced_self"]), sum(cohorts["attempts_neighbor"])
+                ]
 
 
 @pytest.fixture

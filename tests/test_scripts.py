@@ -50,3 +50,20 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
         for _, seconds, faults in phases:
             assert float(seconds) > 0 and int(faults) >= 0
         assert counts == ["blocks", "2", "texts", "2"]
+
+
+def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):
+    # scripts/grid_phases.py times the phases of `exp all` at ten seeds. The
+    # grid has 1,280 rows; 87 of its 128 point-rows are realized, each seed
+    # of each by one `binomial` call.
+    script = _load("grid_phases")
+    real = [getattr(module, name) for module, name, _ in script.PHASES]
+    assert script.main([]) == 0
+    assert [getattr(module, name) for module, name, _ in script.PHASES] == real
+    header, *phases, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["phase", "wall_s", "minflt"]
+    assert [row[0] for row in phases] == ["schedule", "realize", "summarize", "emit", "total"]
+    for _, seconds, faults in phases:
+        assert float(seconds) > 0 and int(faults) >= 0
+    assert float(phases[-1][1]) >= sum(float(row[1]) for row in phases[:-1])
+    assert counts == ["rows", "1280", "realized", "87", "binomial", "870"]
