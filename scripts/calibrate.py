@@ -16,15 +16,8 @@ from statistics import fmean
 from scipy.stats import spearmanr
 
 from ctcsim.experiments import DEFAULTS, case_spec, derive_case_v, isotonic_nondecreasing, run_case
+from ctcsim.report import FIG_CASE, figure_series
 from ctcsim.sim import classify_misbehavior, run
-
-
-def seed_mean_by_sweep(table, algorithm):
-    out = {}
-    for row in table.rows:
-        if row.algorithm == algorithm:
-            out.setdefault(row.sweep_value, []).append(row.drop_ratio)
-    return {v: fmean(vals) for v, vals in sorted(out.items())}
 
 
 def main(argv=None):
@@ -39,14 +32,19 @@ def main(argv=None):
         spec = dataclasses.replace(spec, seeds=tuple(range(args.seeds)))
         tables[case_id] = run_case(spec)
         print(f"case {case_id}: {len(tables[case_id].rows)} rows")
+    # Seed-mean drop ratio per case, algorithm and sweep value: the points of
+    # figures 1-4.
+    means = {
+        case_id: {series.algorithm: dict(series.points) for series in figure_series([tables[case_id]], figure_id)}
+        for figure_id, case_id in FIG_CASE.items()
+    }
 
     # --- criterion 4: Case I landmarks
-    ctc = seed_mean_by_sweep(tables["I"], "ctc")
-    dsr = seed_mean_by_sweep(tables["I"], "dsr")
+    ctc, dsr = means["I"]["ctc"], means["I"]["dsr"]
     print("\ncase I seed-mean drop ratios:")
     print("  v     ctc      dsr")
     for v in sorted(ctc):
-        print(f"  {v:<5d} {ctc[v]:.4f}   {dsr[v]:.4f}")
+        print(f"  {int(v):<5d} {ctc[v]:.4f}   {dsr[v]:.4f}")
     high = [ctc[v] for v in range(800, 1601, 100)]
     print(f"C4 ctc mean over 800-1600: {fmean(high):.4f}  (target 0.15..0.30)")
     print(f"C4 ctc band over 800-1600: {max(high) - min(high):.4f}  (target <= 0.10)")
@@ -59,14 +57,12 @@ def main(argv=None):
 
     # --- criterion 5: Case IV flatness
     for algo in ("ctc", "dsr"):
-        vals = list(seed_mean_by_sweep(tables["IV"], algo).values())
+        vals = list(means["IV"][algo].values())
         print(f"C5 case IV {algo} band: {max(vals) - min(vals):.4f} (ctc target <= 0.10); mean {fmean(vals):.4f}")
 
     # --- criterion 6: Case III strictly below I and II at v >= 800
     for algo in ("ctc", "dsr"):
-        m3 = seed_mean_by_sweep(tables["III"], algo)
-        m1 = seed_mean_by_sweep(tables["I"], algo)
-        m2 = seed_mean_by_sweep(tables["II"], algo)
+        m1, m2, m3 = (means[case_id][algo] for case_id in ("I", "II", "III"))
         worst1 = min(m1[v] - m3[v] for v in range(800, 1601, 100))
         worst2 = min(m2[v] - m3[v] for v in range(800, 1601, 100))
         print(f"C6 {algo}: min margin III vs I {worst1:+.4f}, vs II {worst2:+.4f}  (targets > 0)")

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, MissingCaseError
-from .experiments import CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
+from .experiments import CASE_IDS, CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
 from .sim import Trace, source_split
 
 __all__ = [
@@ -63,18 +63,20 @@ __all__ = [
     "emit_trace_csv",
 ]
 
-# Per declared ResultRow field type: its CSV format and how it reads back.
-# ``%d`` and ``%.6f`` give the bytes of ``str(int(v))`` and ``f"{v:.6f}"``,
-# 64-bit seeds included.
+# Per declared column type of a small CSV: its format and how it reads
+# back. ``%d`` and ``%.6f`` give the bytes of ``str(int(v))`` and
+# ``f"{v:.6f}"``, 64-bit seeds included. Each small CSV is declared as its
+# ``(name, type)`` columns, in order.
 _CSV_TYPES = {"str": ("%s", str), "int": ("%d", int), "float": ("%.6f", float)}
-CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
-_ROW_FORMAT = ",".join(_CSV_TYPES[f.type][0] for f in fields(ResultRow))
-_ROW_READERS = [_CSV_TYPES[f.type][1] for f in fields(ResultRow)]
+_RESULT_COLUMNS = tuple((f.name, f.type) for f in fields(ResultRow))
+_FIGURE_COLUMNS = (("algorithm", "str"), ("x", "float"), ("y", "float"))
+_CASE_V_COLUMNS = (("algorithm", "str"), ("bucket_lower", "float"), ("mean_malicious", "float"), ("rows", "int"))
+CSV_COLUMNS = tuple(name for name, _ in _RESULT_COLUMNS)
 _row_values = attrgetter(*CSV_COLUMNS)
 
 # Figures 1-4 are the per-case drop-ratio curves; 5 and 6 are the derived
 # misbehavior-vs-drop-ratio view, raw and isotonic-smoothed.
-FIG_CASE = {1: "I", 2: "II", 3: "III", 4: "IV"}
+FIG_CASE = dict(enumerate(CASE_IDS, start=1))
 
 # A target row of a trace: the epoch, node 0, then the Trace fields in order.
 _TRACE_FIELDS = tuple(f.name for f in fields(Trace) if f.name != "config")
@@ -90,16 +92,18 @@ def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
         return sum(map(handle.write, chunks))
 
 
-def _write_lines(lines: list[str], dest: str | Path) -> int:
-    """Write lines as one UTF-8 file with a final newline; returns bytes written."""
-    return _write_chunks([("\n".join(lines) + "\n").encode("utf-8")], dest)
+def _emit_rows(columns: Sequence[tuple[str, str]], rows: Iterable[tuple], dest: str | Path) -> int:
+    """Write the header of declared ``(name, type)`` columns, then one line per
+    tuple of values, as one UTF-8 file; returns bytes written.
+    """
+    line = ",".join(_CSV_TYPES[kind][0] for _, kind in columns) + "\n"
+    text = ",".join(name for name, _ in columns) + "\n" + "".join([line % row for row in rows])
+    return _write_chunks([text.encode("utf-8")], dest)
 
 
 def emit_csv(table: ResultTable, dest: str | Path) -> int:
     """Write a result table; returns the number of bytes written."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [_ROW_FORMAT % _row_values(row) for row in table.rows]
-    return _write_lines(lines, dest)
+    return _emit_rows(_RESULT_COLUMNS, map(_row_values, table.rows), dest)
 
 
 def read_csv(path: str | Path) -> ResultTable:
@@ -108,12 +112,13 @@ def read_csv(path: str | Path) -> ResultTable:
     lines = [line for line in text.split("\n") if line]
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise InvalidParameterError(f"{path} does not have the expected result-table header")
+    readers = [_CSV_TYPES[kind][1] for _, kind in _RESULT_COLUMNS]
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
+        if len(parts) != len(readers):
             raise InvalidParameterError(f"malformed row in {path}: {line!r}")
-        rows.append(ResultRow(*(read(part) for read, part in zip(_ROW_READERS, parts))))
+        rows.append(ResultRow(*(read(part) for read, part in zip(readers, parts))))
     return ResultTable(rows=tuple(rows))
 
 
@@ -144,32 +149,18 @@ def _sweep_series(tables: Sequence[ResultTable], case_id: str) -> list[FigureSer
     return series
 
 
-def _smoothed(curve: CaseVCurve) -> dict[float, float]:
-    values = [bucket.mean_malicious for bucket in curve.buckets]
-    weights = [bucket.rows for bucket in curve.buckets]
-    fitted = isotonic_nondecreasing(values, weights)
-    return {bucket.lower: fit for bucket, fit in zip(curve.buckets, fitted)}
-
-
 def _derived_series(tables: Sequence[ResultTable], smooth: bool) -> list[FigureSeries]:
-    for case_id in FIG_CASE.values():
+    for case_id in CASE_IDS:
         _case_rows(tables, case_id)  # all four cases must be present
-    curves = derive_case_v(tables)
     per_algo: dict[str, dict[float, float]] = {}
-    for curve in curves:
+    for curve in derive_case_v(tables):
+        means = [bucket.mean_malicious for bucket in curve.buckets]
         if smooth:
-            per_algo[curve.algorithm] = _smoothed(curve)
-        else:
-            per_algo[curve.algorithm] = {b.lower: b.mean_malicious for b in curve.buckets}
+            means = isotonic_nondecreasing(means, [bucket.rows for bucket in curve.buckets])
+        per_algo[curve.algorithm] = dict(zip((bucket.lower for bucket in curve.buckets), means))
     # Shared bucket set so every emitted series covers identical x positions.
-    shared: set[float] | None = None
-    for buckets in per_algo.values():
-        shared = set(buckets) if shared is None else shared & set(buckets)
-    series = []
-    for algorithm in sorted(per_algo):
-        points = tuple((lower, per_algo[algorithm][lower]) for lower in sorted(shared or ()))
-        series.append(FigureSeries(algorithm, points))
-    return series
+    shared = sorted(set.intersection(*map(set, per_algo.values())))
+    return [FigureSeries(name, tuple((x, means[x]) for x in shared)) for name, means in sorted(per_algo.items())]
 
 
 def figure_series(tables: Sequence[ResultTable], figure_id: int) -> list[FigureSeries]:
@@ -191,20 +182,13 @@ def figure_series(tables: Sequence[ResultTable], figure_id: int) -> list[FigureS
 
 def emit_figure_csv(series: Sequence[FigureSeries], dest: str | Path) -> int:
     """Write figure series as ``algorithm,x,y`` rows; returns bytes written."""
-    lines = ["algorithm,x,y"]
-    for entry in series:
-        for x, y in entry.points:
-            lines.append(f"{entry.algorithm},{x:.6f},{y:.6f}")
-    return _write_lines(lines, dest)
+    return _emit_rows(_FIGURE_COLUMNS, ((entry.algorithm, x, y) for entry in series for x, y in entry.points), dest)
 
 
 def emit_case_v_csv(curves: Sequence[CaseVCurve], dest: str | Path) -> int:
     """Write derived-curve buckets as ``algorithm,bucket_lower,mean_malicious,rows``; returns bytes written."""
-    lines = ["algorithm,bucket_lower,mean_malicious,rows"]
-    for curve in curves:
-        for bucket in curve.buckets:
-            lines.append(f"{curve.algorithm},{bucket.lower:.6f},{bucket.mean_malicious:.6f},{bucket.rows}")
-    return _write_lines(lines, dest)
+    rows = ((curve.algorithm, b.lower, b.mean_malicious, b.rows) for curve in curves for b in curve.buckets)
+    return _emit_rows(_CASE_V_COLUMNS, rows, dest)
 
 
 # Bytes per block of a trace: a block holds whole epochs, as many as fit, or

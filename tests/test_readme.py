@@ -1,9 +1,12 @@
 """The README's library example must run as written, and its CSV headers must be the emitted ones."""
 
+import dataclasses
 import re
 from pathlib import Path
 
-from ctcsim.report import CSV_COLUMNS, TRACE_COLUMNS
+from ctcsim.experiments import ResultTable
+from ctcsim.report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv
+from ctcsim.sim import RateFunction, RateKind, SimConfig, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,7 +19,24 @@ def test_readme_python_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_readme_csv_headers_match_the_writers():
+def _empty_trace():
+    rate = RateFunction(RateKind.CONSTANT, 1.0)
+    trace = run(SimConfig(epochs=1, self_rate_fn=rate, neighbor_rate_fn=rate))
+    columns = [f.name for f in dataclasses.fields(trace) if f.name != "config"]
+    return dataclasses.replace(trace, **{name: getattr(trace, name)[:0] for name in columns})
+
+
+def test_readme_csv_headers_match_the_writers(tmp_path):
     lines = README.read_text(encoding="utf-8").splitlines()
-    documented = [line for line in lines if line.startswith(("case_id,", "epoch,node_id,"))]
-    assert documented == [",".join(CSV_COLUMNS), ",".join(TRACE_COLUMNS)]
+    documented = [line for line in lines if line.startswith(("case_id,", "epoch,node_id,", "algorithm,"))]
+    emitted = []
+    for writer, empty in [
+        (emit_csv, ResultTable(rows=())),
+        (emit_trace_csv, _empty_trace()),
+        (emit_figure_csv, []),
+        (emit_case_v_csv, []),
+    ]:
+        dest = tmp_path / f"{writer.__name__}.csv"
+        writer(empty, dest)
+        emitted.append(dest.read_text(encoding="utf-8").removesuffix("\n"))
+    assert documented == emitted

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from ctcsim import report
 from ctcsim.errors import InvalidParameterError, MissingCaseError
-from ctcsim.experiments import ResultRow, ResultTable, case_spec, run_case
+from ctcsim.experiments import CaseVBucket, CaseVCurve, ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
     CSV_COLUMNS,
     FIG_CASE,
     FigureSeries,
+    emit_case_v_csv,
     emit_csv,
     emit_figure_csv,
     emit_trace_csv,
@@ -71,10 +72,20 @@ def test_csv_columns_fixed_order():
     )
 
 
-def test_emit_csv_empty_table_is_header_only(tmp_path):
+@pytest.mark.parametrize(
+    "writer, empty, header",
+    [
+        (emit_csv, ResultTable(rows=()), ",".join(CSV_COLUMNS)),
+        (emit_figure_csv, [], "algorithm,x,y"),
+        (emit_case_v_csv, [], "algorithm,bucket_lower,mean_malicious,rows"),
+    ],
+    ids=["emit_csv", "emit_figure_csv", "emit_case_v_csv"],
+)
+def test_emit_csv_empty_table_is_header_only(tmp_path, writer, empty, header):
     dest = tmp_path / "empty.csv"
-    emit_csv(ResultTable(rows=()), dest)
-    assert dest.read_bytes() == (",".join(CSV_COLUMNS) + "\n").encode()
+    written = writer(empty, dest)
+    assert dest.read_bytes() == (header + "\n").encode()
+    assert written == len(header) + 1
 
 
 def test_emit_csv_exact_bytes(tmp_path):
@@ -240,6 +251,23 @@ def test_emit_figure_csv_exact_bytes(tmp_path):
     emit_figure_csv([FigureSeries("ctc", ((100.0, 0.3),)), FigureSeries("dsr", ((100.0, 0.1),))], dest)
     assert dest.read_text(encoding="utf-8") == (
         "algorithm,x,y\nctc,100.000000,0.300000\ndsr,100.000000,0.100000\n"
+    )
+
+
+def test_emit_case_v_csv_exact_bytes(tmp_path):
+    dest = tmp_path / "case_v.csv"
+    curves = [
+        CaseVCurve("ctc", (CaseVBucket(0.05, 1 / 3, 7), CaseVBucket(0.1, 0.0, 12))),
+        CaseVCurve("dsr", (CaseVBucket(0.15000000000000002, 0.5, 1),)),
+    ]
+    written = emit_case_v_csv(curves, dest)
+    data = dest.read_bytes()
+    assert written == len(data)
+    assert data.decode("utf-8") == (
+        "algorithm,bucket_lower,mean_malicious,rows\n"
+        "ctc,0.050000,0.333333,7\n"
+        "ctc,0.100000,0.000000,12\n"
+        "dsr,0.150000,0.500000,1\n"
     )
 
 
