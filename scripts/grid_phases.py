@@ -46,6 +46,7 @@ PHASES = (
     (experiments, "_summarize_sweep", "summarize"),
     (cli, "emit_csv", "emit"),
     (cli, "figure_series", "emit"),
+    (cli, "derived_series", "emit"),
     (cli, "emit_figure_csv", "emit"),
     (cli, "derive_case_v", "emit"),
     (cli, "emit_case_v_csv", "emit"),
@@ -60,9 +61,9 @@ def _timed_phases(totals: dict, counts: dict) -> list:
     """Per call of ``PHASES``: its module, name, function, and a wrapper that adds its time and faults to ``totals``."""
 
     def timed(fn, phase):
-        def call(*args):
+        def call(*args, **kwargs):
             faults, start = _faults(), time.perf_counter()
-            result = fn(*args)
+            result = fn(*args, **kwargs)
             totals[phase][0] += time.perf_counter() - start
             totals[phase][1] += _faults() - faults
             if phase == "realize":

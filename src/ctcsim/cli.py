@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import CtcSimError, InvariantError
 from .experiments import CASE_IDS, MAX_SEEDS, case_spec, derive_case_v, run_case
 from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
-from .report import emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
+from .report import FIG_CASE, derived_series, emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
 from .sim import Policy, load_config, run
 from .utilization import MAX_COUNT, TIME_RANGE, PacketCounters, utilization_forms
 
@@ -162,8 +162,14 @@ def _cmd_exp_all(args) -> int:
         tables[case_id] = table = run_case(_spec_for(case_id, "both", args.seeds, args.seed))
         emit_csv(table, out_dir / f"case_{case_id}.csv")
         print(f"case {case_id}: {len(table.rows)} rows -> case_{case_id}.csv")
+    pooled = list(tables.values())
+    # Figures 5 and 6 are the raw and the smoothed view of the same pooled curves.
+    curves = derive_case_v(pooled)
     for figure_id in range(1, 7):
-        series = figure_series(list(tables.values()), figure_id)
+        if figure_id in FIG_CASE:
+            series = figure_series(pooled, figure_id)
+        else:
+            series = derived_series(curves, smooth=figure_id == 6)
         emit_figure_csv(series, out_dir / f"fig_{figure_id}.csv")
         print(f"fig_{figure_id}.csv: {sum(len(s.points) for s in series)} points")
     # Per-case derived curves, for inspection alongside the pooled figures.

@@ -58,6 +58,7 @@ __all__ = [
     "read_csv",
     "FigureSeries",
     "figure_series",
+    "derived_series",
     "emit_figure_csv",
     "emit_case_v_csv",
     "emit_trace_csv",
@@ -149,11 +150,13 @@ def _sweep_series(tables: Sequence[ResultTable], case_id: str) -> list[FigureSer
     return series
 
 
-def _derived_series(tables: Sequence[ResultTable], smooth: bool) -> list[FigureSeries]:
-    for case_id in CASE_IDS:
-        _case_rows(tables, case_id)  # all four cases must be present
+def derived_series(curves: Sequence[CaseVCurve], smooth: bool) -> list[FigureSeries]:
+    """Figure 5 from the pooled curves of ``derive_case_v``, or figure 6 when ``smooth``.
+
+    One derivation of the pooled rows serves both figures.
+    """
     per_algo: dict[str, dict[float, float]] = {}
-    for curve in derive_case_v(tables):
+    for curve in curves:
         means = [bucket.mean_malicious for bucket in curve.buckets]
         if smooth:
             means = isotonic_nondecreasing(means, [bucket.rows for bucket in curve.buckets])
@@ -173,10 +176,10 @@ def figure_series(tables: Sequence[ResultTable], figure_id: int) -> list[FigureS
     """
     if figure_id in FIG_CASE:
         return _sweep_series(tables, FIG_CASE[figure_id])
-    if figure_id == 5:
-        return _derived_series(tables, smooth=False)
-    if figure_id == 6:
-        return _derived_series(tables, smooth=True)
+    if figure_id in (5, 6):
+        for case_id in CASE_IDS:
+            _case_rows(tables, case_id)  # all four cases must be present
+        return derived_series(derive_case_v(tables), smooth=figure_id == 6)
     raise InvalidParameterError(f"figure_id must be 1..6, got {figure_id}")
 
 

@@ -145,9 +145,20 @@ class RateFunction:
             return self.base + self.slope * epoch
         return np.maximum(0.0, self.base - self.slope * epoch)
 
-    def arrivals(self, epochs: int) -> np.ndarray:
-        """Whole packets arriving at epochs ``0 .. epochs-1``: ``rate`` rounded half to even, as int64."""
-        return np.rint(self.rate(np.arange(epochs))).astype(np.int64)
+    def arrivals(self, out: np.ndarray) -> np.ndarray:
+        """Write the whole packets arriving at epochs ``0 .. out.size - 1`` into the int64 row ``out`` and return it.
+
+        Each is ``rate`` rounded half to even. The rates take ``rate``'s
+        float operations in its order, in one float64 array.
+        """
+        rates = np.arange(out.size, dtype=np.float64)
+        rates *= 0.0 if self.kind is RateKind.CONSTANT else self.slope
+        if self.kind is RateKind.LINEAR_DECREASING:
+            np.maximum(0.0, np.subtract(self.base, rates, out=rates), out=rates)
+        else:
+            rates += self.base
+        np.copyto(out, np.rint(rates, out=rates), casting="unsafe")
+        return out
 
     @classmethod
     def parse(cls, text: str) -> "RateFunction":
@@ -209,12 +220,13 @@ _INT64_MAX = 2**63 - 1
 _EXACT_MAX = 2**53
 
 # Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, about 146 bytes per epoch at the peak (in ``run``, as it adds the
-# drop ratios; ``_realize_sweep`` peaks at 113 with the schedule it reads,
-# ``_schedule_sweep`` at 136 for ``ctc`` and 112 for ``dsr``; tracemalloc at
-# 10**6 epochs, ``data_rate`` 420, ``deadline_epochs`` 20, rates 300 and
-# 200), so 10**7 epochs need near 1.4 GiB. A larger value is rejected by name at
-# validation instead of failing in an allocation.
+# memory, at most about 136 bytes per epoch (``_schedule_sweep`` for ``ctc``;
+# for ``dsr`` it peaks at 112, and so does ``_realize_sweep`` with the
+# schedule it reads; ``run`` then lets go of the columns the 96-byte trace
+# does not keep before it adds the drop ratios; tracemalloc at 10**6 epochs,
+# ``data_rate`` 420, ``deadline_epochs`` 20, rates 300 and 200), so 10**7
+# epochs need near 1.3 GiB. A larger value is rejected by name at validation
+# instead of failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, about a hundred bytes per source: at the
@@ -587,9 +599,10 @@ def _schedule_sweep(configs: list[SimConfig]) -> Schedule:
     ``int / int``.
     """
     epochs = configs[0].epochs
-    offered_self = np.stack([c.self_rate_fn.arrivals(epochs) for c in configs])
-    offered_nbr = np.stack([c.neighbor_rate_fn.arrivals(epochs) for c in configs])
-    offered = offered_self, offered_nbr
+    offered_self, offered_nbr = offered = tuple(np.empty((2, len(configs), epochs), np.int64))
+    for row, c in enumerate(configs):
+        c.self_rate_fn.arrivals(offered_self[row])
+        c.neighbor_rate_fn.arrivals(offered_nbr[row])
     # Capacity is data_rate packets/second over the epoch.
     capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
     deadlines = [min(c.deadline_epochs, epochs) for c in configs]
@@ -762,11 +775,11 @@ def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.G
     numpy's ``next_double`` reads. Each sample's bucket gives its ``X``,
     stepped over the bucket's one threshold. A sample in a ``_WIDE`` bucket
     or within ``_GUARD`` of a threshold is decided at the end by
-    ``searchsorted`` and, near a threshold, by ``_invert``. False leaves
-    ``out`` and the generator's state undefined.
+    ``searchsorted`` and, near a threshold, by ``_invert``. ``out`` may be
+    ``counts`` itself: a chunk's counts are read before its samples are
+    written. False leaves ``out`` and the generator's state undefined.
     """
     offsets, base, low, padded = tables
-    out.fill(0)
     odd = []
     for start in range(0, counts.size, _CHUNK):
         chunk = counts[start : start + _CHUNK]
@@ -778,7 +791,9 @@ def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.G
         over = m - low.take(index)
         x = base.take(index)
         x += over > _GUARD
-        out[start : start + _CHUNK][nonzero] = x
+        samples = out[start : start + _CHUNK]
+        samples.fill(0)
+        samples[nonzero] = x
         redo = np.flatnonzero((over.view(np.uint64) <= 2 * _GUARD) | (x >= _WIDE))
         odd.append((start + nonzero[redo], index[redo] >> _TABLE_BITS, m[redo]))
     positions, groups, uniforms = (np.concatenate(parts) for parts in zip(*odd))
@@ -811,21 +826,24 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     stream. A row that ``_tables`` admits is drawn by ``_table_binomial``
     from numpy's own uniforms; the others, and a row in which numpy would
     draw a sample again, by ``generator.binomial`` itself.
+
+    Each row holds its interleaved ``sent`` until it is drawn over, so the
+    draw needs no copy of ``sent`` beside the schedule and the losses.
     """
     points, epochs = plan.sent[0].shape
-    sent = np.empty((points, 2 * epochs), dtype=np.int64)
-    sent[:, 0::2], sent[:, 1::2] = plan.sent
     lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
-    for point, counts, config in zip(lost, sent, plan.configs):
+    lost[..., 0::2], lost[..., 1::2] = (column[:, None] for column in plan.sent)
+    for point, config, *sent in zip(lost, plan.configs, *plan.sent):
         p = config.base_drop_prob
-        tables = _tables(counts, p)
+        tables = _tables(point[0], p)
         for row, (generator, seeded) in zip(point, generators):
             generator.bit_generator.state = seeded
             if tables is None:
-                row[:] = generator.binomial(counts, p)
-            elif not _table_binomial(counts, p, tables, generator, row):
+                row[:] = generator.binomial(row, p)
+            elif not _table_binomial(row, p, tables, generator, row):
                 generator.bit_generator.state = seeded
-                row[:] = generator.binomial(counts, p)
+                row[0::2], row[1::2] = sent
+                row[:] = generator.binomial(row, p)
     return lost
 
 
@@ -846,10 +864,16 @@ def _realize_sweep(plan: Schedule, generators) -> tuple[tuple[np.ndarray, np.nda
 
 def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
     """Running drop ratio, 0 until the first packet is offered."""
-    cum_offered = np.cumsum(offered)
-    # Validation keeps the running sums within 2**53 (see ``SimConfig``),
-    # where they convert to float64 exactly: this is Python's int / int.
-    return np.divide(np.cumsum(dropped), cum_offered, out=np.zeros(cum_offered.size), where=cum_offered > 0)
+    # Validation keeps the running sums within 2**53 (see ``SimConfig``), so
+    # they sum exactly in float64, the ratio's own column and one more: this
+    # is Python's int / int. Each sums in place; a cumsum that casts would
+    # first copy its whole input.
+    ratio, cum_offered = (np.cumsum(sums, out=sums) for sums in (dropped.astype(float), offered.astype(float)))
+    # Counts are >= 0, so the epochs before the first packet is offered are a prefix.
+    start = int(np.searchsorted(cum_offered, 0.0, side="right"))
+    ratio[:start] = 0.0
+    np.divide(ratio[start:], cum_offered[start:], out=ratio[start:])
+    return ratio
 
 
 def run(config: SimConfig) -> Trace:
@@ -857,6 +881,8 @@ def run(config: SimConfig) -> Trace:
     plan = _schedule_sweep([config])
     forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, _seeded((config.seed,))))
     offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
+    # The trace keeps neither ``sent`` nor ``dropped_before_loss``: they go before the ratios are summed.
+    del plan
     return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *map(_cumulative_ratio, dropped, offered))
 
 

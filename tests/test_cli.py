@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim import experiments, sim, utilization
+from ctcsim import cli, experiments, report, sim, utilization
 from ctcsim.cli import main
 from ctcsim.experiments import MAX_SEEDS
 from ctcsim.model import MAX_K
@@ -467,6 +467,23 @@ def test_exp_all_writes_every_artifact(tmp_path, capsys):
     assert len(fig1) == 1 + 32  # 16 sweep points x 2 algorithms
     case_v = (out_dir / "case_v_I.csv").read_text(encoding="utf-8").strip().split("\n")
     assert case_v[0] == "algorithm,bucket_lower,mean_malicious,rows"
+
+
+def test_exp_all_derives_the_pooled_curves_once(tmp_path, capsys, monkeypatch):
+    # Figures 5 and 6 are two views of one derivation over the pooled rows of
+    # all four cases; each case's own curves are derived once more.
+    derived = []
+    real_derive = cli.derive_case_v
+
+    def counting_derive(tables, *args):
+        derived.append(sorted({row.case_id for table in tables for row in table.rows}))
+        return real_derive(tables, *args)
+
+    monkeypatch.setattr(cli, "derive_case_v", counting_derive)
+    monkeypatch.setattr(report, "derive_case_v", counting_derive)
+    code, _, _ = run_cli("exp", "all", "--out-dir", str(tmp_path), "--seeds", "1", capsys=capsys)
+    assert code == 0
+    assert derived == [["I", "II", "III", "IV"], ["I"], ["II"], ["III"], ["IV"]]
 
 
 def test_exp_all_default_grid_matches_recorded_sha256(tmp_path, capsys):

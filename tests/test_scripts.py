@@ -37,18 +37,22 @@ def test_src_lines_total_is_the_sum_of_the_modules(capsys):
 
 def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
     # scripts/trace_phases.py times `sim.run` and `emit_trace_csv` for one
-    # config file, then counts the writer's blocks and texts. 50 epochs of 4
-    # short lines make two blocks, since blocks end at epoch 10, and each
-    # block is one text. The counts are the same in every run.
+    # config file, with the peak resident set after each, then counts the
+    # writer's blocks and texts. 50 epochs of 4 short lines make two blocks,
+    # since blocks end at epoch 10, and each block is one text. The counts
+    # are the same in every run.
     config = tmp_path / "config.json"
     config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
     for _ in range(2):
         assert _load("trace_phases").main([str(config)]) == 0
         header, *phases, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
-        assert header == ["phase", "wall_s", "minflt"]
+        assert header == ["phase", "wall_s", "minflt", "VmHWM_MiB"]
         assert [row[0] for row in phases] == ["sim.run", "emit_trace_csv"]
-        for _, seconds, faults in phases:
+        for _, seconds, faults, _ in phases:
             assert float(seconds) > 0 and int(faults) >= 0
+        # A high-water mark never falls.
+        run_peak, emit_peak = (float(row[3]) for row in phases)
+        assert emit_peak >= run_peak > 0
         assert counts == ["blocks", "2", "texts", "2"]
 
 
