@@ -25,7 +25,7 @@ from .errors import CtcSimError, InvariantError
 from .experiments import CASE_IDS, MAX_SEEDS, case_spec, derive_case_v, run_case
 from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
 from .report import FIG_CASE, derived_series, emit_case_v_csv, emit_csv, emit_figure_csv, emit_trace_csv, figure_series
-from .sim import Policy, load_config, run
+from .sim import Policy, load_config, run_blocks
 from .utilization import MAX_COUNT, TIME_RANGE, PacketCounters, utilization_forms
 
 __all__ = ["main", "build_parser"]
@@ -124,12 +124,21 @@ def _cmd_sim_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    trace = run(config)
-    written = emit_trace_csv(trace, args.out)
+    final = []
+
+    def blocks():
+        # The run's blocks, written as they are made. Each is let go before
+        # the next one is made; the last one's ratios are the run's.
+        for block in run_blocks(config):
+            final[:] = block.drop_ratio_self[-1], block.drop_ratio_neighbor[-1]
+            yield block
+            del block
+
+    written = emit_trace_csv(blocks(), args.out)
     print(f"epochs                {config.epochs}")
-    if config.epochs:
-        print(f"drop_ratio_self       {trace.drop_ratio_self[-1]:.6f}")
-        print(f"drop_ratio_neighbor   {trace.drop_ratio_neighbor[-1]:.6f}")
+    if final:
+        print(f"drop_ratio_self       {final[0]:.6f}")
+        print(f"drop_ratio_neighbor   {final[1]:.6f}")
     print(f"wrote {args.out} ({written} bytes)")
     return 0
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -345,10 +346,13 @@ def _int_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
+def _line_fields(columns: Sequence[np.ndarray], buffer: bytearray) -> np.ndarray:
     """CSV lines of equal-length columns as one ``(height, rows)`` uint8 table,
     a column per line: ``%d`` of each integer column or ``%.6f`` of each
     float64 column, each followed by a comma, the last by a newline.
+
+    The table is a view of ``buffer``, which grows in place when it is too
+    small, so no other view of it may be held.
     """
     # Each field is sized first and written after the table is allocated, so
     # only one field's digit arrays exist at a time. Overflow in the scaled
@@ -356,7 +360,9 @@ def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
     # they are not worth a warning.
     with np.errstate(all="ignore"):
         fields = [_real_field(column) if column.dtype.kind == "f" else _int_field(column) for column in columns]
-        table = np.empty((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
+        height, rows = sum(width + 1 for width, _ in fields), len(columns[0])
+        buffer.extend(bytes(max(0, height * rows - len(buffer))))
+        table = np.frombuffer(buffer, np.uint8, height * rows).reshape(height, rows)
         row = 0
         for width, write in fields:
             write(table[row : row + width])
@@ -366,10 +372,32 @@ def _line_fields(columns: Sequence[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _trace_blocks(trace: Trace) -> Iterator[memoryview]:
-    """The trace's epochs, after the header, as runs of whole epochs.
+def _trace_groups(pieces: Iterable[Trace]) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The run's first epoch and the columns of each group of epochs of consecutive traces of one run.
 
-    A block is one uint8 table with a row per epoch: the target line, then
+    A group holds at most ``_TRACE_GROUP_EPOCHS`` epochs of one piece and
+    ends at each power of ten of the run's epoch. A piece is let go before
+    the next one is asked for.
+    """
+    offset = 0
+    for trace in pieces:
+        columns = [getattr(trace, name) for name in _TRACE_FIELDS]
+        epochs = offset + columns[0].size
+        del trace
+        start = offset
+        while start < epochs:
+            stop = min(epochs, start + _TRACE_GROUP_EPOCHS, 10 ** _places(start))
+            yield start, [column[start - offset : stop - offset] for column in columns]
+            start = stop
+        offset = epochs
+        del columns
+
+
+def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
+    """The epochs of a trace, or of consecutive traces of one run, after the header, as runs of whole epochs.
+
+    ``pieces`` is a whole trace, or the blocks of ``sim.run_blocks`` in
+    order. A block is one uint8 table with a row per epoch: the target line, then
     the lines of sources 1..n, laid out as one ``(rows, sources, width)``
     view per digit count of the node ids. Read row by row without its zero
     bytes, the table is the block's text. Every block is built in one
@@ -384,9 +412,14 @@ def _trace_blocks(trace: Trace) -> Iterator[memoryview]:
     each line's epoch, copied from the target's own field, and its two
     ``sent`` fields are written into their slots.
     """
-    config = trace.config
+    pieces = iter([pieces] if isinstance(pieces, Trace) else pieces)
+    head = next(pieces, None)
+    if head is None:
+        return
+    config = head.config
+    groups = _trace_groups(chain([head], pieces))
+    del head
     nodes = config.neighbor_count
-    columns = [getattr(trace, name) for name in _TRACE_FIELDS]
     # Per digit count of the node ids: the sources' index range, and their
     # ",id," bytes.
     classes = []
@@ -401,15 +434,15 @@ def _trace_blocks(trace: Trace) -> Iterator[memoryview]:
     tail = f",0,0,0,0,0,{config.epoch_length:.6f},0.000000,0.000000,0.000000\n"
     tail = np.frombuffer(tail.encode("ascii"), np.uint8)
     buffer = bytearray(_TRACE_CHUNK_BYTES)
-    epochs = trace.offered_neighbor.size
-    start = 0
-    while start < epochs:
+    # The target lines of every group are formatted into one buffer too, so
+    # that the engine's blocks, made between groups, do not take its pages.
+    lines_buffer = bytearray()
+    for start, columns in groups:
         epoch_width = _places(start)
-        stop = min(epochs, start + _TRACE_GROUP_EPOCHS, 10**epoch_width)
-        epoch = np.arange(start, stop, dtype=np.int64)
-        target = _line_fields([epoch, np.zeros_like(epoch), *(column[start:stop] for column in columns)])
+        epoch = np.arange(start, start + columns[0].size, dtype=np.int64)
+        target = _line_fields([epoch, np.zeros_like(epoch), *columns], lines_buffer)
         height = target.shape[0]
-        offered = trace.offered_neighbor[start:stop]
+        offered = columns[_TRACE_FIELDS.index("offered_neighbor")]
         # An epoch's bytes but for its 2 * nodes ``sent`` fields.
         fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
         # Sized for the group's largest count, a source's share rounded up.
@@ -452,11 +485,10 @@ def _trace_blocks(trace: Trace) -> Iterator[memoryview]:
             yield memoryview(buffer)[:size]
         # The group's table, freed before the next one is made, so that
         # memory holds one.
-        del target, epoch_text
-        start = stop
+        del target, epoch_text, columns, offered
 
 
-def _trace_chunks(trace: Trace) -> Iterator[bytes]:
+def _trace_chunks(pieces: Trace | Iterable[Trace]) -> Iterator[bytes]:
     """The trace CSV bytes: the header, then each block's text in slices.
 
     A slice of at most ``_TRACE_SLICE_BYTES`` of a block is copied out of
@@ -465,12 +497,12 @@ def _trace_chunks(trace: Trace) -> Iterator[bytes]:
     drops those of the block.
     """
     yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
-    for block in _trace_blocks(trace):
+    for block in _trace_blocks(pieces):
         for start in range(0, len(block), _TRACE_SLICE_BYTES):
             yield bytes(block[start : start + _TRACE_SLICE_BYTES]).replace(b"\0", b"")
 
 
-def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
+def emit_trace_csv(trace: Trace | Iterable[Trace], dest: str | Path) -> int:
     """Write one row per (epoch, node) of a trace; returns bytes written.
 
     Node 0 is the simulated target. Sources 1..neighbor_count are derived:
@@ -478,6 +510,7 @@ def emit_trace_csv(trace: Trace, dest: str | Path) -> int:
     forwards all of it at once, relays nothing, and spends the whole epoch
     on its own traffic. The file is built in blocks of whole epochs and
     written in slices of each block, so memory stays bounded however long
-    the trace.
+    the trace. ``trace`` is one ``Trace``, or a run's consecutive blocks in
+    order (``sim.run_blocks``), which are then written as they are made.
     """
     return _write_chunks(_trace_chunks(trace), dest)

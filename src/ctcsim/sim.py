@@ -38,6 +38,18 @@ first sweep's in what the pass reads; the others would realize to the same
 totals at every seed. ``run`` and ``classify_misbehavior`` are the one-row
 case of that pass.
 
+A run goes through the same two stages in blocks of ``_BLOCK_EPOCHS``
+epochs (``run_blocks``); a grid sweep is one block from a fresh target.
+Each block's schedule starts from the state the block before left
+(``_Carry``): each class's consumed count and queue, the running arrivals of
+the last ``min(deadline, epochs)`` epochs, which give ``A(e-D)``, and
+``dsr``'s running attempts. Its losses continue the seed's one stream, and
+its drop ratios two running sums per class. So the blocks concatenate to the
+whole run bit for bit, and ``ctcsim sim run`` writes each block as it is
+made: it holds the imports, one block's work and 16 bytes per epoch of
+``min(deadline, epochs)``, however long the run. ``run`` fills its
+whole-run columns block by block.
+
 Each row of losses equals ``np.random.default_rng(seed).binomial`` over the
 row's counts: the pair ``sent``, the serviced self packets and the neighbor
 attempts, interleaved as ``[sent[0][e], sent[1][e]]`` per epoch, the order
@@ -80,8 +92,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -99,6 +112,7 @@ __all__ = [
     "ctc_split",
     "source_split",
     "run",
+    "run_blocks",
     "Trace",
     "MisbehaviorStats",
     "WindowRatio",
@@ -145,13 +159,13 @@ class RateFunction:
             return self.base + self.slope * epoch
         return np.maximum(0.0, self.base - self.slope * epoch)
 
-    def arrivals(self, out: np.ndarray) -> np.ndarray:
-        """Write the whole packets arriving at epochs ``0 .. out.size - 1`` into the int64 row ``out`` and return it.
+    def arrivals(self, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """Write the whole packets arriving from epoch ``start`` on into the int64 row ``out`` and return it.
 
         Each is ``rate`` rounded half to even. The rates take ``rate``'s
         float operations in its order, in one float64 array.
         """
-        rates = np.arange(out.size, dtype=np.float64)
+        rates = np.arange(start, start + out.size, dtype=np.float64)
         rates *= 0.0 if self.kind is RateKind.CONSTANT else self.slope
         if self.kind is RateKind.LINEAR_DECREASING:
             np.maximum(0.0, np.subtract(self.base, rates, out=rates), out=rates)
@@ -219,14 +233,15 @@ _INT64_MAX = 2**63 - 1
 # it divide as Python's ``int / int`` does.
 _EXACT_MAX = 2**53
 
-# Upper bound on ``SimConfig.epochs``. A run holds its per-epoch columns in
-# memory, at most about 136 bytes per epoch (``_schedule_sweep`` for ``ctc``;
-# for ``dsr`` it peaks at 112, and so does ``_realize_sweep`` with the
-# schedule it reads; ``run`` then lets go of the columns the 96-byte trace
-# does not keep before it adds the drop ratios; tracemalloc at 10**6 epochs,
-# ``data_rate`` 420, ``deadline_epochs`` 20, rates 300 and 200), so 10**7
-# epochs need near 1.3 GiB. A larger value is rejected by name at validation
-# instead of failing in an allocation.
+# Upper bound on ``SimConfig.epochs``. ``ctcsim sim run`` streams a run in
+# blocks (``run_blocks``), so it holds the imports, one block's work and 16
+# bytes per epoch of ``min(deadline, epochs)`` (8 per class), however long
+# the run: tracemalloc reads about 3.6 MB, the engine's block and the trace
+# writer's buffers, at 10**5 and at 10**6 epochs (``data_rate`` 420,
+# ``deadline_epochs`` 20, rates 300 and 200). ``run`` returns whole-run
+# columns, 96 bytes per epoch, plus one block's work: near 1 GB at 10**7
+# epochs. A larger value is rejected by name at validation instead of
+# failing in an allocation.
 MAX_EPOCHS = 10**7
 # Upper bound on ``SimConfig.neighbor_count``. The trace writer holds one
 # epoch's source rows in memory, about a hundred bytes per source: at the
@@ -416,21 +431,23 @@ class Schedule:
     """The seed-free part of a sweep at the target, each per-class quantity a ``(self, neighbor)`` pair.
 
     Each member of a pair is a ``(points, epochs)`` column, row ``k`` for
-    ``configs[k]``. ``sent`` is the serviced self packets and the neighbor
-    attempts, the packets transmitted, each facing one ambient-loss coin.
-    ``dropped_before_loss`` is the drops decided before the coin: deadline
-    expiry, plus ``dsr`` gate drops on the neighbor side. ``queued`` is the
-    end-of-epoch queue depth and ``times`` is ``(t_pp, t_np)``. Counts are
-    int64, times float64.
+    ``configs[k]``, over the run's epochs from ``epoch`` on: the whole run,
+    or one block of it (see ``_Carry``). ``sent`` is the serviced self
+    packets and the neighbor attempts, the packets transmitted, each facing
+    one ambient-loss coin. ``dropped_before_loss`` is the drops decided
+    before the coin: deadline expiry, plus ``dsr`` gate drops on the
+    neighbor side. ``queued`` is the end-of-epoch queue depth and ``times``
+    is ``(t_pp, t_np)``. Counts are int64, times float64. ``backlog`` holds
+    each class's queue at the start, ``(2, points)``; None at a fresh target.
 
     Every schedule conserves packets: per class and row, the packets offered
     by the end of each epoch are those sent or dropped before the coin by
-    then plus those queued, ``cumsum(offered) == cumsum(sent +
+    then plus those queued, ``backlog + cumsum(offered) == cumsum(sent +
     dropped_before_loss) + queued``. A lost packet only moves from forwarded
     to dropped, so the realized columns conserve at every seed. A schedule
     that breaks this raises ``InvariantError`` when it is built, naming the
-    class and epoch of the first failure: first row first, self before
-    neighbor at the same epoch.
+    class and the run's epoch of the first failure: first row first, self
+    before neighbor at the same epoch.
     """
 
     configs: tuple[SimConfig, ...]
@@ -439,25 +456,56 @@ class Schedule:
     dropped_before_loss: tuple[np.ndarray, np.ndarray]
     queued: tuple[np.ndarray, np.ndarray]
     times: tuple[np.ndarray, np.ndarray]
+    epoch: int = 0
+    backlog: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        classes = zip(self.offered, self.sent, self.dropped_before_loss, self.queued)
+        backlog = np.zeros((2, len(self.configs)), np.int64) if self.backlog is None else self.backlog
+        classes = zip(self.offered, self.sent, self.dropped_before_loss, self.queued, backlog)
         # The first failure in row, then epoch, then class order.
         first, k = min((_first_unconserved(*columns), k) for k, columns in enumerate(classes))
         if first < self.offered[0].size:
-            epoch = first % self.offered[0].shape[-1]
+            epoch = self.epoch + first % self.offered[0].shape[-1]
             raise InvariantError(f"{('self', 'neighbor')[k]}-class conservation violated at the target, epoch {epoch}")
 
 
-def _first_unconserved(offered, sent, dropped_before_loss, queued) -> int:
+def _first_unconserved(offered, sent, dropped_before_loss, queued, backlog) -> int:
     """The flat index of one class's first conservation failure, first row first; the column's size if none.
 
     In place, the check holds one int64 and one bool column beside the schedule.
     """
     unaccounted = offered - sent
     unaccounted -= dropped_before_loss
-    broken = np.cumsum(unaccounted, axis=-1, out=unaccounted) != queued
+    np.cumsum(unaccounted, axis=-1, out=unaccounted)
+    unaccounted += backlog[:, None]
+    broken = unaccounted != queued
     return int(broken.argmax()) if broken.any() else broken.size
+
+
+@dataclass(eq=False)
+class _Carry:
+    """What the schedule of one block of a sweep hands the next, per class and row.
+
+    ``epoch`` is the next block's first epoch. ``consumed`` and ``queued``,
+    ``(2, rows)``, are each class's ``P`` and queue at the end of the epoch
+    before it; ``attempts``, ``(rows, 1)``, is ``dsr``'s running neighbor
+    attempts. ``arrived``, ``(2, rows, D)``, holds a ring per class and
+    row: the running arrivals ``A`` of the last ``D = min(deadline,
+    epochs)`` epochs, ``A(e)`` at ``e % D``, 8 bytes per epoch of ``D``; a
+    row of a shorter deadline uses the first ``D`` entries. A fresh target
+    has all of them 0, ``A(e)`` included for ``e < 0``.
+    """
+
+    epoch: int
+    consumed: np.ndarray
+    queued: np.ndarray
+    attempts: np.ndarray
+    arrived: np.ndarray
+
+    @classmethod
+    def fresh(cls, configs: list[SimConfig]) -> "_Carry":
+        rows, depth = len(configs), max(min(c.deadline_epochs, c.epochs) for c in configs)
+        return cls(0, *(np.zeros(shape, np.int64) for shape in ((2, rows), (2, rows), (rows, 1), (2, rows, depth))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,29 +557,48 @@ def _scan_clamps(hi: np.ndarray, lo: np.ndarray) -> None:
     _compose_clamps(hi[..., 1 : n - 1 : 2], lo[..., 1 : n - 1 : 2], hi[..., 2::2], lo[..., 2::2])
 
 
-def _serve_fifo(arrived: np.ndarray, deadlines: list[int], *, consumed=None, allowance=None):
+def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depths: list[int], start: int) -> np.ndarray:
+    """``A(e - D)`` at each epoch of a block, from its running arrivals ``upper``, ``(2, rows, epochs)``.
+
+    ``arrived`` is ``_Carry.arrived``, moved on to the block's end. Row
+    ``k``'s ring is its first ``D = depths[k]`` entries, ``A(e)`` at ``e %
+    D`` for the ``D`` epochs before the block. The block's first ``D``
+    epochs read the ring, and the rest read ``upper`` itself, ``D`` epochs
+    back. Rows of one depth are read and written together.
+    """
+    lower = np.empty_like(upper)
+    epochs = upper.shape[-1]
+    for depth in set(depths):
+        rows = [k for k, d in enumerate(depths) if d == depth]
+        head = min(depth, epochs)
+        ring = arrived[:, rows, :depth]
+        lower[:, rows, :head] = ring.take(np.arange(start, start + head), axis=-1, mode="wrap")
+        lower[:, rows, head:] = upper[:, rows, : epochs - head]
+        ring[..., np.arange(start + epochs - head, start + epochs) % max(depth, 1)] = upper[:, rows, epochs - head :]
+        arrived[:, rows, :depth] = ring
+    return lower
+
+
+def _serve_fifo(upper: np.ndarray, lower: np.ndarray, before: np.ndarray, *, consumed=None, allowance=None):
     """Expired, served and queued counts per epoch of one packet class, along the last axis.
 
-    ``arrived`` is ``(rows, epochs)``, with one deadline per row in
-    ``deadlines``, none above ``epochs``. ``P(e)``, the packets consumed by
-    the end of epoch ``e`` (see the module docstring), is ``consumed`` when
-    given; otherwise it is solved for a known service ``allowance``. The
-    head expiry raises ``P(e-1)`` to ``A(e-D)``, service takes it on to
-    ``P(e)``, and what is left of ``A(e)`` is queued.
+    ``upper`` and ``lower`` are ``(rows, epochs)``, the running arrivals
+    ``A(e)`` and ``A(e-D)`` over a block of epochs; ``before`` holds each
+    row's ``P`` at the end of the epoch before the block. ``P(e)``, the
+    packets consumed by the end of epoch ``e`` (see the module docstring),
+    is ``consumed`` when given; otherwise it is solved for a known service
+    ``allowance``. The head expiry raises ``P(e-1)`` to ``A(e-D)``, service
+    takes it on to ``P(e)``, and what is left of ``A(e)`` is queued.
 
     The solve: capping ``s_e`` at ``A(e) - A(e-D)``, the packets inside the
     deadline, changes no ``P``. Then in ``Q = P - S``, ``S`` the running sum
-    of the capped ``s``, epoch ``e`` is the clamp ``Q -> max(lo_e, min(hi_e,
-    Q))`` with ``lo_e = A(e-D) - S(e-1) <= hi_e = A(e) - S(e)``, and every
-    value lies in ``[-S(end), A(end)]``.
+    over the block of the capped ``s``, epoch ``e`` is the clamp ``Q ->
+    max(lo_e, min(hi_e, Q))`` with ``lo_e = A(e-D) - S(e-1) <= hi_e = A(e) -
+    S(e)``, applied from ``Q = P`` before the block, and every value lies in
+    ``[-S(end), A(end)]``.
     """
-    upper = np.cumsum(arrived, axis=-1)
-    lower = np.zeros_like(upper)
-    for row_lower, row_upper, row_deadline in zip(lower, upper, deadlines):
-        row_lower[row_deadline:] = row_upper[: upper.shape[-1] - row_deadline]
     if consumed is None:
-        # Each temporary is dropped once used, which keeps the peak near 112
-        # bytes per epoch (see MAX_EPOCHS).
+        # Each temporary is dropped once used (see MAX_EPOCHS).
         capped = np.minimum(allowance, upper - lower)
         total = np.cumsum(capped, axis=-1)
         lo = lower - total
@@ -539,35 +606,37 @@ def _serve_fifo(arrived: np.ndarray, deadlines: list[int], *, consumed=None, all
         del capped
         hi = upper - total
         _scan_clamps(hi, lo)
-        # Apply each prefix to Q(-1) = 0.
-        consumed = np.maximum(lo, np.minimum(hi, 0), out=lo)
+        consumed = np.maximum(lo, np.minimum(hi, before[:, None]), out=lo)
         del hi
         consumed += total
         del total
-    before = np.concatenate([np.zeros_like(consumed[:, :1]), consumed[:, :-1]], axis=-1)
-    after_expiry = np.maximum(before, lower)
-    return after_expiry - before, consumed - after_expiry, upper - consumed
+    previous = np.concatenate([before[:, None], consumed[:, :-1]], axis=-1)
+    after_expiry = np.maximum(previous, lower)
+    return after_expiry - previous, consumed - after_expiry, upper - consumed
 
 
-def _consume_ctc(config: SimConfig, capacity: int, deadline: int, arrived_self, arrived_nbr, consumed, times) -> None:
-    """The ``ctc`` consumed counts ``P`` of both classes and the time split, epoch by epoch.
+def _consume_ctc(config: SimConfig, capacity: int, deadline: int, upper, lower, before, consumed, times) -> None:
+    """The ``ctc`` consumed counts ``P`` of both classes and the time split over a block, epoch by epoch.
 
-    Writes ``P_self`` and ``P_nbr`` into the two rows of ``consumed``,
-    ``t_pp`` and ``t_np`` into those of ``times``. Per epoch each ``P`` is
-    raised to ``A(e-D)``, the split reads the backlogs ``A(e) - P``, and each
-    class's take is added, capped at ``A(e)``. The split couples the
-    classes, so this is one pass in Python ints; minimums are spelled as
-    conditionals, since a builtin ``min`` call costs as much as the rest of
-    the epoch.
+    ``upper`` and ``lower`` hold the running arrivals ``A(e)`` and
+    ``A(e-D)`` of the self and the neighbor class, ``(2, epochs)``, ``D``
+    the ``deadline``, and ``before`` their ``P`` at the end of the epoch
+    before the block. Writes ``P_self`` and ``P_nbr`` into the two rows of
+    ``consumed``, ``t_pp`` and ``t_np`` into those of ``times``. Per epoch each ``P`` is raised to
+    ``A(e-D)``, the split reads the backlogs ``A(e) - P``, and each class's
+    take is added, capped at ``A(e)``. The split couples the classes, so
+    this is one pass in Python ints, over lists as long as the block;
+    minimums are spelled as conditionals, since a builtin ``min`` call costs
+    as much as the rest of the epoch.
     """
     epoch_t = config.epoch_length
     min_share = config.min_share_fraction
-    upper_self = np.cumsum(arrived_self).tolist()
-    upper_nbr = np.cumsum(arrived_nbr).tolist()
-    # A(e-D) is the same list, D epochs late.
-    bounds = zip(upper_self, chain(repeat(0, deadline), upper_self), upper_nbr, chain(repeat(0, deadline), upper_nbr))
+    # Past the block's first D epochs, A(e-D) is the list of A, D epochs late.
+    upper_self, upper_nbr = upper.tolist()
+    lower_self, lower_nbr = (chain(past[:deadline].tolist(), a) for past, a in zip(lower, (upper_self, upper_nbr)))
+    bounds = zip(upper_self, lower_self, upper_nbr, lower_nbr)
     consumed_self, consumed_nbr, t_pp, t_np = (row.data for row in (*consumed, *times))
-    p_self = p_nbr = 0
+    p_self, p_nbr = before.tolist()
     for e, (a_self, past_self, a_nbr, past_nbr) in enumerate(bounds):
         if p_self < past_self:
             p_self = past_self
@@ -584,50 +653,67 @@ def _consume_ctc(config: SimConfig, capacity: int, deadline: int, arrived_self, 
         consumed_nbr[e] = p_nbr
 
 
-def _schedule_sweep(configs: list[SimConfig]) -> Schedule:
+def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop: int | None = None) -> Schedule:
     """The schedule of configs of one policy and equal ``epochs``, one row each; no random number is drawn.
 
-    ``ctc`` takes each row through its epochs (``_consume_ctc``); ``ctc``
-    drops no neighbor packet before the coin but by expiry, and attempts all
-    it serves. Under ``dsr`` the self queue's allowance is the capacity, the
-    neighbor queue's what self service leaves; the gate caps the cumulative
-    attempts at the budget, and the rest of the serviced neighbor packets
-    are gate drops. The ``dsr`` self time is ``epoch_length * (serviced_self
-    / capacity)`` (0 at zero capacity), the rest of the epoch the neighbor
-    side's. Validation keeps the scan within int64 and the division's
-    operands within 2**53 (see ``SimConfig``), so the split is Python's
-    ``int / int``.
+    It covers the epochs from ``carry.epoch`` to ``stop``, and moves
+    ``carry`` on to ``stop``. By default it is the whole run from a fresh
+    target (``_Carry.fresh``). ``ctc`` takes each row through its epochs
+    (``_consume_ctc``); ``ctc`` drops no neighbor packet before the coin but
+    by expiry, and attempts all it serves. Under ``dsr`` the self queue's
+    allowance is the capacity, the neighbor queue's what self service
+    leaves; the gate caps the cumulative attempts at the budget, and the
+    rest of the serviced neighbor packets are gate drops. The ``dsr`` self
+    time is ``epoch_length * (serviced_self / capacity)`` (0 at zero
+    capacity), the rest of the epoch the neighbor side's. Validation keeps
+    the scan within int64 and the division's operands within 2**53 (see
+    ``SimConfig``), so the split is Python's ``int / int``.
     """
-    epochs = configs[0].epochs
-    offered_self, offered_nbr = offered = tuple(np.empty((2, len(configs), epochs), np.int64))
+    carry = _Carry.fresh(configs) if carry is None else carry
+    start, stop = carry.epoch, configs[0].epochs if stop is None else stop
+    offered = np.empty((2, len(configs), stop - start), np.int64)
     for row, c in enumerate(configs):
-        c.self_rate_fn.arrivals(offered_self[row])
-        c.neighbor_rate_fn.arrivals(offered_nbr[row])
+        c.self_rate_fn.arrivals(offered[0, row], start)
+        c.neighbor_rate_fn.arrivals(offered[1, row], start)
+    upper = np.cumsum(offered, axis=-1)
+    upper += (carry.consumed + carry.queued)[..., None]
+    depths = [min(c.deadline_epochs, c.epochs) for c in configs]
+    lower = _deadline_bounds(upper, carry.arrived, depths, start)
+    before = carry.consumed
     # Capacity is data_rate packets/second over the epoch.
     capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
-    deadlines = [min(c.deadline_epochs, epochs) for c in configs]
     if configs[0].policy is Policy.CTC:
-        consumed = np.zeros((2, len(configs), epochs), dtype=np.int64)
-        times = np.zeros((2, len(configs), epochs))
+        consumed = np.empty_like(upper)
+        times = np.empty(upper.shape)
         for row, config in enumerate(configs):
-            rows = (offered_self[row], offered_nbr[row], consumed[:, row], times[:, row])
-            _consume_ctc(config, capacities[row], deadlines[row], *rows)
-        served = (_serve_fifo(arrived, deadlines, consumed=p) for arrived, p in zip(offered, consumed))
+            rows = (upper[:, row], lower[:, row], before[:, row], consumed[:, row], times[:, row])
+            _consume_ctc(config, capacities[row], depths[row], *rows)
+        served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
         dropped, sent, queued = zip(*served)
-        return Schedule(tuple(configs), offered, sent, dropped, queued, tuple(times))
-    nbr_totals = offered_nbr.sum(axis=-1).tolist()
-    capacity = np.array(capacities, np.int64)[:, None]
-    expired_self, serviced_self, queued_self = _serve_fifo(offered_self, deadlines, allowance=capacity)
-    expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(offered_nbr, deadlines, allowance=capacity - serviced_self)
-    # A budget past the run's neighbor arrivals never binds; capped, it fits int64.
-    budget = np.array([min(c.energy_budget, total) for c, total in zip(configs, nbr_totals)], np.int64)[:, None]
-    attempts = np.diff(np.minimum(np.cumsum(serviced_nbr, axis=-1), budget), axis=-1, prepend=0)
-    dropped = expired_self, expired_nbr + serviced_nbr - attempts
-    # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-    epoch_t = np.array([c.epoch_length for c in configs])[:, None]
-    t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
-    times = t_pp, epoch_t - t_pp
-    return Schedule(tuple(configs), offered, (serviced_self, attempts), dropped, (queued_self, queued_nbr), times)
+    else:
+        capacity = np.array(capacities, np.int64)[:, None]
+        expired_self, serviced_self, queued_self = _serve_fifo(upper[0], lower[0], before[0], allowance=capacity)
+        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
+            upper[1], lower[1], before[1], allowance=capacity - serviced_self
+        )
+        # A budget past 2**53, more than a run's neighbor arrivals, never binds; capped, it fits int64.
+        budget = np.array([min(c.energy_budget, _EXACT_MAX) for c in configs], np.int64)[:, None]
+        running = np.minimum(np.cumsum(serviced_nbr, axis=-1) + carry.attempts, budget)
+        attempts = np.diff(running, axis=-1, prepend=carry.attempts)
+        sent, queued = (serviced_self, attempts), (queued_self, queued_nbr)
+        dropped = expired_self, expired_nbr + serviced_nbr - attempts
+        # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
+        epoch_t = np.array([c.epoch_length for c in configs])[:, None]
+        t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
+        times = t_pp, epoch_t - t_pp
+    plan = Schedule(tuple(configs), tuple(offered), sent, dropped, queued, tuple(times), start, carry.queued)
+    if stop > start:
+        carry.epoch = stop
+        carry.queued = np.array([column[:, -1] for column in queued])
+        carry.consumed = upper[..., -1] - carry.queued
+        if configs[0].policy is Policy.DSR:
+            carry.attempts = running[:, -1:]
+    return plan
 
 
 def _seeded(seeds) -> list[tuple[np.random.Generator, dict]]:
@@ -672,7 +758,7 @@ _GUARD = 2**12
 # 2**15 and 2**16 drew ``trace_deep``'s row 9% and 30% slower.
 _CHUNK = 2**14
 # What a row needs to take the table sampler: ``_ROW_GATE`` nonzero counts
-# per distinct count, and numpy's loop ``_MIN_STEPS`` steps per count on
+# per table it must build, and numpy's loop ``_MIN_STEPS`` steps per count on
 # average (``n * p`` summed over the row, zeros included). numpy takes 16 ns
 # a sample at ``n * p = 0.05``, 40 at 1, 145 at 15 and 260 at 30, about 8 ns
 # a step; the table sampler 15 to 22 ns at any ``n * p``, plus 50 to 100 us
@@ -741,14 +827,23 @@ def _guide(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where((inside > 1) | (through == thresholds.size), _WIDE, below), low
 
 
-def _tables(counts: np.ndarray, p: float):
+def _table(n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thresholds of count ``n`` at ``p``, padded by -2**62 and 2**62, and its guide table (see ``_guide``)."""
+    thresholds = _thresholds(n, p)
+    return np.concatenate([[-(2**62)], thresholds, [2**62]]), *_guide(thresholds)
+
+
+def _tables(counts: np.ndarray, p: float, kept: dict | None = None):
     """What ``_table_binomial`` draws ``counts`` at ``p`` with, or None where the row keeps numpy's call.
 
     A row qualifies when numpy inverts every count (``0 < p <= 0.5``, ``n *
     p <= 30``), its loop takes ``_MIN_STEPS`` steps a count on average and
-    the row holds ``_ROW_GATE`` nonzero counts per distinct one; ``bincount``
-    finds them when the largest count is below the row's length. Returns
-    the table offset of each count, every table's ``X`` and lowered
+    the row holds ``_ROW_GATE`` nonzero counts per table it must build;
+    ``bincount`` finds the distinct counts when the largest count is below
+    the row's length. ``kept`` maps ``(n, p)`` to the ``_table`` of the row
+    before, which costs nothing to build again, and is replaced by this
+    row's: the blocks of a run build each table once, not once a block.
+    Returns the table offset of each count, every table's ``X`` and lowered
     threshold (see ``_guide``), and each distinct count with its thresholds
     padded by -2**62 and 2**62.
     """
@@ -759,12 +854,17 @@ def _tables(counts: np.ndarray, p: float):
         return None
     present = np.bincount(counts)
     distinct = (np.flatnonzero(present[1:]) + 1).tolist()
-    if not distinct or counts.size - present[0] < _ROW_GATE * len(distinct):
+    kept = {} if kept is None else kept
+    built = sum((n, p) not in kept for n in distinct)
+    if not distinct or counts.size - present[0] < _ROW_GATE * built:
         return None
     offsets = np.zeros(top + 1, np.int64)
     offsets[distinct] = np.arange(len(distinct)) << _TABLE_BITS
-    padded = [(n, np.concatenate([[-(2**62)], _thresholds(n, p), [2**62]])) for n in distinct]
-    base, low = (np.concatenate(parts) for parts in zip(*(_guide(thresholds[1:-1]) for _, thresholds in padded)))
+    tables = {(n, p): kept.get((n, p)) or _table(n, p) for n in distinct}
+    kept.clear()
+    kept.update(tables)
+    padded = [(n, thresholds) for n, (thresholds, _, _) in zip(distinct, tables.values())]
+    base, low = (np.concatenate(parts) for parts in zip(*(table[1:] for table in tables.values())))
     return offsets, base, low, padded
 
 
@@ -814,7 +914,7 @@ def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.G
     return True
 
 
-def _draw_losses(plan: Schedule, generators) -> np.ndarray:
+def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.ndarray:
     """Ambient losses of each seed over each row of a schedule, ``(points, seeds, 2 * epochs)``.
 
     Row ``[k, i]`` equals ``np.random.default_rng(seeds[i]).binomial`` over
@@ -825,7 +925,8 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     in which one scalar draw per class per epoch would consume each seed's
     stream. A row that ``_tables`` admits is drawn by ``_table_binomial``
     from numpy's own uniforms; the others, and a row in which numpy would
-    draw a sample again, by ``generator.binomial`` itself.
+    draw a sample again, by ``generator.binomial`` itself. ``kept`` is the
+    tables of the row drawn before (see ``_tables``).
 
     Each row holds its interleaved ``sent`` until it is drawn over, so the
     draw needs no copy of ``sent`` beside the schedule and the losses.
@@ -835,7 +936,7 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     lost[..., 0::2], lost[..., 1::2] = (column[:, None] for column in plan.sent)
     for point, config, *sent in zip(lost, plan.configs, *plan.sent):
         p = config.base_drop_prob
-        tables = _tables(point[0], p)
+        tables = _tables(point[0], p, kept)
         for row, (generator, seeded) in zip(point, generators):
             generator.bit_generator.state = seeded
             if tables is None:
@@ -847,7 +948,9 @@ def _draw_losses(plan: Schedule, generators) -> np.ndarray:
     return lost
 
 
-def _realize_sweep(plan: Schedule, generators) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _realize_sweep(
+    plan: Schedule, generators, kept: dict | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The ``(self, neighbor)`` pairs of forwarded and dropped columns, ``(points, seeds, epochs)`` each.
 
     ``generators`` come from ``_seeded``. A class's forwarded column is its
@@ -855,20 +958,27 @@ def _realize_sweep(plan: Schedule, generators) -> tuple[tuple[np.ndarray, np.nda
     ``dropped_before_loss``, written over its view of the losses. The
     schedule conserves packets (see ``Schedule``), so these do too.
     """
-    lost = _draw_losses(plan, generators)
+    lost = _draw_losses(plan, generators, kept)
     classes = zip(plan.sent, plan.dropped_before_loss, (lost[..., 0::2], lost[..., 1::2]))
     # Forwarded first: the dropped column then overwrites the losses it reads.
     realized = [(sent[:, None] - drawn, np.add(drawn, before[:, None], out=drawn)) for sent, before, drawn in classes]
     return tuple(zip(*realized))
 
 
-def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
-    """Running drop ratio, 0 until the first packet is offered."""
+def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray, before: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Running drop ratio, 0 until the first packet is offered.
+
+    ``before`` is the packets dropped and offered in the epochs before the
+    column, as Python ints.
+    """
     # Validation keeps the running sums within 2**53 (see ``SimConfig``), so
     # they sum exactly in float64, the ratio's own column and one more: this
     # is Python's int / int. Each sums in place; a cumsum that casts would
     # first copy its whole input.
-    ratio, cum_offered = (np.cumsum(sums, out=sums) for sums in (dropped.astype(float), offered.astype(float)))
+    sums = dropped.astype(float), offered.astype(float)
+    for column, packets in zip(sums, before):
+        column[:1] += packets
+    ratio, cum_offered = (np.cumsum(column, out=column) for column in sums)
     # Counts are >= 0, so the epochs before the first packet is offered are a prefix.
     start = int(np.searchsorted(cum_offered, 0.0, side="right"))
     ratio[:start] = 0.0
@@ -876,14 +986,77 @@ def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def run(config: SimConfig) -> Trace:
-    """Run the configured number of epochs from a fresh target: a one-row sweep, realized at the config's seed."""
-    plan = _schedule_sweep([config])
-    forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, _seeded((config.seed,))))
+# Epochs per block of ``run_blocks``: a multiple of the trace writer's
+# 8,000-epoch group (``report._TRACE_GROUP_EPOCHS``). A block's work grows
+# with its epochs and its count of numpy calls does not. Measured on
+# ``trace_deep`` (``perfbench/run.py --seconds 5``, median of 4, 2-core Xeon;
+# ``wall_norm_s`` and ``peak_rss_mb``) and, in a fresh process, the peak
+# resident set of ``scripts/trace_phases.py``:
+#   block       wall_norm_s   peak_rss_mb   VmHWM
+#   8,000       0.0543 s      40.6 MiB      40.0 MiB
+#   16,000      0.0566 s      42.5 MiB      42.1 MiB
+#   24,000      0.0536 s      43.8 MiB      43.9 MiB
+#   32,000      0.0532 s      45.5 MiB      45.5 MiB
+#   whole run   0.0491 s      48.5 MiB      47.9 MiB
+# (the whole run is ``sim run`` before blocks). The time barely moves with
+# the block, so the smallest one is taken. At 8,000 epochs a block's row of
+# losses holds 16,000 counts, so a row of two distinct counts, as
+# ``trace_deep``'s, still passes ``_ROW_GATE`` and takes the table sampler.
+_BLOCK_EPOCHS = 8_000
+# The per-epoch columns of a ``Trace``, in field order, and those of them that are float64.
+_TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.name != "config")
+_REAL_COLUMNS = ("t_pp", "t_np", "drop_ratio_self", "drop_ratio_neighbor")
+
+
+def run_blocks(config: SimConfig) -> Iterator[Trace]:
+    """Run the configured number of epochs from a fresh target, in blocks of ``_BLOCK_EPOCHS`` epochs.
+
+    Each block, the last one maybe shorter, is a ``Trace`` of its own
+    epochs, a one-row sweep realized at the config's seed; their columns
+    concatenate to ``run``'s, bit for bit.
+    From one block to the next it keeps the schedule's ``_Carry``, the
+    dropped and offered packets of each class so far, the tables of the
+    last loss draw (see ``_tables``) and the seed's one generator, never
+    restored to an earlier state: each block's draw starts from the state
+    the block before left, and a row that numpy must draw again restores
+    that state, not the seeded one.
+    """
+    generator, _ = _seeded((config.seed,))[0]
+    carry, kept, totals = _Carry.fresh([config]), {}, [[0, 0], [0, 0]]
+    while carry.epoch < config.epochs:
+        generators = [(generator, generator.bit_generator.state)]
+        yield _run_block(config, carry, min(carry.epoch + _BLOCK_EPOCHS, config.epochs), generators, kept, totals)
+
+
+def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: dict, totals: list[list[int]]) -> Trace:
+    """The block of ``run_blocks`` that ends at ``stop``.
+
+    ``totals`` holds each class's dropped and offered packets before the
+    block, and is moved on past it. The block's temporaries go when it
+    returns, so the generator holds none of them while the consumer reads
+    the block.
+    """
+    plan = _schedule_sweep([config], carry, stop)
+    forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, generators, kept))
     offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
-    # The trace keeps neither ``sent`` nor ``dropped_before_loss``: they go before the ratios are summed.
-    del plan
-    return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *map(_cumulative_ratio, dropped, offered))
+    ratios = list(map(_cumulative_ratio, dropped, offered, totals))
+    for total, *columns in zip(totals, dropped, offered):
+        total[:] = (packets + int(column.sum()) for packets, column in zip(total, columns))
+    return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *ratios)
+
+
+def run(config: SimConfig) -> Trace:
+    """Run the configured number of epochs from a fresh target: each block of ``run_blocks``, copied into its place."""
+    columns = [np.empty(config.epochs, np.float64 if name in _REAL_COLUMNS else np.int64) for name in _TRACE_COLUMNS]
+    start = 0
+    for block in run_blocks(config):
+        stop = start + block.offered_self.size
+        for column, name in zip(columns, _TRACE_COLUMNS):
+            column[start:stop] = getattr(block, name)
+        start = stop
+        # Dropped before the next block is made, so that memory holds one.
+        del block
+    return Trace(config, *columns)
 
 
 @dataclass(frozen=True)

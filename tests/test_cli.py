@@ -5,8 +5,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -307,8 +309,8 @@ def test_sim_run_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     # putting a packet too many in the neighbor queue column.
     real_schedule = sim._schedule_sweep
 
-    def broken_schedule(configs):
-        plan = real_schedule(configs)
+    def broken_schedule(configs, *block):
+        plan = real_schedule(configs, *block)
         queued_self, queued_nbr = plan.queued
         return dataclasses.replace(plan, queued=(queued_self, queued_nbr + 1))
 
@@ -317,6 +319,61 @@ def test_sim_run_invariant_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
     assert code == 3
     assert err.startswith("error: neighbor-class conservation violated at the target, epoch 0")
+
+
+def test_sim_run_names_the_run_epoch_of_a_break_in_a_later_block(tmp_path, capsys, monkeypatch):
+    # `sim run` streams the run in blocks; the second starts at epoch
+    # `_BLOCK_EPOCHS` with the queues the first left. A packet too many in
+    # its neighbor queue from its fourth epoch on is named by the run's
+    # epoch, not the block's.
+    real_schedule = sim._schedule_sweep
+
+    def broken_in_a_later_block(configs, *block):
+        plan = real_schedule(configs, *block)
+        if plan.epoch == 0:
+            return plan
+        queued_self, queued_nbr = plan.queued
+        queued_nbr = queued_nbr.copy()
+        queued_nbr[:, 3:] += 1
+        return dataclasses.replace(plan, queued=(queued_self, queued_nbr))
+
+    monkeypatch.setattr(sim, "_schedule_sweep", broken_in_a_later_block)
+    config = _write_config(tmp_path, epochs=sim._BLOCK_EPOCHS + 10, neighbor_rate_fn="constant:30")
+    code, _, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
+    assert code == 3
+    assert err == f"error: neighbor-class conservation violated at the target, epoch {sim._BLOCK_EPOCHS + 3}\n"
+
+
+# `sim run` writes each block of the run as it is made, so its tracemalloc
+# peak does not grow with the run: writing to os.devnull (numpy 2.4.6,
+# numpy.random imported before, rates 300 and 200, capacity 420, deadline
+# 20), `dsr` peaks at 3.59 MB at 10**5 epochs and 3.58 MB at 10**6, `ctc` at
+# 3.49 MB at 2 * 10**4 and 3.51 MB at 10**5: the engine's block, the
+# writer's build buffer and one group of target lines. Traced, the `ctc`
+# epoch loop is ten times slower (16 s at 10**6 epochs), so its longer run
+# is five times the shorter, not ten. When `sim run` held the whole run,
+# `dsr` peaked at 11.5 MB at 10**5 epochs and 112 MB at 10**6.
+_SIM_RUN_PEAK_GROWTH = 1.1
+
+
+@pytest.mark.parametrize("policy, epochs, longer", [("dsr", 10**5, 10**6), ("ctc", 2 * 10**4, 10**5)])
+def test_sim_run_memory_does_not_grow_with_the_run(policy, epochs, longer, tmp_path, capsys):
+    def peak(epochs):
+        config = _write_config(
+            tmp_path, epochs=epochs, neighbor_count=1, data_rate=420.0, policy=policy, deadline_epochs=20,
+            energy_budget=6_000_000, self_rate_fn="constant:300", neighbor_rate_fn="constant:200",
+        )
+        tracemalloc.start()
+        try:
+            assert main(["sim", "run", "--config", str(config), "--out", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # numpy imports numpy.random lazily
+    short_peak, long_peak = peak(epochs), peak(longer)
+    capsys.readouterr()
+    assert long_peak < _SIM_RUN_PEAK_GROWTH * short_peak
 
 
 # The two `sim run` configs of the benchmark (perfbench/workloads.py) at

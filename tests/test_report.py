@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import report
+from ctcsim import report, sim
 from ctcsim.errors import InvalidParameterError, MissingCaseError
 from ctcsim.experiments import CaseVBucket, CaseVCurve, ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
@@ -306,6 +306,26 @@ def test_emit_trace_csv_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("size", [7, 97, 1000])
+def test_emit_trace_csv_of_the_blocks_of_a_run_is_the_runs_trace(tmp_path, size):
+    # `sim run` hands the writer the run's blocks as they are made. Each
+    # block's epochs follow the blocks before it, also where a block crosses
+    # 10, 100 or 1,000, and the file is the whole trace's, byte for byte.
+    cfg = SimConfig(
+        epochs=1_234,
+        neighbor_count=12,
+        data_rate=40.0,
+        base_drop_prob=0.25,
+        seed=5,
+        self_rate_fn=RateFunction(RateKind.CONSTANT, 20.0),
+        neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 0.05),
+    )
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", size):
+        assert emit_trace_csv(sim.run_blocks(cfg), blocks) == emit_trace_csv(run(cfg), whole)
+    assert blocks.read_bytes() == whole.read_bytes()
+
+
 @pytest.mark.parametrize("sources, epochs", [(1, 20_000), (50, 8_000)])
 def test_emit_trace_csv_memory_does_not_grow_with_the_trace(sources, epochs):
     # The writer holds a chunk of epochs and the target fields of a group of
@@ -369,7 +389,7 @@ def test_emit_trace_csv_memory_is_one_chunk_buffer_and_one_group():
 def _format_rows(columns):
     """CSV lines of equal-length columns, one line per row: the table of
     ``report._line_fields`` read row by row without its zero bytes."""
-    return report._line_fields(columns).T.tobytes().replace(b"\0", b"")
+    return report._line_fields(columns, bytearray()).T.tobytes().replace(b"\0", b"")
 
 
 def per_row_text(int_columns, real_columns):

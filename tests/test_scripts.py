@@ -36,24 +36,26 @@ def test_src_lines_total_is_the_sum_of_the_modules(capsys):
 
 
 def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
-    # scripts/trace_phases.py times `sim.run` and `emit_trace_csv` for one
-    # config file, with the peak resident set after each, then counts the
-    # writer's blocks and texts. 50 epochs of 4 short lines make two blocks,
-    # since blocks end at epoch 10, and each block is one text. The counts
-    # are the same in every run.
+    # scripts/trace_phases.py times the engine's blocks (`sim.run_blocks`)
+    # and `emit_trace_csv` for one config file as `sim run` streams them,
+    # each summed over the blocks, with the peak resident set after the
+    # engine's last block and at the end, then counts the engine's blocks
+    # and the writer's blocks and texts. 50 epochs are one engine block; of
+    # 4 short lines they make two writer blocks, since blocks end at epoch
+    # 10, and each block is one text. The counts are the same in every run.
     config = tmp_path / "config.json"
     config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
     for _ in range(2):
         assert _load("trace_phases").main([str(config)]) == 0
         header, *phases, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert header == ["phase", "wall_s", "minflt", "VmHWM_MiB"]
-        assert [row[0] for row in phases] == ["sim.run", "emit_trace_csv"]
+        assert [row[0] for row in phases] == ["sim.run_blocks", "emit_trace_csv"]
         for _, seconds, faults, _ in phases:
             assert float(seconds) > 0 and int(faults) >= 0
         # A high-water mark never falls.
         run_peak, emit_peak = (float(row[3]) for row in phases)
         assert emit_peak >= run_peak > 0
-        assert counts == ["blocks", "2", "texts", "2"]
+        assert counts == ["engine", "1", "blocks", "2", "texts", "2"]
 
 
 def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):

@@ -831,7 +831,8 @@ def assert_same_schedule(plan, expected, row=0):
 
     ``expected`` is a one-row Schedule or the reference engine's columns by name as lists.
     """
-    assert set(SCHEDULE_PAIRS) == {f.name for f in dataclasses.fields(Schedule)} - {"configs"}
+    # Every per-epoch pair is compared; ``epoch`` and ``backlog`` place a block in its run.
+    assert set(SCHEDULE_PAIRS) == {f.name for f in dataclasses.fields(Schedule)} - {"configs", "epoch", "backlog"}
     if isinstance(expected, dict):
         assert set(expected) == {name for names in SCHEDULE_PAIRS.values() for name in names}
     for field, names in SCHEDULE_PAIRS.items():
@@ -1015,13 +1016,14 @@ def test_cumulative_ratio_is_python_int_division_of_the_running_sums(columns):
 
 # `run`'s tracemalloc peak in bytes per epoch at 10**5 epochs, `trace_deep`'s
 # config (`dsr`: rates 300 and 200, capacity 420, deadline 20) and `ctc` at
-# the same rates. The returned trace is 96 B/epoch (12 columns of 8 bytes).
-# Measured (numpy 2.4.6, numpy.random imported before): `dsr` 112.1, both
-# in its schedule and at the realize, with the schedule, the losses and the
-# forwarded columns alive; `ctc` 136.0, in its own schedule. Both read 146.4 when `run` held the
+# the same rates. The returned trace is 96 B/epoch (12 columns of 8 bytes),
+# filled block by block, so the rest is one block's work, about 1.8 MB at
+# 8,000 epochs a block. Measured (numpy 2.4.6, numpy.random imported
+# before): `dsr` 113.7 and `ctc` 113.0. Both read 146.4 when `run` held the
 # whole schedule through the ratios and drew from an interleaved copy of
-# `sent`.
-_RUN_PEAK_BYTES_PER_EPOCH = {Policy.DSR: 116, Policy.CTC: 140}
+# `sent`, and `dsr` 112.1 and `ctc` 136.0 when `run` held the whole-run
+# schedule but not the columns the trace does not keep.
+_RUN_PEAK_BYTES_PER_EPOCH = {Policy.DSR: 116, Policy.CTC: 116}
 
 
 @pytest.mark.parametrize("policy", sorted(_RUN_PEAK_BYTES_PER_EPOCH))
@@ -1038,6 +1040,48 @@ def test_run_memory_per_epoch_is_near_the_trace(policy):
     finally:
         tracemalloc.stop()
     assert peak < _RUN_PEAK_BYTES_PER_EPOCH[policy] * config.epochs
+
+
+@st.composite
+def _block_runs(draw):
+    """A config of either policy and any rate kind, and a block size from 1 to past its run.
+
+    Half are ``_raw_configs`` that validation accepts: runs of 0 to 12
+    epochs with deadlines of 1 to 6, often longer than the block. Half are
+    ``_extreme_configs``, most of them short and some of 512 to 1,000
+    epochs with a deadline near their length, at the bounds of validation;
+    a long run takes at most 32 blocks.
+    """
+    if draw(st.booleans()):
+        try:
+            config = config_from_dict(draw(_raw_configs()))
+        except CtcSimError:
+            assume(False)
+    else:
+        config = draw(_extreme_configs())
+    return config, draw(st.integers(max(1, config.epochs // 32), config.epochs + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_block_runs())
+@example(case=(SimConfig(epochs=0), 1))
+@example(case=(SimConfig(epochs=9, policy=Policy.DSR, deadline_epochs=7, self_rate_fn=constant(3)), 2))
+def test_blocks_concatenate_to_the_run_bit_for_bit(case):
+    # Each block carries the schedule's state, the running sums of the
+    # ratios and the seed's generator to the next, so the blocks of any size
+    # are the run, float bits included, also where the deadline reaches back
+    # over several blocks.
+    config, size = case
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", size):
+        blocks = list(sim.run_blocks(config))
+    starts = range(0, config.epochs, size)
+    assert [block.offered_self.size for block in blocks] == [min(size, config.epochs - start) for start in starts]
+    trace = run(config)
+    for name in TRACE_FIELDS:
+        whole = getattr(trace, name)
+        parts = [getattr(block, name) for block in blocks]
+        assert all(part.dtype == whole.dtype for part in parts), name
+        assert b"".join(part.tobytes() for part in parts) == whole.tobytes(), name
 
 
 @st.composite
@@ -1352,6 +1396,39 @@ def test_table_sampler_gives_a_row_with_a_sample_past_bound_to_numpy(monkeypatch
     assert lost[0, 0].tolist() == np.random.default_rng(7).binomial(counts, p).tolist()
 
 
+@pytest.mark.parametrize("block", [1, 2])
+def test_table_sampler_gives_a_row_of_a_later_block_to_numpy_from_that_blocks_state(monkeypatch, binomial_calls, block):
+    # Three blocks of 4,096 epochs of `trace_deep`'s two counts, 300 and
+    # 120, 8,192 samples a block, each block drawn by the table sampler. With
+    # the band widened, `_invert` decides every sample; it reports a sample
+    # past `bound` in block 1 or 2 (counted from 0). numpy then draws that
+    # block's row again from the state its draw started from, the one the
+    # blocks before it left, not the seeded state. Every block is numpy's
+    # stream over the whole run.
+    config = SimConfig(
+        epochs=3 * 4096, neighbor_count=1, data_rate=420.0, policy=Policy.DSR, deadline_epochs=20,
+        energy_budget=10**9, self_rate_fn=constant(300), neighbor_rate_fn=constant(200), seed=7,
+    )
+    plan = _schedule_sweep([config])
+    sent = np.ravel([plan.sent[0][0], plan.sent[1][0]], order="F")
+    assert set(sent.tolist()) == {120, 300}
+    real_invert = sim._invert
+    calls = []
+
+    def invert_past_bound_once(n, p, m):
+        calls.append(m)
+        return None if len(calls) == block * 8192 + 100 else real_invert(n, p, m)
+
+    monkeypatch.setattr(sim, "_GUARD", 2**60)
+    monkeypatch.setattr(sim, "_invert", invert_past_bound_once)
+    monkeypatch.setattr(sim, "_BLOCK_EPOCHS", 4096)
+    blocks = list(sim.run_blocks(config))
+    assert binomial_calls == [8192]
+    forwarded = [np.concatenate([getattr(b, f"forwarded_{cls}") for b in blocks]) for cls in ("self", "neighbor")]
+    lost = sent - np.ravel(forwarded, order="F")
+    assert lost.tolist() == np.random.default_rng(7).binomial(sent, 0.05).tolist()
+
+
 def test_table_sampler_takes_only_long_rows_that_numpy_inverts():
     deep = np.tile([300, 120], 4096)
     assert sim._tables(deep, 0.05) is not None
@@ -1363,6 +1440,15 @@ def test_table_sampler_takes_only_long_rows_that_numpy_inverts():
     assert sim._tables(np.tile([60, 20], 8192), 0.05) is not None  # two steps a count
     assert sim._tables(np.zeros(10**4, np.int64), 0.05) is None
     assert sim._tables(np.tile([1, 2, 3, 10**5], 4096), 3e-4) is None  # a count past the row's length
+    # A table kept from the row before costs nothing to build, so a block
+    # with fewer samples takes the sampler when its counts' tables are kept
+    # (the last block of `trace_deep`, after the budget runs out); the kept
+    # tables are then this row's.
+    tail = np.tile([300, 0], 2048)
+    assert sim._tables(tail, 0.05) is None
+    kept = {}
+    assert sim._tables(deep, 0.05, kept) is not None and sorted(kept) == [(120, 0.05), (300, 0.05)]
+    assert sim._tables(tail, 0.05, kept) is not None and list(kept) == [(300, 0.05)]
 
 
 def test_long_dsr_run_draws_its_losses_without_numpys_binomial(binomial_calls):
@@ -1386,8 +1472,8 @@ def test_long_dsr_run_draws_its_losses_without_numpys_binomial(binomial_calls):
 def test_realize_names_first_epoch_that_breaks_conservation(monkeypatch):
     real_schedule = sim._schedule_sweep
 
-    def broken_schedule(configs):
-        plan = real_schedule(configs)
+    def broken_schedule(configs, *block):
+        plan = real_schedule(configs, *block)
         queued_self, queued_nbr = plan.queued
         queued_nbr = queued_nbr.copy()
         queued_nbr[:, 3:] += 1
