@@ -397,13 +397,14 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
     """The epochs of a trace, or of consecutive traces of one run, after the header, as runs of whole epochs.
 
     ``pieces`` is a whole trace, or the blocks of ``sim.run_blocks`` in
-    order. A block is one uint8 table with a row per epoch: the target line, then
-    the lines of sources 1..n, laid out as one ``(rows, sources, width)``
-    view per digit count of the node ids. Read row by row without its zero
-    bytes, the table is the block's text. Every block is built in one
-    buffer and yielded as a view of it, which the next block overwrites.
-    The target fields are formatted for a group of whole blocks at once,
-    into one table, and copied in, transposed, block by block. Groups, and
+    order. A block is one uint8 table with a row per epoch: the target
+    line, then the lines of sources 1..n, laid out as one ``(rows, sources,
+    width)`` view per digit count of the node ids. Read row by row without
+    its zero bytes, the table is the block's text. Every block is built in
+    one buffer and yielded as a view of it, which the next block
+    overwrites. The target fields are formatted for a group of whole blocks
+    at once, into one table in a second reused buffer, and copied in,
+    transposed, block by block. Groups, and
     so blocks, end at each power of ten, so every epoch of a block has the
     same digits: the pad bytes left are the target's and those of the
     ``sent`` counts shorter than the block's longest. A source line's
@@ -483,8 +484,8 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
                 lines[:, :, first_sent : first_sent + sent_width] = sent[:, low:high]
                 lines[:, :, second_sent : second_sent + sent_width] = sent[:, low:high]
             yield memoryview(buffer)[:size]
-        # The group's table, freed before the next one is made, so that
-        # memory holds one.
+        # The group's views, let go before the next group is made: the lines
+        # buffer may then grow, and the piece the columns come from be freed.
         del target, epoch_text, columns, offered
 
 
