@@ -1013,13 +1013,12 @@ def run_blocks(config: SimConfig) -> Iterator[Trace]:
 
     Each block, the last one maybe shorter, is a ``Trace`` of its own
     epochs, a one-row sweep realized at the config's seed; their columns
-    concatenate to ``run``'s, bit for bit.
-    From one block to the next it keeps the schedule's ``_Carry``, the
-    dropped and offered packets of each class so far, the tables of the
-    last loss draw (see ``_tables``) and the seed's one generator, never
-    restored to an earlier state: each block's draw starts from the state
-    the block before left, and a row that numpy must draw again restores
-    that state, not the seeded one.
+    concatenate to ``run``'s, bit for bit. From one block to the next it
+    keeps the schedule's ``_Carry``, the dropped and offered packets of
+    each class so far, the tables of the last loss draw (see ``_tables``)
+    and the seed's one generator, never restored to an earlier state: each
+    block's draw starts from the state the block before left, and a row
+    that numpy must draw again restores that state, not the seeded one.
     """
     generator, _ = _seeded((config.seed,))[0]
     carry, kept, totals = _Carry.fresh([config]), {}, [[0, 0], [0, 0]]
