@@ -564,18 +564,20 @@ def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depths: list[int], 
     ``k``'s ring is its first ``D = depths[k]`` entries, ``A(e)`` at ``e %
     D`` for the ``D`` epochs before the block. The block's first ``D``
     epochs read the ring, and the rest read ``upper`` itself, ``D`` epochs
-    back. Rows of one depth are read and written together.
+    back. Rows of one depth are read and written together, and only at the
+    ring positions the block reads or writes, so a long deadline costs a
+    block no more.
     """
     lower = np.empty_like(upper)
     epochs = upper.shape[-1]
     for depth in set(depths):
         rows = [k for k, d in enumerate(depths) if d == depth]
         head = min(depth, epochs)
-        ring = arrived[:, rows, :depth]
-        lower[:, rows, :head] = ring.take(np.arange(start, start + head), axis=-1, mode="wrap")
+        positions = (np.arange(e, e + head) % max(depth, 1) for e in (start, start + epochs - head))
+        first, last = (np.ix_((0, 1), rows, at) for at in positions)
+        lower[:, rows, :head] = arrived[first]
         lower[:, rows, head:] = upper[:, rows, : epochs - head]
-        ring[..., np.arange(start + epochs - head, start + epochs) % max(depth, 1)] = upper[:, rows, epochs - head :]
-        arrived[:, rows, :depth] = ring
+        arrived[last] = upper[:, rows, epochs - head :]
     return lower
 
 
