@@ -11,7 +11,8 @@ Layout:
 - :mod:`ctcsim.cli` - the ``ctcsim`` command.
 
 The package re-exports every module's ``__all__``, and the error types of
-:mod:`ctcsim.errors`; ``cli`` is not re-exported.
+:mod:`ctcsim.errors`. ``cli`` is not re-exported, nor is
+:mod:`ctcsim.phases`, the clock of each command's phases.
 """
 
 from .errors import *

@@ -21,6 +21,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import phases
 from .errors import CtcSimError, InvariantError
 from .experiments import CASE_IDS, MAX_SEEDS, case_spec, derive_case_v, run_case
 from .model import MAX_K, ForwardingParams, TimeBudget, prob_batch, throughput, time_components
@@ -169,22 +170,24 @@ def _cmd_exp_all(args) -> int:
     tables = {}
     for case_id in CASE_IDS:
         tables[case_id] = table = run_case(_spec_for(case_id, "both", args.seeds, args.seed))
-        emit_csv(table, out_dir / f"case_{case_id}.csv")
-        print(f"case {case_id}: {len(table.rows)} rows -> case_{case_id}.csv")
+        with phases.span("emit"):
+            emit_csv(table, out_dir / f"case_{case_id}.csv")
+            print(f"case {case_id}: {len(table.rows)} rows -> case_{case_id}.csv")
     pooled = list(tables.values())
-    # Figures 5 and 6 are the raw and the smoothed view of the same pooled curves.
-    curves = derive_case_v(pooled)
-    for figure_id in range(1, 7):
-        if figure_id in FIG_CASE:
-            series = figure_series(pooled, figure_id)
-        else:
-            series = derived_series(curves, smooth=figure_id == 6)
-        emit_figure_csv(series, out_dir / f"fig_{figure_id}.csv")
-        print(f"fig_{figure_id}.csv: {sum(len(s.points) for s in series)} points")
-    # Per-case derived curves, for inspection alongside the pooled figures.
-    for case_id in CASE_IDS:
-        emit_case_v_csv(derive_case_v([tables[case_id]]), out_dir / f"case_v_{case_id}.csv")
-    print(f"wrote {out_dir}")
+    with phases.span("emit"):
+        # Figures 5 and 6 are the raw and the smoothed view of the same pooled curves.
+        curves = derive_case_v(pooled)
+        for figure_id in range(1, 7):
+            if figure_id in FIG_CASE:
+                series = figure_series(pooled, figure_id)
+            else:
+                series = derived_series(curves, smooth=figure_id == 6)
+            emit_figure_csv(series, out_dir / f"fig_{figure_id}.csv")
+            print(f"fig_{figure_id}.csv: {sum(len(s.points) for s in series)} points")
+        # Per-case derived curves, for inspection alongside the pooled figures.
+        for case_id in CASE_IDS:
+            emit_case_v_csv(derive_case_v([tables[case_id]]), out_dir / f"case_v_{case_id}.csv")
+        print(f"wrote {out_dir}")
     return 0
 
 

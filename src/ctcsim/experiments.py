@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import phases
 from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError, UnknownCaseError
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
 from .sim import _classify_windows, _peak_rate, _realize_sweep, _schedule_sweep, _seeded
@@ -276,6 +277,7 @@ _REALIZE_READS = attrgetter("base_drop_prob", "misbehavior_threshold", "window_e
 def _sweep_totals(plan: Schedule, generators) -> list[np.ndarray]:
     """Forwarded and dropped self/neighbor totals and malicious fraction of each point and seed, ``(points, seeds)``."""
     config = plan.configs[0]
+    phases.count("realized", len(plan.configs))
     forwarded, dropped = _realize_sweep(plan, generators)
     *_, malicious = _classify_windows(plan.offered[1], dropped[1], config.misbehavior_threshold, config.window_epochs)
     return [column.sum(axis=-1) for column in (*forwarded, *dropped)] + [malicious]
@@ -369,11 +371,15 @@ def run_case(spec: CaseSpec) -> ResultTable:
     rows = []
     first = None
     for algorithm in spec.algorithms:
-        plan = _schedule_sweep([spec.config(algorithm, sweep_value) for sweep_value in spec.sweep_axis])
-        if first is None:
-            first, known = plan, _sweep_totals(plan, generators)
-        totals = known if plan is first else _reused_totals(first, known, plan, generators)
-        rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, totals))
+        with phases.span("schedule"):
+            plan = _schedule_sweep([spec.config(algorithm, sweep_value) for sweep_value in spec.sweep_axis])
+        with phases.span("realize"):
+            if first is None:
+                first, known = plan, _sweep_totals(plan, generators)
+            totals = known if plan is first else _reused_totals(first, known, plan, generators)
+        with phases.span("summarize"):
+            rows.extend(_summarize_sweep(spec.case_id, algorithm, spec.sweep_axis, plan, spec.seeds, totals))
+    phases.count("rows", len(rows))
     rows.sort(key=attrgetter("case_id", "algorithm", "sweep_value", "seed"))
     return ResultTable(rows=tuple(rows))
 

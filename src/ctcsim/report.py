@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import phases
 from .errors import InvalidParameterError, MissingCaseError
 from .experiments import CASE_IDS, CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
 from .sim import Trace, source_split
@@ -483,6 +484,7 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
                 lines[:, :, :epoch_width] = epoch_text
                 lines[:, :, first_sent : first_sent + sent_width] = sent[:, low:high]
                 lines[:, :, second_sent : second_sent + sent_width] = sent[:, low:high]
+            phases.count("trace_blocks")
             yield memoryview(buffer)[:size]
         # The group's views, let go before the next group is made: the lines
         # buffer may then grow, and the piece the columns come from be freed.
@@ -500,6 +502,7 @@ def _trace_chunks(pieces: Trace | Iterable[Trace]) -> Iterator[bytes]:
     yield (",".join(TRACE_COLUMNS) + "\n").encode("ascii")
     for block in _trace_blocks(pieces):
         for start in range(0, len(block), _TRACE_SLICE_BYTES):
+            phases.count("trace_texts")
             yield bytes(block[start : start + _TRACE_SLICE_BYTES]).replace(b"\0", b"")
 
 

@@ -98,6 +98,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import phases
 from .errors import EmptyTraceError, InvalidConfigError, InvariantError
 
 __all__ = [
@@ -162,16 +163,9 @@ class RateFunction:
     def arrivals(self, out: np.ndarray, start: int = 0) -> np.ndarray:
         """Write the whole packets arriving from epoch ``start`` on into the int64 row ``out`` and return it.
 
-        Each is ``rate`` rounded half to even. The rates take ``rate``'s
-        float operations in its order, in one float64 array.
+        Each is ``rate`` rounded half to even.
         """
-        rates = np.arange(start, start + out.size, dtype=np.float64)
-        rates *= 0.0 if self.kind is RateKind.CONSTANT else self.slope
-        if self.kind is RateKind.LINEAR_DECREASING:
-            np.maximum(0.0, np.subtract(self.base, rates, out=rates), out=rates)
-        else:
-            rates += self.base
-        np.copyto(out, np.rint(rates, out=rates), casting="unsafe")
+        np.copyto(out, np.rint(self.rate(np.arange(start, start + out.size))), casting="unsafe")
         return out
 
     @classmethod
@@ -939,11 +933,14 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
     for point, config, *sent in zip(lost, plan.configs, *plan.sent):
         p = config.base_drop_prob
         tables = _tables(point[0], p, kept)
+        if tables is None:
+            phases.count("binomial", len(generators))
         for row, (generator, seeded) in zip(point, generators):
             generator.bit_generator.state = seeded
             if tables is None:
                 row[:] = generator.binomial(row, p)
             elif not _table_binomial(row, p, tables, generator, row):
+                phases.count("binomial")
                 generator.bit_generator.state = seeded
                 row[0::2], row[1::2] = sent
                 row[:] = generator.binomial(row, p)
@@ -1037,13 +1034,15 @@ def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: di
     returns, so the generator holds none of them while the consumer reads
     the block.
     """
-    plan = _schedule_sweep([config], carry, stop)
-    forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, generators, kept))
-    offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
-    ratios = list(map(_cumulative_ratio, dropped, offered, totals))
-    for total, *columns in zip(totals, dropped, offered):
-        total[:] = (packets + int(column.sum()) for packets, column in zip(total, columns))
-    return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *ratios)
+    phases.count("engine_blocks")
+    with phases.span("engine"):
+        plan = _schedule_sweep([config], carry, stop)
+        forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, generators, kept))
+        offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
+        ratios = list(map(_cumulative_ratio, dropped, offered, totals))
+        for total, *columns in zip(totals, dropped, offered):
+            total[:] = (packets + int(column.sum()) for packets, column in zip(total, columns))
+        return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *ratios)
 
 
 def run(config: SimConfig) -> Trace:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim import cli, experiments, report, sim, utilization
+from ctcsim import cli, experiments, phases, report, sim, utilization
 from ctcsim.cli import main
 from ctcsim.experiments import MAX_SEEDS
 from ctcsim.model import MAX_K
@@ -551,3 +551,43 @@ def test_exp_all_default_grid_matches_recorded_sha256(tmp_path, capsys):
     assert code == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert digests == expected
+
+
+# ---------------------------------------------------------------------------
+# phase clock
+
+
+def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
+    # `ctcsim.phases` measures each phase from inside the package, and
+    # scripts/grid_phases.py reads these names. Each of the 8 sweeps (4
+    # cases, 2 algorithms) is scheduled, realized and summarized once. At ten
+    # seeds the grid has 1,280 rows; 87 of its 128 point-rows are realized,
+    # each seed of each by one numpy `binomial` call.
+    phases.reset()
+    code, _, _ = run_cli("exp", "all", "--out-dir", str(tmp_path), "--seeds", "10", capsys=capsys)
+    assert code == 0
+    clock = phases.times
+    assert sorted(clock) == ["emit", "realize", "schedule", "summarize"]
+    assert clock["schedule"].calls == clock["realize"].calls == clock["summarize"].calls == 8
+    assert all(phase.wall_ns > 0 and phase.minflt >= 0 and phase.maxrss_kib > 0 for phase in clock.values())
+    assert phases.counts == {"rows": 1280, "realized": 87, "binomial": 870}
+
+
+# The engine's blocks, and the trace writer's blocks and texts, of each
+# benchmark trace.
+TRACE_COUNTS = {"trace_deep": [13, 27, 126], "trace_wide": [1, 18, 130]}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_COUNTS))
+def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_path, capsys):
+    # scripts/trace_phases.py reads the engine's phase, once per block of
+    # `sim.run_blocks`, and the counts of the engine's blocks and of the
+    # blocks and texts the trace writer makes of them.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BENCHMARK_TRACES[name]), encoding="utf-8")
+    phases.reset()
+    code, _, _ = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "trace.csv"), capsys=capsys)
+    assert code == 0
+    counts = TRACE_COUNTS[name]
+    assert list(phases.times) == ["engine"] and phases.times["engine"].calls == counts[0]
+    assert [phases.counts[count] for count in ("engine_blocks", "trace_blocks", "trace_texts")] == counts

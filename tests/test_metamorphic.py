@@ -105,3 +105,50 @@ def test_neighbor_count_changes_only_the_source_lines(case, neighbor_count):
         assert len(lines) == 1 + run.epochs * (run.neighbor_count + 1)
         target_lines.append([line for line in lines[1:] if line.split(",")[1] == "0"])
     assert target_lines[0] == target_lines[1]
+
+
+def _lossless(case):
+    """``case``'s config without ambient loss, and its block size."""
+    config, size = case
+    return dataclasses.replace(config, base_drop_prob=0.0), size
+
+
+def _dropped_or_queued(columns):
+    """The packets dropped over a run, of both classes, plus those queued at its end."""
+    dropped = sum(columns["dropped_self"]) + sum(columns["dropped_neighbor"])
+    return dropped + columns["queued_self"][-1] + columns["queued_neighbor"][-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_runs())
+def test_more_capacity_never_raises_the_drops_plus_the_final_queue(case):
+    # One more packet of capacity an epoch serves at least as many packets
+    # by every epoch, so fewer or as many of them expire or wait at the end.
+    # Without ambient loss, the packets dropped plus those still queued at
+    # the end of the run never rise, under either policy. Under `dsr` the
+    # drops alone may: a packet served rather than left queued can be
+    # gate-dropped.
+    config, size = _lossless(case)
+    faster = dataclasses.replace(config, data_rate=config.data_rate + 1 / config.epoch_length)
+    for columns in (lambda run: _columns(run, size), _reference_columns):
+        assert _dropped_or_queued(columns(faster)) <= _dropped_or_queued(columns(config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_runs(), more=st.integers(1, 400))
+def test_a_larger_energy_budget_never_raises_dsr_neighbor_drops(case, more):
+    # The `dsr` gate only turns a served neighbor packet into a drop once
+    # the budget is spent: the same packets are served either way, self
+    # traffic first. So without ambient loss a larger budget never raises
+    # the neighbor drops, and moves packets only from the neighbor drops to
+    # the neighbor forwards: every self column, both queues (and so the
+    # expiries) and the time split stay as they were.
+    config, size = _lossless(case)
+    config = dataclasses.replace(config, policy=Policy.DSR)
+    larger = dataclasses.replace(config, energy_budget=config.energy_budget + more)
+    moved = {"forwarded_neighbor", "dropped_neighbor", "drop_ratio_neighbor"}
+    for columns in (lambda run: _columns(run, size), _reference_columns):
+        before, after = columns(config), columns(larger)
+        assert sum(after["dropped_neighbor"]) <= sum(before["dropped_neighbor"])
+        for name in before.keys() - moved:
+            assert np.array_equal(before[name], after[name]), name

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from ctcsim import phases
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -39,21 +41,22 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
     # scripts/trace_phases.py times the engine's blocks (`sim.run_blocks`)
     # and `emit_trace_csv` for one config file as `sim run` streams them,
     # each summed over the blocks, with the peak resident set after the
-    # engine's last block and at the end, then counts the engine's blocks
-    # and the writer's blocks and texts. 50 epochs are one engine block; of
-    # 4 short lines they make two writer blocks, since blocks end at epoch
-    # 10, and each block is one text. The counts are the same in every run.
+    # engine's last block and at the end, then prints the phase clock's
+    # counts of the engine's blocks and the writer's blocks and texts. 50
+    # epochs are one engine block; of 4 short lines they make two writer
+    # blocks, since blocks end at epoch 10, and each block is one text. The
+    # script resets the clock, so its counts are the same in every run.
     config = tmp_path / "config.json"
     config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
     for _ in range(2):
         assert _load("trace_phases").main([str(config)]) == 0
-        header, *phases, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
-        assert header == ["phase", "wall_s", "minflt", "VmHWM_MiB"]
-        assert [row[0] for row in phases] == ["sim.run_blocks", "emit_trace_csv"]
-        for _, seconds, faults, _ in phases:
+        header, *rows, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert header == ["phase", "wall_s", "minflt", "maxrss_MiB"]
+        assert [row[0] for row in rows] == ["sim.run_blocks", "emit_trace_csv"]
+        for _, seconds, faults, _ in rows:
             assert float(seconds) > 0 and int(faults) >= 0
         # A high-water mark never falls.
-        run_peak, emit_peak = (float(row[3]) for row in phases)
+        run_peak, emit_peak = (float(row[3]) for row in rows)
         assert emit_peak >= run_peak > 0
         assert counts == ["engine", "1", "blocks", "2", "texts", "2"]
 
@@ -61,15 +64,16 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
 def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):
     # scripts/grid_phases.py times the phases of `exp all` at ten seeds. The
     # grid has 1,280 rows; 87 of its 128 point-rows are realized, each seed
-    # of each by one `binomial` call.
-    script = _load("grid_phases")
-    real = [getattr(module, name) for module, name, _ in script.PHASES]
-    assert script.main([]) == 0
-    assert [getattr(module, name) for module, name, _ in script.PHASES] == real
-    header, *phases, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # of each by one `binomial` call. The script resets the phase clock, so
+    # the counts an earlier command left on it (here, a whole grid's) are
+    # not in its own.
+    phases.count("rows", 1280)
+    phases.count("binomial", 870)
+    assert _load("grid_phases").main([]) == 0
+    header, *rows, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert header == ["phase", "wall_s", "minflt"]
-    assert [row[0] for row in phases] == ["schedule", "realize", "summarize", "emit", "total"]
-    for _, seconds, faults in phases:
+    assert [row[0] for row in rows] == ["schedule", "realize", "summarize", "emit", "total"]
+    for _, seconds, faults in rows:
         assert float(seconds) > 0 and int(faults) >= 0
-    assert float(phases[-1][1]) >= sum(float(row[1]) for row in phases[:-1])
+    assert float(rows[-1][1]) >= sum(float(row[1]) for row in rows[:-1])
     assert counts == ["rows", "1280", "realized", "87", "binomial", "870"]
