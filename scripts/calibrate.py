@@ -15,7 +15,8 @@ from statistics import fmean
 
 from scipy.stats import spearmanr
 
-from ctcsim.experiments import DEFAULTS, case_spec, derive_case_v, isotonic_nondecreasing, run_case
+from ctcsim import experiments
+from ctcsim.experiments import BASE, case_spec, derive_case_v, isotonic_nondecreasing, run_case
 from ctcsim.report import FIG_CASE, figure_series
 from ctcsim.sim import classify_misbehavior, run
 
@@ -25,7 +26,9 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args(argv)
 
-    print(f"params: {DEFAULTS}")
+    print(f"base: {BASE}")
+    levels = ("CASE1_SELF_BASE", "CASE1_SELF_TILT", "CASE2_SELF_MULTIPLIER", "CASE3_SELF_PEAK", "CASE4_NEIGHBOR_RATE")
+    print("case levels: " + ", ".join(f"{name} = {getattr(experiments, name)}" for name in levels))
     tables = {}
     for case_id in ("I", "II", "III", "IV"):
         spec = case_spec(case_id)
@@ -112,7 +115,7 @@ def main(argv=None):
                     if w.ratio > worst_ratio:
                         worst_ratio = w.ratio
                         worst_at = (case_id, v, w.window_index)
-    print(f"worst ctc window ratio (seed 0): {worst_ratio:.4f} at {worst_at}  (threshold {DEFAULTS.misbehavior_threshold})")
+    print(f"worst ctc window ratio (seed 0): {worst_ratio:.4f} at {worst_at}  (threshold {BASE.misbehavior_threshold})")
     return 0
 
 

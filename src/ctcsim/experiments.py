@@ -21,16 +21,17 @@ A fifth, derived view buckets every (case, run) observation by its realized
 drop ratio and averages the misbehavior-classifier output per bucket, per
 algorithm.
 
-The numeric defaults below were fixed by running the simulator over the grid
-and checking the resulting curves against the acceptance targets (see
-docs/calibration.md); they are plain data, so alternative settings can be
-passed through ExperimentParams.
+The numbers below were fixed by running the simulator over the grid and
+checking the resulting curves against the acceptance targets (see
+docs/calibration.md). ``BASE`` holds the run settings shared by every case,
+as one ``SimConfig``; ``case_spec`` takes another base config, and the
+five case levels are module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -38,14 +39,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import phases
-from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError, UnknownCaseError
+from .errors import EmptyInputError, InvalidConfigError, InvalidParameterError, InvariantError, UnknownCaseError
 from .sim import Policy, RateFunction, RateKind, Schedule, SimConfig
-from .sim import _classify_windows, _peak_rate, _realize_sweep, _schedule_sweep, _seeded
+from .sim import _classify_windows, _realize_sweep, _schedule_sweep, _seeded
 from .utilization import PacketCounters, _ratio_form
 
 __all__ = [
-    "ExperimentParams",
-    "DEFAULTS",
+    "BASE",
     "CaseSpec",
     "CASE_IDS",
     "MAX_SEEDS",
@@ -68,70 +68,26 @@ CASE_IDS = ("I", "II", "III", "IV")
 # by name before any seed is built.
 MAX_SEEDS = 10**4
 
-
-@dataclass(frozen=True)
-class ExperimentParams:
-    """Shared knobs for the experiment sweeps.
-
-    ``case_spec`` divides by ``epochs`` and ``window``, ``CaseSpec.config``
-    hands the next four to ``SimConfig`` under other names, and each case
-    builds its rates from the rest, so all eleven are checked here, each by
-    its own name; a real knob given as an int must fit a float. Case I's self
-    level ``case1_self_base - case1_self_tilt * v`` is checked again where it
-    is built, since it goes below zero only at some sweep values, and each
-    rate a knob sets is checked against ``SimConfig``'s 2**53 bound on a
-    run's arrivals where it is built, since most depend on the sweep value.
-    """
-
-    epochs: int = 100
-    window: int = 10
-    service_rate: float = 420.0
-    ambient_drop: float = 0.15
-    energy_budget: int = 20000
-    misbehavior_threshold: float = 0.75
-    case1_self_base: float = 355.0
-    case1_self_tilt: float = 0.05
-    case2_self_multiplier: float = 3.0
-    case3_self_peak: float = 300.0
-    case4_neighbor_rate: float = 50.0
-
-    def __post_init__(self) -> None:
-        # Each knob: the types it takes, what it must be, and the bounds
-        # its ``SimConfig`` field has at the default epoch length of 1.
-        for name, types, rule, holds in (
-            ("epochs", int, "an int >= 1", lambda v: v >= 1),
-            ("window", int, "an int >= 1", lambda v: v >= 1),
-            ("service_rate", (int, float), "a number in (0, 2**53]", lambda v: 0 < v <= 2**53),
-            ("ambient_drop", (int, float), "a number in [0, 1)", lambda v: 0 <= v < 1),
-            ("energy_budget", int, "an int >= 0", lambda v: v >= 0),
-            ("misbehavior_threshold", (int, float), "a number in (0, 1)", lambda v: 0 < v < 1),
-            ("case1_self_base", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
-            ("case1_self_tilt", (int, float), "a finite number", lambda v: -math.inf < v < math.inf),
-            ("case2_self_multiplier", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
-            ("case3_self_peak", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
-            ("case4_neighbor_rate", (int, float), "a finite number >= 0", lambda v: 0 <= v < math.inf),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, types) or not holds(value):
-                raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
-            # A real knob given as an int past float range passes its rule
-            # and overflows where a case builds its rates from it.
-            if types is not int and isinstance(value, int):
-                try:
-                    float(value)
-                except OverflowError:
-                    raise InvalidParameterError(f"{name} is too large for a float") from None
-
-
-DEFAULTS = ExperimentParams()
+# The run settings every case shares; each run sets its own policy and rates.
+BASE = SimConfig(
+    epochs=100, data_rate=420.0, base_drop_prob=0.15, energy_budget=20000, misbehavior_threshold=0.75, window_epochs=10
+)
+# The case levels: case I's self level 355 - 0.05 * v, case II's self ramp
+# at three times the neighbor's, case III's self ramp down from 300, and
+# case IV's constant neighbor rate.
+CASE1_SELF_BASE = 355.0
+CASE1_SELF_TILT = 0.05
+CASE2_SELF_MULTIPLIER = 3.0
+CASE3_SELF_PEAK = 300.0
+CASE4_NEIGHBOR_RATE = 50.0
 
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One experiment case: rate profiles per sweep value plus the grid."""
+    """One experiment case: the settings ``base`` its runs share, rate profiles per sweep value, and the grid."""
 
     case_id: str
-    params: ExperimentParams
+    base: SimConfig
     self_rate_fn: Callable[[int], RateFunction]
     neighbor_rate_fn: Callable[[int], RateFunction]
     sweep_axis: tuple[int, ...] = tuple(range(100, 1601, 100))
@@ -139,19 +95,17 @@ class CaseSpec:
     seeds: tuple[int, ...] = tuple(range(10))
 
     def config(self, algorithm: Policy, sweep_value: int) -> SimConfig:
-        """The run of ``algorithm`` at ``sweep_value``, at ``SimConfig``'s default seed."""
-        params = self.params
-        return SimConfig(
-            epochs=params.epochs,
-            data_rate=params.service_rate,
-            base_drop_prob=params.ambient_drop,
-            energy_budget=params.energy_budget,
-            misbehavior_threshold=params.misbehavior_threshold,
-            window_epochs=params.window,
-            policy=algorithm,
-            self_rate_fn=self.self_rate_fn(sweep_value),
-            neighbor_rate_fn=self.neighbor_rate_fn(sweep_value),
-        )
+        """``base`` run by ``algorithm`` at the case's rates for ``sweep_value``.
+
+        A rate that ``RateFunction`` or ``SimConfig`` rejects, such as case
+        I's self level below zero past v = 7,100, is reported with the case
+        and the sweep value.
+        """
+        try:
+            self_rate, neighbor_rate = self.self_rate_fn(sweep_value), self.neighbor_rate_fn(sweep_value)
+            return replace(self.base, policy=algorithm, self_rate_fn=self_rate, neighbor_rate_fn=neighbor_rate)
+        except InvalidConfigError as exc:
+            raise InvalidParameterError(f"case {self.case_id} at sweep value v = {sweep_value}: {exc}") from None
 
 
 def _increasing(mean: float, epochs: int) -> RateFunction:
@@ -164,79 +118,26 @@ def _decreasing(peak: float, epochs: int) -> RateFunction:
     return RateFunction(RateKind.LINEAR_DECREASING, peak, peak / epochs)
 
 
-_CASE1_SELF = "case I self rate case1_self_base - case1_self_tilt * v"
+def case_spec(case_id: str, base: SimConfig = BASE) -> CaseSpec:
+    """Build the spec for one of the four traffic cases, its runs set as ``base`` but for policy and rates."""
+    if case_id not in CASE_IDS:
+        raise UnknownCaseError(f"unknown case id {case_id!r}; expected one of {', '.join(CASE_IDS)}")
+    epochs, window = base.epochs, base.window_epochs
+    # The ramps divide by it.
+    if epochs < 1:
+        raise InvalidParameterError(f"epochs must be >= 1, got {epochs}")
 
+    def ramp(v: int) -> RateFunction:
+        return _increasing(v / window, epochs)
 
-def _case1_self(params: ExperimentParams, sweep_value: int) -> RateFunction:
-    """Case I's self level, which tilts down the sweep axis and so can go below zero."""
-    level = params.case1_self_base - params.case1_self_tilt * sweep_value
-    if not level >= 0:
-        base, tilt = params.case1_self_base, params.case1_self_tilt
-        raise InvalidParameterError(
-            f"{_CASE1_SELF} must be >= 0; "
-            f"at sweep value v = {sweep_value} it is {base!r} - {tilt!r} * {sweep_value} = {level!r}"
-        )
-    return RateFunction(RateKind.CONSTANT, level)
-
-
-def _knob_rate(knobs: str, epochs: int, rate_fn: Callable[[int], RateFunction]) -> Callable[[int], RateFunction]:
-    """``rate_fn``, rejecting an invalid rate by ``knobs``, the knobs that set it, and the sweep value.
-
-    A finite knob can overflow to infinity in the rate, which
-    ``RateFunction`` rejects naming no knob. ``SimConfig`` bounds each
-    class's rounded peak rate times ``epochs`` by 2**53 and would name its
-    own rate field instead.
-    """
-
-    def rate(sweep_value: int) -> RateFunction:
-        try:
-            fn = rate_fn(sweep_value)
-            peak = _peak_rate(fn, epochs)
-            if not (math.isfinite(peak) and round(peak) * epochs <= 2**53):
-                raise InvalidConfigError(f"{epochs} epochs at up to {peak:g} packets each pass 2**53")
-        except InvalidConfigError as exc:
-            raise InvalidParameterError(f"{knobs}: {exc} at sweep value v = {sweep_value}") from None
-        return fn
-
-    return rate
-
-
-def case_spec(case_id: str, params: ExperimentParams = DEFAULTS) -> CaseSpec:
-    """Build the spec for one of the four traffic cases."""
-    epochs = params.epochs
-    window = params.window
-    if case_id == "I":
-        return CaseSpec(
-            case_id,
-            params,
-            self_rate_fn=_knob_rate(_CASE1_SELF, epochs, lambda v: _case1_self(params, v)),
-            neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
-        )
-    if case_id == "II":
-        multiplier = params.case2_self_multiplier
-        self_rate = _knob_rate("case2_self_multiplier", epochs, lambda v: _increasing(multiplier * v / window, epochs))
-        return CaseSpec(
-            case_id,
-            params,
-            self_rate_fn=self_rate,
-            neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
-        )
-    if case_id == "III":
-        return CaseSpec(
-            case_id,
-            params,
-            self_rate_fn=_knob_rate("case3_self_peak", epochs, lambda v: _decreasing(params.case3_self_peak, epochs)),
-            neighbor_rate_fn=lambda v: _increasing(v / window, epochs),
-        )
-    if case_id == "IV":
-        constant = RateFunction(RateKind.CONSTANT, params.case4_neighbor_rate)
-        return CaseSpec(
-            case_id,
-            params,
-            self_rate_fn=lambda v: _increasing(v / window, epochs),
-            neighbor_rate_fn=_knob_rate("case4_neighbor_rate", epochs, lambda v: constant),
-        )
-    raise UnknownCaseError(f"unknown case id {case_id!r}; expected one of {', '.join(CASE_IDS)}")
+    constant = RateFunction(RateKind.CONSTANT, CASE4_NEIGHBOR_RATE)
+    self_rate_fn, neighbor_rate_fn = {
+        "I": (lambda v: RateFunction(RateKind.CONSTANT, CASE1_SELF_BASE - CASE1_SELF_TILT * v), ramp),
+        "II": (lambda v: _increasing(CASE2_SELF_MULTIPLIER * v / window, epochs), ramp),
+        "III": (lambda v: _decreasing(CASE3_SELF_PEAK, epochs), ramp),
+        "IV": (ramp, lambda v: constant),
+    }[case_id]
+    return CaseSpec(case_id, base, self_rate_fn, neighbor_rate_fn)
 
 
 @dataclass(frozen=True)
@@ -329,7 +230,11 @@ def _summarize_sweep(
         point, seed = np.argwhere(broken)[0]
         # The first broken run's counters raise, naming the count.
         k_pout, k_nout = int(forwarded_self[point, seed]), int(forwarded_nbr[point, seed])
-        PacketCounters(k_pout=k_pout, k_nout=k_nout, k_nin=int(offered_nbr[point]))
+        try:
+            PacketCounters(k_pout=k_pout, k_nout=k_nout, k_nin=int(offered_nbr[point]))
+        except InvalidParameterError as exc:
+            # The counts come from the engine, so an impossible one is its fault.
+            raise InvariantError(str(exc)) from None
     drop_ratio = np.divide(dropped_nbr, offered, out=np.zeros(dropped_nbr.shape), where=offered > 0)
     throughput = (forwarded_self + forwarded_nbr) / (config.epochs * config.epoch_length)
     defined = (offered > 0) & (t_pp > 0) & (t_np > 0)

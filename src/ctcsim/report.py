@@ -51,6 +51,7 @@ from . import phases
 from .errors import InvalidParameterError, MissingCaseError
 from .experiments import CASE_IDS, CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
 from .sim import Trace, source_split
+from .sim import _TRACE_COLUMNS
 
 __all__ = [
     "CSV_COLUMNS",
@@ -82,8 +83,7 @@ _row_values = attrgetter(*CSV_COLUMNS)
 FIG_CASE = dict(enumerate(CASE_IDS, start=1))
 
 # A target row of a trace: the epoch, node 0, then the Trace fields in order.
-_TRACE_FIELDS = tuple(f.name for f in fields(Trace) if f.name != "config")
-TRACE_COLUMNS = ("epoch", "node_id", *_TRACE_FIELDS)
+TRACE_COLUMNS = ("epoch", "node_id", *_TRACE_COLUMNS)
 
 
 def _write_chunks(chunks: Iterable[bytes], dest: str | Path) -> int:
@@ -382,7 +382,7 @@ def _trace_groups(pieces: Iterable[Trace]) -> Iterator[tuple[int, list[np.ndarra
     """
     offset = 0
     for trace in pieces:
-        columns = [getattr(trace, name) for name in _TRACE_FIELDS]
+        columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
         epochs = offset + columns[0].size
         del trace
         start = offset
@@ -444,7 +444,7 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
         epoch = np.arange(start, start + columns[0].size, dtype=np.int64)
         target = _line_fields([epoch, np.zeros_like(epoch), *columns], lines_buffer)
         height = target.shape[0]
-        offered = columns[_TRACE_FIELDS.index("offered_neighbor")]
+        offered = columns[_TRACE_COLUMNS.index("offered_neighbor")]
         # An epoch's bytes but for its 2 * nodes ``sent`` fields.
         fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
         # Sized for the group's largest count, a source's share rounded up.

@@ -474,6 +474,26 @@ def test_exp_case_rejects_seeds_past_the_bound_naming_seeds(tmp_path, capsys, mo
     assert not out_csv.exists()
 
 
+def test_exp_case_impossible_count_exits_3(tmp_path, capsys, monkeypatch):
+    # The counts come from the engine, not the input: a negative forward
+    # count is a program fault, even though `PacketCounters` would reject it
+    # as a bad parameter.
+    real_totals = experiments._sweep_totals
+
+    def broken_totals(plan, generators):
+        totals = [column.copy() for column in real_totals(plan, generators)]
+        totals[0][0, 0] = -3
+        return totals
+
+    monkeypatch.setattr(experiments, "_sweep_totals", broken_totals)
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli("exp", "case", "--id", "II", "--seeds", "1", "--out", str(out_csv), capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: k_pout must be finite and >= 0, got -3\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("first, count", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
 def test_exp_case_rejects_seeds_outside_uint64_naming_seed(first, count, tmp_path, capsys):
     out_csv = tmp_path / "x.csv"

@@ -14,6 +14,7 @@ from reference_engine import run_reference, schedule_cohorts
 from ctcsim import experiments
 from ctcsim.errors import (
     EmptyInputError,
+    InvalidConfigError,
     InvalidParameterError,
     InvariantError,
     NoInputError,
@@ -21,9 +22,8 @@ from ctcsim.errors import (
     ZeroTimeError,
 )
 from ctcsim.experiments import (
+    BASE,
     CASE_IDS,
-    DEFAULTS,
-    ExperimentParams,
     ResultRow,
     ResultTable,
     case_spec,
@@ -32,7 +32,7 @@ from ctcsim.experiments import (
     run_case,
 )
 from ctcsim.model import TimeBudget
-from ctcsim.sim import Policy, RateKind, classify_misbehavior, run
+from ctcsim.sim import Policy, RateFunction, RateKind, SimConfig, classify_misbehavior, run
 from ctcsim.utilization import PacketCounters, utilization_node
 
 
@@ -58,7 +58,7 @@ def test_case_grid_defaults():
     assert spec.sweep_axis == tuple(range(100, 1601, 100))
     assert spec.algorithms == (Policy.CTC, Policy.DSR)
     assert spec.seeds == tuple(range(10))
-    assert spec.params == DEFAULTS
+    assert spec.base == BASE
 
 
 def test_unknown_case_rejected():
@@ -69,165 +69,101 @@ def test_unknown_case_rejected():
 
 
 def test_case_config_carries_each_knob_to_its_sim_config_field():
-    # Each knob away from its default, one at a time: a knob read into the
-    # wrong field, or not at all, leaves a field at another value.
-    knobs = {
-        "epochs": ("epochs", 37),
-        "window": ("window_epochs", 7),
-        "service_rate": ("data_rate", 333.0),
-        "ambient_drop": ("base_drop_prob", 0.2),
-        "energy_budget": ("energy_budget", 1234),
-        "misbehavior_threshold": ("misbehavior_threshold", 0.6),
+    # Each `base` field away from `BASE`, one at a time, reaches every point's
+    # `SimConfig` in every case, but for the policy and the two rates, which
+    # are the point's own: a field dropped or read from `BASE` leaves it at
+    # another value.
+    changed = {
+        "epochs": 37,
+        "epoch_length": 0.5,
+        "neighbor_count": 3,
+        "data_rate": 333.0,
+        "base_drop_prob": 0.2,
+        "energy_budget": 1234,
+        "deadline_epochs": 5,
+        "min_share_fraction": 0.1,
+        "misbehavior_threshold": 0.6,
+        "window_epochs": 7,
+        "seed": 9,
+        "policy": Policy.DSR,
+        "self_rate_fn": RateFunction(RateKind.CONSTANT, 7.0),
+        "neighbor_rate_fn": RateFunction(RateKind.CONSTANT, 3.0),
     }
-    default = case_spec("II").config(Policy.DSR, 500)
-    assert default.policy is Policy.DSR and default.seed == 0
-    for knob, (field, value) in knobs.items():
-        assert getattr(DEFAULTS, knob) == getattr(default, field) != value, knob
-        spec = case_spec("II", dataclasses.replace(DEFAULTS, **{knob: value}))
-        # `epochs` and `window` shape the rate profiles too.
-        rates = {"self_rate_fn": spec.self_rate_fn(500), "neighbor_rate_fn": spec.neighbor_rate_fn(500)}
-        assert spec.config(Policy.DSR, 500) == dataclasses.replace(default, **{field: value}, **rates), knob
-
-
-def test_experiment_params_reject_epochs_or_window_below_one_naming_it():
-    # `case_spec` divides by both: a zero used to end a run in a bare
-    # ZeroDivisionError that named no field.
-    for field in ("epochs", "window"):
-        for value in (0, -3, 2.5, True, None):
-            with pytest.raises(InvalidParameterError, match=f"^{field} must be an int >= 1, got {value!r}$"):
-                ExperimentParams(**{field: value})
-    assert ExperimentParams(epochs=1, window=1).window == 1
-
-
-# Per knob that `CaseSpec.config` renames for `SimConfig`: values rejected,
-# then edge values that every grid point's `SimConfig` accepts.
-_RENAMED_KNOBS = {
-    "service_rate": ((0.0, -1.0, math.nan, math.inf, 2**53 + 1, True, "420"), (1e-9, 2**53)),
-    "ambient_drop": ((1.0, -0.1, math.nan, True, None), (0, 0.0, 0.999)),
-    "energy_budget": ((-1, 1.5, True, None), (0, 10**30)),
-    "misbehavior_threshold": ((0.0, 1.0, -0.5, math.nan, True), (1e-9, 0.999)),
-}
-
-
-@pytest.mark.parametrize("knob", sorted(_RENAMED_KNOBS))
-def test_experiment_params_reject_a_renamed_knob_by_its_own_name(knob):
-    # `SimConfig` used to reject these under its own field names, e.g.
-    # `service_rate=0.0` as `data_rate must be > 0`.
-    rejected, accepted = _RENAMED_KNOBS[knob]
-    for value in rejected:
-        with pytest.raises(InvalidParameterError, match=f"^{knob} must be .*, got {re.escape(repr(value))}$"):
-            ExperimentParams(**{knob: value})
-    for value in accepted:
-        params = ExperimentParams(**{knob: value})
+    assert set(changed) == {field.name for field in dataclasses.fields(SimConfig)}
+    for field, value in changed.items():
+        assert getattr(BASE, field) != value, field
+        base = dataclasses.replace(BASE, **{field: value})
         for case_id in CASE_IDS:
-            spec = case_spec(case_id, params)
+            spec = case_spec(case_id, base)
             for algorithm in spec.algorithms:
-                for sweep_value in spec.sweep_axis:
-                    spec.config(algorithm, sweep_value)
+                for v in spec.sweep_axis:
+                    rates = {"self_rate_fn": spec.self_rate_fn(v), "neighbor_rate_fn": spec.neighbor_rate_fn(v)}
+                    assert spec.config(algorithm, v) == dataclasses.replace(base, policy=algorithm, **rates), field
+    # `epochs` and `window_epochs` shape the rate profiles too.
+    for field in ("epochs", "window_epochs"):
+        spec = case_spec("II", dataclasses.replace(BASE, **{field: changed[field]}))
+        assert spec.self_rate_fn(500) != case_spec("II").self_rate_fn(500), field
+        assert spec.neighbor_rate_fn(500) != case_spec("II").neighbor_rate_fn(500), field
 
 
-# Per case-rate knob: the case whose rate it sets. Each rejected value used
-# to fail inside `RateFunction`, naming neither the knob nor the case.
-_CASE_RATE_KNOBS = {"case2_self_multiplier": "II", "case3_self_peak": "III", "case4_neighbor_rate": "IV"}
+def test_each_case_point_is_the_sim_config_written_out():
+    # One point per case, its rates worked out by hand from the case levels:
+    # v / 10 packets per epoch on average, the ramps over 100 epochs.
+    increasing, decreasing, constant = RateKind.LINEAR_INCREASING, RateKind.LINEAR_DECREASING, RateKind.CONSTANT
+    points = {
+        ("I", Policy.CTC, 800): (RateFunction(constant, 315.0), RateFunction(increasing, 0.0, 1.6)),
+        ("II", Policy.DSR, 500): (RateFunction(increasing, 0.0, 3.0), RateFunction(increasing, 0.0, 1.0)),
+        ("III", Policy.CTC, 1600): (RateFunction(decreasing, 300.0, 3.0), RateFunction(increasing, 0.0, 3.2)),
+        ("IV", Policy.DSR, 100): (RateFunction(increasing, 0.0, 0.2), RateFunction(constant, 50.0)),
+    }
+    for (case_id, algorithm, v), (self_rate_fn, neighbor_rate_fn) in points.items():
+        assert case_spec(case_id).config(algorithm, v) == SimConfig(
+            epochs=100,
+            data_rate=420.0,
+            base_drop_prob=0.15,
+            energy_budget=20000,
+            misbehavior_threshold=0.75,
+            window_epochs=10,
+            policy=algorithm,
+            self_rate_fn=self_rate_fn,
+            neighbor_rate_fn=neighbor_rate_fn,
+        ), case_id
 
 
-@pytest.mark.parametrize("knob", sorted(_CASE_RATE_KNOBS))
-def test_experiment_params_reject_a_case_rate_knob_by_its_own_name(knob):
-    case_id = _CASE_RATE_KNOBS[knob]
-    for value in (-1.0, -5.0, -(2**60), math.nan, math.inf, -math.inf, True, None, "3"):
-        message = f"^{knob} must be a finite number >= 0, got {re.escape(repr(value))}$"
-        with pytest.raises(InvalidParameterError, match=message):
-            run_case(case_spec(case_id, ExperimentParams(**{knob: value})))
-    for value in (0, 0.0, 5e-324, 1.5):
-        spec = case_spec(case_id, ExperimentParams(**{knob: value}))
-        for algorithm in spec.algorithms:
-            for sweep_value in spec.sweep_axis:
-                spec.config(algorithm, sweep_value)
+def test_case_spec_rejects_epochs_below_one_naming_it():
+    # `SimConfig` takes 0 epochs, but the ramps divide by them, which would
+    # end in a bare ZeroDivisionError naming no field.
+    for case_id in CASE_IDS:
+        with pytest.raises(InvalidParameterError, match="^epochs must be >= 1, got 0$"):
+            case_spec(case_id, dataclasses.replace(BASE, epochs=0))
+    # The window, the other divisor, is `SimConfig`'s to reject.
+    with pytest.raises(InvalidConfigError, match="^window_epochs must be >= 1$"):
+        dataclasses.replace(BASE, window_epochs=0)
+    spec = case_spec("II", dataclasses.replace(BASE, epochs=1, window_epochs=1))
+    assert spec.config(Policy.CTC, 1600).epochs == 1
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True])
-def test_experiment_params_reject_a_case1_knob_by_its_own_name(value):
-    # Infinities used to fail inside `RateFunction`, naming neither knob, and
-    # `True` was taken as 1.
-    for knob, rule in (("case1_self_base", "a finite number >= 0"), ("case1_self_tilt", "a finite number")):
-        with pytest.raises(InvalidParameterError, match=f"^{knob} must be {rule}, got {re.escape(repr(value))}$"):
-            run_case(case_spec("I", ExperimentParams(**{knob: value})))
-    for base, tilt in ((0, 0), (0.0, -1.5), (5e-324, -0.05), (10.0, 1e-3)):
-        spec = case_spec("I", ExperimentParams(case1_self_base=base, case1_self_tilt=tilt))
-        for algorithm in spec.algorithms:
-            for sweep_value in spec.sweep_axis:
-                spec.config(algorithm, sweep_value)
-
-
-@pytest.mark.parametrize(
-    "knob, value", [("case3_self_peak", 10**400), ("case1_self_tilt", -(10**400))], ids=["peak", "tilt"]
-)
-def test_experiment_params_reject_an_int_past_float_range_by_its_knob(knob, value):
-    # It used to pass, and `case_spec(...).config(...)` then raised a bare
-    # OverflowError where the case built its rate.
-    with pytest.raises(InvalidParameterError, match=f"^{knob} is too large for a float$"):
-        ExperimentParams(**{knob: value})
-
-
-# Per knob: its case and the knobs its rate error names.
-_RATE_KNOBS = {
-    "case1_self_base": ("I", "case I self rate case1_self_base - case1_self_tilt * v"),
-    "case2_self_multiplier": ("II", "case2_self_multiplier"),
-    "case3_self_peak": ("III", "case3_self_peak"),
-    "case4_neighbor_rate": ("IV", "case4_neighbor_rate"),
-}
-
-
-@pytest.mark.parametrize("knob", sorted(_RATE_KNOBS))
-def test_a_knob_rate_past_2_53_arrivals_names_the_knob(knob):
-    # `SimConfig` bounds a run's arrivals of each class by 2**53 and used to
-    # name its own rate field, e.g. `neighbor_rate_fn` for
-    # `case4_neighbor_rate=1e30`.
-    case_id, knobs = _RATE_KNOBS[knob]
-    spec = case_spec(case_id, ExperimentParams(**{knob: 1e30}))
-    with pytest.raises(InvalidParameterError, match=f"^{re.escape(knobs)}: 100 epochs at up to .* pass 2\\*\\*53"):
-        spec.config(Policy.CTC, 100)
-    with pytest.raises(InvalidParameterError, match=f"^{re.escape(knobs)}: "):
-        run_case(spec)
-
-
-@pytest.mark.parametrize(
-    "case_id, knob, value", [("II", "case2_self_multiplier", 1e308), ("I", "case1_self_tilt", -1e307)]
-)
-def test_a_finite_knob_that_overflows_its_rate_names_the_knob_and_the_sweep_value(case_id, knob, value):
-    # Each passes `ExperimentParams` and overflows to infinity where the case
-    # builds its rate; `RateFunction` used to reject it naming no knob.
-    knobs = {"I": _RATE_KNOBS["case1_self_base"][1], "II": knob}[case_id]
-    spec = case_spec(case_id, ExperimentParams(**{knob: value}))
-    message = f"^{re.escape(knobs)}: rate parameters must be finite, got .* at sweep value v = 100$"
+def test_case2_rate_past_2_53_arrivals_names_the_case_and_the_sweep_value():
+    # `SimConfig` bounds a run's arrivals of each class by 2**53, naming the
+    # rate field; case II's self ramp passes it between v = 10**14 and 10**17.
+    spec = dataclasses.replace(case_spec("II"), sweep_axis=(100, 10**17))
+    spec.config(Policy.CTC, 10**14)
+    message = f"^case II at sweep value v = {10**17}: self_rate_fn: 100 epochs at up to .* packets each pass 2\\*\\*53$"
     with pytest.raises(InvalidParameterError, match=message):
-        spec.config(Policy.CTC, 100)
+        spec.config(Policy.CTC, 10**17)
     with pytest.raises(InvalidParameterError, match=message):
         run_case(spec)
 
 
-def test_a_constant_knob_rate_is_accepted_up_to_2_53_arrivals():
-    # 8 epochs at round(rate) packets each: 2**50 reaches 2**53, one more passes it.
-    for knob, case_id in (("case3_self_peak", "III"), ("case4_neighbor_rate", "IV")):
-        for value, fits in ((2**50, True), (2**50 + 1, False)):
-            spec = case_spec(case_id, ExperimentParams(epochs=8, window=1, **{knob: value}))
-            if fits:
-                spec.config(Policy.DSR, 1600)
-            else:
-                with pytest.raises(InvalidParameterError, match=f"^{knob}: "):
-                    spec.config(Policy.DSR, 1600)
-
-
-def test_case1_negative_self_rate_names_the_case_its_knobs_and_the_sweep_value():
-    # The level reaches zero at v = 7,100 and is negative past it; it used
-    # to fail in `RateFunction` as `rate parameters must be >= 0`.
-    assert case_spec("I").self_rate_fn(7100).base == 0.0
+def test_case1_negative_self_rate_names_the_case_and_the_sweep_value():
+    # The level 355 - 0.05 * v reaches zero at v = 7,100 and is negative past
+    # it, which `RateFunction` rejects naming neither the case nor v.
+    assert case_spec("I").config(Policy.CTC, 7100).self_rate_fn.base == 0.0
     spec = dataclasses.replace(case_spec("I"), sweep_axis=(100, 8000))
-    message = (
-        "case I self rate case1_self_base - case1_self_tilt * v must be >= 0; "
-        "at sweep value v = 8000 it is 355.0 - 0.05 * 8000 = -45.0"
-    )
-    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+    message = r"^case I at sweep value v = 8000: rate parameters must be >= 0, got .*base=-45\.0, slope=0\.0\)$"
+    with pytest.raises(InvalidParameterError, match=message):
+        spec.config(Policy.DSR, 8000)
+    with pytest.raises(InvalidParameterError, match=message):
         run_case(spec)
 
 
@@ -280,7 +216,6 @@ def test_run_case_is_deterministic():
 
 def _oracle_rows(spec):
     """``run_case`` rebuilt one run at a time from ``run``, ``classify_misbehavior`` and ``utilization_node``."""
-    params = spec.params
     rows = []
     for algorithm in spec.algorithms:
         for sweep_value in spec.sweep_axis:
@@ -312,7 +247,7 @@ def _oracle_rows(spec):
                         algorithm=algorithm.value,
                         sweep_value=sweep_value,
                         seed=seed,
-                        epoch_window=f"0-{params.epochs - 1}",
+                        epoch_window=f"0-{spec.base.epochs - 1}",
                         offered_self=totals["offered_self"],
                         offered_nbr=offered_nbr,
                         forwarded_self=totals["forwarded_self"],
@@ -339,23 +274,37 @@ def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
     assert rows == _oracle_rows(spec)
 
 
-# Params under which a row's utilization is undefined, so it is written as
-# 0.0: no neighbor input (NoInputError) in case IV, and a zero time component
-# (ZeroTimeError) under `dsr` in cases I and III. Per params: the case, the
-# knob, and the policy whose rows take that path.
+def _at_level(case_id, level, epochs):
+    """The rate profile that a case's level sets, at ``level``: case I's self base, III's self peak, IV's neighbor rate."""
+    if case_id == "I":
+        return {"self_rate_fn": lambda v: RateFunction(RateKind.CONSTANT, level - experiments.CASE1_SELF_TILT * v)}
+    if case_id == "III":
+        return {"self_rate_fn": lambda v: RateFunction(RateKind.LINEAR_DECREASING, level, level / epochs)}
+    return {"neighbor_rate_fn": lambda v: RateFunction(RateKind.CONSTANT, level)}
+
+
+def _small_spec(case_id, sweep_axis, seeds, algorithms=(Policy.CTC, Policy.DSR), level=None, **fields):
+    """``case_id`` on ``BASE`` with ``fields`` replaced, on the given grid, at ``level`` when one is given."""
+    spec = case_spec(case_id, dataclasses.replace(BASE, **fields))
+    rates = {} if level is None else _at_level(case_id, level, spec.base.epochs)
+    return dataclasses.replace(spec, sweep_axis=sweep_axis, seeds=seeds, algorithms=algorithms, **rates)
+
+
+# Levels at which a row's utilization is undefined, so it is written as 0.0:
+# no neighbor input (NoInputError) in case IV, and a zero time component
+# (ZeroTimeError) under `dsr` in cases I and III. Per path: the case, its
+# level, and the policy whose rows take that path.
 _ZERO_UTILIZATION = {
-    "no neighbor input": ("IV", {"case4_neighbor_rate": 0}, None),
-    "t_np = 0": ("I", {"case1_self_base": 500}, Policy.DSR),
-    "t_pp = 0": ("III", {"case3_self_peak": 0}, Policy.DSR),
+    "no neighbor input": ("IV", 0, None),
+    "t_np = 0": ("I", 500, Policy.DSR),
+    "t_pp = 0": ("III", 0, Policy.DSR),
 }
 
 
 @pytest.mark.parametrize("path", sorted(_ZERO_UTILIZATION))
 def test_run_case_matches_oracle_where_utilization_is_undefined(path):
-    case_id, knobs, policy = _ZERO_UTILIZATION[path]
-    spec = dataclasses.replace(
-        case_spec(case_id, ExperimentParams(**knobs)), sweep_axis=(100, 800, 1600), seeds=(0, 1, 2**63 + 5)
-    )
+    case_id, level, policy = _ZERO_UTILIZATION[path]
+    spec = _small_spec(case_id, (100, 800, 1600), (0, 1, 2**63 + 5), level=level)
     rows = run_case(spec).rows
     assert rows == _oracle_rows(spec)
     for algorithm in (policy,) if policy else spec.algorithms:
@@ -369,37 +318,31 @@ def test_run_case_matches_oracle_where_utilization_is_undefined(path):
     assert undefined == [0.0] * 3 * 3 * (1 if policy else 2)
 
 
-def _small_spec(case_id, sweep_axis, seeds, algorithms=(Policy.CTC, Policy.DSR), **knobs):
-    return dataclasses.replace(
-        case_spec(case_id, ExperimentParams(**knobs)), sweep_axis=sweep_axis, seeds=seeds, algorithms=algorithms
-    )
-
-
 @st.composite
 def _small_specs(draw):
     """Small grids: epochs that windows need not divide, sweep values from 0, seeds up to 2**64 - 1, either order."""
     epochs = draw(st.integers(1, 30))
-    knobs = {
+    fields = {
         "epochs": epochs,
-        "window": draw(st.integers(1, epochs + 3)),
-        "service_rate": draw(st.sampled_from([30.0, 420.0])),
-        "ambient_drop": draw(st.sampled_from([0.0, 0.15, 0.6])),
+        "window_epochs": draw(st.integers(1, epochs + 3)),
+        "data_rate": draw(st.sampled_from([30.0, 420.0])),
+        "base_drop_prob": draw(st.sampled_from([0.0, 0.15, 0.6])),
         "energy_budget": draw(st.sampled_from([0, 40, 20000])),
         "misbehavior_threshold": draw(st.sampled_from([0.3, 0.75])),
-        # The first value of each knob is one under which some rows' utilization is undefined.
-        "case1_self_base": draw(st.sampled_from([500.0, 355.0, 100.0])),
-        "case3_self_peak": draw(st.sampled_from([0.0, 300.0])),
-        "case4_neighbor_rate": draw(st.sampled_from([0.0, 50.0])),
     }
+    # The first level of each case is one at which some rows' utilization is undefined.
+    levels = {"I": [500.0, 355.0, 100.0], "II": [None], "III": [0.0, 300.0], "IV": [0.0, 50.0]}
+    case_id = draw(st.sampled_from(CASE_IDS))
+    level = draw(st.sampled_from(levels[case_id]))
     sweep_axis = draw(st.lists(st.sampled_from([0, 0, 10, 100, 800, 1600]), min_size=1, max_size=3))
     seeds = draw(st.lists(st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=3))
     algorithms = draw(st.sampled_from([(Policy.CTC, Policy.DSR), (Policy.DSR, Policy.CTC), (Policy.DSR,)]))
-    return _small_spec(draw(st.sampled_from(CASE_IDS)), tuple(sweep_axis), tuple(seeds), algorithms, **knobs)
+    return _small_spec(case_id, tuple(sweep_axis), tuple(seeds), algorithms, level, **fields)
 
 
-@example(spec=_small_spec("IV", (0, 100), (2**64 - 1, 3), epochs=7, window=3, case4_neighbor_rate=0))
-@example(spec=_small_spec("I", (0, 800), (0, 2**64 - 1), (Policy.DSR, Policy.CTC), epochs=11, case1_self_base=500))
-@example(spec=_small_spec("III", (1600, 0), (2**64 - 1,), epochs=30, window=4, case3_self_peak=0))
+@example(spec=_small_spec("IV", (0, 100), (2**64 - 1, 3), epochs=7, window_epochs=3, level=0))
+@example(spec=_small_spec("I", (0, 800), (0, 2**64 - 1), (Policy.DSR, Policy.CTC), epochs=11, level=500))
+@example(spec=_small_spec("III", (1600, 0), (2**64 - 1,), epochs=30, window_epochs=4, level=0))
 @settings(max_examples=60, deadline=None)
 @given(spec=_small_specs())
 def test_run_case_matches_oracle_on_random_small_grids(spec):
@@ -438,7 +381,7 @@ def _break_one_count(monkeypatch, field, value):
 
 def test_run_case_rejects_more_forwarded_than_offered_neighbor_packets_before_any_row(monkeypatch, no_rows):
     _break_one_count(monkeypatch, "forwarded_nbr", lambda plan, point: plan.offered[1][point].sum() + 1)
-    with pytest.raises(InvalidParameterError, match=r"^cannot forward more .* k_nout=\d+ > k_nin=\d+$") as caught:
+    with pytest.raises(InvariantError, match=r"^cannot forward more .* k_nout=\d+ > k_nin=\d+$") as caught:
         run_case(_tiny_spec("I"))
     k_nout, k_nin = map(int, re.search(r"k_nout=(\d+) > k_nin=(\d+)", str(caught.value)).groups())
     assert k_nout == k_nin + 1
@@ -447,7 +390,7 @@ def test_run_case_rejects_more_forwarded_than_offered_neighbor_packets_before_an
 @pytest.mark.parametrize("field, name", [("forwarded_self", "k_pout"), ("forwarded_nbr", "k_nout")])
 def test_run_case_rejects_a_negative_count_before_any_row(field, name, monkeypatch, no_rows):
     _break_one_count(monkeypatch, field, lambda plan, point: -3)
-    with pytest.raises(InvalidParameterError, match=rf"^{name} must be finite and >= 0, got -3$"):
+    with pytest.raises(InvariantError, match=rf"^{name} must be finite and >= 0, got -3$"):
         run_case(_tiny_spec("II"))
 
 
@@ -466,19 +409,20 @@ def test_run_case_rejects_a_negative_offered_total_before_any_row(monkeypatch, n
         return dataclasses.replace(plan, offered=offered, dropped_before_loss=before)
 
     monkeypatch.setattr(experiments, "_schedule_sweep", broken_schedule)
-    with pytest.raises(InvalidParameterError, match=r"^k_nin must be finite and >= 0, got -1$"):
+    with pytest.raises(InvariantError, match=r"^k_nin must be finite and >= 0, got -1$"):
         run_case(_tiny_spec("III"))
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_without_ambient_loss_every_seed_gives_one_row_whose_drops_are_the_schedules(case_id):
-    # At ambient_drop = 0 nothing is drawn, so a point's row is the same at
+    # At base_drop_prob = 0 nothing is drawn, so a point's row is the same at
     # every seed, and its drops are those decided before the coin. This holds
     # on run_case, where it checks that each per-seed column lines up with
     # its seed and point, and on the per-packet reference engine.
+    level = {"I": 20.0, "II": None, "III": 20.0, "IV": 5.0}[case_id]
     spec = _small_spec(
-        case_id, (0, 50, 300), (0, 5, 2**64 - 1), epochs=23, service_rate=30.0, ambient_drop=0.0,
-        energy_budget=100, case1_self_base=20.0, case3_self_peak=20.0, case4_neighbor_rate=5.0,
+        case_id, (0, 50, 300), (0, 5, 2**64 - 1), level=level, epochs=23, data_rate=30.0, base_drop_prob=0.0,
+        energy_budget=100,
     )
     seed_rows = {}
     for row in run_case(spec).rows:
@@ -518,16 +462,16 @@ def realized(monkeypatch):
     return calls
 
 
-# Per params: how many of the points v = 100, 500 and 1600 the default
+# Per base config: how many of the points v = 100, 500 and 1600 the default
 # algorithm pair realizes, per case, the first algorithm's three included.
 # At the defaults `dsr` schedules as `ctc` does at v <= 400 in case I, v <= 500
 # in case II and at every point of cases III and IV; with no energy `dsr`
 # gate-drops every neighbor packet, so it shares nothing; at a service rate
 # of 2,000 no load passes capacity, so it shares everything.
 _SHARING = {
-    "defaults": (DEFAULTS, {"I": 5, "II": 4, "III": 3, "IV": 3}),
-    "no energy": (ExperimentParams(energy_budget=0), {"I": 6, "II": 6, "III": 6, "IV": 6}),
-    "ample capacity": (ExperimentParams(service_rate=2000.0), {"I": 3, "II": 3, "III": 3, "IV": 3}),
+    "defaults": (BASE, {"I": 5, "II": 4, "III": 3, "IV": 3}),
+    "no energy": (dataclasses.replace(BASE, energy_budget=0), {"I": 6, "II": 6, "III": 6, "IV": 6}),
+    "ample capacity": (dataclasses.replace(BASE, data_rate=2000.0), {"I": 3, "II": 3, "III": 3, "IV": 3}),
 }
 
 
@@ -536,8 +480,8 @@ _SHARING = {
 def test_run_case_rows_equal_each_algorithm_run_alone(case_id, sharing, realized):
     # A one-algorithm spec has no earlier sweep to share with, so its rows are
     # the oracle for the shared points of a two-algorithm spec.
-    params, realized_points = _SHARING[sharing]
-    spec = dataclasses.replace(case_spec(case_id, params), sweep_axis=(100, 500, 1600), seeds=(0, 9, 2**64 - 1))
+    base, realized_points = _SHARING[sharing]
+    spec = dataclasses.replace(case_spec(case_id, base), sweep_axis=(100, 500, 1600), seeds=(0, 9, 2**64 - 1))
     alone = {algorithm: run_case(dataclasses.replace(spec, algorithms=(algorithm,))).rows for algorithm in Policy}
     for algorithms in ((Policy.CTC, Policy.DSR), (Policy.DSR, Policy.CTC)):
         realized.clear()
@@ -562,18 +506,18 @@ def test_run_case_grid_draws_each_realized_row_by_one_numpy_binomial_call(realiz
     # (n * p > 30). Each realized point-row and seed is one `binomial` call.
     spec = dataclasses.replace(case_spec("II"), seeds=(0, 5))
     plan = experiments._schedule_sweep([spec.config(Policy.CTC, v) for v in spec.sweep_axis])
-    assert max(column.max() for column in plan.sent) * spec.params.ambient_drop > 30
+    assert max(column.max() for column in plan.sent) * spec.base.base_drop_prob > 30
     run_case(spec)
     assert sum(realized) == 27
-    assert binomial_calls == [2 * spec.params.epochs] * 27 * len(spec.seeds)
+    assert binomial_calls == [2 * spec.base.epochs] * 27 * len(spec.seeds)
 
 
 def test_run_case_sweep_mixes_points_with_and_without_qualifying_windows():
     # One sweep is classified in one pass, each point against its own count
     # of qualifying windows: none at a zero neighbor rate, some at a light
     # ramp that starts at zero, all ten when overloaded.
-    params = dataclasses.replace(DEFAULTS, misbehavior_threshold=0.3)
-    spec = dataclasses.replace(case_spec("I", params), sweep_axis=(0, 10, 1600, 0), seeds=(0, 2**64 - 1, 7))
+    base = dataclasses.replace(BASE, misbehavior_threshold=0.3)
+    spec = dataclasses.replace(case_spec("I", base), sweep_axis=(0, 10, 1600, 0), seeds=(0, 2**64 - 1, 7))
     qualifying = [
         len(classify_misbehavior(run(dataclasses.replace(spec.config(Policy.DSR, v), seed=0))).window_ratios)
         for v in spec.sweep_axis

@@ -117,9 +117,9 @@ def test_rate_parse_rejects_malformed():
 @example(kind=RateKind.LINEAR_DECREASING, base=7.5, slope=0.5, epochs=40)
 @example(kind=RateKind.LINEAR_DECREASING, base=0.0, slope=1.0, epochs=5)
 def test_arrivals_are_the_rates_rounded_half_to_even(kind, base, slope, epochs):
-    # Built in one float64 array and written into the caller's row, the
-    # arrivals must still be `rate` over the epochs, rounded half to even,
-    # ties and ramps that clip at 0 included.
+    # Cast from `rate`'s floats into the caller's int64 row, the arrivals
+    # must be `rate` over the epochs, rounded half to even, ties and ramps
+    # that clip at 0 included.
     fn = RateFunction(kind, base, slope)
     expected = np.rint(fn.rate(np.arange(epochs))).astype(np.int64).tolist()
     out = np.full(epochs, -1, np.int64)
