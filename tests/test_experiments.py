@@ -155,6 +155,30 @@ def test_case2_rate_past_2_53_arrivals_names_the_case_and_the_sweep_value():
         run_case(spec)
 
 
+# Per case level: its case and the rate field it sets.
+_RATE_KNOBS = {
+    "case1_self_base": ("I", "CASE1_SELF_BASE", "self_rate_fn"),
+    "case2_self_multiplier": ("II", "CASE2_SELF_MULTIPLIER", "self_rate_fn"),
+    "case3_self_peak": ("III", "CASE3_SELF_PEAK", "self_rate_fn"),
+    "case4_neighbor_rate": ("IV", "CASE4_NEIGHBOR_RATE", "neighbor_rate_fn"),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(_RATE_KNOBS))
+def test_a_knob_rate_past_2_53_arrivals_names_the_knob(knob, monkeypatch):
+    # Each case level, raised to 1e30, takes its rate past `SimConfig`'s
+    # 2**53 arrivals bound at the first sweep value; the error names the
+    # case, v and the rate field the level sets.
+    case_id, constant, field = _RATE_KNOBS[knob]
+    monkeypatch.setattr(experiments, constant, 1e30)
+    spec = case_spec(case_id)
+    message = f"^case {case_id} at sweep value v = 100: {field}: 100 epochs at up to .* pass 2\\*\\*53$"
+    with pytest.raises(InvalidParameterError, match=message):
+        spec.config(Policy.CTC, 100)
+    with pytest.raises(InvalidParameterError, match=message):
+        run_case(spec)
+
+
 def test_case1_negative_self_rate_names_the_case_and_the_sweep_value():
     # The level 355 - 0.05 * v reaches zero at v = 7,100 and is negative past
     # it, which `RateFunction` rejects naming neither the case nor v.
