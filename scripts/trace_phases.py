@@ -12,9 +12,9 @@ gives the process's peak resident set (``ru_maxrss``, in MiB): after the
 engine's last block, and at the end. Run it as a fresh process: that is how
 ``sim run`` runs, and how many pages a phase faults in depends on what the
 process allocated and freed before it. Last, it prints the clock's counts of
-the blocks the engine made, and of the blocks the trace writer builds and
-the texts it writes after the header; for one config all three are always
-the same.
+the blocks the engine made, of those that took the schedule of the block
+before, and of the blocks the trace writer builds and the texts it writes
+after the header; for one config all four are always the same.
 
 Usage: python scripts/trace_phases.py CONFIG
 """
@@ -53,7 +53,8 @@ def main(argv: list[str]) -> int:
     for name, (wall_ns, minflt, maxrss_kib) in rows.items():
         print(f"{name:<14}  {wall_ns / 1e9:8.4f}  {minflt:7d}  {maxrss_kib / 1024:10.2f}")
     counts = phases.counts
-    print(f"engine {counts['engine_blocks']}  blocks {counts['trace_blocks']}  texts {counts['trace_texts']}")
+    engine, reused = counts["engine_blocks"], counts.get("reused_blocks", 0)
+    print(f"engine {engine}  reused {reused}  blocks {counts['trace_blocks']}  texts {counts['trace_texts']}")
     return 0
 
 

@@ -98,13 +98,14 @@ class CaseSpec:
         """``base`` run by ``algorithm`` at the case's rates for ``sweep_value``.
 
         A rate that ``RateFunction`` or ``SimConfig`` rejects, such as case
-        I's self level below zero past v = 7,100, is reported with the case
-        and the sweep value.
+        I's self level below zero past v = 7,100, or a sweep value past float
+        range, which a case's rate cannot be computed at, is reported with
+        the case and the sweep value.
         """
         try:
             self_rate, neighbor_rate = self.self_rate_fn(sweep_value), self.neighbor_rate_fn(sweep_value)
             return replace(self.base, policy=algorithm, self_rate_fn=self_rate, neighbor_rate_fn=neighbor_rate)
-        except InvalidConfigError as exc:
+        except (InvalidConfigError, OverflowError) as exc:
             raise InvalidParameterError(f"case {self.case_id} at sweep value v = {sweep_value}: {exc}") from None
 
 

@@ -10,8 +10,9 @@ another phase, so phases never nest and their times add up:
 
 The counts are ``rows`` (result rows), ``realized`` (point-rows realized),
 ``binomial`` (rows of losses that numpy's ``binomial`` draws),
-``engine_blocks``, and the trace writer's ``trace_blocks`` and
-``trace_texts``. Each is added to once per point, block or text, never per
+``engine_blocks``, ``reused_blocks`` (blocks that take the schedule of the
+block before, see ``sim._Carry``), and the trace writer's ``trace_blocks``
+and ``trace_texts``. Each is added to once per point, block or text, never per
 sample. These names are what ``scripts/grid_phases.py`` and
 ``scripts/trace_phases.py`` read; ``reset`` clears them all.
 """

@@ -50,6 +50,16 @@ made: it holds the imports, one block's work and 16 bytes per epoch of
 ``min(deadline, epochs)``, however long the run. ``run`` fills its
 whole-run columns block by block.
 
+A block's queue pass reads its arrivals, ``A(e-D)`` over its first ``D``
+epochs, its starting queues and, under ``dsr``, the budget left, and it
+reads ``A`` only relative to ``A`` before the block. It computes in exact
+integers, so equal reads give equal schedule columns. A block that another
+follows is kept in ``_Carry`` with its reads, and a next block of the same
+length whose reads are equal takes its columns instead of the ``ctc`` loop
+or the ``dsr`` scans. Under a constant load that is every block once the
+queues settle, but the one in which the budget runs out. Its losses are
+drawn as any block's.
+
 Each row of losses equals ``np.random.default_rng(seed).binomial`` over the
 row's counts: the pair ``sent``, the serviced self packets and the neighbor
 attempts, interleaved as ``[sent[0][e], sent[1][e]]`` per epoch, the order
@@ -488,6 +498,13 @@ class _Carry:
     epochs)`` epochs, ``A(e)`` at ``e % D``, 8 bytes per epoch of ``D``; a
     row of a shorter deadline uses the first ``D`` entries. A fresh target
     has all of them 0, ``A(e)`` included for ``e < 0``.
+
+    ``last`` is the block's ``Schedule`` when another block follows it, with
+    what its queue pass read, relative to the block's start (``_LastBlock``).
+    The pass reads ``A`` only relative to ``A(start - 1)`` and computes in
+    exact integers, so a next block whose reads are equal, of the same
+    length, has the same schedule columns: it takes the kept ones and skips
+    the pass. A constant load repeats its block once its queues settle.
     """
 
     epoch: int
@@ -495,11 +512,31 @@ class _Carry:
     queued: np.ndarray
     attempts: np.ndarray
     arrived: np.ndarray
+    last: "_LastBlock | None" = None
 
     @classmethod
     def fresh(cls, configs: list[SimConfig]) -> "_Carry":
         rows, depth = len(configs), max(min(c.deadline_epochs, c.epochs) for c in configs)
         return cls(0, *(np.zeros(shape, np.int64) for shape in ((2, rows), (2, rows), (rows, 1), (2, rows, depth))))
+
+
+@dataclass(frozen=True, eq=False)
+class _LastBlock:
+    """A block's schedule and what its queue pass read, relative to the block's start ``s``.
+
+    ``reads`` is the block's arrivals ``offered``, ``A(e-D)`` over its first
+    ``min(D, epochs)`` epochs less ``A(s-1)``, and its starting queues.
+    Under ``dsr``, ``serviced`` is each row's serviced neighbor packets over
+    the block, ``(rows, 1)``, and ``left`` the budget left at its start,
+    clamped at ``serviced``: the attempts ``diff(min(cumsum(serviced) + a,
+    B))`` depend on the attempts ``a`` before the block only through
+    ``min(B - a, sum(serviced))``. Both are None under ``ctc``.
+    """
+
+    plan: Schedule
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray]
+    serviced: np.ndarray | None
+    left: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,6 +701,11 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     capacity), the rest of the epoch the neighbor side's. Validation keeps
     the scan within int64 and the division's operands within 2**53 (see
     ``SimConfig``), so the split is Python's ``int / int``.
+
+    A block that another follows is kept in ``carry``; a block whose reads
+    equal the last block's takes its columns instead of the ``ctc`` pass or
+    the ``dsr`` scans (see ``_Carry``). A sweep of one block neither reads
+    nor keeps one.
     """
     carry = _Carry.fresh(configs) if carry is None else carry
     start, stop = carry.epoch, configs[0].epochs if stop is None else stop
@@ -672,13 +714,32 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
         c.self_rate_fn.arrivals(offered[0, row], start)
         c.neighbor_rate_fn.arrivals(offered[1, row], start)
     upper = np.cumsum(offered, axis=-1)
-    upper += (carry.consumed + carry.queued)[..., None]
+    arrived = carry.consumed + carry.queued
+    upper += arrived[..., None]
     depths = [min(c.deadline_epochs, c.epochs) for c in configs]
     lower = _deadline_bounds(upper, carry.arrived, depths, start)
     before = carry.consumed
     # Capacity is data_rate packets/second over the epoch.
     capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
-    if configs[0].policy is Policy.CTC:
+    dsr = configs[0].policy is Policy.DSR
+    # A budget past 2**53, more than a run's neighbor arrivals, never binds; capped, it fits int64.
+    budget = np.array([min(c.energy_budget, _EXACT_MAX) for c in configs], np.int64)[:, None] if dsr else None
+    last, carry.last = carry.last, None
+    follows = stop < configs[0].epochs
+    if last is not None or follows:
+        reads = (offered, lower[..., : min(max(depths), stop - start)] - arrived[..., None], carry.queued)
+    reused = (
+        last is not None
+        and all(map(np.array_equal, last.reads, reads))
+        and (not dsr or np.array_equal(np.minimum(budget - carry.attempts, last.serviced), last.left))
+    )
+    # Unless reused, the last block's columns go before this block's are made.
+    last = last if reused else None
+    if reused:
+        phases.count("reused_blocks")
+        plan, serviced = last.plan, last.serviced
+        sent, dropped, queued, times = plan.sent, plan.dropped_before_loss, plan.queued, plan.times
+    elif not dsr:
         consumed = np.empty_like(upper)
         times = np.empty(upper.shape)
         for row, config in enumerate(configs):
@@ -686,14 +747,14 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
             _consume_ctc(config, capacities[row], depths[row], *rows)
         served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
         dropped, sent, queued = zip(*served)
+        serviced = None
     else:
         capacity = np.array(capacities, np.int64)[:, None]
         expired_self, serviced_self, queued_self = _serve_fifo(upper[0], lower[0], before[0], allowance=capacity)
         expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
             upper[1], lower[1], before[1], allowance=capacity - serviced_self
         )
-        # A budget past 2**53, more than a run's neighbor arrivals, never binds; capped, it fits int64.
-        budget = np.array([min(c.energy_budget, _EXACT_MAX) for c in configs], np.int64)[:, None]
+        serviced = serviced_nbr.sum(axis=-1, keepdims=True)
         running = np.minimum(np.cumsum(serviced_nbr, axis=-1) + carry.attempts, budget)
         attempts = np.diff(running, axis=-1, prepend=carry.attempts)
         sent, queued = (serviced_self, attempts), (queued_self, queued_nbr)
@@ -703,12 +764,15 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
         t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
         times = t_pp, epoch_t - t_pp
     plan = Schedule(tuple(configs), tuple(offered), sent, dropped, queued, tuple(times), start, carry.queued)
+    left = np.minimum(budget - carry.attempts, serviced) if dsr else None
+    if follows:
+        carry.last = last or _LastBlock(plan, reads, serviced, left)
     if stop > start:
         carry.epoch = stop
         carry.queued = np.array([column[:, -1] for column in queued])
         carry.consumed = upper[..., -1] - carry.queued
-        if configs[0].policy is Policy.DSR:
-            carry.attempts = running[:, -1:]
+        if dsr:
+            carry.attempts = carry.attempts + left
     return plan
 
 
@@ -1018,6 +1082,13 @@ def run_blocks(config: SimConfig) -> Iterator[Trace]:
     and the seed's one generator, never restored to an earlier state: each
     block's draw starts from the state the block before left, and a row
     that numpy must draw again restores that state, not the seeded one.
+
+    A block whose schedule reads what the block before's read, relative to
+    its start, takes that schedule (see ``_Carry``): exact, since the pass
+    is a function of those reads in exact integers. Since a later block
+    may take them, a block's schedule columns, ``offered``, ``queued``,
+    ``t_pp`` and ``t_np``, are read-only views; its other columns are the
+    consumer's own.
     """
     generator, _ = _seeded((config.seed,))[0]
     carry, kept, totals = _Carry.fresh([config]), {}, [[0, 0], [0, 0]]
@@ -1039,6 +1110,9 @@ def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: di
         plan = _schedule_sweep([config], carry, stop)
         forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, generators, kept))
         offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
+        # A later block may take these schedule columns (see ``_Carry``).
+        for column in (*offered, *queued, *times):
+            column.flags.writeable = False
         ratios = list(map(_cumulative_ratio, dropped, offered, totals))
         for total, *columns in zip(totals, dropped, offered):
             total[:] = (packets + int(column.sum()) for packets, column in zip(total, columns))

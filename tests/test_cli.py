@@ -595,14 +595,17 @@ def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
 
 # The engine's blocks, and the trace writer's blocks and texts, of each
 # benchmark trace.
-TRACE_COUNTS = {"trace_deep": [13, 27, 126], "trace_wide": [1, 18, 130]}
+TRACE_COUNTS = {"trace_deep": [13, 8, 27, 126], "trace_wide": [1, 0, 18, 130]}
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_COUNTS))
 def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_path, capsys):
     # scripts/trace_phases.py reads the engine's phase, once per block of
-    # `sim.run_blocks`, and the counts of the engine's blocks and of the
-    # blocks and texts the trace writer makes of them.
+    # `sim.run_blocks`, and the counts of the engine's blocks, of those that
+    # reuse the schedule of the block before (`trace_deep`'s constant load
+    # repeats blocks 2 to 5, before its budget runs out in block 6, and 8
+    # to 11; its last block is shorter) and of the blocks and texts the
+    # trace writer makes of them.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(BENCHMARK_TRACES[name]), encoding="utf-8")
     phases.reset()
@@ -610,4 +613,5 @@ def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_pat
     assert code == 0
     counts = TRACE_COUNTS[name]
     assert list(phases.times) == ["engine"] and phases.times["engine"].calls == counts[0]
-    assert [phases.counts[count] for count in ("engine_blocks", "trace_blocks", "trace_texts")] == counts
+    names = ("engine_blocks", "reused_blocks", "trace_blocks", "trace_texts")
+    assert [phases.counts.get(count, 0) for count in names] == counts

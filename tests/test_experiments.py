@@ -155,6 +155,15 @@ def test_case2_rate_past_2_53_arrivals_names_the_case_and_the_sweep_value():
         run_case(spec)
 
 
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_a_sweep_value_past_float_range_names_the_case_and_the_sweep_value(case_id):
+    # Each case's rate takes v into a float (case I's `CASE1_SELF_TILT * v`,
+    # the ramps' `v / window`), which overflows past float range.
+    message = f"^case {case_id} at sweep value v = {10**400}: .*too large"
+    with pytest.raises(InvalidParameterError, match=message):
+        case_spec(case_id).config(Policy.CTC, 10**400)
+
+
 # Per case level: its case and the rate field it sets.
 _RATE_KNOBS = {
     "case1_self_base": ("I", "CASE1_SELF_BASE", "self_rate_fn"),

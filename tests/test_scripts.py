@@ -42,9 +42,10 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
     # and `emit_trace_csv` for one config file as `sim run` streams them,
     # each summed over the blocks, with the peak resident set after the
     # engine's last block and at the end, then prints the phase clock's
-    # counts of the engine's blocks and the writer's blocks and texts. 50
-    # epochs are one engine block; of 4 short lines they make two writer
-    # blocks, since blocks end at epoch 10, and each block is one text. The
+    # counts of the engine's blocks, of those that reused the schedule of
+    # the block before, and of the writer's blocks and texts. 50 epochs are
+    # one engine block, which reuses none; of 4 short lines they make two
+    # writer blocks, since blocks end at epoch 10, and each block is one text. The
     # script resets the clock, so its counts are the same in every run.
     config = tmp_path / "config.json"
     config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
@@ -58,7 +59,7 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
         # A high-water mark never falls.
         run_peak, emit_peak = (float(row[3]) for row in rows)
         assert emit_peak >= run_peak > 0
-        assert counts == ["engine", "1", "blocks", "2", "texts", "2"]
+        assert counts == ["engine", "1", "reused", "0", "blocks", "2", "texts", "2"]
 
 
 def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import report, sim
+from ctcsim import phases, report, sim
 from ctcsim.errors import CtcSimError, EmptyTraceError, InvalidConfigError, InvariantError
 from ctcsim.report import emit_trace_csv
 from ctcsim.sim import (
@@ -1082,6 +1082,111 @@ def test_blocks_concatenate_to_the_run_bit_for_bit(case):
         parts = [getattr(block, name) for block in blocks]
         assert all(part.dtype == whole.dtype for part in parts), name
         assert b"".join(part.tobytes() for part in parts) == whole.tobytes(), name
+
+
+@st.composite
+def _steady_runs(draw):
+    """A run of either policy at rates that are constant from some epoch on, and a block size of 1 to 8 epochs.
+
+    Each rate is constant or falls to zero within 8 epochs. Capacity (0
+    at times), rates, deadline (often longer than the block) and budget are
+    small, so the queues settle within the run, blocks repeat, and the
+    ``dsr`` budget runs out anywhere: before the run, inside a block, at a
+    block's edge or never. The last block is often shorter.
+    """
+    kinds = st.sampled_from([RateKind.CONSTANT, RateKind.LINEAR_DECREASING])
+    rates = st.builds(lambda kind, base, slope: RateFunction(kind, float(base), float(slope)), kinds,
+                      st.integers(0, 8), st.integers(1, 8))
+    config = SimConfig(
+        epochs=draw(st.integers(1, 40)),
+        neighbor_count=1,
+        data_rate=float(draw(st.integers(0, 12))) or 0.25,
+        policy=draw(st.sampled_from(list(Policy))),
+        deadline_epochs=draw(st.integers(1, 10)),
+        energy_budget=draw(st.integers(0, 200)),
+        self_rate_fn=draw(rates),
+        neighbor_rate_fn=draw(rates),
+        seed=draw(st.integers(0, 3)),
+    )
+    return config, draw(st.integers(1, 8))
+
+
+def _steady(policy, epochs, deadline, budget, size):
+    """Capacity 10, 6 self and 5 neighbor packets an epoch: under ``dsr`` 4 neighbor packets are serviced each epoch."""
+    return SimConfig(
+        epochs=epochs, neighbor_count=1, data_rate=10.0, policy=policy, deadline_epochs=deadline,
+        energy_budget=budget, self_rate_fn=constant(6), neighbor_rate_fn=constant(5),
+    ), size
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_steady_runs())
+# In blocks of 3 the queues settle by block 2, which block 3 repeats while
+# the budget lasts; 12 neighbor packets are serviced a block. The budget
+# runs out inside block 3, which takes no schedule; block 5 repeats block 4.
+@example(case=_steady(Policy.DSR, 20, 2, 42, 3))
+# The budget left at block 3 equals its serviced total: block 3 repeats
+# block 2, the budget runs out at its last epoch, and block 5 repeats
+# block 4. The last block is 2 epochs.
+@example(case=_steady(Policy.DSR, 20, 2, 48, 3))
+# One credit more: block 3 repeats block 2, and the budget runs out in the
+# first epoch of block 4.
+@example(case=_steady(Policy.DSR, 20, 2, 49, 3))
+# A deadline of 5 over blocks of 2: blocks 12 to 19 repeat, read from the
+# ring of the blocks before; under ``ctc`` blocks 14 to 18, and the last
+# block is 1 epoch.
+@example(case=_steady(Policy.DSR, 40, 5, 10**6, 2))
+@example(case=_steady(Policy.CTC, 39, 5, 10**6, 2))
+# 5 neighbor packets at epoch 0, no capacity and a deadline of 10: blocks 2
+# to 4 of 2 epochs repeat block 1, the same 5 packets queued. Block 5 has
+# their arrivals and queue too, but its deadline bounds expire them.
+@example(case=(SimConfig(epochs=14, data_rate=0.25, deadline_epochs=10,
+                         neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 5.0, 5.0)), 2))
+def test_a_repeated_block_takes_the_schedule_of_the_run(case):
+    # A block whose arrivals, deadline bounds, queues and budget left repeat
+    # the block before's takes its schedule (`sim._Carry`). The run in
+    # blocks is the run in one block bit for bit, and the per-packet
+    # reference engine's, counter for counter.
+    config, size = case
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", size):
+        trace = run(config)
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", config.epochs):
+        whole = run(config)
+    for name in TRACE_FIELDS:
+        assert getattr(trace, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert_matches_reference(trace, config)
+
+
+# The columns of a block of `run_blocks` that its schedule holds.
+_SCHEDULE_COLUMNS = ("offered_self", "offered_neighbor", "queued_self", "queued_neighbor", "t_pp", "t_np")
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_write_into_a_yielded_block_reaches_no_later_block(policy, monkeypatch):
+    # A block that repeats the block before takes its schedule's columns
+    # (`sim._Carry`). Those of a yielded block are read-only, and the others
+    # its consumer's own: each block, written into as soon as it is
+    # yielded, was what an untouched run yields. Shared and writable, a
+    # write into `queued_neighbor` would break the next block's conservation
+    # check, and one into `t_pp` would pass unseen. The `dsr` budget runs
+    # out at epoch 500.
+    config = SimConfig(
+        epochs=1000, neighbor_count=1, data_rate=42.0, policy=policy, deadline_epochs=20, energy_budget=6000,
+        self_rate_fn=constant(30), neighbor_rate_fn=constant(20), seed=5,
+    )
+    monkeypatch.setattr(sim, "_BLOCK_EPOCHS", 64)
+    untouched = [{name: getattr(block, name).copy() for name in TRACE_FIELDS} for block in sim.run_blocks(config)]
+    phases.reset()
+    for block, expected in zip(sim.run_blocks(config), untouched, strict=True):
+        for name in TRACE_FIELDS:
+            column = getattr(block, name)
+            assert column.tobytes() == expected[name].tobytes(), name
+            if name in _SCHEDULE_COLUMNS:
+                with pytest.raises(ValueError, match="read-only"):
+                    column += 1
+            else:
+                column += 1
+    assert phases.counts["reused_blocks"] >= 10
 
 
 @st.composite
