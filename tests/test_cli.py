@@ -593,8 +593,9 @@ def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
     assert phases.counts == {"rows": 1280, "realized": 87, "binomial": 870}
 
 
-# The engine's blocks, and the trace writer's blocks and texts, of each
-# benchmark trace.
+# The engine's blocks and those of them that reuse the schedule of the
+# block before, and the trace writer's blocks and texts, of each benchmark
+# trace.
 TRACE_COUNTS = {"trace_deep": [13, 8, 27, 126], "trace_wide": [1, 0, 18, 130]}
 
 
