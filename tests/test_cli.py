@@ -421,6 +421,42 @@ def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys)
     assert hashlib.sha256(data).hexdigest() == expected
 
 
+# The engine paths that no benchmark digest covers, each with the blocks it
+# makes, those of them that take the schedule of the block before, and its
+# rows of losses that numpy's `binomial` draws (`phases.counts`):
+# - a `ctc` run of three blocks whose constant load repeats the second
+#   block in the third;
+# - a deadline longer than a block under each policy, so that a block reads
+#   `A(e - D)` from the ring the blocks before filled; packets expire from
+#   epoch 11,841 (`ctc`) and 9,642 (`dsr`, whose budget also runs out);
+# - an epoch of half a second, which the `ctc` split and the capacity read;
+# - `base_drop_prob` 0.7, past 0.5, where numpy draws the complement.
+ENGINE_PINS = Path(__file__).resolve().parent / "engine_pins.json"
+ENGINE_PATH_COUNTS = {
+    "ctc_blocks_reused": (3, 1, 1),
+    "ctc_deadline_past_a_block": (3, 0, 0),
+    "dsr_deadline_past_a_block": (3, 0, 0),
+    "epoch_length_half": (1, 0, 1),
+    "drop_prob_past_half": (1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_PATH_COUNTS))
+def test_sim_run_engine_path_matches_recorded_sha256(name, tmp_path, capsys):
+    # Hold `sim run` to the digests recorded in tests/engine_pins.json, which
+    # scripts/record_engine_pins.py prints.
+    pin = json.loads(ENGINE_PINS.read_text(encoding="utf-8"))[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(pin["config"]), encoding="utf-8")
+    out_csv = tmp_path / "trace.csv"
+    phases.reset()
+    code, _, _ = run_cli("sim", "run", "--config", str(config), "--out", str(out_csv), capsys=capsys)
+    assert code == 0
+    names = ("engine_blocks", "reused_blocks", "binomial")
+    assert tuple(phases.counts.get(count, 0) for count in names) == ENGINE_PATH_COUNTS[name]
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == pin["trace.csv"]
+
+
 # ---------------------------------------------------------------------------
 # exp case
 

@@ -37,6 +37,14 @@ def test_src_lines_total_is_the_sum_of_the_modules(capsys):
     assert all(int(row[2]) < int(row[1]) for row in modules)
 
 
+def test_record_engine_pins_prints_the_recorded_digests(capsys):
+    # scripts/record_engine_pins.py runs each config of tests/engine_pins.json
+    # through `sim run` and prints the file with the digests it got, so on a
+    # tree that writes the recorded bytes it prints the file as it is.
+    assert _load("record_engine_pins").main([]) == 0
+    assert capsys.readouterr().out == (SCRIPTS.parent / "tests" / "engine_pins.json").read_text(encoding="utf-8")
+
+
 def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
     # scripts/trace_phases.py times the engine's blocks (`sim.run_blocks`)
     # and `emit_trace_csv` for one config file as `sim run` streams them,
