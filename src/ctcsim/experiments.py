@@ -172,10 +172,6 @@ def _running_totals(column: np.ndarray) -> np.ndarray:
     return np.cumsum(column, axis=-1)[:, -1]
 
 
-# The config fields that ``_realize_sweep`` and ``_classify_windows`` read.
-_REALIZE_READS = attrgetter("base_drop_prob", "misbehavior_threshold", "window_epochs", "epochs")
-
-
 def _sweep_totals(plan: Schedule, generators) -> list[np.ndarray]:
     """Forwarded and dropped self/neighbor totals and malicious fraction of each point and seed, ``(points, seeds)``."""
     config = plan.configs[0]
@@ -186,14 +182,15 @@ def _sweep_totals(plan: Schedule, generators) -> list[np.ndarray]:
 
 
 def _realized_as(first: Schedule, plan: Schedule) -> np.ndarray:
-    """Per point, whether ``plan`` gives the realize and the classifier all that ``first`` gives them."""
-    same = np.array([_REALIZE_READS(a) == _REALIZE_READS(b) for a, b in zip(first.configs, plan.configs)])
-    # A plan has one ``epochs``: when they differ, nothing matches and the columns do not line up.
-    if same.any():
-        # The draw reads ``sent``, the dropped columns ``dropped_before_loss``, the classifier ``offered[1]``.
-        for a, b in zip(*((*s.sent, *s.dropped_before_loss, s.offered[1]) for s in (first, plan))):
-            same &= (a == b).all(axis=-1)
-    return same
+    """Per point, whether ``plan`` gives the realize and the classifier all that ``first`` gives them.
+
+    Both sweeps of a case run ``CaseSpec.base`` at the same loads, and the
+    pass reads no policy, so only their columns can differ: the draw reads
+    ``sent``, the dropped columns ``dropped_before_loss``, the classifier
+    ``offered[1]``.
+    """
+    columns = ((*s.sent, *s.dropped_before_loss, s.offered[1]) for s in (first, plan))
+    return np.logical_and.reduce([(a == b).all(axis=-1) for a, b in zip(*columns)])
 
 
 def _reused_totals(first: Schedule, known: list[np.ndarray], plan: Schedule, generators) -> list[np.ndarray]:

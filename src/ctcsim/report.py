@@ -110,18 +110,28 @@ def emit_csv(table: ResultTable, dest: str | Path) -> int:
 
 
 def read_csv(path: str | Path) -> ResultTable:
-    """Read back a result table written by :func:`emit_csv`."""
+    """Read back a result table written by :func:`emit_csv`.
+
+    A row of another length, or a value its column's type does not parse,
+    raises ``InvalidParameterError`` naming the path and the line, and for a
+    value its column.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1) if line]
+    if not lines or tuple(lines[0][1].split(",")) != CSV_COLUMNS:
         raise InvalidParameterError(f"{path} does not have the expected result-table header")
-    readers = [_CSV_TYPES[kind][1] for _, kind in _RESULT_COLUMNS]
     rows = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(readers):
-            raise InvalidParameterError(f"malformed row in {path}: {line!r}")
-        rows.append(ResultRow(*(read(part) for read, part in zip(readers, parts))))
+        if len(parts) != len(_RESULT_COLUMNS):
+            raise InvalidParameterError(f"malformed row in {path}, line {number}: {line!r}")
+        values = []
+        for (name, kind), part in zip(_RESULT_COLUMNS, parts):
+            try:
+                values.append(_CSV_TYPES[kind][1](part))
+            except ValueError:
+                raise InvalidParameterError(f"{path}, line {number}, column {name}: {part!r} is not {kind}") from None
+        rows.append(ResultRow(*values))
     return ResultTable(rows=tuple(rows))
 
 

@@ -17,26 +17,28 @@ The two policies:
   leftover capacity only while it has energy credits; once the budget is
   spent, every serviced neighbor packet is dropped.
 
-The engine runs a sweep, one row per config, in two stages.
-``_schedule_sweep`` takes the target through every epoch without a random
-number: deadline discard, arrivals, the ``ctc`` split, ``dsr`` energy use
-and gate drops. ``_realize_sweep`` then draws the ambient losses and derives
-the forwarded and dropped columns with array operations. Both stages carry
-each per-class quantity as one ``(self, neighbor)`` pair of columns, in the
-order of ``Trace``'s fields (see ``Schedule``). Splitting the stages is
-exact because a lost packet has already left its queue: loss moves a
-transmitted packet from "forwarded" to "dropped" and feeds back into nothing
-the next epoch reads (queues, backlogs, energy). So packet conservation is
-checked once per schedule row, when the ``Schedule`` is built, and holds at
-every seed. One schedule serves every seed of a grid point, and one
-realization pass serves a whole sweep: the losses of every grid point and
-seed fill one ``(points, seeds, 2 * epochs)`` array, and the forwarded and
-dropped columns and the classifier's window sums work along its last axis.
-``ctcsim.experiments.run_case`` realizes the first sweep of a case that
-way, and of each later sweep only the points whose schedule differs from the
-first sweep's in what the pass reads; the others would realize to the same
-totals at every seed. ``run`` and ``classify_misbehavior`` are the one-row
-case of that pass.
+The engine runs a sweep in two stages. A sweep is one setting of the node
+(policy, capacity, deadline, epoch, budget, loss probability, classifier)
+under several loads, one row per load: its configs differ only in their two
+rate functions. ``_schedule_sweep`` takes the target through every epoch
+without a random number: deadline discard, arrivals, the ``ctc`` split,
+``dsr`` energy use and gate drops. ``_realize_sweep`` then draws the ambient
+losses and derives the forwarded and dropped columns with array operations.
+Both stages carry each per-class quantity as one ``(self, neighbor)`` pair
+of columns, in the order of ``Trace``'s fields (see ``Schedule``). Splitting
+the stages is exact because a lost packet has already left its queue: loss
+moves a transmitted packet from "forwarded" to "dropped" and feeds back into
+nothing the next epoch reads (queues, backlogs, energy). So packet
+conservation is checked once per schedule row, when the ``Schedule`` is
+built, and holds at every seed. One schedule serves every seed of a grid
+point, and one realization pass serves a whole sweep: the losses of every
+grid point and seed fill one ``(points, seeds, 2 * epochs)`` array, and the
+forwarded and dropped columns and the classifier's window sums work along
+its last axis. ``ctcsim.experiments.run_case`` realizes the first sweep of a
+case that way, and of each later sweep only the points whose schedule
+differs from the first sweep's in what the pass reads; the others would
+realize to the same totals at every seed. ``run`` and
+``classify_misbehavior`` are the one-row case of that pass.
 
 A run goes through the same two stages in blocks of ``_BLOCK_EPOCHS``
 epochs (``run_blocks``); a grid sweep is one block from a fresh target.
@@ -84,11 +86,11 @@ one pass over the epochs. Under ``dsr`` the queues decouple: the self queue
 gets the whole capacity ``c`` and the neighbor queue ``c -
 serviced_self[e]``, both known before the queue is served. Each epoch is a
 clamp, clamps compose into a clamp, and a prefix scan over the clamps gives
-``P`` in O(log epochs) numpy passes, for a whole sweep of configs at once
-(one row each). The gate forwards while credits last, so the cumulative
-attempts are ``min(cumsum(serviced_neighbor), energy_budget)``. Validation
-bounds every count so that the scan runs in int64 and every division is
-exact (see ``SimConfig``).
+``P`` in O(log epochs) numpy passes, for every row of a sweep at once. The
+gate forwards while credits last, so the cumulative attempts are
+``min(cumsum(serviced_neighbor), energy_budget)``. Validation bounds every
+count so that the scan runs in int64 and every division is exact (see
+``SimConfig``).
 
 Determinism contract: a run is a pure function of its config, including the
 seed. The per-packet semantics live in the test suite, which holds both
@@ -435,14 +437,17 @@ class Schedule:
     """The seed-free part of a sweep at the target, each per-class quantity a ``(self, neighbor)`` pair.
 
     Each member of a pair is a ``(points, epochs)`` column, row ``k`` for
-    ``configs[k]``, over the run's epochs from ``epoch`` on: the whole run,
-    or one block of it (see ``_Carry``). ``sent`` is the serviced self
-    packets and the neighbor attempts, the packets transmitted, each facing
-    one ambient-loss coin. ``dropped_before_loss`` is the drops decided
-    before the coin: deadline expiry, plus ``dsr`` gate drops on the
+    the loads of ``configs[k]``, over the run's epochs from ``epoch`` on. The
+    configs differ only in ``self_rate_fn`` and ``neighbor_rate_fn``: every
+    other setting of the sweep is ``configs[0]``'s. The columns cover the
+    whole run, or one block of it (see ``_Carry``). ``sent`` is the serviced
+    self packets and the neighbor attempts, the packets transmitted, each
+    facing one ambient-loss coin. ``dropped_before_loss`` is the drops
+    decided before the coin: deadline expiry, plus ``dsr`` gate drops on the
     neighbor side. ``queued`` is the end-of-epoch queue depth and ``times``
     is ``(t_pp, t_np)``. Counts are int64, times float64. ``backlog`` holds
-    each class's queue at the start, ``(2, points)``; None at a fresh target.
+    each class's queue at the start, ``(2, points)``; None at a fresh
+    target.
 
     Every schedule conserves packets: per class and row, the packets offered
     by the end of each epoch are those sent or dropped before the coin by
@@ -495,9 +500,8 @@ class _Carry:
     before it; ``attempts``, ``(rows, 1)``, is ``dsr``'s running neighbor
     attempts. ``arrived``, ``(2, rows, D)``, holds a ring per class and
     row: the running arrivals ``A`` of the last ``D = min(deadline,
-    epochs)`` epochs, ``A(e)`` at ``e % D``, 8 bytes per epoch of ``D``; a
-    row of a shorter deadline uses the first ``D`` entries. A fresh target
-    has all of them 0, ``A(e)`` included for ``e < 0``.
+    epochs)`` epochs, ``A(e)`` at ``e % D``, 8 bytes per epoch of ``D``. A
+    fresh target has all of them 0, ``A(e)`` included for ``e < 0``.
 
     ``last`` is the block's ``Schedule`` when another block follows it, with
     what its queue pass read, relative to the block's start (``_LastBlock``).
@@ -516,7 +520,7 @@ class _Carry:
 
     @classmethod
     def fresh(cls, configs: list[SimConfig]) -> "_Carry":
-        rows, depth = len(configs), max(min(c.deadline_epochs, c.epochs) for c in configs)
+        rows, depth = len(configs), min(configs[0].deadline_epochs, configs[0].epochs)
         return cls(0, *(np.zeros(shape, np.int64) for shape in ((2, rows), (2, rows), (rows, 1), (2, rows, depth))))
 
 
@@ -588,27 +592,23 @@ def _scan_clamps(hi: np.ndarray, lo: np.ndarray) -> None:
     _compose_clamps(hi[..., 1 : n - 1 : 2], lo[..., 1 : n - 1 : 2], hi[..., 2::2], lo[..., 2::2])
 
 
-def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depths: list[int], start: int) -> np.ndarray:
+def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depth: int, start: int) -> np.ndarray:
     """``A(e - D)`` at each epoch of a block, from its running arrivals ``upper``, ``(2, rows, epochs)``.
 
-    ``arrived`` is ``_Carry.arrived``, moved on to the block's end. Row
-    ``k``'s ring is its first ``D = depths[k]`` entries, ``A(e)`` at ``e %
-    D`` for the ``D`` epochs before the block. The block's first ``D``
-    epochs read the ring, and the rest read ``upper`` itself, ``D`` epochs
-    back. Rows of one depth are read and written together, and only at the
-    ring positions the block reads or writes, so a long deadline costs a
-    block no more.
+    ``arrived`` is ``_Carry.arrived``, moved on to the block's end: a ring
+    of ``D = depth`` entries, ``A(e)`` at ``e % D`` for the ``D`` epochs
+    before the block. The block's first ``D`` epochs read the ring, and the
+    rest read ``upper`` itself, ``D`` epochs back. The ring is read and
+    written only at the positions the block reads or writes, so a long
+    deadline costs a block no more.
     """
     lower = np.empty_like(upper)
     epochs = upper.shape[-1]
-    for depth in set(depths):
-        rows = [k for k, d in enumerate(depths) if d == depth]
-        head = min(depth, epochs)
-        positions = (np.arange(e, e + head) % max(depth, 1) for e in (start, start + epochs - head))
-        first, last = (np.ix_((0, 1), rows, at) for at in positions)
-        lower[:, rows, :head] = arrived[first]
-        lower[:, rows, head:] = upper[:, rows, : epochs - head]
-        arrived[last] = upper[:, rows, epochs - head :]
+    head = min(depth, epochs)
+    first, last = (np.arange(e, e + head) % max(depth, 1) for e in (start, start + epochs - head))
+    lower[..., :head] = arrived[..., first]
+    lower[..., head:] = upper[..., : epochs - head]
+    arrived[..., last] = upper[..., epochs - head :]
     return lower
 
 
@@ -687,11 +687,13 @@ def _consume_ctc(config: SimConfig, capacity: int, deadline: int, upper, lower, 
 
 
 def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop: int | None = None) -> Schedule:
-    """The schedule of configs of one policy and equal ``epochs``, one row each; no random number is drawn.
+    """The schedule of a sweep, one row per config; no random number is drawn.
 
-    It covers the epochs from ``carry.epoch`` to ``stop``, and moves
-    ``carry`` on to ``stop``. By default it is the whole run from a fresh
-    target (``_Carry.fresh``). ``ctc`` takes each row through its epochs
+    The configs differ only in their two rate functions, and every other
+    setting is read once, from ``configs[0]`` (see ``Schedule``). It covers
+    the epochs from ``carry.epoch`` to ``stop``, and moves ``carry`` on to
+    ``stop``. By default it is the whole run from a fresh target
+    (``_Carry.fresh``). ``ctc`` takes each row through its epochs
     (``_consume_ctc``); ``ctc`` drops no neighbor packet before the coin but
     by expiry, and attempts all it serves. Under ``dsr`` the self queue's
     allowance is the capacity, the neighbor queue's what self service
@@ -707,8 +709,9 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     the ``dsr`` scans (see ``_Carry``). A sweep of one block neither reads
     nor keeps one.
     """
+    config = configs[0]
     carry = _Carry.fresh(configs) if carry is None else carry
-    start, stop = carry.epoch, configs[0].epochs if stop is None else stop
+    start, stop = carry.epoch, config.epochs if stop is None else stop
     offered = np.empty((2, len(configs), stop - start), np.int64)
     for row, c in enumerate(configs):
         c.self_rate_fn.arrivals(offered[0, row], start)
@@ -716,18 +719,18 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     upper = np.cumsum(offered, axis=-1)
     arrived = carry.consumed + carry.queued
     upper += arrived[..., None]
-    depths = [min(c.deadline_epochs, c.epochs) for c in configs]
-    lower = _deadline_bounds(upper, carry.arrived, depths, start)
+    depth = min(config.deadline_epochs, config.epochs)
+    lower = _deadline_bounds(upper, carry.arrived, depth, start)
     before = carry.consumed
     # Capacity is data_rate packets/second over the epoch.
-    capacities = [int(round(c.data_rate * c.epoch_length)) for c in configs]
-    dsr = configs[0].policy is Policy.DSR
+    capacity = int(round(config.data_rate * config.epoch_length))
+    dsr = config.policy is Policy.DSR
     # A budget past 2**53, more than a run's neighbor arrivals, never binds; capped, it fits int64.
-    budget = np.array([min(c.energy_budget, _EXACT_MAX) for c in configs], np.int64)[:, None] if dsr else None
+    budget = min(config.energy_budget, _EXACT_MAX)
     last, carry.last = carry.last, None
-    follows = stop < configs[0].epochs
+    follows = stop < config.epochs
     if last is not None or follows:
-        reads = (offered, lower[..., : min(max(depths), stop - start)] - arrived[..., None], carry.queued)
+        reads = (offered, lower[..., : min(depth, stop - start)] - arrived[..., None], carry.queued)
     reused = (
         last is not None
         and all(map(np.array_equal, last.reads, reads))
@@ -742,14 +745,13 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     elif not dsr:
         consumed = np.empty_like(upper)
         times = np.empty(upper.shape)
-        for row, config in enumerate(configs):
+        for row in range(len(configs)):
             rows = (upper[:, row], lower[:, row], before[:, row], consumed[:, row], times[:, row])
-            _consume_ctc(config, capacities[row], depths[row], *rows)
+            _consume_ctc(config, capacity, depth, *rows)
         served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
         dropped, sent, queued = zip(*served)
         serviced = None
     else:
-        capacity = np.array(capacities, np.int64)[:, None]
         expired_self, serviced_self, queued_self = _serve_fifo(upper[0], lower[0], before[0], allowance=capacity)
         expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
             upper[1], lower[1], before[1], allowance=capacity - serviced_self
@@ -760,9 +762,8 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
         sent, queued = (serviced_self, attempts), (queued_self, queued_nbr)
         dropped = expired_self, expired_nbr + serviced_nbr - attempts
         # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-        epoch_t = np.array([c.epoch_length for c in configs])[:, None]
-        t_pp = epoch_t * (serviced_self / np.maximum(capacity, 1))
-        times = t_pp, epoch_t - t_pp
+        t_pp = config.epoch_length * (serviced_self / max(capacity, 1))
+        times = t_pp, config.epoch_length - t_pp
     plan = Schedule(tuple(configs), tuple(offered), sent, dropped, queued, tuple(times), start, carry.queued)
     left = np.minimum(budget - carry.attempts, serviced) if dsr else None
     if follows:
@@ -979,7 +980,7 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
 
     Row ``[k, i]`` equals ``np.random.default_rng(seeds[i]).binomial`` over
     ``sent`` interleaved, ``[sent[0][k, 0], sent[1][k, 0], sent[0][k, 1],
-    ...]``, at ``configs[k].base_drop_prob``, drawn after restoring the seeded
+    ...]``, at the sweep's ``base_drop_prob``, drawn after restoring the seeded
     state of ``generators[i]`` (see ``_seeded``): one coin per transmitted
     packet, drawn as one binomial per class per epoch, self first, the order
     in which one scalar draw per class per epoch would consume each seed's
@@ -994,8 +995,8 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
     points, epochs = plan.sent[0].shape
     lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
     lost[..., 0::2], lost[..., 1::2] = (column[:, None] for column in plan.sent)
-    for point, config, *sent in zip(lost, plan.configs, *plan.sent):
-        p = config.base_drop_prob
+    p = plan.configs[0].base_drop_prob
+    for point, *sent in zip(lost, *plan.sent):
         tables = _tables(point[0], p, kept)
         if tables is None:
             phases.count("binomial", len(generators))

@@ -636,15 +636,6 @@ def test_run_case_checks_a_later_sweep_broken_where_it_would_share(column, monke
         run_case(_tiny_spec("III"))
 
 
-def test_run_case_shares_no_point_whose_loss_or_classifier_settings_differ():
-    spec = _tiny_spec("III")
-    plan = experiments._schedule_sweep([spec.config(Policy.CTC, v) for v in spec.sweep_axis])
-    assert experiments._realized_as(plan, plan).all()
-    for field, value in (("base_drop_prob", 0.2), ("misbehavior_threshold", 0.5), ("window_epochs", 7), ("epochs", 99)):
-        other = experiments._schedule_sweep([dataclasses.replace(c, **{field: value}) for c in plan.configs])
-        assert not experiments._realized_as(plan, other).any()
-
-
 @pytest.mark.parametrize("seeds", [(-1,), (0, 2**64), (2**64 + 7,)])
 def test_run_case_rejects_seed_outside_uint64_before_scheduling(seeds, monkeypatch):
     def no_schedule(configs):

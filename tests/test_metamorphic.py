@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ctcsim import report, sim
 from ctcsim.sim import Policy, RateFunction, RateKind, SimConfig
 
-from reference_engine import run_reference
+from reference_engine import run_reference, schedule_cohorts
 
 # The per-epoch columns of a Trace, in field order.
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(sim.Trace) if f.name != "config")
@@ -152,3 +152,30 @@ def test_a_larger_energy_budget_never_raises_dsr_neighbor_drops(case, more):
         assert sum(after["dropped_neighbor"]) <= sum(before["dropped_neighbor"])
         for name in before.keys() - moved:
             assert np.array_equal(before[name], after[name]), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_runs(), other_seed=st.integers(0, 2**64 - 1))
+def test_without_ambient_loss_every_packet_sent_is_forwarded_at_every_seed(case, other_seed):
+    # At base_drop_prob = 0 no coin turns a transmitted packet into a drop:
+    # each epoch forwards what its schedule sends, the serviced self packets
+    # and the neighbor attempts, and drops only what expired or, under
+    # `dsr`, met a spent budget. So the seed reaches nothing, and any two
+    # seeds give the same run, block for block.
+    config, size = _lossless(case)
+    columns = _columns(config, size)
+    other = _columns(dataclasses.replace(config, seed=other_seed), size)
+    assert all(columns[name].tobytes() == value.tobytes() for name, value in other.items())
+    plan = sim._schedule_sweep([config])
+    cohorts = schedule_cohorts(config)
+    reference = _reference_columns(config)
+    assert reference == _reference_columns(dataclasses.replace(config, seed=other_seed))
+    pairs = (
+        ("forwarded", plan.sent, ("serviced_self", "attempts_neighbor")),
+        ("dropped", plan.dropped_before_loss, ("dropped_before_loss_self", "dropped_before_loss_neighbor")),
+    )
+    for realized, scheduled, names in pairs:
+        for member, cls in enumerate(("self", "neighbor")):
+            name = f"{realized}_{cls}"
+            assert columns[name].tobytes() == scheduled[member][0].tobytes(), name
+            assert reference[name] == cohorts[names[member]], name

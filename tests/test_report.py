@@ -4,6 +4,7 @@ so any formatting drift shows up as a diff, not just a failed parse."""
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -146,6 +147,21 @@ def test_read_csv_rejects_short_row(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\nI,ctc,100\n", encoding="utf-8")
     with pytest.raises(InvalidParameterError):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("column, value", [("sweep_value", "abc"), ("seed", "1.5"), ("drop_ratio", "abc")])
+def test_read_csv_names_the_path_line_and_column_of_a_value_that_does_not_parse(column, value, tmp_path):
+    # Line 3, after the header and a blank line; an int and a float column.
+    path = tmp_path / "bad_value.csv"
+    emit_csv(ResultTable(rows=(_row(),)), path)
+    header, line, _ = path.read_text(encoding="utf-8").split("\n")
+    parts = line.split(",")
+    parts[CSV_COLUMNS.index(column)] = value
+    path.write_text(f"{header}\n\n{','.join(parts)}\n", encoding="utf-8")
+    kind = "float" if column == "drop_ratio" else "int"
+    message = f"{path}, line 3, column {column}: '{value}' is not {kind}"
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
         read_csv(path)
 
 

@@ -1191,35 +1191,41 @@ def test_a_write_into_a_yielded_block_reaches_no_later_block(policy, monkeypatch
 
 @st.composite
 def _sweeps(draw):
-    """Configs of one run length and policy, each row with its own loads,
-    capacity, deadline and budget, in random order. Returns them with three
-    of them: a zero-rate row, a row overloaded in both classes, and a row
-    whose energy gate binds under dsr. Sometimes one row sits on the bounds
-    of validation: a capacity of 2**53, and each class's run total within
-    ``epochs`` packets of 2**53."""
-    fixed = dict(epochs=draw(st.integers(2, 70)), policy=draw(st.sampled_from(list(Policy))))
-    marked = (
-        SimConfig(**fixed),
-        SimConfig(**fixed, data_rate=10.0, deadline_epochs=1, self_rate_fn=constant(25), neighbor_rate_fn=constant(9)),
-        SimConfig(**fixed, data_rate=30.0, energy_budget=5, self_rate_fn=constant(3), neighbor_rate_fn=constant(12)),
+    """A sweep: configs of one policy, run length and setting of the node,
+    each drawn once, that differ only in their loads, in random order.
+    Returns them with three of them by name: ``zero``, a zero-rate row;
+    ``gated``, neighbor traffic alone that the node serves as it comes,
+    whose energy gate binds under dsr once the run's traffic passes the
+    budget; and ``overloaded``, both classes offering more in one epoch than
+    the node serves in a deadline. Sometimes the sweep sits on the bounds of
+    validation instead, with a capacity of 2**53 and a row whose class run
+    totals are each within ``epochs`` packets of 2**53; it has no
+    overloaded row, since nothing a run may offer overloads it."""
+    epochs = draw(st.integers(2, 70))
+    fixed = dict(
+        epochs=epochs,
+        policy=draw(st.sampled_from(list(Policy))),
+        deadline_epochs=draw(st.integers(1, 80)),
+        energy_budget=draw(st.integers(0, 400)),
+        min_share_fraction=draw(st.floats(1e-6, 0.5, exclude_max=True)),
     )
-    rows = list(marked)
-    for _ in range(draw(st.integers(0, 5))):
-        rows.append(
-            SimConfig(
-                **fixed,
-                self_rate_fn=draw(rate_functions),
-                neighbor_rate_fn=draw(rate_functions),
-                data_rate=draw(st.floats(1.0, 60.0)),
-                epoch_length=draw(st.floats(0.1, 10.0)),
-                deadline_epochs=draw(st.integers(1, 80)),
-                energy_budget=draw(st.integers(0, 400)),
-                min_share_fraction=draw(st.floats(1e-6, 0.5, exclude_max=True)),
-            )
-        )
+    top = 2**53 // epochs
     if draw(st.booleans()):
-        rate = constant(2**53 // fixed["epochs"])
-        rows.append(SimConfig(**fixed, data_rate=2.0**53, self_rate_fn=rate, neighbor_rate_fn=rate))
+        fixed.update(data_rate=2.0**53)
+        capacity, loads = 2**53, {"top": (top, top)}
+    else:
+        fixed.update(data_rate=draw(st.floats(1.0, 60.0)), epoch_length=draw(st.floats(0.1, 10.0)))
+        capacity = round(fixed["data_rate"] * fixed["epoch_length"])
+        overload = (min(fixed["deadline_epochs"], epochs) + 1) * (capacity + 1)
+        loads = {"overloaded": (overload, overload)}
+    loads.update(zero=(0, 0), gated=(0, min(capacity, top)))
+    marked = {
+        name: SimConfig(**fixed, self_rate_fn=constant(s), neighbor_rate_fn=constant(n))
+        for name, (s, n) in loads.items()
+    }
+    rows = list(marked.values())
+    for _ in range(draw(st.integers(0, 5))):
+        rows.append(SimConfig(**fixed, self_rate_fn=draw(rate_functions), neighbor_rate_fn=draw(rate_functions)))
     return draw(st.permutations(rows)), marked
 
 
@@ -1227,22 +1233,34 @@ def _sweeps(draw):
 @given(sweep=_sweeps())
 def test_batched_sweep_rows_equal_their_own_schedule(sweep):
     # run_case schedules each policy's half of a sweep as one stack; no row
-    # may see another's parameters.
+    # may see another's loads.
     configs, marked = sweep
     plan = _schedule_sweep(configs)
     assert plan.configs == tuple(configs)
     for row, config in enumerate(configs):
         assert_same_schedule(plan, _schedule_sweep([config]), row)
         assert_same_schedule(plan, schedule_cohorts(config), row)
-    zero, overloaded, gated = (next(i for i, c in enumerate(configs) if c is row) for row in marked)
-    if configs[0].policy is Policy.DSR:
+    at = {name: next(i for i, c in enumerate(configs) if c is config) for name, config in marked.items()}
+    setting = configs[0]
+    zero = at["zero"]
+    if setting.policy is Policy.DSR:
         assert not any(column[zero].any() for column in (*plan.offered, plan.times[0]))
-        assert plan.sent[1][gated].sum() == 5 < plan.dropped_before_loss[1][gated].sum()
+        # Served as it comes, the gated row's neighbor traffic is attempted until the budget runs out.
+        serviced = plan.offered[1][at["gated"]].sum()
+        attempts = min(serviced, setting.energy_budget)
+        assert plan.sent[1][at["gated"]].sum() == attempts
+        assert plan.dropped_before_loss[1][at["gated"]].sum() == serviced - attempts
     else:
         # With both queues empty, ctc splits the epoch evenly.
         assert not any(column[zero].any() for column in plan.offered)
         assert (plan.times[0][zero] == plan.times[1][zero]).all()
-    assert all(column[overloaded].any() for column in plan.dropped_before_loss)
+    if "overloaded" in at:
+        # The packets of the first epoch outlast the deadline unless the run ends first.
+        overloaded = at["overloaded"]
+        if setting.deadline_epochs < setting.epochs:
+            assert all(column[overloaded].any() for column in plan.dropped_before_loss)
+        else:
+            assert all(column[overloaded, -1] > 0 for column in plan.queued)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1366,15 +1384,16 @@ def test_shared_generators_draw_what_fresh_ones_do(p):
     # set-up) and for another p.
     seeds = (0, 1, 2**64 - 1)
     generators = _seeded(seeds)
-    loads = [(420.0, 300, 200, Policy.CTC), (50.0, 2, 70, Policy.CTC), (300.0, 90, 400, Policy.DSR)]
+    loads = [(300, 200, Policy.CTC), (2, 70, Policy.CTC), (90, 400, Policy.DSR)]
     first, second, third = (
-        SimConfig(epochs=40, data_rate=rate, base_drop_prob=p, self_rate_fn=constant(s),
+        SimConfig(epochs=40, data_rate=420.0, base_drop_prob=p, self_rate_fn=constant(s),
                   neighbor_rate_fn=constant(n), policy=policy)
-        for rate, s, n, policy in loads
+        for s, n, policy in loads
     )
     other = SimConfig(epochs=40, base_drop_prob=0.3, self_rate_fn=constant(900))
-    # Each sweep holds one policy; together they draw the points in the
-    # order first, second, third, other, third, second, first.
+    # The configs of each sweep differ only in their loads; together the
+    # sweeps draw the points in the order first, second, third, other,
+    # third, second, first.
     for sweep in ([first, second], [third], [other], [third], [second, first]):
         plan = _schedule_sweep(sweep)
         lost = _draw_losses(plan, generators)
