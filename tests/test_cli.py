@@ -430,7 +430,14 @@ def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys)
 #   `A(e - D)` from the ring the blocks before filled; packets expire from
 #   epoch 11,841 (`ctc`) and 9,642 (`dsr`, whose budget also runs out);
 # - an epoch of half a second, which the `ctc` split and the capacity read;
-# - `base_drop_prob` 0.7, past 0.5, where numpy draws the complement.
+# - `base_drop_prob` 0.7, past 0.5, where numpy draws the complement;
+# - a `ctc` ramp past capacity over three blocks at a deadline of 20: from
+#   epoch 12,052 to 13,191, in block 2, a queue starts an epoch neither
+#   empty nor cut back to its deadline bound;
+# - a `ctc` ramp near capacity at a deadline of 100, where that holds from
+#   epoch 13,001 to the end, across the edge of blocks 2 and 3;
+# - 5,000 neighbors, whose node ids have one to four digits, over 12
+#   epochs, past the power of ten at epoch 10.
 ENGINE_PINS = Path(__file__).resolve().parent / "engine_pins.json"
 ENGINE_PATH_COUNTS = {
     "ctc_blocks_reused": (3, 1, 1),
@@ -438,6 +445,9 @@ ENGINE_PATH_COUNTS = {
     "dsr_deadline_past_a_block": (3, 0, 0),
     "epoch_length_half": (1, 0, 1),
     "drop_prob_past_half": (1, 0, 1),
+    "ctc_ramp_blocks": (3, 0, 3),
+    "ctc_near_critical": (3, 0, 3),
+    "neighbors_past_a_thousand": (1, 0, 1),
 }
 
 
