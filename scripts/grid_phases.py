@@ -17,8 +17,8 @@ calls:
 Run it as a fresh process, as the benchmark runs ``exp all``: how many pages
 a phase faults in depends on what the process allocated and freed before
 it. Last, it prints counts that are the same in every run: the result rows,
-the point-rows realized, and the rows of losses drawn by numpy's
-``binomial``.
+the point-rows realized, the rows of losses drawn by numpy's ``binomial``,
+and the epochs that the ``ctc`` schedules ran through their Python loop.
 
 Usage: python scripts/grid_phases.py
 """
@@ -61,7 +61,10 @@ def main(argv: list[str]) -> int:
     for name, wall_ns, faults in [*rows, ("total", *total)]:
         print(f"{name:<10}  {wall_ns / 1e9:8.4f}  {faults:7d}")
     counts = phases.counts
-    print(f"rows {counts['rows']}  realized {counts['realized']}  binomial {counts['binomial']}")
+    print(
+        f"rows {counts['rows']}  realized {counts['realized']}  binomial {counts['binomial']}"
+        f"  ctc_loop_epochs {counts['ctc_loop_epochs']}"
+    )
     return 0
 
 

@@ -13,8 +13,9 @@ engine's last block, and at the end. Run it as a fresh process: that is how
 ``sim run`` runs, and how many pages a phase faults in depends on what the
 process allocated and freed before it. Last, it prints the clock's counts of
 the blocks the engine made, of those that took the schedule of the block
-before, and of the blocks the trace writer builds and the texts it writes
-after the header; for one config all four are always the same.
+before, of the blocks the trace writer builds and the texts it writes after
+the header, and of the epochs the ``ctc`` schedule ran through its Python
+loop; for one config all five are always the same.
 
 Usage: python scripts/trace_phases.py CONFIG
 """
@@ -53,8 +54,11 @@ def main(argv: list[str]) -> int:
     for name, (wall_ns, minflt, maxrss_kib) in rows.items():
         print(f"{name:<14}  {wall_ns / 1e9:8.4f}  {minflt:7d}  {maxrss_kib / 1024:10.2f}")
     counts = phases.counts
-    engine, reused = counts["engine_blocks"], counts.get("reused_blocks", 0)
-    print(f"engine {engine}  reused {reused}  blocks {counts['trace_blocks']}  texts {counts['trace_texts']}")
+    engine, reused, looped = counts["engine_blocks"], counts.get("reused_blocks", 0), counts.get("ctc_loop_epochs", 0)
+    print(
+        f"engine {engine}  reused {reused}  blocks {counts['trace_blocks']}  texts {counts['trace_texts']}"
+        f"  ctc_loop_epochs {looped}"
+    )
     return 0
 
 

@@ -102,9 +102,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -648,42 +648,176 @@ def _serve_fifo(upper: np.ndarray, lower: np.ndarray, before: np.ndarray, *, con
     return after_expiry - previous, consumed - after_expiry, upper - consumed
 
 
-def _consume_ctc(config: SimConfig, capacity: int, deadline: int, upper, lower, before, consumed, times) -> None:
-    """The ``ctc`` consumed counts ``P`` of both classes and the time split over a block, epoch by epoch.
+# The start of one class's queue at an epoch where the arrivals alone give
+# it: cut back to its deadline bound, ``P(e-1) <= A(e-D)``, or else empty,
+# with all it had consumed by the end of the epoch before, ``P(e-1) ==
+# A(e-1)``. Either way ``max(P(e-1), A(e-D))`` is ``A(e-D)`` or ``A(e-1)``.
+# An epoch's start is ``2 * cut_self + cut_neighbor``, 0 to 3, when both
+# classes are regular, and ``_IRREGULAR`` otherwise.
+_IRREGULAR = 4
+# Epochs of Python int lists that the ``ctc`` loop converts at a time: 64
+# at first, since most irregular stretches are short, then twice as many
+# each time up to 1,024, so that a stretch of any length holds no more.
+_LOOP_EPOCHS = (64, 1024)
 
-    ``upper`` and ``lower`` hold the running arrivals ``A(e)`` and
-    ``A(e-D)`` of the self and the neighbor class, ``(2, epochs)``, ``D``
-    the ``deadline``, and ``before`` their ``P`` at the end of the epoch
-    before the block. Writes ``P_self`` and ``P_nbr`` into the two rows of
-    ``consumed``, ``t_pp`` and ``t_np`` into those of ``times``. Per epoch each ``P`` is raised to
-    ``A(e-D)``, the split reads the backlogs ``A(e) - P``, and each class's
-    take is added, capped at ``A(e)``. The split couples the classes, so
-    this is one pass in Python ints, over lists as long as the block;
-    minimums are spelled as conditionals, since a builtin ``min`` call costs
-    as much as the rest of the epoch.
+
+def _ctc_split_array(self_backlog, neighbor_backlog, epoch_length: float, min_share_fraction: float, capacity: int):
+    """``ctc_split`` of each pair of int64 backlogs, in its own float64 operations, and where it is exact.
+
+    Returns ``t_pp``, ``t_np``, the two caps as int64 and a mask. Python
+    divides two ints correctly rounded, and float64 holds every int up to
+    2**53, so where the backlogs sum to at most 2**53, numpy's division of
+    the converted ints is Python's, and the element is ``ctc_split``'s to
+    the bit. Past it, the sum rounds before the division, and the mask is
+    False.
     """
-    epoch_t = config.epoch_length
-    min_share = config.min_share_fraction
-    # Past the block's first D epochs, A(e-D) is the list of A, D epochs late.
-    upper_self, upper_nbr = upper.tolist()
-    lower_self, lower_nbr = (chain(past[:deadline].tolist(), a) for past, a in zip(lower, (upper_self, upper_nbr)))
-    bounds = zip(upper_self, lower_self, upper_nbr, lower_nbr)
+    total = self_backlog + neighbor_backlog
+    share = np.divide(neighbor_backlog, total, out=np.full(total.shape, 0.5), where=total != 0)
+    # min_share_fraction < 0.5, so clipping is ctc_split's two conditionals.
+    np.clip(share, min_share_fraction, 1.0 - min_share_fraction, out=share)
+    t_np = share * epoch_length
+    np.divide(t_np, epoch_length, out=share)
+    cap_nbr = np.floor(share * capacity).astype(np.int64)
+    cap_self = np.floor(np.subtract(1.0, share, out=share) * capacity).astype(np.int64)
+    return epoch_length - t_np, t_np, cap_self, cap_nbr, total <= _EXACT_MAX
+
+
+def _ctc_loop(split: tuple, upper, lower, e: int, p_self: int, p_nbr: int, consumed, times) -> tuple[int, int]:
+    """The ``ctc`` pass of one row from epoch ``e``, ``P(e-1)`` given, until both classes start an epoch regular.
+
+    ``upper``, ``lower``, ``consumed`` and ``times`` are the row's ``(2,
+    epochs)`` views (see ``_consume_ctc``), and ``split`` is ``ctc_split``'s
+    last three arguments. Returns the first epoch after ``e`` at whose start
+    both classes are regular, with its start, or the row's end. Per epoch each
+    ``P`` is raised to ``A(e-D)``, the split reads the backlogs ``A(e) -
+    P``, and each class's take is added, capped at ``A(e)``. It runs in
+    Python ints over lists; minimums are spelled as conditionals, since a
+    builtin ``min`` call costs as much as the rest of the epoch.
+    """
+    epochs, (size, most) = upper.shape[-1], _LOOP_EPOCHS
     consumed_self, consumed_nbr, t_pp, t_np = (row.data for row in (*consumed, *times))
-    p_self, p_nbr = before.tolist()
-    for e, (a_self, past_self, a_nbr, past_nbr) in enumerate(bounds):
-        if p_self < past_self:
-            p_self = past_self
-        if p_nbr < past_nbr:
-            p_nbr = past_nbr
-        t_pp[e], t_np[e], take_self, take_nbr = ctc_split(a_self - p_self, a_nbr - p_nbr, epoch_t, min_share, capacity)
-        p_self += take_self
-        if p_self > a_self:
-            p_self = a_self
-        p_nbr += take_nbr
-        if p_nbr > a_nbr:
-            p_nbr = a_nbr
-        consumed_self[e] = p_self
-        consumed_nbr[e] = p_nbr
+    while e < epochs:
+        stop, size = min(e + size, epochs), min(2 * size, most)
+        # Each epoch's bounds, and the next epoch's A(e-D), for the check at its end.
+        bounds = (*upper[:, e:stop].tolist(), *lower[:, e:stop].tolist(), *lower[:, e + 1 : stop + 1].tolist())
+        for following in bounds[4:]:
+            following.append(0)
+        for e, (a_self, a_nbr, past_self, past_nbr, next_self, next_nbr) in enumerate(zip(*bounds), start=e):
+            if p_self < past_self:
+                p_self = past_self
+            if p_nbr < past_nbr:
+                p_nbr = past_nbr
+            t_pp[e], t_np[e], take_self, take_nbr = ctc_split(a_self - p_self, a_nbr - p_nbr, *split)
+            p_self += take_self
+            if p_self > a_self:
+                p_self = a_self
+            p_nbr += take_nbr
+            if p_nbr > a_nbr:
+                p_nbr = a_nbr
+            consumed_self[e] = p_self
+            consumed_nbr[e] = p_nbr
+            if (p_self <= next_self or p_self == a_self) and (p_nbr <= next_nbr or p_nbr == a_nbr):
+                return e + 1, 2 * (p_self <= next_self) + (p_nbr <= next_nbr)
+        e = stop
+    return epochs, _IRREGULAR
+
+
+def _consume_ctc(config: SimConfig, capacity: int, upper, lower, offered, before, consumed, times) -> None:
+    """The ``ctc`` consumed counts ``P`` of both classes and the time split over a block of a sweep.
+
+    ``upper``, ``lower`` and ``offered`` hold the running arrivals ``A(e)``
+    and ``A(e-D)`` and the arrivals of the self and the neighbor class,
+    ``(2, rows, epochs)``, and ``before`` their ``P`` at the end of the
+    epoch before the block, ``(2, rows)``. Writes ``P_self`` and ``P_nbr``
+    into ``consumed``, ``t_pp`` and ``t_np`` into ``times``, in the shape of
+    ``upper``.
+
+    The split couples the classes, so ``P`` is one pass over the epochs,
+    but most epochs start where the arrivals alone put them: each class
+    regular, empty or cut back to its deadline bound (see ``_IRREGULAR``).
+    From each of the four regular starts, every epoch of the block is served
+    at once with array operations, ``_ctc_split_array`` in place of
+    ``ctc_split``, and gives the start of the epoch after, or irregular. A
+    walk over each row then follows the starts from the block's first, one
+    run of equal starts at a time, and hands each irregular stretch to the
+    loop (``_ctc_loop``) until both classes are regular again. An epoch
+    whose backlogs sum past 2**53 is irregular too. Last, the chosen starts
+    are served once more and written where the loop did not run. The loop's
+    epochs are counted as ``ctc_loop_epochs``.
+    """
+    split = (config.epoch_length, config.min_share_fraction, capacity)
+    rows, epochs = upper.shape[1:]
+    if not epochs:
+        return
+
+    def serve(cuts):
+        """Each class's ``P`` and the times of every epoch, from ``A(e-D)`` where its cut holds, else ``A(e-1)``."""
+        starts = [a - o for a, o in zip(upper, offered)]
+        for p, past, cut in zip(starts, lower, cuts):
+            np.copyto(p, past, where=cut)
+        t_pp, t_np, *takes, exact = _ctc_split_array(*(a - p for a, p in zip(upper, starts)), *split)
+        for p, take, a in zip(starts, takes, upper):
+            p += take
+            np.minimum(p, a, out=p)
+        return starts, (t_pp, t_np), exact
+
+    runs = {}
+
+    def ends(start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where every epoch served from ``start`` leads, flat, and the flat epochs at which a run of ``start`` ends.
+
+        A row's last epoch leads to its own start, unless irregular.
+        """
+        if start not in runs:
+            # divmod gives the start's (cut_self, cut_nbr).
+            done, _, exact = serve(divmod(start, 2))
+            cut = [p[..., :-1] <= past[..., 1:] for p, past in zip(done, lower)]
+            following = np.empty((rows, epochs), np.int8)
+            np.add(2 * cut[0], cut[1], out=following[..., :-1], casting="unsafe")
+            following[..., -1] = start
+            stuck = ~exact
+            for c, p, a in zip(cut, done, upper):
+                stuck[..., :-1] |= ~c & (p[..., :-1] != a[..., :-1])
+            following[stuck] = _IRREGULAR
+            following = following.ravel()
+            runs[start] = following, np.flatnonzero(following != start)
+        return runs[start]
+
+    # The first epoch's start, from P and A at the end of the epoch before the block.
+    arrived = upper[..., 0] - offered[..., 0]
+    cut = before <= lower[..., 0]
+    firsts = np.where((cut | (before == arrived)).all(axis=0), 2 * cut[0] + cut[1], _IRREGULAR)
+    starts, lengths, looped = [], [], 0
+    for row, start in enumerate(firsts.tolist()):
+        base, e, p = row * epochs, 0, before[:, row].tolist()
+        while e < epochs:
+            if start == _IRREGULAR:
+                stop, start = _ctc_loop(split, upper[:, row], lower[:, row], e, *p, consumed[:, row], times[:, row])
+                starts.append(-1)
+                lengths.append(stop - e)
+                looped += stop - e
+                e = stop
+                continue
+            following, run_ends = ends(start)
+            # The run of this start ends at ``stop``, the row's last epoch at the latest.
+            i = int(run_ends.searchsorted(base + e))
+            stop = min(int(run_ends[i]) - base, epochs - 1) if i < run_ends.size else epochs - 1
+            after = int(following[base + stop])
+            if after == _IRREGULAR:
+                # The loop runs the epoch, from this start.
+                bounds = (upper[:, row, stop] - offered[:, row, stop], lower[:, row, stop])
+                p = [int(bounds[cut][c]) for c, cut in enumerate(divmod(start, 2))]
+                stop -= 1
+            starts.append(start)
+            lengths.append(stop + 1 - e)
+            e, start = stop + 1, after
+    phases.count("ctc_loop_epochs", looped)
+    chosen = np.repeat(np.array(starts, np.int8), lengths).reshape(rows, epochs)
+    done, spans, _ = serve((chosen & 2 != 0, chosen & 1 != 0))
+    regular = chosen >= 0
+    for out, columns in ((consumed, done), (times, spans)):
+        for column, value in zip(out, columns):
+            np.copyto(column, value, where=regular)
 
 
 def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop: int | None = None) -> Schedule:
@@ -745,9 +879,7 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     elif not dsr:
         consumed = np.empty_like(upper)
         times = np.empty(upper.shape)
-        for row in range(len(configs)):
-            rows = (upper[:, row], lower[:, row], before[:, row], consumed[:, row], times[:, row])
-            _consume_ctc(config, capacity, depth, *rows)
+        _consume_ctc(config, capacity, upper, lower, offered, before, consumed, times)
         served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
         dropped, sent, queued = zip(*served)
         serviced = None

@@ -628,7 +628,9 @@ def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
     # scripts/grid_phases.py reads these names. Each of the 8 sweeps (4
     # cases, 2 algorithms) is scheduled, realized and summarized once. At ten
     # seeds the grid has 1,280 rows; 87 of its 128 point-rows are realized,
-    # each seed of each by one numpy `binomial` call.
+    # each seed of each by one numpy `binomial` call. The 4 `ctc` sweeps run
+    # 357 of their 6,400 epochs through the loop, where a queue starts an
+    # epoch neither empty nor cut back to its deadline bound.
     phases.reset()
     code, _, _ = run_cli("exp", "all", "--out-dir", str(tmp_path), "--seeds", "10", capsys=capsys)
     assert code == 0
@@ -636,13 +638,13 @@ def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
     assert sorted(clock) == ["emit", "realize", "schedule", "summarize"]
     assert clock["schedule"].calls == clock["realize"].calls == clock["summarize"].calls == 8
     assert all(phase.wall_ns > 0 and phase.minflt >= 0 and phase.maxrss_kib > 0 for phase in clock.values())
-    assert phases.counts == {"rows": 1280, "realized": 87, "binomial": 870}
+    assert phases.counts == {"rows": 1280, "realized": 87, "binomial": 870, "ctc_loop_epochs": 357}
 
 
 # The engine's blocks and those of them that reuse the schedule of the
-# block before, and the trace writer's blocks and texts, of each benchmark
-# trace.
-TRACE_COUNTS = {"trace_deep": [13, 8, 27, 126], "trace_wide": [1, 0, 18, 130]}
+# block before, the trace writer's blocks and texts, and the epochs the
+# `ctc` schedule runs through its loop, of each benchmark trace.
+TRACE_COUNTS = {"trace_deep": [13, 8, 27, 126, 0], "trace_wide": [1, 0, 18, 130, 86]}
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_COUNTS))
@@ -651,8 +653,10 @@ def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_pat
     # `sim.run_blocks`, and the counts of the engine's blocks, of those that
     # reuse the schedule of the block before (`trace_deep`'s constant load
     # repeats blocks 2 to 5, before its budget runs out in block 6, and 8
-    # to 11; its last block is shorter) and of the blocks and texts the
-    # trace writer makes of them.
+    # to 11; its last block is shorter), of the blocks and texts the trace
+    # writer makes of them, and of the epochs the `ctc` loop runs
+    # (`trace_wide`'s 85 epochs that start irregular, 1,508 to 1,592, and
+    # the one before them; `trace_deep` is `dsr`, which has no loop).
     config = tmp_path / "config.json"
     config.write_text(json.dumps(BENCHMARK_TRACES[name]), encoding="utf-8")
     phases.reset()
@@ -660,5 +664,5 @@ def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_pat
     assert code == 0
     counts = TRACE_COUNTS[name]
     assert list(phases.times) == ["engine"] and phases.times["engine"].calls == counts[0]
-    names = ("engine_blocks", "reused_blocks", "trace_blocks", "trace_texts")
+    names = ("engine_blocks", "reused_blocks", "trace_blocks", "trace_texts", "ctc_loop_epochs")
     assert [phases.counts.get(count, 0) for count in names] == counts

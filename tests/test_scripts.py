@@ -51,10 +51,13 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
     # each summed over the blocks, with the peak resident set after the
     # engine's last block and at the end, then prints the phase clock's
     # counts of the engine's blocks, of those that reused the schedule of
-    # the block before, and of the writer's blocks and texts. 50 epochs are
-    # one engine block, which reuses none; of 4 short lines they make two
-    # writer blocks, since blocks end at epoch 10, and each block is one text. The
-    # script resets the clock, so its counts are the same in every run.
+    # the block before, of the writer's blocks and texts, and of the epochs
+    # the `ctc` schedule ran through its loop. 50 epochs are one engine
+    # block, which reuses none; of 4 short lines they make two writer
+    # blocks, since blocks end at epoch 10, and each block is one text. No
+    # packet arrives, so every queue starts each epoch empty and the loop
+    # runs no epoch. The script resets the clock, so its counts are the
+    # same in every run.
     config = tmp_path / "config.json"
     config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
     for _ in range(2):
@@ -67,17 +70,19 @@ def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
         # A high-water mark never falls.
         run_peak, emit_peak = (float(row[3]) for row in rows)
         assert emit_peak >= run_peak > 0
-        assert counts == ["engine", "1", "reused", "0", "blocks", "2", "texts", "2"]
+        assert counts == ["engine", "1", "reused", "0", "blocks", "2", "texts", "2", "ctc_loop_epochs", "0"]
 
 
 def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):
     # scripts/grid_phases.py times the phases of `exp all` at ten seeds. The
     # grid has 1,280 rows; 87 of its 128 point-rows are realized, each seed
-    # of each by one `binomial` call. The script resets the phase clock, so
-    # the counts an earlier command left on it (here, a whole grid's) are
-    # not in its own.
+    # of each by one `binomial` call, and the `ctc` schedules run 357 of
+    # their 6,400 epochs through their loop. The script resets the phase
+    # clock, so the counts an earlier command left on it (here, a whole
+    # grid's) are not in its own.
     phases.count("rows", 1280)
     phases.count("binomial", 870)
+    phases.count("ctc_loop_epochs", 357)
     assert _load("grid_phases").main([]) == 0
     header, *rows, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert header == ["phase", "wall_s", "minflt"]
@@ -85,4 +90,4 @@ def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(ca
     for _, seconds, faults in rows:
         assert float(seconds) > 0 and int(faults) >= 0
     assert float(rows[-1][1]) >= sum(float(row[1]) for row in rows[:-1])
-    assert counts == ["rows", "1280", "realized", "87", "binomial", "870"]
+    assert counts == ["rows", "1280", "realized", "87", "binomial", "870", "ctc_loop_epochs", "357"]

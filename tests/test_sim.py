@@ -29,6 +29,7 @@ from ctcsim.sim import (
     Schedule,
     SimConfig,
     Trace,
+    _ctc_split_array,
     _draw_losses,
     _realize_sweep,
     _schedule_sweep,
@@ -487,6 +488,43 @@ def test_ctc_split_matches_its_stated_rule(self_backlog, neighbor_backlog, epoch
     assert ctc_split(self_backlog, neighbor_backlog, epoch_length, min_share, capacity) == expected
 
 
+# Backlogs small and large, up to 2**53, so that a pair may sum past it.
+_backlogs = st.one_of(
+    st.integers(0, 1000), st.integers(0, 2**53), st.sampled_from([0, 1, 2**52, 2**53 - 1, 2**53])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_backlogs, _backlogs), min_size=1, max_size=12),
+    epoch_length=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+    min_share=st.one_of(st.floats(1e-6, 0.5, exclude_max=True), st.sampled_from([0.05, 0.25])),
+    capacity=st.one_of(st.integers(0, 1000), st.integers(0, 2**53), st.just(2**53)),
+)
+# 0 / 0, and shares exactly at either clamp bound.
+@example(pairs=[(0, 0), (3, 1), (1, 3), (0, 5), (5, 0)], epoch_length=1.0, min_share=0.25, capacity=100)
+@example(pairs=[(0, 0), (10, 30)], epoch_length=2.0, min_share=0.05, capacity=101)
+# Sums of 2**53 and just past it.
+@example(pairs=[(2**52, 2**52), (2**53, 1), (2**53 - 1, 2), (1, 2**53)], epoch_length=0.75, min_share=0.05, capacity=2**53)
+def test_array_split_is_ctc_split_where_the_backlogs_sum_within_2_53(pairs, epoch_length, min_share, capacity):
+    # The `ctc` schedule serves the epochs that start regular with the
+    # array split, and the rest with `ctc_split`. Where a pair sums past
+    # 2**53, numpy would round the sum before dividing: the mask leaves
+    # that epoch to `ctc_split`.
+    self_backlog, neighbor_backlog = (np.array(column, np.int64) for column in zip(*pairs))
+    *split, exact = _ctc_split_array(self_backlog, neighbor_backlog, epoch_length, min_share, capacity)
+    assert exact.tolist() == [a + b <= 2**53 for a, b in pairs]
+    assert [column.dtype for column in split] == [np.float64, np.float64, np.int64, np.int64]
+    for i in np.flatnonzero(exact).tolist():
+        expected = ctc_split(*pairs[i], epoch_length, min_share, capacity)
+        got = tuple(column[i].item() for column in split)
+        assert [type(value) for value in got] == [type(value) for value in expected]
+        # Bit for bit: float.hex tells 0.0 from -0.0.
+        assert [value.hex() if isinstance(value, float) else value for value in got] == [
+            value.hex() if isinstance(value, float) else value for value in expected
+        ]
+
+
 def test_dsr_decide_self_always_forwards():
     node = NodeState(energy_remaining=0)
     packet = Packet(0, PacketClass.SELF, 0, 2)
@@ -802,6 +840,21 @@ rate_functions = st.one_of(
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2),
     epochs=st.integers(0, 150),
 )
+# `ctc` at a deadline of 1 past capacity: each queue starts every epoch cut
+# back to its deadline bound, so the `ctc` loop runs no epoch.
+@example(
+    seeds=[0, 1], policy=Policy.CTC, self_rate_fn=constant(9.0),
+    neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 0.0, 0.3), data_rate=12.0, epoch_length=1.0,
+    min_share_fraction=0.05, deadline_epochs=1, energy_budget=0, base_drop_prob=0.1, epochs=60,
+)
+# A ramp that reaches capacity, at a deadline of 10: from epoch 301 on the
+# queues start each epoch neither empty nor cut back, and the loop runs the
+# last 100 epochs.
+@example(
+    seeds=[0, 2**64 - 1], policy=Policy.CTC, self_rate_fn=constant(21.0),
+    neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 20.0, 0.005), data_rate=42.0, epoch_length=1.0,
+    min_share_fraction=0.05, deadline_epochs=10, energy_budget=0, base_drop_prob=0.15, epochs=400,
+)
 def test_engine_matches_reference_random_configs(seeds, **config_fields):
     # One schedule realized at two seeds, as run_case does per grid point;
     # each seed's row must match the reference run at its own seed, as must
@@ -915,6 +968,18 @@ def _extreme_configs(draw):
         deadline_epochs=510,
         self_rate_fn=constant(1.5e13),
         neighbor_rate_fn=constant(1.5e13),
+    )
+)
+# Under `ctc` the backlogs of the one epoch sum past 2**53, where numpy
+# would round the sum before the split divides by it: the epoch takes
+# `ctc_split`, whose caps differ there from the array split's.
+@example(
+    config=SimConfig(
+        epochs=1,
+        data_rate=2.0**53,
+        deadline_epochs=1,
+        self_rate_fn=constant(2.0**53),
+        neighbor_rate_fn=constant(6688457337256887.0),
     )
 )
 def test_schedule_matches_cohort_oracle_at_int64_extremes(config):
@@ -1142,6 +1207,15 @@ def _steady(policy, epochs, deadline, budget, size):
 # their arrivals and queue too, but its deadline bounds expire them.
 @example(case=(SimConfig(epochs=14, data_rate=0.25, deadline_epochs=10,
                          neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 5.0, 5.0)), 2))
+# Under `ctc` at a deadline of 3 the queues start epochs 14 to 24 neither
+# empty nor cut back to their deadline bound. In blocks of 8 that stretch
+# crosses the edges at 16 and 24: the `ctc` loop runs all of block 3, and
+# block 4 starts irregular and turns regular at epoch 25. In blocks of 7,
+# block 3 starts the stretch and block 4 starts inside it.
+@example(case=(SimConfig(epochs=40, neighbor_count=1, data_rate=10.0, deadline_epochs=3, self_rate_fn=constant(6),
+                         neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 2.0, 0.2)), 8))
+@example(case=(SimConfig(epochs=40, neighbor_count=1, data_rate=10.0, deadline_epochs=3, self_rate_fn=constant(6),
+                         neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 2.0, 0.2)), 7))
 def test_a_repeated_block_takes_the_schedule_of_the_run(case):
     # A block whose arrivals, deadline bounds, queues and budget left repeat
     # the block before's takes its schedule (`sim._Carry`). The run in
