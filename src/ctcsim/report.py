@@ -28,6 +28,11 @@ fresh pages. ``replace`` takes about 16 ns for each zero byte it drops, in
 runs or not, against 6 us for 120 kB with none, so the source lines, most of
 a wide trace, hold no pad bytes: blocks end at each power of ten of the
 epoch, and the sources are laid out by the digit count of their node ids.
+The target lines of up to ``_TRACE_GROUP_EPOCHS`` epochs of one piece are
+formatted at once, whatever their digits: an epoch below a power of ten
+pads its field to the group's last epoch, a zero byte per digit short, so
+that each piece of a run is formatted in one pass, not one per power of
+ten.
 
 Each digit comes from an integer ``//`` by 10 and a multiply-subtract, not
 from ``np.divmod``: numpy 2.4.6 vectorizes an integer floor division by a
@@ -386,22 +391,32 @@ def _line_fields(columns: Sequence[np.ndarray], buffer: bytearray) -> np.ndarray
 def _trace_groups(pieces: Iterable[Trace]) -> Iterator[tuple[int, list[np.ndarray]]]:
     """The run's first epoch and the columns of each group of epochs of consecutive traces of one run.
 
-    A group holds at most ``_TRACE_GROUP_EPOCHS`` epochs of one piece and
-    ends at each power of ten of the run's epoch. A piece is let go before
-    the next one is asked for.
+    A group holds at most ``_TRACE_GROUP_EPOCHS`` epochs of one piece. A
+    piece is let go before the next one is asked for.
     """
     offset = 0
     for trace in pieces:
         columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
         epochs = offset + columns[0].size
         del trace
-        start = offset
-        while start < epochs:
-            stop = min(epochs, start + _TRACE_GROUP_EPOCHS, 10 ** _places(start))
+        for start in range(offset, epochs, _TRACE_GROUP_EPOCHS):
+            stop = min(epochs, start + _TRACE_GROUP_EPOCHS)
             yield start, [column[start - offset : stop - offset] for column in columns]
-            start = stop
         offset = epochs
         del columns
+
+
+def _decades(start: int, epochs: int) -> Iterator[tuple[int, int, int]]:
+    """The runs of ``epochs`` epochs from ``start`` on whose numbers have the same digits.
+
+    Each run as its first and its end offset from ``start`` and its digit count.
+    """
+    first = 0
+    while first < epochs:
+        digits = _places(start + first)
+        stop = min(epochs, 10**digits - start)
+        yield first, stop, digits
+        first = stop
 
 
 def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
@@ -415,14 +430,14 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
     one buffer and yielded as a view of it, which the next block
     overwrites. The target fields are formatted for a group of whole blocks
     at once, into one table in a second reused buffer, and copied in,
-    transposed, block by block. Groups, and
-    so blocks, end at each power of ten, so every epoch of a block has the
-    same digits: the pad bytes left are the target's and those of the
-    ``sent`` counts shorter than the block's longest. A source line's
-    constant bytes are written once per view, into the first epoch's lines,
-    and copied from there into every other epoch of the block at once; then
-    each line's epoch, copied from the target's own field, and its two
-    ``sent`` fields are written into their slots.
+    transposed, block by block. Blocks end at each power of ten, so every
+    epoch of a block has the same digits: the pad bytes left are the
+    target's, its epoch field's included, and those of the ``sent`` counts
+    shorter than the block's longest. A source line's constant bytes are
+    written once per view, into the first epoch's lines, and copied from
+    there into every other epoch of the block at once; then each line's
+    epoch, copied from the last digits of the target's own field, and its
+    two ``sent`` fields are written into their slots.
     """
     pieces = iter([pieces] if isinstance(pieces, Trace) else pieces)
     head = next(pieces, None)
@@ -450,17 +465,21 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
     # that the engine's blocks, made between groups, do not take its pages.
     lines_buffer = bytearray()
     for start, columns in groups:
-        epoch_width = _places(start)
         epoch = np.arange(start, start + columns[0].size, dtype=np.int64)
         target = _line_fields([epoch, np.zeros_like(epoch), *columns], lines_buffer)
-        height = target.shape[0]
+        # The epoch field is as wide as the group's last epoch, its digits right-aligned.
+        height, field = target.shape[0], _places(epoch[-1])
         offered = columns[_TRACE_COLUMNS.index("offered_neighbor")]
-        # An epoch's bytes but for its 2 * nodes ``sent`` fields.
-        fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
-        # Sized for the group's largest count, a source's share rounded up.
-        per_block = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(-(-int(offered.max()) // nodes))))
-        for first in range(0, epoch.size, per_block):
-            rows = min(per_block, epoch.size - first)
+        # Each block's first epoch and epochs, and its epochs' digits and
+        # bytes but for their 2 * nodes ``sent`` fields.
+        blocks = []
+        for begin, finish, epoch_width in _decades(start, epoch.size):
+            fixed = height + id_bytes + nodes * (epoch_width + relayed.size + tail.size)
+            # Sized for the largest count, a source's share rounded up.
+            share = -(-int(offered[begin:finish].max()) // nodes)
+            per_block = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(share)))
+            blocks += [(first, min(per_block, finish - first), epoch_width, fixed) for first in range(begin, finish, per_block)]
+        for first, rows, epoch_width, fixed in blocks:
             # Each source's counts, formatted source by source and viewed as
             # ``(rows, sources, width)``.
             sent = _int_table(source_split(offered[first : first + rows], nodes).ravel())
@@ -471,10 +490,10 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
                 buffer = bytearray(size)
             table = np.frombuffer(buffer, np.uint8, size).reshape(rows, -1)
             table[:, :height] = target[:, first : first + rows].T
-            # Each epoch's digits, read from the group's table: a view of
-            # the block's own table would overlap the lines it is copied
-            # into, and numpy would copy it first.
-            epoch_text = target[:epoch_width, first : first + rows].T[:, None]
+            # Each epoch's digits, the last of its field in the group's
+            # table: a view of the block's own table would overlap the
+            # lines it is copied into, and numpy would copy it first.
+            epoch_text = target[field - epoch_width : field, first : first + rows].T[:, None]
             column = height
             for low, high, ids in classes:
                 first_sent = epoch_width + ids.shape[1]

@@ -103,7 +103,7 @@ import enum
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Iterator
@@ -534,13 +534,16 @@ class _LastBlock:
     the block, ``(rows, 1)``, and ``left`` the budget left at its start,
     clamped at ``serviced``: the attempts ``diff(min(cumsum(serviced) + a,
     B))`` depend on the attempts ``a`` before the block only through
-    ``min(B - a, sum(serviced))``. Both are None under ``ctc``.
+    ``min(B - a, sum(serviced))``. Both are None under ``ctc``. ``tables``
+    is the ``_tables`` decision of each row of the plan's losses, once they
+    are drawn, for a block that takes the plan (see ``_draw_losses``).
     """
 
     plan: Schedule
     reads: tuple[np.ndarray, np.ndarray, np.ndarray]
     serviced: np.ndarray | None
     left: np.ndarray | None
+    tables: list = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -592,6 +595,18 @@ def _scan_clamps(hi: np.ndarray, lo: np.ndarray) -> None:
     _compose_clamps(hi[..., 1 : n - 1 : 2], lo[..., 1 : n - 1 : 2], hi[..., 2::2], lo[..., 2::2])
 
 
+def _ring_parts(epoch: int, epochs: int, depth: int) -> list[tuple[slice, slice]]:
+    """Where ``epochs`` epochs from ``epoch`` on sit in a ring of ``depth`` entries, epoch ``e`` at ``e % depth``.
+
+    Two pairs of a slice of the ring and the slice of the epochs it holds:
+    ``epochs <= depth`` wrap past the ring's end at most once, and the
+    second pair is empty where they do not.
+    """
+    first = epoch % max(depth, 1)
+    split = min(epochs, depth - first)
+    return [(slice(first, first + split), slice(0, split)), (slice(0, epochs - split), slice(split, epochs))]
+
+
 def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depth: int, start: int) -> np.ndarray:
     """``A(e - D)`` at each epoch of a block, from its running arrivals ``upper``, ``(2, rows, epochs)``.
 
@@ -599,16 +614,18 @@ def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depth: int, start: 
     of ``D = depth`` entries, ``A(e)`` at ``e % D`` for the ``D`` epochs
     before the block. The block's first ``D`` epochs read the ring, and the
     rest read ``upper`` itself, ``D`` epochs back. The ring is read and
-    written only at the positions the block reads or writes, so a long
-    deadline costs a block no more.
+    written by at most two slices each way, at the positions the block
+    reads or writes, so a long deadline costs a block no more.
     """
     lower = np.empty_like(upper)
     epochs = upper.shape[-1]
     head = min(depth, epochs)
-    first, last = (np.arange(e, e + head) % max(depth, 1) for e in (start, start + epochs - head))
-    lower[..., :head] = arrived[..., first]
+    for ring, part in _ring_parts(start, head, depth):
+        lower[..., part] = arrived[..., ring]
     lower[..., head:] = upper[..., : epochs - head]
-    arrived[..., last] = upper[..., epochs - head :]
+    tail = upper[..., epochs - head :]
+    for ring, part in _ring_parts(start + epochs - head, head, depth):
+        arrived[..., ring] = tail[..., part]
     return lower
 
 
@@ -1107,7 +1124,7 @@ def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.G
     return True
 
 
-def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.ndarray:
+def _draw_losses(plan: Schedule, generators, kept: dict | None = None, decided: list | None = None) -> np.ndarray:
     """Ambient losses of each seed over each row of a schedule, ``(points, seeds, 2 * epochs)``.
 
     Row ``[k, i]`` equals ``np.random.default_rng(seeds[i]).binomial`` over
@@ -1119,7 +1136,10 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
     stream. A row that ``_tables`` admits is drawn by ``_table_binomial``
     from numpy's own uniforms; the others, and a row in which numpy would
     draw a sample again, by ``generator.binomial`` itself. ``kept`` is the
-    tables of the row drawn before (see ``_tables``).
+    tables of the row drawn before (see ``_tables``). ``decided`` holds the
+    ``_tables`` decision of the schedule's first rows, as far as they are
+    known, and is extended by the others: a block that takes the schedule
+    of the block before has the same ``sent`` rows, and so their decisions.
 
     Each row holds its interleaved ``sent`` until it is drawn over, so the
     draw needs no copy of ``sent`` beside the schedule and the losses.
@@ -1128,8 +1148,11 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
     lost = np.empty((points, len(generators), 2 * epochs), dtype=np.int64)
     lost[..., 0::2], lost[..., 1::2] = (column[:, None] for column in plan.sent)
     p = plan.configs[0].base_drop_prob
-    for point, *sent in zip(lost, *plan.sent):
-        tables = _tables(point[0], p, kept)
+    decided = [] if decided is None else decided
+    for k, (point, *sent) in enumerate(zip(lost, *plan.sent)):
+        if k == len(decided):
+            decided.append(_tables(point[0], p, kept))
+        tables = decided[k]
         if tables is None:
             phases.count("binomial", len(generators))
         for row, (generator, seeded) in zip(point, generators):
@@ -1145,16 +1168,17 @@ def _draw_losses(plan: Schedule, generators, kept: dict | None = None) -> np.nda
 
 
 def _realize_sweep(
-    plan: Schedule, generators, kept: dict | None = None
+    plan: Schedule, generators, kept: dict | None = None, decided: list | None = None
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The ``(self, neighbor)`` pairs of forwarded and dropped columns, ``(points, seeds, epochs)`` each.
 
-    ``generators`` come from ``_seeded``. A class's forwarded column is its
+    ``generators`` come from ``_seeded``, and ``kept`` and ``decided`` go to
+    ``_draw_losses``. A class's forwarded column is its
     ``sent`` less its losses, its dropped column its losses plus its
     ``dropped_before_loss``, written over its view of the losses. The
     schedule conserves packets (see ``Schedule``), so these do too.
     """
-    lost = _draw_losses(plan, generators, kept)
+    lost = _draw_losses(plan, generators, kept, decided)
     classes = zip(plan.sent, plan.dropped_before_loss, (lost[..., 0::2], lost[..., 1::2]))
     # Forwarded first: the dropped column then overwrites the losses it reads.
     realized = [(sent[:, None] - drawn, np.add(drawn, before[:, None], out=drawn)) for sent, before, drawn in classes]
@@ -1236,12 +1260,16 @@ def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: di
     ``totals`` holds each class's dropped and offered packets before the
     block, and is moved on past it. The block's temporaries go when it
     returns, so the generator holds none of them while the consumer reads
-    the block.
+    the block. A plan that a later block may take keeps its loss draw's
+    ``_tables`` decision (see ``_LastBlock``).
     """
     phases.count("engine_blocks")
     with phases.span("engine"):
         plan = _schedule_sweep([config], carry, stop)
-        forwarded, dropped = ([column[0, 0] for column in pair] for pair in _realize_sweep(plan, generators, kept))
+        last = carry.last
+        decided = last.tables if last is not None and last.plan.sent is plan.sent else None
+        realized = _realize_sweep(plan, generators, kept, decided)
+        forwarded, dropped = ([column[0, 0] for column in pair] for pair in realized)
         offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
         # A later block may take these schedule columns (see ``_Carry``).
         for column in (*offered, *queued, *times):

@@ -644,7 +644,7 @@ def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
 # The engine's blocks and those of them that reuse the schedule of the
 # block before, the trace writer's blocks and texts, and the epochs the
 # `ctc` schedule runs through its loop, of each benchmark trace.
-TRACE_COUNTS = {"trace_deep": [13, 8, 27, 126, 0], "trace_wide": [1, 0, 18, 130, 86]}
+TRACE_COUNTS = {"trace_deep": [13, 8, 27, 127, 0], "trace_wide": [1, 0, 18, 130, 86]}
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_COUNTS))

@@ -1387,12 +1387,14 @@ def test_emit_trace_csv_matches_per_row_writer_random_configs(chunking, tmp_path
 def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_path):
     # 120 sources, so every epoch's node ids cross 9 to 10 and 99 to 100
     # inside its block, and the per-source counts ramp from 0 to 16 across
-    # the run: one epoch has counts of 9 and 10. Groups end at each power
-    # of ten. With a budget of about three and a half epochs' bytes, a block
-    # holds three epochs, the last of a group fewer, and every group two
-    # blocks or more; with a budget of one byte, every epoch is bigger than
-    # the budget and takes a block of its own. Each layout is written in
-    # slices of a whole block, and of 7 bytes, less than any line.
+    # the run: one epoch has counts of 9 and 10. The run is one group, whose
+    # target fields are formatted once, and blocks end at each power of ten
+    # of the epoch. With a budget of about three and a half epochs' bytes, a
+    # block holds three epochs, the last before a power of ten fewer, and
+    # every run of epochs of one digit count two blocks or more; with a
+    # budget of one byte, every epoch is bigger than the budget and takes a
+    # block of its own. Each layout is written in slices of a whole block,
+    # and of 7 bytes, less than any line.
     trace = run(
         SimConfig(
             epochs=150,
@@ -1426,14 +1428,15 @@ def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_
                     assert texts == blocks
         block_starts = [int(block.split(b",", 1)[0]) for block in blocks]
         block_epochs = [block.count(b"\n") // 121 for block in blocks]
-        assert group_starts == [0, 10, 100]
-        assert set(group_starts) <= set(block_starts)
+        assert group_starts == [0]
+        decades = [0, 10, 100]
+        assert set(decades) <= set(block_starts)
         if budget == 1:
             assert block_epochs == [1] * 150
         else:
             assert block_epochs[:4] == [3, 3, 3, 1]
-            blocks_per_group = np.diff(np.searchsorted(block_starts, [*group_starts, trace.config.epochs]))
-            assert (blocks_per_group >= 2).all()
+            blocks_per_decade = np.diff(np.searchsorted(block_starts, [*decades, trace.config.epochs]))
+            assert (blocks_per_decade >= 2).all()
     sent = source_split(trace.offered_neighbor, 120)
     assert ((sent.min(axis=0) == 9) & (sent.max(axis=0) == 10)).any()
 
