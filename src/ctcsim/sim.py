@@ -82,8 +82,13 @@ served) by the end of epoch ``e``, counted in arrival order, are ``P(e) =
 min(max(P(e-1), A(e-D)) + s_e, A(e))``, and each epoch's expired, served and
 queued counts follow from ``P`` alone. ``ctc`` couples its queues through
 the split, which reads the backlogs ``A(e) - max(P(e-1), A(e-D))``, so it is
-one pass over the epochs. Under ``dsr`` the queues decouple: the self queue
-gets the whole capacity ``c`` and the neighbor queue ``c -
+one pass over the epochs. But where each queue starts an epoch empty or cut
+back to its deadline bound, ``max(P(e-1), A(e-D))`` is ``A(e-1)`` or
+``A(e-D)``, a function of the arrivals alone: such an epoch is served with
+array operations, from each of the four starts at once, and only the epochs
+between, where a queue regenerates neither way, go through the pass in
+Python ints (``_consume_ctc``). Under ``dsr`` the queues decouple: the self
+queue gets the whole capacity ``c`` and the neighbor queue ``c -
 serviced_self[e]``, both known before the queue is served. Each epoch is a
 clamp, clamps compose into a clamp, and a prefix scan over the clamps gives
 ``P`` in O(log epochs) numpy passes, for every row of a sweep at once. The
@@ -804,34 +809,32 @@ def _consume_ctc(config: SimConfig, capacity: int, upper, lower, offered, before
     arrived = upper[..., 0] - offered[..., 0]
     cut = before <= lower[..., 0]
     firsts = np.where((cut | (before == arrived)).all(axis=0), 2 * cut[0] + cut[1], _IRREGULAR)
+    # Each row's runs of one start and the loop's stretches, in order.
     starts, lengths, looped = [], [], 0
     for row, start in enumerate(firsts.tolist()):
         base, e, p = row * epochs, 0, before[:, row].tolist()
         while e < epochs:
             if start == _IRREGULAR:
-                stop, start = _ctc_loop(split, upper[:, row], lower[:, row], e, *p, consumed[:, row], times[:, row])
-                starts.append(-1)
-                lengths.append(stop - e)
+                stop, after = _ctc_loop(split, upper[:, row], lower[:, row], e, *p, consumed[:, row], times[:, row])
                 looped += stop - e
-                e = stop
-                continue
-            following, run_ends = ends(start)
-            # The run of this start ends at ``stop``, the row's last epoch at the latest.
-            i = int(run_ends.searchsorted(base + e))
-            stop = min(int(run_ends[i]) - base, epochs - 1) if i < run_ends.size else epochs - 1
-            after = int(following[base + stop])
-            if after == _IRREGULAR:
-                # The loop runs the epoch, from this start.
-                bounds = (upper[:, row, stop] - offered[:, row, stop], lower[:, row, stop])
-                p = [int(bounds[cut][c]) for c, cut in enumerate(divmod(start, 2))]
-                stop -= 1
+            else:
+                following, run_ends = ends(start)
+                # The run ends at the first epoch that leads elsewhere, or at the row's last.
+                i = int(run_ends.searchsorted(base + e))
+                stop = min(int(run_ends[i]) - base if i < run_ends.size else epochs, epochs - 1) + 1
+                after = int(following[base + stop - 1])
+                if after == _IRREGULAR:
+                    # The loop runs that epoch, from this start.
+                    stop -= 1
+                    bounds = (upper[:, row, stop] - offered[:, row, stop], lower[:, row, stop])
+                    p = [int(bounds[cut][c]) for c, cut in enumerate(divmod(start, 2))]
             starts.append(start)
-            lengths.append(stop + 1 - e)
-            e, start = stop + 1, after
+            lengths.append(stop - e)
+            e, start = stop, after
     phases.count("ctc_loop_epochs", looped)
     chosen = np.repeat(np.array(starts, np.int8), lengths).reshape(rows, epochs)
     done, spans, _ = serve((chosen & 2 != 0, chosen & 1 != 0))
-    regular = chosen >= 0
+    regular = chosen != _IRREGULAR
     for out, columns in ((consumed, done), (times, spans)):
         for column, value in zip(out, columns):
             np.copyto(column, value, where=regular)
@@ -844,7 +847,7 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     setting is read once, from ``configs[0]`` (see ``Schedule``). It covers
     the epochs from ``carry.epoch`` to ``stop``, and moves ``carry`` on to
     ``stop``. By default it is the whole run from a fresh target
-    (``_Carry.fresh``). ``ctc`` takes each row through its epochs
+    (``_Carry.fresh``). ``ctc`` serves every row of the block at once
     (``_consume_ctc``); ``ctc`` drops no neighbor packet before the coin but
     by expiry, and attempts all it serves. Under ``dsr`` the self queue's
     allowance is the capacity, the neighbor queue's what self service
@@ -1260,14 +1263,14 @@ def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: di
     ``totals`` holds each class's dropped and offered packets before the
     block, and is moved on past it. The block's temporaries go when it
     returns, so the generator holds none of them while the consumer reads
-    the block. A plan that a later block may take keeps its loss draw's
-    ``_tables`` decision (see ``_LastBlock``).
+    the block. ``carry.last``, when another block follows, holds this
+    block's plan or the one it took, and so keeps its loss draw's
+    ``_tables`` decision for a later block that takes the plan.
     """
     phases.count("engine_blocks")
     with phases.span("engine"):
         plan = _schedule_sweep([config], carry, stop)
-        last = carry.last
-        decided = last.tables if last is not None and last.plan.sent is plan.sent else None
+        decided = None if carry.last is None else carry.last.tables
         realized = _realize_sweep(plan, generators, kept, decided)
         forwarded, dropped = ([column[0, 0] for column in pair] for pair in realized)
         offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
