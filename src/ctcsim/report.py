@@ -478,7 +478,8 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
             # Sized for the largest count, a source's share rounded up.
             share = -(-int(offered[begin:finish].max()) // nodes)
             per_block = max(1, _TRACE_CHUNK_BYTES // (fixed + 2 * nodes * _places(share)))
-            blocks += [(first, min(per_block, finish - first), epoch_width, fixed) for first in range(begin, finish, per_block)]
+            for first in range(begin, finish, per_block):
+                blocks.append((first, min(per_block, finish - first), epoch_width, fixed))
         for first, rows, epoch_width, fixed in blocks:
             # Each source's counts, formatted source by source and viewed as
             # ``(rows, sources, width)``.

@@ -107,7 +107,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -710,11 +709,12 @@ def _ctc_loop(split: tuple, upper, lower, e: int, p_self: int, p_nbr: int, consu
     ``upper``, ``lower``, ``consumed`` and ``times`` are the row's ``(2,
     epochs)`` views (see ``_consume_ctc``), and ``split`` is ``ctc_split``'s
     last three arguments. Returns the first epoch after ``e`` at whose start
-    both classes are regular, with its start, or the row's end. Per epoch each
-    ``P`` is raised to ``A(e-D)``, the split reads the backlogs ``A(e) -
-    P``, and each class's take is added, capped at ``A(e)``. It runs in
-    Python ints over lists; minimums are spelled as conditionals, since a
-    builtin ``min`` call costs as much as the rest of the epoch.
+    both classes are regular, with that start, or the row's end with
+    ``_IRREGULAR``. Per epoch each ``P`` is raised to ``A(e-D)``, the split
+    reads the backlogs ``A(e) - P``, and each class's take is added, capped
+    at ``A(e)``. It runs in Python ints over lists; minimums are spelled as
+    conditionals, since a builtin ``min`` call costs as much as the rest of
+    the epoch.
     """
     epochs, (size, most) = upper.shape[-1], _LOOP_EPOCHS
     consumed_self, consumed_nbr, t_pp, t_np = (row.data for row in (*consumed, *times))
@@ -755,8 +755,9 @@ def _consume_ctc(config: SimConfig, capacity: int, upper, lower, offered, before
     ``upper``.
 
     The split couples the classes, so ``P`` is one pass over the epochs,
-    but most epochs start where the arrivals alone put them: each class
-    regular, empty or cut back to its deadline bound (see ``_IRREGULAR``).
+    but most epochs start where the arrivals alone put them, with each
+    class's queue empty or cut back to its deadline bound (see
+    ``_IRREGULAR``).
     From each of the four regular starts, every epoch of the block is served
     at once with array operations, ``_ctc_split_array`` in place of
     ``ctc_split``, and gives the start of the epoch after, or irregular. A

@@ -505,7 +505,9 @@ _backlogs = st.one_of(
 @example(pairs=[(0, 0), (3, 1), (1, 3), (0, 5), (5, 0)], epoch_length=1.0, min_share=0.25, capacity=100)
 @example(pairs=[(0, 0), (10, 30)], epoch_length=2.0, min_share=0.05, capacity=101)
 # Sums of 2**53 and just past it.
-@example(pairs=[(2**52, 2**52), (2**53, 1), (2**53 - 1, 2), (1, 2**53)], epoch_length=0.75, min_share=0.05, capacity=2**53)
+@example(
+    pairs=[(2**52, 2**52), (2**53, 1), (2**53 - 1, 2), (1, 2**53)], epoch_length=0.75, min_share=0.05, capacity=2**53
+)
 def test_array_split_is_ctc_split_where_the_backlogs_sum_within_2_53(pairs, epoch_length, min_share, capacity):
     # The `ctc` schedule serves the epochs that start regular with the
     # array split, and the rest with `ctc_split`. Where a pair sums past
@@ -1387,11 +1389,12 @@ def test_emit_trace_csv_matches_per_row_writer_random_configs(chunking, tmp_path
 def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_path):
     # 120 sources, so every epoch's node ids cross 9 to 10 and 99 to 100
     # inside its block, and the per-source counts ramp from 0 to 16 across
-    # the run: one epoch has counts of 9 and 10. The run is one group, whose
-    # target fields are formatted once, and blocks end at each power of ten
-    # of the epoch. With a budget of about three and a half epochs' bytes, a
-    # block holds three epochs, the last before a power of ten fewer, and
-    # every run of epochs of one digit count two blocks or more; with a
+    # the run: one epoch has counts of 9 and 10. Groups of 64 epochs, whose
+    # target fields are each formatted once, end at 64 and 128, and blocks
+    # end there and at each power of ten of the epoch: the group from epoch
+    # 64 holds epochs of two and three digits. With a budget of about three
+    # and a half epochs' bytes, a block holds three epochs, the last before
+    # a seam fewer, and every run between seams two blocks or more; with a
     # budget of one byte, every epoch is bigger than the budget and takes a
     # block of its own. Each layout is written in slices of a whole block,
     # and of 7 bytes, less than any line.
@@ -1410,7 +1413,9 @@ def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_
     assert min(map(len, expected.splitlines())) > 7
     epoch_bytes = len(expected) // trace.config.epochs
     for budget in (7 * epoch_bytes // 2, 1):
-        with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget):
+        with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget), mock.patch.object(
+            report, "_TRACE_GROUP_EPOCHS", 64
+        ):
             with mock.patch.object(report, "_line_fields", wraps=report._line_fields) as line_fields:
                 blocks = [block.tobytes().replace(b"\0", b"") for block in report._trace_blocks(trace)]
             group_starts = [int(call.args[0][0][0]) for call in line_fields.call_args_list]
@@ -1428,15 +1433,15 @@ def test_emit_trace_csv_matches_per_row_writer_across_chunk_and_group_seams(tmp_
                     assert texts == blocks
         block_starts = [int(block.split(b",", 1)[0]) for block in blocks]
         block_epochs = [block.count(b"\n") // 121 for block in blocks]
-        assert group_starts == [0]
-        decades = [0, 10, 100]
-        assert set(decades) <= set(block_starts)
+        assert group_starts == [0, 64, 128]
+        seams = [0, 10, 64, 100, 128]
+        assert set(seams) <= set(block_starts)
         if budget == 1:
             assert block_epochs == [1] * 150
         else:
             assert block_epochs[:4] == [3, 3, 3, 1]
-            blocks_per_decade = np.diff(np.searchsorted(block_starts, [*decades, trace.config.epochs]))
-            assert (blocks_per_decade >= 2).all()
+            blocks_per_run = np.diff(np.searchsorted(block_starts, [*seams, trace.config.epochs]))
+            assert (blocks_per_run >= 2).all()
     sent = source_split(trace.offered_neighbor, 120)
     assert ((sent.min(axis=0) == 9) & (sent.max(axis=0) == 10)).any()
 
