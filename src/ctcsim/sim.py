@@ -722,6 +722,8 @@ def _ctc_loop(split: tuple, upper, lower, e: int, p_self: int, p_nbr: int, consu
         stop, size = min(e + size, epochs), min(2 * size, most)
         # Each epoch's bounds, and the next epoch's A(e-D), for the check at its end.
         bounds = (*upper[:, e:stop].tolist(), *lower[:, e:stop].tolist(), *lower[:, e + 1 : stop + 1].tolist())
+        # The row's last epoch has no next bound: the 0 that pads it can only
+        # end the walk where the row ends anyway.
         for following in bounds[4:]:
             following.append(0)
         for e, (a_self, a_nbr, past_self, past_nbr, next_self, next_nbr) in enumerate(zip(*bounds), start=e):
@@ -828,7 +830,7 @@ def _consume_ctc(config: SimConfig, capacity: int, upper, lower, offered, before
                     # The loop runs that epoch, from this start.
                     stop -= 1
                     bounds = (upper[:, row, stop] - offered[:, row, stop], lower[:, row, stop])
-                    p = [int(bounds[cut][c]) for c, cut in enumerate(divmod(start, 2))]
+                    p = [int(bounds[k][c]) for c, k in enumerate(divmod(start, 2))]
             starts.append(start)
             lengths.append(stop - e)
             e, start = stop, after
