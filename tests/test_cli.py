@@ -437,7 +437,9 @@ def test_sim_run_benchmark_trace_matches_recorded_sha256(name, tmp_path, capsys)
 # - a `ctc` ramp near capacity at a deadline of 100, where that holds from
 #   epoch 13,001 to the end, across the edge of blocks 2 and 3;
 # - 5,000 neighbors, whose node ids have one to four digits, over 12
-#   epochs, past the power of ten at epoch 10.
+#   epochs, past the power of ten at epoch 10;
+# - a constant load over blocks of 8,000, 8,000 and 4,000 epochs under each
+#   policy, whose shorter last block starts as the second one did.
 ENGINE_PINS = Path(__file__).resolve().parent / "engine_pins.json"
 ENGINE_PATH_COUNTS = {
     "ctc_blocks_reused": (3, 1, 1),
@@ -448,6 +450,8 @@ ENGINE_PATH_COUNTS = {
     "ctc_ramp_blocks": (3, 0, 3),
     "ctc_near_critical": (3, 0, 3),
     "neighbors_past_a_thousand": (1, 0, 1),
+    "ctc_last_block_prefix": (3, 0, 1),
+    "dsr_last_block_prefix": (3, 0, 0),
 }
 
 
