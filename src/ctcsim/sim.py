@@ -46,7 +46,8 @@ Each block's schedule starts from the state the block before left
 (``_Carry``): each class's consumed count and queue, the running arrivals of
 the last ``min(deadline, epochs)`` epochs, which give ``A(e-D)``, and
 ``dsr``'s running attempts. Its losses continue the seed's one stream, and
-its drop ratios two running sums per class. So the blocks concatenate to the
+its drop ratios the running sum of each class's drops, over the running
+arrivals ``A(e)`` its schedule holds. So the blocks concatenate to the
 whole run bit for bit, and ``ctcsim sim run`` writes each block as it is
 made: it holds the imports, one block's work and 16 bytes per epoch of
 ``min(deadline, epochs)``, however long the run. ``run`` fills its
@@ -58,9 +59,12 @@ reads ``A`` only relative to ``A`` before the block. It computes in exact
 integers, so equal reads give equal schedule columns. A block that another
 follows is kept in ``_Carry`` with its reads, and a next block of the same
 length whose reads are equal takes its columns instead of the ``ctc`` loop
-or the ``dsr`` scans. Under a constant load that is every block once the
-queues settle, but the one in which the budget runs out. Its losses are
-drawn as any block's.
+or the ``dsr`` scans, its running arrivals shifted instead of summed, and
+no second conservation check. The pass is causal, so a shorter last block
+whose reads equal the first epochs of the kept ones takes the first epochs
+of its columns. Under a constant load that is every block once the queues
+settle, but the one in which the budget runs out and the one after it. Its
+losses are drawn as any block's.
 
 Each row of losses equals ``np.random.default_rng(seed).binomial`` over the
 row's counts: the pair ``sent``, the serviced self packets and the neighbor
@@ -451,7 +455,9 @@ class Schedule:
     neighbor side. ``queued`` is the end-of-epoch queue depth and ``times``
     is ``(t_pp, t_np)``. Counts are int64, times float64. ``backlog`` holds
     each class's queue at the start, ``(2, points)``; None at a fresh
-    target.
+    target. ``running`` holds each class's running arrivals ``A(e)``, the
+    packets offered from the run's first epoch to the end of each epoch, as
+    ``_schedule_sweep`` gives them; None where they are not given.
 
     Every schedule conserves packets: per class and row, the packets offered
     by the end of each epoch are those sent or dropped before the coin by
@@ -471,6 +477,7 @@ class Schedule:
     times: tuple[np.ndarray, np.ndarray]
     epoch: int = 0
     backlog: np.ndarray | None = None
+    running: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         backlog = np.zeros((2, len(self.configs)), np.int64) if self.backlog is None else self.backlog
@@ -480,6 +487,21 @@ class Schedule:
         if first < self.offered[0].size:
             epoch = self.epoch + first % self.offered[0].shape[-1]
             raise InvariantError(f"{('self', 'neighbor')[k]}-class conservation violated at the target, epoch {epoch}")
+
+
+def _taken(plan: Schedule, start: int, epochs: int, running: tuple[np.ndarray, np.ndarray]) -> Schedule:
+    """The first ``epochs`` epochs of ``plan`` as the schedule of the block from ``start`` on, with its running arrivals.
+
+    A block takes a plan only where its offered packets and starting queues
+    are the plan's (see ``_Carry``), and a prefix of a schedule that
+    conserves packets conserves them, so the columns are not checked again:
+    the schedule is built without ``__init__``.
+    """
+    taken = object.__new__(Schedule)
+    names = ("offered", "sent", "dropped_before_loss", "queued", "times")
+    prefixes = {name: tuple(column[:, :epochs] for column in getattr(plan, name)) for name in names}
+    vars(taken).update(vars(plan), **prefixes, epoch=start, running=running)
+    return taken
 
 
 def _first_unconserved(offered, sent, dropped_before_loss, queued, backlog) -> int:
@@ -512,7 +534,13 @@ class _Carry:
     The pass reads ``A`` only relative to ``A(start - 1)`` and computes in
     exact integers, so a next block whose reads are equal, of the same
     length, has the same schedule columns: it takes the kept ones and skips
-    the pass. A constant load repeats its block once its queues settle.
+    the pass. The pass is causal, so a shorter block that ends the run and
+    whose reads equal the first epochs of the kept reads takes the first
+    epochs of the kept columns. A constant load repeats its block once its
+    queues settle. A taken block skips the conservation check too, since
+    its offered packets, starting queues and schedule columns are the
+    checked plan's, and its running arrivals are the kept ones shifted by
+    the difference of the two ``A(start - 1)``.
     """
 
     epoch: int
@@ -533,18 +561,25 @@ class _LastBlock:
     """A block's schedule and what its queue pass read, relative to the block's start ``s``.
 
     ``reads`` is the block's arrivals ``offered``, ``A(e-D)`` over its first
-    ``min(D, epochs)`` epochs less ``A(s-1)``, and its starting queues.
+    ``min(D, epochs)`` epochs less ``A(s-1)``, and its starting queues, each
+    ``(2, rows, n)`` with the epochs along its last axis (``n = 1`` for the
+    queues). ``upper`` is the block's running arrivals ``A(e)``, ``(2,
+    rows, epochs)``, and ``arrived`` its ``A(s-1)``, ``(2, rows)``.
     Under ``dsr``, ``serviced`` is each row's serviced neighbor packets over
     the block, ``(rows, 1)``, and ``left`` the budget left at its start,
     clamped at ``serviced``: the attempts ``diff(min(cumsum(serviced) + a,
     B))`` depend on the attempts ``a`` before the block only through
-    ``min(B - a, sum(serviced))``. Both are None under ``ctc``. ``tables``
-    is the ``_tables`` decision of each row of the plan's losses, once they
-    are drawn, for a block that takes the plan (see ``_draw_losses``).
+    ``min(B - a, sum(serviced))``, and so do those of its first epochs,
+    whose running serviced count is at most the sum. Both are None under
+    ``ctc``. ``tables`` is the ``_tables`` decision of each row of the
+    plan's losses, once they are drawn, for a block that takes the whole
+    plan (see ``_draw_losses``); a shorter block decides its own.
     """
 
     plan: Schedule
     reads: tuple[np.ndarray, np.ndarray, np.ndarray]
+    upper: np.ndarray
+    arrived: np.ndarray
     serviced: np.ndarray | None
     left: np.ndarray | None
     tables: list = field(default_factory=list)
@@ -611,26 +646,28 @@ def _ring_parts(epoch: int, epochs: int, depth: int) -> list[tuple[slice, slice]
     return [(slice(first, first + split), slice(0, split)), (slice(0, epochs - split), slice(split, epochs))]
 
 
-def _deadline_bounds(upper: np.ndarray, arrived: np.ndarray, depth: int, start: int) -> np.ndarray:
-    """``A(e - D)`` at each epoch of a block, from its running arrivals ``upper``, ``(2, rows, epochs)``.
+def _ring_read(arrived: np.ndarray, depth: int, start: int, epochs: int) -> np.ndarray:
+    """``A(e - D)`` over the first ``min(D, epochs)`` epochs of a block from ``start`` on, ``(2, rows, D)`` at most.
 
-    ``arrived`` is ``_Carry.arrived``, moved on to the block's end: a ring
-    of ``D = depth`` entries, ``A(e)`` at ``e % D`` for the ``D`` epochs
-    before the block. The block's first ``D`` epochs read the ring, and the
-    rest read ``upper`` itself, ``D`` epochs back. The ring is read and
-    written by at most two slices each way, at the positions the block
-    reads or writes, so a long deadline costs a block no more.
+    ``arrived`` is ``_Carry.arrived``: a ring of ``D = depth`` entries,
+    ``A(e)`` at ``e % D`` for the ``D`` epochs before the block. The later
+    epochs of the block read its own running arrivals, ``D`` epochs back.
+    The ring is read, and written by ``_ring_write``, by at most two slices,
+    at the positions the block reads or writes, so a long deadline costs a
+    block no more.
     """
-    lower = np.empty_like(upper)
+    head = np.empty((*arrived.shape[:-1], min(depth, epochs)), np.int64)
+    for ring, part in _ring_parts(start, head.shape[-1], depth):
+        head[..., part] = arrived[..., ring]
+    return head
+
+
+def _ring_write(arrived: np.ndarray, depth: int, start: int, upper: np.ndarray) -> None:
+    """Move the ring ``arrived`` (see ``_ring_read``) on past a block from ``start`` on whose running arrivals are ``upper``."""
     epochs = upper.shape[-1]
-    head = min(depth, epochs)
-    for ring, part in _ring_parts(start, head, depth):
-        lower[..., part] = arrived[..., ring]
-    lower[..., head:] = upper[..., : epochs - head]
-    tail = upper[..., epochs - head :]
-    for ring, part in _ring_parts(start + epochs - head, head, depth):
+    tail = upper[..., epochs - min(depth, epochs) :]
+    for ring, part in _ring_parts(start + epochs - tail.shape[-1], tail.shape[-1], depth):
         arrived[..., ring] = tail[..., part]
-    return lower
 
 
 def _serve_fifo(upper: np.ndarray, lower: np.ndarray, before: np.ndarray, *, consumed=None, allowance=None):
@@ -849,7 +886,8 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     The configs differ only in their two rate functions, and every other
     setting is read once, from ``configs[0]`` (see ``Schedule``). It covers
     the epochs from ``carry.epoch`` to ``stop``, and moves ``carry`` on to
-    ``stop``. By default it is the whole run from a fresh target
+    ``stop``: of a block that ends the run, only its ``epoch``, since no
+    block reads the rest. By default it is the whole run from a fresh target
     (``_Carry.fresh``). ``ctc`` serves every row of the block at once
     (``_consume_ctc``); ``ctc`` drops no neighbor packet before the coin but
     by expiry, and attempts all it serves. Under ``dsr`` the self queue's
@@ -862,22 +900,22 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     ``SimConfig``), so the split is Python's ``int / int``.
 
     A block that another follows is kept in ``carry``; a block whose reads
-    equal the last block's takes its columns instead of the ``ctc`` pass or
-    the ``dsr`` scans (see ``_Carry``). A sweep of one block neither reads
-    nor keeps one.
+    equal the last block's, or a shorter last block whose reads equal their
+    first epochs, takes its columns instead of the ``ctc`` pass or the
+    ``dsr`` scans, and its running arrivals instead of a cumulative sum (see
+    ``_Carry``). A sweep of one block neither reads nor keeps one.
     """
     config = configs[0]
     carry = _Carry.fresh(configs) if carry is None else carry
     start, stop = carry.epoch, config.epochs if stop is None else stop
-    offered = np.empty((2, len(configs), stop - start), np.int64)
+    epochs = stop - start
+    offered = np.empty((2, len(configs), epochs), np.int64)
     for row, c in enumerate(configs):
         c.self_rate_fn.arrivals(offered[0, row], start)
         c.neighbor_rate_fn.arrivals(offered[1, row], start)
-    upper = np.cumsum(offered, axis=-1)
     arrived = carry.consumed + carry.queued
-    upper += arrived[..., None]
     depth = min(config.deadline_epochs, config.epochs)
-    lower = _deadline_bounds(upper, carry.arrived, depth, start)
+    head = _ring_read(carry.arrived, depth, start, epochs)
     before = carry.consumed
     # Capacity is data_rate packets/second over the epoch.
     capacity = int(round(config.data_rate * config.epoch_length))
@@ -887,45 +925,54 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     last, carry.last = carry.last, None
     follows = stop < config.epochs
     if last is not None or follows:
-        reads = (offered, lower[..., : min(depth, stop - start)] - arrived[..., None], carry.queued)
+        reads = (offered, head - arrived[..., None], carry.queued[..., None])
+    # The kept plan, or its first epochs for a shorter block that ends the run.
     reused = (
         last is not None
-        and all(map(np.array_equal, last.reads, reads))
+        and (epochs == last.upper.shape[-1] or epochs < last.upper.shape[-1] and not follows)
+        and all(np.array_equal(past[..., :epochs], read) for past, read in zip(last.reads, reads))
         and (not dsr or np.array_equal(np.minimum(budget - carry.attempts, last.serviced), last.left))
     )
     # Unless reused, the last block's columns go before this block's are made.
     last = last if reused else None
     if reused:
         phases.count("reused_blocks")
-        plan, serviced = last.plan, last.serviced
-        sent, dropped, queued, times = plan.sent, plan.dropped_before_loss, plan.queued, plan.times
-    elif not dsr:
-        consumed = np.empty_like(upper)
-        times = np.empty(upper.shape)
-        _consume_ctc(config, capacity, upper, lower, offered, before, consumed, times)
-        served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
-        dropped, sent, queued = zip(*served)
-        serviced = None
+        upper = last.upper[..., :epochs] + (arrived - last.arrived)[..., None]
+        plan, serviced = _taken(last.plan, start, epochs, tuple(upper)), last.serviced
     else:
-        expired_self, serviced_self, queued_self = _serve_fifo(upper[0], lower[0], before[0], allowance=capacity)
-        expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
-            upper[1], lower[1], before[1], allowance=capacity - serviced_self
+        upper = np.cumsum(offered, axis=-1)
+        upper += arrived[..., None]
+        lower = np.concatenate([head, upper[..., : epochs - head.shape[-1]]], axis=-1)
+        if not dsr:
+            consumed = np.empty_like(upper)
+            times = np.empty(upper.shape)
+            _consume_ctc(config, capacity, upper, lower, offered, before, consumed, times)
+            served = (_serve_fifo(*bounds, consumed=p) for *bounds, p in zip(upper, lower, before, consumed))
+            dropped, sent, queued = zip(*served)
+            serviced = None
+        else:
+            expired_self, serviced_self, queued_self = _serve_fifo(upper[0], lower[0], before[0], allowance=capacity)
+            expired_nbr, serviced_nbr, queued_nbr = _serve_fifo(
+                upper[1], lower[1], before[1], allowance=capacity - serviced_self
+            )
+            serviced = serviced_nbr.sum(axis=-1, keepdims=True)
+            running = np.minimum(np.cumsum(serviced_nbr, axis=-1) + carry.attempts, budget)
+            attempts = np.diff(running, axis=-1, prepend=carry.attempts)
+            sent, queued = (serviced_self, attempts), (queued_self, queued_nbr)
+            dropped = expired_self, expired_nbr + serviced_nbr - attempts
+            # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
+            t_pp = config.epoch_length * (serviced_self / max(capacity, 1))
+            times = t_pp, config.epoch_length - t_pp
+        plan = Schedule(
+            tuple(configs), tuple(offered), sent, dropped, queued, tuple(times), start, carry.queued, tuple(upper)
         )
-        serviced = serviced_nbr.sum(axis=-1, keepdims=True)
-        running = np.minimum(np.cumsum(serviced_nbr, axis=-1) + carry.attempts, budget)
-        attempts = np.diff(running, axis=-1, prepend=carry.attempts)
-        sent, queued = (serviced_self, attempts), (queued_self, queued_nbr)
-        dropped = expired_self, expired_nbr + serviced_nbr - attempts
-        # A zero capacity serves nothing, and 0 / 1 gives its self time of 0.
-        t_pp = config.epoch_length * (serviced_self / max(capacity, 1))
-        times = t_pp, config.epoch_length - t_pp
-    plan = Schedule(tuple(configs), tuple(offered), sent, dropped, queued, tuple(times), start, carry.queued)
-    left = np.minimum(budget - carry.attempts, serviced) if dsr else None
+    carry.epoch = stop
+    # A block that ends the run hands nothing on.
     if follows:
-        carry.last = last or _LastBlock(plan, reads, serviced, left)
-    if stop > start:
-        carry.epoch = stop
-        carry.queued = np.array([column[:, -1] for column in queued])
+        left = np.minimum(budget - carry.attempts, serviced) if dsr else None
+        carry.last = last or _LastBlock(plan, reads, upper, arrived, serviced, left)
+        _ring_write(carry.arrived, depth, start, upper)
+        carry.queued = np.array([column[:, -1] for column in plan.queued])
         carry.consumed = upper[..., -1] - carry.queued
         if dsr:
             carry.attempts = carry.attempts + left
@@ -1099,19 +1146,25 @@ def _table_binomial(counts: np.ndarray, p: float, tables, generator: np.random.G
     odd = []
     for start in range(0, counts.size, _CHUNK):
         chunk = counts[start : start + _CHUNK]
-        nonzero = np.flatnonzero(chunk != 0)
-        n = chunk.take(nonzero)
+        samples = out[start : start + _CHUNK]
+        # A chunk that holds a zero count is drawn over its nonzero counts, and one that holds none in place.
+        nonzero = np.flatnonzero(chunk != 0) if np.count_nonzero(chunk) < chunk.size else None
+        n = chunk if nonzero is None else chunk.take(nonzero)
         m = (generator.bit_generator.random_raw(n.size) >> np.uint64(11)).view(np.int64)
         index = offsets.take(n)
         index += m >> (53 - _TABLE_BITS)
         over = m - low.take(index)
         x = base.take(index)
         x += over > _GUARD
-        samples = out[start : start + _CHUNK]
-        samples.fill(0)
-        samples[nonzero] = x
         redo = np.flatnonzero((over.view(np.uint64) <= 2 * _GUARD) | (x >= _WIDE))
-        odd.append((start + nonzero[redo], index[redo] >> _TABLE_BITS, m[redo]))
+        if nonzero is None:
+            samples[:] = x
+            positions = redo
+        else:
+            samples.fill(0)
+            samples[nonzero] = x
+            positions = nonzero[redo]
+        odd.append((start + positions, index[redo] >> _TABLE_BITS, m[redo]))
     positions, groups, uniforms = (np.concatenate(parts) for parts in zip(*odd))
     for group in set(groups.tolist()):
         n, thresholds = padded[group]
@@ -1191,24 +1244,24 @@ def _realize_sweep(
     return tuple(zip(*realized))
 
 
-def _cumulative_ratio(dropped: np.ndarray, offered: np.ndarray, before: tuple[int, int] = (0, 0)) -> np.ndarray:
+def _cumulative_ratio(dropped: np.ndarray, arrived: np.ndarray, before: int = 0) -> np.ndarray:
     """Running drop ratio, 0 until the first packet is offered.
 
-    ``before`` is the packets dropped and offered in the epochs before the
-    column, as Python ints.
+    ``arrived`` holds the packets offered from the run's first epoch to the
+    end of each epoch of the column, int64, and ``before`` the packets
+    dropped in the epochs before the column, a Python int.
     """
     # Validation keeps the running sums within 2**53 (see ``SimConfig``), so
-    # they sum exactly in float64, the ratio's own column and one more: this
-    # is Python's int / int. Each sums in place; a cumsum that casts would
-    # first copy its whole input.
-    sums = dropped.astype(float), offered.astype(float)
-    for column, packets in zip(sums, before):
-        column[:1] += packets
-    ratio, cum_offered = (np.cumsum(column, out=column) for column in sums)
+    # the dropped ones sum exactly in float64, in the ratio's own column, and
+    # the offered ones convert exactly: this is Python's int / int. The sum
+    # runs in place; a cumsum that casts would first copy its whole input.
+    ratio = dropped.astype(float)
+    ratio[:1] += before
+    np.cumsum(ratio, out=ratio)
     # Counts are >= 0, so the epochs before the first packet is offered are a prefix.
-    start = int(np.searchsorted(cum_offered, 0.0, side="right"))
+    start = int(np.searchsorted(arrived, 0, side="right"))
     ratio[:start] = 0.0
-    np.divide(ratio[start:], cum_offered[start:], out=ratio[start:])
+    np.divide(ratio[start:], arrived[start:], out=ratio[start:])
     return ratio
 
 
@@ -1240,8 +1293,8 @@ def run_blocks(config: SimConfig) -> Iterator[Trace]:
     Each block, the last one maybe shorter, is a ``Trace`` of its own
     epochs, a one-row sweep realized at the config's seed; their columns
     concatenate to ``run``'s, bit for bit. From one block to the next it
-    keeps the schedule's ``_Carry``, the dropped and offered packets of
-    each class so far, the tables of the last loss draw (see ``_tables``)
+    keeps the schedule's ``_Carry``, the dropped packets of each class so
+    far, the tables of the last loss draw (see ``_tables``)
     and the seed's one generator, never restored to an earlier state: each
     block's draw starts from the state the block before left, and a row
     that numpy must draw again restores that state, not the seeded one.
@@ -1254,17 +1307,19 @@ def run_blocks(config: SimConfig) -> Iterator[Trace]:
     consumer's own.
     """
     generator, _ = _seeded((config.seed,))[0]
-    carry, kept, totals = _Carry.fresh([config]), {}, [[0, 0], [0, 0]]
+    carry, kept, totals = _Carry.fresh([config]), {}, [0, 0]
     while carry.epoch < config.epochs:
         generators = [(generator, generator.bit_generator.state)]
         yield _run_block(config, carry, min(carry.epoch + _BLOCK_EPOCHS, config.epochs), generators, kept, totals)
 
 
-def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: dict, totals: list[list[int]]) -> Trace:
+def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: dict, totals: list[int]) -> Trace:
     """The block of ``run_blocks`` that ends at ``stop``.
 
-    ``totals`` holds each class's dropped and offered packets before the
-    block, and is moved on past it. The block's temporaries go when it
+    ``totals`` holds each class's dropped packets before the block, and is
+    moved on past it. The drop ratios divide by the schedule's running
+    arrivals, which from a fresh target are the offered packets summed from
+    the run's first epoch. The block's temporaries go when it
     returns, so the generator holds none of them while the consumer reads
     the block. ``carry.last``, when another block follows, holds this
     block's plan or the one it took, and so keeps its loss draw's
@@ -1276,13 +1331,13 @@ def _run_block(config: SimConfig, carry: _Carry, stop: int, generators, kept: di
         decided = None if carry.last is None else carry.last.tables
         realized = _realize_sweep(plan, generators, kept, decided)
         forwarded, dropped = ([column[0, 0] for column in pair] for pair in realized)
-        offered, queued, times = ([column[0] for column in pair] for pair in (plan.offered, plan.queued, plan.times))
+        pairs = plan.offered, plan.queued, plan.times, plan.running
+        offered, queued, times, running = ([column[0] for column in pair] for pair in pairs)
         # A later block may take these schedule columns (see ``_Carry``).
         for column in (*offered, *queued, *times):
             column.flags.writeable = False
-        ratios = list(map(_cumulative_ratio, dropped, offered, totals))
-        for total, *columns in zip(totals, dropped, offered):
-            total[:] = (packets + int(column.sum()) for packets, column in zip(total, columns))
+        ratios = list(map(_cumulative_ratio, dropped, running, totals))
+        totals[:] = (packets + int(column.sum()) for packets, column in zip(totals, dropped))
         return Trace(config, *offered, *forwarded, *dropped, *queued, *times, *ratios)
 
 

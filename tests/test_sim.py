@@ -886,8 +886,12 @@ def assert_same_schedule(plan, expected, row=0):
 
     ``expected`` is a one-row Schedule or the reference engine's columns by name as lists.
     """
-    # Every per-epoch pair is compared; ``epoch`` and ``backlog`` place a block in its run.
-    assert set(SCHEDULE_PAIRS) == {f.name for f in dataclasses.fields(Schedule)} - {"configs", "epoch", "backlog"}
+    # Every per-epoch pair is compared; ``epoch`` and ``backlog`` place a block in its run, and
+    # ``running`` of a schedule from a fresh target is the running sum of its ``offered``.
+    fields = {f.name for f in dataclasses.fields(Schedule)}
+    assert set(SCHEDULE_PAIRS) == fields - {"configs", "epoch", "backlog", "running"}
+    for column, offered in zip(plan.running, plan.offered, strict=True):
+        assert column[row].tobytes() == np.cumsum(offered[row]).tobytes()
     if isinstance(expected, dict):
         assert set(expected) == {name for names in SCHEDULE_PAIRS.values() for name in names}
     for field, names in SCHEDULE_PAIRS.items():
@@ -1067,9 +1071,10 @@ def _running_columns(draw):
 @example(columns=(np.zeros(3, np.int64), np.array([0, 5, 0])))
 @example(columns=(np.zeros(0, np.int64), np.zeros(0, np.int64)))
 def test_cumulative_ratio_is_python_int_division_of_the_running_sums(columns):
-    # Summed in float64 straight into the ratio's column, the running sums
-    # are exact within 2**53, so each ratio is Python's int / int of them;
-    # before the first packet is offered it is 0, whatever was dropped.
+    # Summed in float64 straight into the ratio's column, the running drops
+    # are exact within 2**53, as are the running arrivals converted to
+    # float64, so each ratio is Python's int / int of them; before the
+    # first packet is offered it is 0, whatever was dropped.
     offered, dropped = columns
     running_offered = running_dropped = 0
     expected = []
@@ -1077,7 +1082,7 @@ def test_cumulative_ratio_is_python_int_division_of_the_running_sums(columns):
         running_offered += o
         running_dropped += d
         expected.append(running_dropped / running_offered if running_offered else 0.0)
-    ratio = sim._cumulative_ratio(dropped, offered)
+    ratio = sim._cumulative_ratio(dropped, np.cumsum(offered))
     assert ratio.dtype == np.float64 and ratio.tolist() == expected
 
 
@@ -1231,6 +1236,54 @@ def test_a_repeated_block_takes_the_schedule_of_the_run(case):
     for name in TRACE_FIELDS:
         assert getattr(trace, name).tobytes() == getattr(whole, name).tobytes(), name
     assert_matches_reference(trace, config)
+
+
+@st.composite
+def _runs_ending_in_a_shorter_block(draw):
+    """A ``_steady_runs`` run of one to six blocks of 2 to 8 epochs and a shorter last block, with the block size."""
+    config, _ = draw(_steady_runs())
+    size = draw(st.integers(2, 8))
+    epochs = size * draw(st.integers(1, 6)) + draw(st.integers(1, size - 1))
+    return dataclasses.replace(config, epochs=epochs), size
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_runs_ending_in_a_shorter_block())
+# In blocks of 3 the last block, epochs 18 and 19, starts as the blocks
+# before did and takes the first two epochs of their schedule.
+@example(case=_steady(Policy.DSR, 20, 2, 10**6, 3))
+@example(case=_steady(Policy.CTC, 20, 2, 10**6, 3))
+# The neighbor load falls from 5 to 4 packets at epoch 19: the last block's
+# arrivals differ from the first epochs of the kept block's in its second
+# epoch, and it takes nothing.
+@example(case=(SimConfig(epochs=20, neighbor_count=1, data_rate=10.0, deadline_epochs=2, self_rate_fn=constant(6),
+                         neighbor_rate_fn=RateFunction(RateKind.LINEAR_DECREASING, 5.0, 1 / 37)), 3))
+# 72 credits are spent by epoch 18 and the last 6 run out at epoch 19: the
+# budget left differs, and the last block takes nothing.
+@example(case=_steady(Policy.DSR, 20, 2, 78, 3))
+# Deadlines of 5 and 7 over blocks of 3: the last block reads its first two
+# deadline bounds from the ring. Under `dsr` at 7 the neighbor queue starts
+# blocks 30 and 33 at 30 and 31 packets, so only the last block takes a
+# schedule, the first two epochs of block 33's.
+@example(case=_steady(Policy.CTC, 38, 5, 10**6, 3))
+@example(case=_steady(Policy.DSR, 38, 7, 10**6, 3))
+def test_a_shorter_last_block_takes_the_first_epochs_of_the_kept_schedule(case):
+    # The queue pass is causal: a last block shorter than the kept one whose
+    # reads (arrivals, deadline bounds, queues, budget left) equal the first
+    # epochs of the kept reads takes the first epochs of the kept schedule
+    # (`sim._Carry`). Each block of the streamed run is that stretch of the
+    # run in one block, bit for bit, and of the per-packet reference
+    # engine's, counter for counter.
+    config, size = case
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", size):
+        blocks = list(sim.run_blocks(config))
+    with mock.patch.object(sim, "_BLOCK_EPOCHS", config.epochs):
+        whole = run(config)
+    assert [block.offered_self.size for block in blocks] == [size] * (config.epochs // size) + [config.epochs % size]
+    for start, block in zip(range(0, config.epochs, size), blocks, strict=True):
+        for name in TRACE_FIELDS:
+            assert getattr(block, name).tobytes() == getattr(whole, name)[start : start + size].tobytes(), name
+    assert_matches_reference(whole, config)
 
 
 # The columns of a block of `run_blocks` that its schedule holds.
@@ -1530,11 +1583,14 @@ def test_draw_losses_is_numpys_binomial_on_long_rows(row, seeds):
 
 
 # Rows the table sampler takes: `trace_deep`'s three counts, counts up to
-# 30 / p at p = 0.15 and the count 60 = 30 / p at p = 0.5.
+# 30 / p at p = 0.15, the count 60 = 30 / p at p = 0.5, and `trace_deep`'s
+# counts as its budget runs out, a chunk of `sim._CHUNK` counts without a
+# zero, drawn in place, before a shorter one with zeros.
 _TABLE_ROWS = [
     (0.05, np.tile([300, 120, 300, 0], 3000)),
     (0.15, np.tile([200, 0, 3, 1, 150], 4096)),
     (0.5, np.tile([60, 0], 6000)),
+    (0.05, np.concatenate([np.tile([300, 120], 8192), np.tile([300, 0], 4000)])),
 ]
 
 
