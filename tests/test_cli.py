@@ -657,7 +657,8 @@ def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_pat
     # `sim.run_blocks`, and the counts of the engine's blocks, of those that
     # reuse the schedule of the block before (`trace_deep`'s constant load
     # repeats blocks 2 to 5, before its budget runs out in block 6, and 8
-    # to 11; its last block is shorter), of the blocks and texts the trace
+    # to 11; its shorter last block takes the first 4,000 epochs of block
+    # 11's), of the blocks and texts the trace
     # writer makes of them, and of the epochs the `ctc` loop runs
     # (`trace_wide`'s 85 epochs that start irregular, 1,508 to 1,592, and
     # the one before them; `trace_deep` is `dsr`, which has no loop).

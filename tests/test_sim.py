@@ -888,8 +888,8 @@ def assert_same_schedule(plan, expected, row=0):
     """
     # Every per-epoch pair is compared; ``epoch`` and ``backlog`` place a block in its run, and
     # ``running`` of a schedule from a fresh target is the running sum of its ``offered``.
-    fields = {f.name for f in dataclasses.fields(Schedule)}
-    assert set(SCHEDULE_PAIRS) == fields - {"configs", "epoch", "backlog", "running"}
+    declared = {f.name for f in dataclasses.fields(Schedule)}
+    assert set(SCHEDULE_PAIRS) == declared - {"configs", "epoch", "backlog", "running"}
     for column, offered in zip(plan.running, plan.offered, strict=True):
         assert column[row].tobytes() == np.cumsum(offered[row]).tobytes()
     if isinstance(expected, dict):
