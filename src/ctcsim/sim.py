@@ -916,6 +916,7 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
     arrived = carry.consumed + carry.queued
     depth = min(config.deadline_epochs, config.epochs)
     head = _ring_read(carry.arrived, depth, start, epochs)
+    before = carry.consumed
     # Capacity is data_rate packets/second over the epoch.
     capacity = int(round(config.data_rate * config.epoch_length))
     dsr = config.policy is Policy.DSR
@@ -942,7 +943,6 @@ def _schedule_sweep(configs: list[SimConfig], carry: _Carry | None = None, stop:
         upper = np.cumsum(offered, axis=-1)
         upper += arrived[..., None]
         lower = np.concatenate([head, upper[..., : epochs - head.shape[-1]]], axis=-1)
-        before = carry.consumed
         if not dsr:
             consumed = np.empty_like(upper)
             times = np.empty(upper.shape)
