@@ -11,20 +11,25 @@ Usage: python scripts/calibrate.py [--seeds N]
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 from statistics import fmean
 
 from scipy.stats import spearmanr
 
-from ctcsim import experiments
-from ctcsim.experiments import BASE, case_spec, derive_case_v, isotonic_nondecreasing, run_case
-from ctcsim.report import FIG_CASE, figure_series
-from ctcsim.sim import classify_misbehavior, run
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ctcsim import experiments  # noqa: E402
+from ctcsim.experiments import BASE, case_spec, derive_case_v, isotonic_nondecreasing, run_case  # noqa: E402
+from ctcsim.report import FIG_CASE, figure_series  # noqa: E402
+from ctcsim.sim import classify_misbehavior, run  # noqa: E402
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     print(f"base: {BASE}")
     levels = ("CASE1_SELF_BASE", "CASE1_SELF_TILT", "CASE2_SELF_MULTIPLIER", "CASE3_SELF_PEAK", "CASE4_NEIGHBOR_RATE")

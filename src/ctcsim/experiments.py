@@ -268,7 +268,7 @@ def run_case(spec: CaseSpec) -> ResultTable:
     for seed in spec.seeds:
         if not 0 <= seed < 2**64:
             raise InvalidParameterError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    if not spec.sweep_axis:
+    if not spec.sweep_axis or not spec.seeds:
         return ResultTable(rows=())
     generators = _seeded(spec.seeds)
     rows = []

@@ -14,8 +14,8 @@ The counts are ``rows`` (result rows), ``realized`` (point-rows realized),
 block before, see ``sim._Carry``), ``ctc_loop_epochs`` (the epochs that the
 ``ctc`` schedule runs through its Python loop, see ``sim._consume_ctc``), and
 the trace writer's ``trace_blocks`` and ``trace_texts``. Each is added to
-once per point, sweep, block or text, never per sample. These names are what ``scripts/grid_phases.py`` and
-``scripts/trace_phases.py`` read; ``reset`` clears them all.
+once per point, sweep, block or text, never per sample. ``scripts/phases.py``
+prints every phase and count under these names; ``reset`` clears them all.
 """
 
 import resource

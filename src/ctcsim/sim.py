@@ -1270,7 +1270,7 @@ def _cumulative_ratio(dropped: np.ndarray, arrived: np.ndarray, before: int = 0)
 # with its epochs and its count of numpy calls does not. Measured on
 # ``trace_deep`` (``perfbench/run.py --seconds 5``, median of 4, 2-core Xeon;
 # ``wall_norm_s`` and ``peak_rss_mb``) and, in a fresh process, the peak
-# resident set of ``scripts/trace_phases.py``:
+# resident set of ``sim run`` under ``scripts/phases.py``:
 #   block       wall_norm_s   peak_rss_mb   VmHWM
 #   8,000       0.0543 s      40.6 MiB      40.0 MiB
 #   16,000      0.0566 s      42.5 MiB      42.1 MiB

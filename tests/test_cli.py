@@ -629,7 +629,7 @@ def test_exp_all_default_grid_matches_recorded_sha256(tmp_path, capsys):
 
 def test_exp_all_clocks_each_phase_and_the_grid_counts(tmp_path, capsys):
     # `ctcsim.phases` measures each phase from inside the package, and
-    # scripts/grid_phases.py reads these names. Each of the 8 sweeps (4
+    # scripts/phases.py prints these names. Each of the 8 sweeps (4
     # cases, 2 algorithms) is scheduled, realized and summarized once. At ten
     # seeds the grid has 1,280 rows; 87 of its 128 point-rows are realized,
     # each seed of each by one numpy `binomial` call. The 4 `ctc` sweeps run
@@ -653,7 +653,7 @@ TRACE_COUNTS = {"trace_deep": [13, 9, 27, 127, 0], "trace_wide": [1, 0, 18, 130,
 
 @pytest.mark.parametrize("name", sorted(TRACE_COUNTS))
 def test_sim_run_clocks_the_engine_and_counts_its_blocks_and_texts(name, tmp_path, capsys):
-    # scripts/trace_phases.py reads the engine's phase, once per block of
+    # scripts/phases.py prints the engine's phase, once per block of
     # `sim.run_blocks`, and the counts of the engine's blocks, of those that
     # reuse the schedule of the block before (`trace_deep`'s constant load
     # repeats blocks 2 to 5, before its budget runs out in block 6, and 8

@@ -307,6 +307,13 @@ def test_run_case_matches_one_seed_at_a_time_oracle(case_id):
     assert rows == _oracle_rows(spec)
 
 
+@pytest.mark.parametrize("axis", ["sweep_axis", "seeds"])
+def test_run_case_with_an_empty_axis_has_no_rows(axis):
+    # A grid with no sweep value or no seed has no point to run, so it has
+    # no row; the command line asks for at least one seed.
+    assert run_case(dataclasses.replace(case_spec("III"), **{axis: ()})) == ResultTable(rows=())
+
+
 def _at_level(case_id, level, epochs):
     """The rate profile that a case's level sets, at ``level``: case I's self base, III's self peak, IV's neighbor rate."""
     if case_id == "I":

@@ -19,6 +19,12 @@ def test_readme_python_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_readme_names_only_scripts_that_exist():
+    named = set(re.findall(r"python (scripts/\S+?\.py)", README.read_text(encoding="utf-8")))
+    assert "scripts/phases.py" in named
+    assert [name for name in sorted(named) if not (README.parent / name).is_file()] == []
+
+
 def _empty_trace():
     rate = RateFunction(RateKind.CONSTANT, 1.0)
     trace = run(SimConfig(epochs=1, self_rate_fn=rate, neighbor_rate_fn=rate))

@@ -1,8 +1,11 @@
 """Smoke tests of the repository scripts."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 from ctcsim import phases
 
@@ -25,6 +28,13 @@ def test_calibrate_prints_every_criterion_at_one_seed(capsys):
     assert "case IV: 32 rows" in out
 
 
+def test_calibrate_rejects_fewer_than_one_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load("calibrate").main(["--seeds", "0"])
+    assert exit_info.value.code == 2
+    assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_src_lines_total_is_the_sum_of_the_modules(capsys):
     # scripts/src_lines.py prints each src/ctcsim module's lines and lines of
     # code, then their totals.
@@ -45,49 +55,46 @@ def test_record_engine_pins_prints_the_recorded_digests(capsys):
     assert capsys.readouterr().out == (SCRIPTS.parent / "tests" / "engine_pins.json").read_text(encoding="utf-8")
 
 
-def test_trace_phases_prints_time_and_faults_of_run_and_emit(tmp_path, capsys):
-    # scripts/trace_phases.py times the engine's blocks (`sim.run_blocks`)
-    # and `emit_trace_csv` for one config file as `sim run` streams them,
-    # each summed over the blocks, with the peak resident set after the
-    # engine's last block and at the end, then prints the phase clock's
-    # counts of the engine's blocks, of those that reused the schedule of
-    # the block before, of the writer's blocks and texts, and of the epochs
-    # the `ctc` schedule ran through its loop. 50 epochs are one engine
-    # block, which reuses none; of 4 short lines they make two writer
-    # blocks, since blocks end at epoch 10, and each block is one text. No
-    # packet arrives, so every queue starts each epoch empty and the loop
-    # runs no epoch. The script resets the clock, so its counts are the
-    # same in every run.
-    config = tmp_path / "config.json"
-    config.write_text('{"epochs": 50, "neighbor_count": 3}', encoding="utf-8")
-    for _ in range(2):
-        assert _load("trace_phases").main([str(config)]) == 0
-        header, *rows, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
-        assert header == ["phase", "wall_s", "minflt", "maxrss_MiB"]
-        assert [row[0] for row in rows] == ["sim.run_blocks", "emit_trace_csv"]
-        for _, seconds, faults, _ in rows:
-            assert float(seconds) > 0 and int(faults) >= 0
-        # A high-water mark never falls.
-        run_peak, emit_peak = (float(row[3]) for row in rows)
-        assert emit_peak >= run_peak > 0
-        assert counts == ["engine", "1", "reused", "0", "blocks", "2", "texts", "2", "ctc_loop_epochs", "0"]
+GRID_COUNTS = {"rows": 1280, "realized": 87, "binomial": 870, "ctc_loop_epochs": 357}
+FIFTY_EPOCH_COUNTS = {"engine_blocks": 1, "ctc_loop_epochs": 0, "binomial": 1, "trace_blocks": 2, "trace_texts": 2}
+SIM_RUN = ["sim", "run", "--config", "config.json", "--out", "trace.csv"]
 
 
-def test_grid_phases_prints_time_and_faults_of_each_phase_and_the_grid_counts(capsys):
-    # scripts/grid_phases.py times the phases of `exp all` at ten seeds. The
-    # grid has 1,280 rows; 87 of its 128 point-rows are realized, each seed
-    # of each by one `binomial` call, and the `ctc` schedules run 357 of
-    # their 6,400 epochs through their loop. The script resets the phase
-    # clock, so the counts an earlier command left on it (here, a whole
-    # grid's) are not in its own.
-    phases.count("rows", 1280)
-    phases.count("binomial", 870)
-    phases.count("ctc_loop_epochs", 357)
-    assert _load("grid_phases").main([]) == 0
-    header, *rows, counts = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header == ["phase", "wall_s", "minflt"]
-    assert [row[0] for row in rows] == ["schedule", "realize", "summarize", "emit", "total"]
-    for _, seconds, faults in rows:
-        assert float(seconds) > 0 and int(faults) >= 0
-    assert float(rows[-1][1]) >= sum(float(row[1]) for row in rows[:-1])
-    assert counts == ["rows", "1280", "realized", "87", "binomial", "870", "ctc_loop_epochs", "357"]
+@pytest.mark.parametrize(
+    ("argv", "config", "status", "counts"),
+    [
+        (["exp", "all", "--seeds", "10", "--out-dir", "out"], None, 0, GRID_COUNTS),
+        (SIM_RUN, {"epochs": 50, "neighbor_count": 3}, 0, FIFTY_EPOCH_COUNTS),
+        (SIM_RUN, {"epochs": 0}, 0, {}),
+        (SIM_RUN, None, 1, {}),
+    ],
+    ids=["exp_all", "sim_run_50_epochs", "sim_run_0_epochs", "sim_run_missing_config"],
+)
+def test_phases_prints_every_phase_then_rest_then_every_count(
+    argv, config, status, counts, tmp_path, monkeypatch, capsys
+):
+    # scripts/phases.py runs one ctcsim command and prints each phase the
+    # clock timed, in the order it first ran, then `rest`, the command
+    # outside every phase, then the clock's counts by their own names; it
+    # exits with the command's status. It resets the clock first, so a
+    # phase or count an earlier command left on it is not in its own. The
+    # grid's counts are those of `exp all` at ten seeds (see
+    # tests/test_cli.py). 50 epochs are one engine block, which reuses
+    # none; of 4 short lines they make two writer blocks, since blocks end
+    # at epoch 10, and each block is one text. No packet arrives, so every
+    # queue starts each epoch empty and the `ctc` loop runs no epoch. A run
+    # of no epochs makes no block and so times no phase.
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+    with phases.span("stale"):
+        phases.count("stale")
+    assert _load("phases").main(argv) == status
+    header, *rows, printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["phase", "wall_s", "minflt", "maxrss_MiB"]
+    assert [row[0] for row in rows] == [*phases.times, "rest"]
+    for _, seconds, faults, peak in rows:
+        assert float(seconds) > 0 and int(faults) >= 0 and float(peak) > 0
+    # A high-water mark never falls, and `rest` reads it at the end.
+    assert float(rows[-1][3]) == max(float(row[3]) for row in rows)
+    assert dict(zip(printed[::2], map(int, printed[1::2]))) == phases.counts == counts
