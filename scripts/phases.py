@@ -6,7 +6,8 @@ stdout discarded, and prints each phase in the order it first ran (wall
 time and minor faults summed over its calls, peak resident set when it last
 ended), then ``rest``, the command outside every phase (argument parsing,
 the config load, ``sim run``'s trace writer), then every count. Exits with
-the command's status. Run it as a fresh process, into a new output path: a
+the command's status. Where argparse exits first (``--help``), its text and
+status pass through. Run it as a fresh process, into a new output path: a
 phase's faults depend on what the process allocated and freed before it,
 and overwriting a file adds its truncation to ``rest``.
 
@@ -33,11 +34,15 @@ def main(argv: list[str]) -> int:
         print(__doc__[__doc__.index("Usage:") :].rstrip(), file=sys.stderr)
         return 2
     phases.reset()
-    with contextlib.redirect_stdout(io.StringIO()):
-        faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter_ns()
-        status = cli.main(argv)
-        wall = time.perf_counter_ns() - start
-        usage = resource.getrusage(resource.RUSAGE_SELF)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter_ns()
+            status = cli.main(argv)
+            wall = time.perf_counter_ns() - start
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+    except SystemExit:
+        sys.stdout.write(out.getvalue())
+        raise
     rows = [(name, phase.wall_ns, phase.minflt, phase.maxrss_kib) for name, phase in phases.times.items()]
     rest_wall, rest_faults = wall - sum(row[1] for row in rows), usage.ru_minflt - faults - sum(row[2] for row in rows)
     print(f"{'phase':<10}  {'wall_s':>8}  {'minflt':>7}  {'maxrss_MiB':>10}")

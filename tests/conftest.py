@@ -1,9 +1,20 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctcsim import experiments, sim
+
+
+def load_script(name):
+    """``scripts/<name>.py`` as a module; the scripts are files, not a package."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

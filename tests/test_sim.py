@@ -1238,6 +1238,30 @@ def test_a_repeated_block_takes_the_schedule_of_the_run(case):
     assert_matches_reference(trace, config)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(_block_runs(), _steady_runs()))
+# Capacity 315 is odd, so each backlogged epoch's two floors lose a packet
+# between them or none, as the split falls.
+@example(
+    case=(
+        SimConfig(epochs=60, data_rate=420.0, epoch_length=0.75, deadline_epochs=20,
+                  self_rate_fn=constant(250), neighbor_rate_fn=RateFunction(RateKind.LINEAR_INCREASING, 100, 5)),
+        1,
+    )
+)
+def test_ctc_serves_capacity_or_one_less_where_both_queues_end_backlogged(case):
+    # Identity 1 in the simulator: a ctc epoch that ends with both queues
+    # backlogged served each up to its cap, floor((1 - s) c) and floor(s c),
+    # which sum to c or c - 1. The schedule draws no random number, so at
+    # zero loss the forwarded counts are the sent ones.
+    config = dataclasses.replace(case[0], policy=Policy.CTC, base_drop_prob=0.0)
+    trace = run(config)
+    backlogged = (trace.queued_self > 0) & (trace.queued_neighbor > 0)
+    sent = (trace.forwarded_self + trace.forwarded_neighbor)[backlogged]
+    capacity = int(round(config.data_rate * config.epoch_length))
+    assert set(sent.tolist()) <= {capacity, capacity - 1}
+
+
 @st.composite
 def _runs_ending_in_a_shorter_block(draw):
     """A ``_steady_runs`` run of one to six blocks of 2 to 8 epochs and a shorter last block, with the block size."""
