@@ -4,7 +4,9 @@ Byte determinism contract: identical inputs produce identical bytes. Files
 are UTF-8 with "\\n" line endings, a header row always present, real-valued
 fields at fixed 6-decimal precision, and integer fields as plain integers
 (a 64-bit seed must survive a write/read round trip exactly, which rules
-out pushing it through a float format).
+out pushing it through a float format). Every integer of a trace is an
+epoch, a node id, a source's share or a count, so a negative one is a fault
+of the engine: it raises ``InvariantError``, and ``sim run`` exits 3.
 
 The trace writer renders each block of epochs as one uint8 table with a
 row per epoch, the epoch's target line and then its source lines, with the
@@ -17,22 +19,25 @@ negatives, -0.0, huge values) is formatted by Python's own ``'%.6f' % x``,
 as is a column of one value.
 
 A block's size and a text's size are set apart. Every block, about 1 MB of
-whole epochs (``_TRACE_CHUNK_BYTES``), is built in one buffer reused for
-the whole trace, so each step that runs once per block (``source_split``,
-the ``sent`` digits, the source-line template and its broadcast, the target
-copy) runs on many epochs at once. The block is then written in slices of
-at most ``_TRACE_SLICE_BYTES``: each slice is copied out of the buffer, and
-``bytes.replace(b"\\0", b"")`` makes its text. The copy and the text stay
-below the allocator's mmap threshold, so they come from the heap, not from
-fresh pages. ``replace`` takes about 16 ns for each zero byte it drops, in
-runs or not, against 6 us for 120 kB with none, so the source lines, most of
-a wide trace, hold no pad bytes: blocks end at each power of ten of the
-epoch, and the sources are laid out by the digit count of their node ids.
-The target lines of up to ``_TRACE_GROUP_EPOCHS`` epochs of one piece are
-formatted at once, whatever their digits: an epoch below a power of ten
-pads its field to the group's last epoch, a zero byte per digit short, so
-that each piece of a run is formatted in one pass, not one per power of
-ten.
+whole epochs (``_TRACE_CHUNK_BYTES``), is built in one buffer reused for the
+whole trace, so each step that runs once per block (``source_split``, the
+``sent`` digits, the source-line template and its broadcast, the target
+copy) runs on many epochs at once. In a steady block, whose epochs all have
+the same neighbor arrivals, the sources' ``sent`` fields are split and
+formatted for one epoch and written into the template, so its source lines
+come whole from the template but for their epoch. The block is then written
+in slices of at most ``_TRACE_SLICE_BYTES``: each slice is copied out of the
+buffer, and ``bytes.replace(b"\\0", b"")`` makes its text. The copy and the
+text stay below the allocator's mmap threshold, so they come from the heap,
+not from fresh pages. ``replace`` takes about 16 ns for each zero byte it
+drops, in runs or not, against 6 us for 120 kB with none, so the source
+lines, most of a wide trace, hold no pad bytes: blocks end at each power of
+ten of the epoch, and the sources are laid out by the digit count of their
+node ids. The target lines of up to ``_TRACE_GROUP_EPOCHS`` epochs of one
+piece are formatted at once, whatever their digits: an epoch below a power
+of ten pads its field to the group's last epoch, a zero byte per digit
+short, so that each piece of a run is formatted in one pass, not one per
+power of ten.
 
 Each digit comes from an integer ``//`` by 10 and a multiply-subtract, not
 from ``np.divmod``: numpy 2.4.6 vectorizes an integer floor division by a
@@ -53,7 +58,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import phases
-from .errors import InvalidParameterError, MissingCaseError
+from .errors import InvalidParameterError, InvariantError, MissingCaseError
 from .experiments import CASE_IDS, CaseVCurve, ResultRow, ResultTable, derive_case_v, isotonic_nondecreasing
 from .sim import Trace, source_split
 from .sim import _TRACE_COLUMNS
@@ -289,28 +294,19 @@ def _places(value: int) -> int:
 
 
 def _int_field(values: np.ndarray) -> _Field:
-    """``%d`` of each int64 (see ``_Field``)."""
+    """``%d`` of each int64 (see ``_Field``).
+
+    Every integer of a trace is an epoch, a node id, a source's share or a
+    count, so a negative one is a fault of the engine and raises
+    ``InvariantError``.
+    """
     low, top = int(values.min()), int(values.max())
+    if low < 0:
+        raise InvariantError(f"a trace count must be >= 0, got {low}")
     if low == top:
         text = np.frombuffer(b"%d" % low, np.uint8)[:, None]
         return text.size, lambda out: np.copyto(out, text)
-    if low >= 0:
-        return _places(top), lambda out: _digits(_unsigned(values, top), out, _places(low))
-    top = max(-low, top)
-
-    def write(out: np.ndarray) -> None:
-        # Magnitudes in uint64, where negation wraps, so -2**63 has one too.
-        negative = values < 0
-        magnitude = values.astype(np.uint64)
-        np.negative(magnitude, out=magnitude, where=negative)
-        magnitude = _unsigned(magnitude, top)
-        where = np.flatnonzero(negative)
-        out[0] = 0
-        _digits(magnitude, out[1:], _places(magnitude.min()))
-        # The sign takes the last zero byte left of each negative number.
-        out[(out[:, where] == 0).sum(axis=0) - 1, where] = ord("-")
-
-    return _places(top) + 1, write
+    return _places(top), lambda out: _digits(_unsigned(values, top), out, _places(low))
 
 
 def _real_field(values: np.ndarray) -> _Field:
@@ -437,7 +433,9 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
     written once per view, into the first epoch's lines, and copied from
     there into every other epoch of the block at once; then each line's
     epoch, copied from the last digits of the target's own field, and its
-    two ``sent`` fields are written into their slots.
+    two ``sent`` fields are written into their slots. A steady block, whose
+    epochs all have the same neighbor arrivals, has its ``sent`` fields in
+    the template instead, formatted for one epoch.
     """
     pieces = iter([pieces] if isinstance(pieces, Trace) else pieces)
     head = next(pieces, None)
@@ -482,10 +480,14 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
                 blocks.append((first, min(per_block, finish - first), epoch_width, fixed))
         for first, rows, epoch_width, fixed in blocks:
             # Each source's counts, formatted source by source and viewed as
-            # ``(rows, sources, width)``.
-            sent = _int_table(source_split(offered[first : first + rows], nodes).ravel())
+            # ``(epochs, sources, width)``: one epoch's, when every epoch of
+            # the block has the same neighbor arrivals.
+            counts = offered[first : first + rows]
+            if (counts == counts[0]).all():
+                counts = counts[:1]
+            sent = _int_table(source_split(counts, nodes).ravel())
             sent_width = sent.shape[0]
-            sent = sent.reshape(sent_width, nodes, rows).T
+            sent = sent.reshape(sent_width, nodes, counts.size).T
             size = rows * (fixed + 2 * nodes * sent_width)
             if size > len(buffer):
                 buffer = bytearray(size)
@@ -504,16 +506,20 @@ def _trace_blocks(pieces: Trace | Iterable[Trace]) -> Iterator[memoryview]:
                 lines = table[:, column:end].reshape(rows, high - low, width)
                 column = end
                 # The first epoch's lines are the template: their constant
-                # bytes go to every epoch, and every epoch's slots are
-                # written after.
+                # bytes and ``sent`` fields go to every epoch, and every
+                # epoch's epoch and, unless the block is steady, its ``sent``
+                # fields are written after.
                 template = lines[0]
                 template[:, epoch_width:first_sent] = ids
                 template[:, first_sent + sent_width : second_sent] = relayed
                 template[:, second_sent + sent_width :] = tail
+                for slot in (first_sent, second_sent):
+                    template[:, slot : slot + sent_width] = sent[0, low:high]
                 lines[1:] = template
                 lines[:, :, :epoch_width] = epoch_text
-                lines[:, :, first_sent : first_sent + sent_width] = sent[:, low:high]
-                lines[:, :, second_sent : second_sent + sent_width] = sent[:, low:high]
+                if len(sent) > 1:
+                    for slot in (first_sent, second_sent):
+                        lines[1:, :, slot : slot + sent_width] = sent[1:, low:high]
             phases.count("trace_blocks")
             yield memoryview(buffer)[:size]
         # The group's views, let go before the next group is made: the lines

@@ -183,9 +183,14 @@ class RateFunction:
     def arrivals(self, out: np.ndarray, start: int = 0) -> np.ndarray:
         """Write the whole packets arriving from epoch ``start`` on into the int64 row ``out`` and return it.
 
-        Each is ``rate`` rounded half to even.
+        Each is ``rate`` rounded half to even. A constant rate fills the row
+        with ``rint(base)``, which is ``rint(base + 0.0 * epoch)`` at every
+        epoch, since ``base`` is finite and not below 0.
         """
-        np.copyto(out, np.rint(self.rate(np.arange(start, start + out.size))), casting="unsafe")
+        if self.kind is RateKind.CONSTANT:
+            out.fill(np.rint(self.base))
+        else:
+            np.copyto(out, np.rint(self.rate(np.arange(start, start + out.size))), casting="unsafe")
         return out
 
     @classmethod

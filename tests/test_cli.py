@@ -344,6 +344,26 @@ def test_sim_run_names_the_run_epoch_of_a_break_in_a_later_block(tmp_path, capsy
     assert err == f"error: neighbor-class conservation violated at the target, epoch {sim._BLOCK_EPOCHS + 3}\n"
 
 
+def test_sim_run_negative_trace_count_exits_3(tmp_path, capsys, monkeypatch):
+    # Every integer of a trace is an epoch, a node id, a source's share or a
+    # count: a negative one that the engine hands the writer is a program
+    # fault, not text to print.
+    real_blocks = cli.run_blocks
+
+    def broken_blocks(config):
+        for block in real_blocks(config):
+            dropped = block.dropped_self.copy()
+            dropped[1] = -3
+            yield dataclasses.replace(block, dropped_self=dropped)
+
+    monkeypatch.setattr(cli, "run_blocks", broken_blocks)
+    config = _write_config(tmp_path)
+    code, out, err = run_cli("sim", "run", "--config", str(config), "--out", str(tmp_path / "t.csv"), capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: a trace count must be >= 0, got -3\n"
+
+
 # `sim run` writes each block of the run as it is made, so its tracemalloc
 # peak does not grow with the run: writing to os.devnull (numpy 2.4.6,
 # numpy.random imported before, rates 300 and 200, capacity 420, deadline

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import report, sim
-from ctcsim.errors import InvalidParameterError, MissingCaseError
+from ctcsim.errors import InvalidParameterError, InvariantError, MissingCaseError
 from ctcsim.experiments import CaseVBucket, CaseVCurve, ResultRow, ResultTable, case_spec, run_case
 from ctcsim.report import (
     CSV_COLUMNS,
@@ -473,7 +473,9 @@ def _columns(draw):
     def column(values):  # varied, or constant as a trace column often is
         return st.one_of(st.lists(values, min_size=rows, max_size=rows), values.map(lambda v: [v] * rows))
 
-    ints = draw(st.lists(column(st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=3))
+    # Mostly counts, as every trace integer is; a negative one raises.
+    integers = st.one_of(st.integers(0, 2**63 - 1), st.integers(-(2**63), 2**63 - 1))
+    ints = draw(st.lists(column(integers), min_size=1, max_size=3))
     reals = draw(st.lists(column(_REALS), min_size=1, max_size=3))
     return [np.array(c, np.int64) for c in ints], [np.array(c, np.float64) for c in reals]
 
@@ -485,25 +487,33 @@ def _columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(columns=_columns())
 def test_format_rows_matches_per_row_formatting(columns):
-    int_columns, real_columns = columns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = _format_rows([*int_columns, *real_columns])
-    assert text.decode("ascii") == per_row_text(int_columns, real_columns)
+        _rows_match_per_row_text(*columns)
 
 
 def test_format_rows_edge_values():
     # Each edge value next to ordinary ones, so one column mixes both paths.
     reals = np.array([v for x in _EDGE_REALS for v in (x, _neighbours(x, -1), 0.25, _neighbours(x, 1))])
     ints = np.array([-(2**63), 2**63 - 1, -1, 0] * len(_EDGE_REALS), np.int64)
-    assert _format_rows([ints, reals]).decode("ascii") == per_row_text([ints], [reals])
+    counts = np.array([2**63 - 1, 0, 2**32, 1] * len(_EDGE_REALS), np.int64)
+    _rows_match_per_row_text([ints, counts], [reals])
 
 
 def _rows_match_per_row_text(int_columns, real_columns=()):
+    """A trace integer is never negative: with a column that holds a negative
+    value the rows raise ``InvariantError`` naming the first such column's
+    least value, and the other columns match the per-row oracle."""
     int_columns = [np.array(column, np.int64) for column in int_columns]
     real_columns = [np.array(column, np.float64) for column in real_columns]
-    text = _format_rows([*int_columns, *real_columns]).decode("ascii")
-    assert text == per_row_text(int_columns, real_columns)
+    counts = [column for column in int_columns if column.min() >= 0]
+    if len(counts) < len(int_columns):
+        low = next(int(column.min()) for column in int_columns if column.min() < 0)
+        with pytest.raises(InvariantError, match=f"got {low}$"):
+            _format_rows([*int_columns, *real_columns])
+    if counts or real_columns:
+        text = _format_rows([*counts, *real_columns]).decode("ascii")
+        assert text == per_row_text(counts, real_columns)
 
 
 def test_format_rows_where_the_digit_width_changes():
@@ -528,9 +538,12 @@ def test_format_rows_divides_in_uint32_up_to_2_32_minus_1_then_in_uint64():
     for top, dtype in ((2**32 - 1, np.uint32), (2**32, np.uint64)):
         assert _divide_dtypes([[0, 7, top]]) == {dtype}
         assert _divide_dtypes([[top, 0, 7]]) == {dtype}
-        assert _divide_dtypes([[-top, 3, 0]]) == {dtype}
-    assert _divide_dtypes([[-(2**63), 0, 1, 9, 10]]) == {np.uint64}
-    assert _divide_dtypes([[1, -(2**63), 2**63 - 1]]) == {np.uint64}
+        assert _divide_dtypes([[3, 0, top]]) == {dtype}
+        # A negative count raises before any digit is divided.
+        assert _divide_dtypes([[-top, 3, 0]]) == set()
+    assert _divide_dtypes([[2**63 - 1, 0, 1, 9, 10]]) == {np.uint64}
+    assert _divide_dtypes([[-(2**63), 0, 1, 9, 10]]) == set()
+    assert _divide_dtypes([[1, -(2**63), 2**63 - 1]]) == set()
     # Both take the fast path: x * 1e6 rounds to 2**32 - 1 and to 2**32.
     below, at = 4294.967295, 4294.9672957
     assert _divide_dtypes([], [[0.5, below, 1e-6]]) == {np.uint32}

@@ -7,6 +7,7 @@ for exact counter agreement.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -125,6 +126,17 @@ def test_arrivals_are_the_rates_rounded_half_to_even(kind, base, slope, epochs):
     expected = np.rint(fn.rate(np.arange(epochs))).astype(np.int64).tolist()
     out = np.full(epochs, -1, np.int64)
     assert fn.arrivals(out) is out and out.tolist() == expected
+
+
+@pytest.mark.parametrize("base", [0.0, -0.0, 0.5, 1.5, 2.5, 3.4999999999999996, 200.0, 2.0**53])
+def test_constant_arrivals_fill_the_row_with_the_rounded_base(base):
+    # A constant rate fills the row at once, ties rounded half to even, a
+    # slope ignored: what the per-epoch rate, cast to int64, gives.
+    for start, slope in itertools.product((0, 1, 9_999, sim.MAX_EPOCHS - 5), (0.0, 7.0)):
+        out = np.full(5, -1, np.int64)
+        expected = np.rint(base + 0.0 * np.arange(start, start + out.size)).astype(np.int64)
+        assert RateFunction(RateKind.CONSTANT, base, slope).arrivals(out, start) is out
+        assert out.dtype == np.int64 and out.tolist() == expected.tolist()
 
 
 @given(
@@ -1533,6 +1545,51 @@ def test_binomial_stream_is_the_recorded_one():
         f"numpy {np.__version__} draws another binomial stream than numpy 2.4.6 did; "
         "the recorded sha256 tests of the grid and of both benchmark traces will fail too"
     )
+
+
+@pytest.mark.parametrize(
+    "neighbor_count, neighbor_rate_fn, steady",
+    [
+        # Every source sends 10 but the last, which sends 9, so a steady
+        # template of more than one source holds two widths.
+        *((count, constant(10.0 * count - 1), {True}) for count in (1, 9, 10, 12, 100)),
+        # Down to 0 at epoch 84, then steady at zero.
+        (12, RateFunction(RateKind.LINEAR_DECREASING, 250.0, 3.0), {False, True}),
+        (12, RateFunction(RateKind.LINEAR_INCREASING, 0.0, 3.0), {False}),
+    ],
+)
+def test_emit_trace_csv_matches_per_row_writer_on_steady_blocks(neighbor_count, neighbor_rate_fn, steady, tmp_path):
+    # A block whose epochs all have the same neighbor arrivals takes its
+    # sources' `sent` fields from its first epoch's template, split and
+    # formatted for that one epoch; any other block formats every epoch's.
+    # The budget is about four and a half epochs' bytes, so each run spans
+    # many blocks of several epochs; at 100 sources, node ids of one, two
+    # and three digits share a block.
+    trace = run(
+        SimConfig(
+            epochs=120,
+            neighbor_count=neighbor_count,
+            data_rate=60.0,
+            base_drop_prob=0.1,
+            seed=5,
+            self_rate_fn=constant(20.0),
+            neighbor_rate_fn=neighbor_rate_fn,
+        )
+    )
+    expected = reference_trace_csv(trace)
+    budget = 9 * (len(expected) // trace.config.epochs) // 2
+    dest = tmp_path / "trace.csv"
+    with mock.patch.object(report, "_TRACE_CHUNK_BYTES", budget), mock.patch.object(
+        report, "source_split", wraps=report.source_split
+    ) as split:
+        rows = [block.tobytes().count(b"\n") // (neighbor_count + 1) for block in report._trace_blocks(trace)]
+        split_epochs = [call.args[0].size for call in split.call_args_list]
+        assert emit_trace_csv(trace, dest) == len(expected)
+    assert dest.read_bytes() == expected
+    assert len(split_epochs) == len(rows) > 10
+    assert all(size in (1, epochs) for size, epochs in zip(split_epochs, rows))
+    # Which blocks of several epochs split one epoch's arrivals.
+    assert {size == 1 for size, epochs in zip(split_epochs, rows) if epochs > 1} == steady
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5])
